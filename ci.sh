@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# CI entry point: tier-1 (build + full test suite) plus a bounded,
-# fixed-seed differential fuzz pass over all three simulator pairs.
+# CI entry point: tier-1 (build + root test suite), the workspace tests,
+# clippy, the benchmark's contract tests, and bounded fixed-seed
+# differential, fault-campaign and crash-resume passes.
 # Everything here is deterministic; a red run reproduces locally with the
 # same commands.
 set -euo pipefail
@@ -12,8 +13,18 @@ cargo build --release
 echo "== tier-1: tests =="
 cargo test -q
 
-echo "== lint: clippy (warnings are errors) =="
-cargo clippy -q --all-targets -- -D warnings
+echo "== workspace tests (every crate's unit and integration tests) =="
+# The root manifest is both a package and the workspace, so plain
+# `cargo test` covers only the root package.
+cargo test -q --workspace
+
+echo "== lint: clippy over the workspace (warnings are errors) =="
+cargo clippy -q --workspace --all-targets -- -D warnings
+
+echo "== benchmark contract tests =="
+# perfbench is a package of its own (outside the workspace); these check
+# its metric names, result line and determinism record.
+cargo test -q --release --manifest-path perfbench/Cargo.toml
 
 echo "== static analysis: rvlint over every kernel guest =="
 # Lints every co-design kernel guest (CFG/dataflow + RoCC-protocol

@@ -159,14 +159,18 @@ impl AtomicSim {
     /// Propagates functional-core faults.
     pub fn step(&mut self) -> Result<Event, CpuError> {
         self.cpu.cycle = self.stats.cycles;
-        let event = self.cpu.step()?;
+        // Inspected in place and returned as it is (see `Event`).
+        let result = self.cpu.step();
+        let Ok(event) = &result else {
+            return result;
+        };
         self.stats.cycles += 1;
         if let Event::Trapped { .. } = event {
             // Trap delivery consumes the tick but retires nothing.
-            return Ok(event);
+            return result;
         }
         self.stats.instret += 1;
-        if let Event::Retired(retired) = &event {
+        if let Event::Retired(retired) = event {
             if retired.mem_access.is_some() {
                 self.stats.cycles += self.config.mem_access_cycles;
                 self.stats.mem_accesses += 1;
@@ -194,7 +198,7 @@ impl AtomicSim {
                 _ => {}
             }
         }
-        Ok(event)
+        result
     }
 
     /// Captures the complete machine state: the functional core (registers,

@@ -272,104 +272,6 @@ fn round_and_encode(
         .expect("finished value is in range")
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use decnum::DecNumber as N;
-
-    fn d64(s: &str) -> Decimal64 {
-        let mut ctx = Context::decimal64();
-        s.parse::<N>().unwrap().to_decimal64(&mut ctx)
-    }
-
-    fn check(xs: &str, ys: &str) {
-        let (x, y) = (d64(xs), d64(ys));
-        let mut ref_status = Status::CLEAR;
-        let expected = software_multiply(x, y, &mut ref_status);
-        let mut got_status = Status::CLEAR;
-        let got = method1_multiply_accel(x, y, &mut got_status);
-        assert_eq!(
-            got.to_bits(),
-            expected.to_bits(),
-            "{xs} × {ys}: got {got} want {expected}"
-        );
-        assert_eq!(got_status, ref_status, "{xs} × {ys} status");
-    }
-
-    #[test]
-    fn simple_products_match_reference() {
-        check("2", "3");
-        check("1.20", "3");
-        check("-5", "3");
-        check("-5", "-3");
-        check("902.4", "11.1");
-        check("9999999999999999", "2");
-    }
-
-    #[test]
-    fn rounding_cases_match_reference() {
-        check("9999999999999999", "9999999999999999");
-        check("1234567890123456", "987654321");
-        check("123456789", "999999999");
-        check("1111111111111111", "9");
-    }
-
-    #[test]
-    fn zeros_and_signs() {
-        check("0", "5");
-        check("-0", "5");
-        check("0", "-5");
-        check("0E+100", "1E+300");
-        check("0E-200", "1E-300");
-    }
-
-    #[test]
-    fn specials_match_reference() {
-        check("NaN", "5");
-        check("5", "NaN123");
-        check("Infinity", "-5");
-        check("-Infinity", "-5");
-        check("Infinity", "Infinity");
-        check("Infinity", "0");
-        check("sNaN", "1");
-    }
-
-    #[test]
-    fn overflow_underflow_clamping() {
-        check("1E+300", "1E+300");
-        check("9E+380", "9E+380");
-        check("1E-300", "1E-300");
-        check("5E-200", "5E-199");
-        check("1E+200", "1E+175"); // clamped: exponent 375 > Etop
-        check("123E-398", "1E-3"); // subnormal rounding at Etiny
-        check("9999999999999999E-398", "1E-5");
-    }
-
-    #[test]
-    fn dummy_backend_gives_wrong_results() {
-        let x = d64("7");
-        let y = d64("8");
-        let mut s = Status::CLEAR;
-        let wrong = method1_multiply_dummy(x, y, &mut s);
-        let mut s2 = Status::CLEAR;
-        let right = software_multiply(x, y, &mut s2);
-        assert_ne!(wrong.to_bits(), right.to_bits());
-    }
-
-    #[test]
-    fn backend_call_count_is_method1_shape() {
-        let x = d64("1234567890123456");
-        let y = d64("9876543210987654");
-        let mut backend = SoftwareBackend::new();
-        let mut s = Status::CLEAR;
-        let _ = method1_multiply(x, y, &mut backend, &mut s);
-        // 8 multiple-building iterations × 2 + 16 accumulate iterations × 2,
-        // plus at most one rounding increment.
-        assert!(backend.calls() >= 48, "calls = {}", backend.calls());
-        assert!(backend.calls() <= 50, "calls = {}", backend.calls());
-    }
-}
-
 /// Nine's complement of a packed-BCD word (software, per the paper's split:
 /// complements are bit tricks; the carry-propagating adds are hardware).
 fn nines(v: u64) -> u64 {
@@ -559,4 +461,102 @@ pub fn software_add(x: Decimal64, y: Decimal64, status: &mut Status) -> Decimal6
 #[must_use]
 pub fn method1_add_accel(x: Decimal64, y: Decimal64, status: &mut Status) -> Decimal64 {
     method1_add(x, y, &mut ClaBackend::new(), status)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use decnum::DecNumber as N;
+
+    fn d64(s: &str) -> Decimal64 {
+        let mut ctx = Context::decimal64();
+        s.parse::<N>().unwrap().to_decimal64(&mut ctx)
+    }
+
+    fn check(xs: &str, ys: &str) {
+        let (x, y) = (d64(xs), d64(ys));
+        let mut ref_status = Status::CLEAR;
+        let expected = software_multiply(x, y, &mut ref_status);
+        let mut got_status = Status::CLEAR;
+        let got = method1_multiply_accel(x, y, &mut got_status);
+        assert_eq!(
+            got.to_bits(),
+            expected.to_bits(),
+            "{xs} × {ys}: got {got} want {expected}"
+        );
+        assert_eq!(got_status, ref_status, "{xs} × {ys} status");
+    }
+
+    #[test]
+    fn simple_products_match_reference() {
+        check("2", "3");
+        check("1.20", "3");
+        check("-5", "3");
+        check("-5", "-3");
+        check("902.4", "11.1");
+        check("9999999999999999", "2");
+    }
+
+    #[test]
+    fn rounding_cases_match_reference() {
+        check("9999999999999999", "9999999999999999");
+        check("1234567890123456", "987654321");
+        check("123456789", "999999999");
+        check("1111111111111111", "9");
+    }
+
+    #[test]
+    fn zeros_and_signs() {
+        check("0", "5");
+        check("-0", "5");
+        check("0", "-5");
+        check("0E+100", "1E+300");
+        check("0E-200", "1E-300");
+    }
+
+    #[test]
+    fn specials_match_reference() {
+        check("NaN", "5");
+        check("5", "NaN123");
+        check("Infinity", "-5");
+        check("-Infinity", "-5");
+        check("Infinity", "Infinity");
+        check("Infinity", "0");
+        check("sNaN", "1");
+    }
+
+    #[test]
+    fn overflow_underflow_clamping() {
+        check("1E+300", "1E+300");
+        check("9E+380", "9E+380");
+        check("1E-300", "1E-300");
+        check("5E-200", "5E-199");
+        check("1E+200", "1E+175"); // clamped: exponent 375 > Etop
+        check("123E-398", "1E-3"); // subnormal rounding at Etiny
+        check("9999999999999999E-398", "1E-5");
+    }
+
+    #[test]
+    fn dummy_backend_gives_wrong_results() {
+        let x = d64("7");
+        let y = d64("8");
+        let mut s = Status::CLEAR;
+        let wrong = method1_multiply_dummy(x, y, &mut s);
+        let mut s2 = Status::CLEAR;
+        let right = software_multiply(x, y, &mut s2);
+        assert_ne!(wrong.to_bits(), right.to_bits());
+    }
+
+    #[test]
+    fn backend_call_count_is_method1_shape() {
+        let x = d64("1234567890123456");
+        let y = d64("9876543210987654");
+        let mut backend = SoftwareBackend::new();
+        let mut s = Status::CLEAR;
+        let _ = method1_multiply(x, y, &mut backend, &mut s);
+        // 8 multiple-building iterations × 2 + 16 accumulate iterations × 2,
+        // plus at most one rounding increment.
+        assert!(backend.calls() >= 48, "calls = {}", backend.calls());
+        assert!(backend.calls() <= 50, "calls = {}", backend.calls());
+    }
 }

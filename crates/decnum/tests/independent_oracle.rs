@@ -246,7 +246,7 @@ fn ref_increment(mode: Rounding, negative: bool, round_digit: u8, sticky: bool, 
         Rounding::HalfEven => {
             round_digit > 5 || (round_digit == 5 && (sticky || lsd % 2 == 1))
         }
-        Rounding::ZeroFiveUp => any && (lsd % 10 == 0 || lsd % 10 == 5),
+        Rounding::ZeroFiveUp => any && (lsd.is_multiple_of(10) || lsd % 10 == 5),
     }
 }
 

@@ -153,26 +153,32 @@ pub fn declet_tables() -> DecletTables {
 mod tests {
     use super::*;
 
+    /// A declet from its `pqr`, `stu` and `v wxy` fields (bits 9–7, 6–4,
+    /// 3–0).
+    fn fields(high: u16, middle: u16, low: u16) -> u16 {
+        (high << 7) | (middle << 4) | low
+    }
+
     #[test]
     fn small_digits_pass_through() {
         // All digits <= 7: declet is just the three 3-bit values.
-        assert_eq!(encode_declet(1, 2, 3), 0b001_010_0_011);
-        assert_eq!(decode_declet(0b001_010_0_011), (1, 2, 3));
+        assert_eq!(encode_declet(1, 2, 3), fields(0b001, 0b010, 0b0011));
+        assert_eq!(decode_declet(fields(0b001, 0b010, 0b0011)), (1, 2, 3));
         assert_eq!(encode_declet(0, 0, 0), 0);
         assert_eq!(decode_declet(0), (0, 0, 0));
-        assert_eq!(encode_declet(7, 7, 7), 0b111_111_0_111);
+        assert_eq!(encode_declet(7, 7, 7), fields(0b111, 0b111, 0b0111));
     }
 
     #[test]
     fn known_vectors() {
         // Vectors from Cowlishaw's DPD summary.
-        assert_eq!(encode_declet(0, 0, 9), 0b000_000_1001);
-        assert_eq!(encode_declet(0, 5, 5), 0b000_101_0101);
-        assert_eq!(encode_declet(0, 7, 9), 0b000_111_1001);
-        assert_eq!(encode_declet(0, 8, 0), 0b000_000_1010);
-        assert_eq!(encode_declet(0, 9, 9), 0b000_101_1111);
-        assert_eq!(encode_declet(5, 5, 5), 0b101_101_0101);
-        assert_eq!(encode_declet(9, 9, 9), 0b001_111_1111);
+        assert_eq!(encode_declet(0, 0, 9), fields(0b000, 0b000, 0b1001));
+        assert_eq!(encode_declet(0, 5, 5), fields(0b000, 0b101, 0b0101));
+        assert_eq!(encode_declet(0, 7, 9), fields(0b000, 0b111, 0b1001));
+        assert_eq!(encode_declet(0, 8, 0), fields(0b000, 0b000, 0b1010));
+        assert_eq!(encode_declet(0, 9, 9), fields(0b000, 0b101, 0b1111));
+        assert_eq!(encode_declet(5, 5, 5), fields(0b101, 0b101, 0b0101));
+        assert_eq!(encode_declet(9, 9, 9), fields(0b001, 0b111, 0b1111));
     }
 
     #[test]

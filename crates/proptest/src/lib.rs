@@ -540,7 +540,7 @@ mod tests {
         ) {
             prop_assert!(a < 10 && b < 10);
             prop_assert!(c == 1 || c == 2);
-            prop_assume!(d || !d);
+            prop_assume!(u8::from(d) <= 1);
             prop_assert!(v.len() <= 4);
             for x in v {
                 prop_assert!(x <= 9);

@@ -4,6 +4,7 @@ use riscv_isa::instr::{BranchOp, CsrOp, Instr, LoadOp, Op32Op, OpImm32Op, OpImmO
 use riscv_isa::{csr, Reg};
 
 use crate::coproc::{Coprocessor, NoCoprocessor, RoccCommand, RoccResponse};
+use crate::memory::PAGE_SHIFT;
 use crate::snapshot::{CpuSnapshot, SnapshotError};
 use crate::{CpuError, Memory};
 
@@ -53,6 +54,13 @@ impl Retired {
 }
 
 /// One step's outcome.
+///
+/// An event is 80 bytes on a 64-bit host. A wrapper around [`Cpu::step`]
+/// (the timing models) should inspect the returned `Result` by reference
+/// and return it unchanged: moving the event out and re-wrapping it in
+/// `Ok` copies it right after the callee wrote it, which halved the atomic
+/// model's retire rate on an x86-64 host (a store-to-load forwarding
+/// stall, by all appearances).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Event {
     /// An instruction retired.
@@ -209,6 +217,62 @@ fn read_sized(memory: &Memory, addr: u64, size: u64) -> u64 {
 /// An observer invoked on every retirement (the canonical stream).
 pub type RetireObserver = Box<dyn FnMut(&RetirementRecord)>;
 
+/// Instruction slots in one 4 KiB page.
+const SLOTS_PER_PAGE: usize = 1 << (PAGE_SHIFT - 2);
+
+/// One page's decoded instructions, filled lazily slot by slot.
+type DecodedSlots = [Option<Instr>; SLOTS_PER_PAGE];
+
+/// Page index that no address maps to (indices have at most 52 bits).
+const NO_PAGE: u64 = u64::MAX;
+
+/// The core's decoded-instruction cache: instructions decoded from the
+/// code pages fetched so far, valid while the memory stays at the code
+/// epoch they were decoded under (see [`Memory`]). It is derived state —
+/// never snapshotted, rebuilt on demand.
+struct DecodedPages {
+    /// The memory code epoch the cached instructions belong to.
+    epoch: u64,
+    /// Page index of `current`.
+    page: u64,
+    /// The page the pc is on, selected without a lookup while it stays.
+    current: Box<DecodedSlots>,
+    /// The other decoded pages; guests run from a handful of text pages,
+    /// so a linear search on page changes is enough.
+    parked: Vec<(u64, Box<DecodedSlots>)>,
+}
+
+impl DecodedPages {
+    fn new() -> Self {
+        DecodedPages {
+            epoch: 0,
+            page: NO_PAGE,
+            current: Box::new([None; SLOTS_PER_PAGE]),
+            parked: Vec::new(),
+        }
+    }
+
+    /// Drops every decoded instruction and adopts `epoch`.
+    fn flush(&mut self, epoch: u64) {
+        self.epoch = epoch;
+        self.current.fill(None);
+        self.parked.clear();
+    }
+
+    /// Makes `page` the current page.
+    fn select(&mut self, page: u64) {
+        let slots = match self.parked.iter().position(|&(index, _)| index == page) {
+            Some(at) => self.parked.swap_remove(at).1,
+            None => Box::new([None; SLOTS_PER_PAGE]),
+        };
+        let previous = std::mem::replace(&mut self.current, slots);
+        if self.page != NO_PAGE {
+            self.parked.push((self.page, previous));
+        }
+        self.page = page;
+    }
+}
+
 /// A `(marker id, cycle, instret)` triple recorded by the `mark` syscall.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Marker {
@@ -225,6 +289,11 @@ pub struct Marker {
 /// The functional core advances [`Cpu::cycle`] by one per instruction; a
 /// timing model (like `rocket-sim`) drives the field itself so guest
 /// `rdcycle` reads observe modelled time.
+///
+/// Instructions are decoded once per code page slot and reused until
+/// [`Cpu::memory`] moves to a new code epoch — a write to any page fetched
+/// from, a restore, or a different memory installed in the field — so
+/// self-modifying code and harness patches always execute as written.
 ///
 /// # Example
 ///
@@ -274,6 +343,7 @@ pub struct Cpu {
     coprocessor: Box<dyn Coprocessor>,
     scratch_csrs: std::collections::BTreeMap<u16, u64>,
     retire_observer: Option<RetireObserver>,
+    decoded: DecodedPages,
 }
 
 /// Default RoCC busy-watchdog bound. Far above any legitimate command
@@ -314,6 +384,7 @@ impl Cpu {
             coprocessor: Box::new(NoCoprocessor),
             scratch_csrs: std::collections::BTreeMap::new(),
             retire_observer: None,
+            decoded: DecodedPages::new(),
         }
     }
 
@@ -472,11 +543,7 @@ impl Cpu {
         if !pc.is_multiple_of(4) {
             return Err(CpuError::MisalignedPc(pc));
         }
-        let word = self
-            .memory
-            .read_u32(pc)
-            .map_err(|_| CpuError::FetchFault(pc))?;
-        let instr = Instr::decode(word).map_err(CpuError::Decode)?;
+        let instr = self.fetch(pc)?;
         let mut next_pc = pc.wrapping_add(4);
         let mut mem_access = None;
         let mut rocc = None;
@@ -741,6 +808,26 @@ impl Cpu {
             self.retire_observer = Some(observer);
         }
         Ok(Event::Retired(retired))
+    }
+
+    /// The decoded instruction at the aligned `pc`: from the decoded-page
+    /// cache, or fetched and decoded into it.
+    fn fetch(&mut self, pc: u64) -> Result<Instr, CpuError> {
+        let decoded = &mut self.decoded;
+        if decoded.epoch != self.memory.code_epoch() {
+            decoded.flush(self.memory.code_epoch());
+        }
+        let page = pc >> PAGE_SHIFT;
+        if decoded.page != page {
+            decoded.select(page);
+        }
+        let slot = &mut decoded.current[(pc as usize >> 2) % SLOTS_PER_PAGE];
+        if let Some(instr) = *slot {
+            return Ok(instr);
+        }
+        let instr = Instr::decode(self.memory.fetch_u32(pc)?).map_err(CpuError::Decode)?;
+        *slot = Some(instr);
+        Ok(instr)
     }
 
     fn read_csr(&self, number: u16) -> Result<u64, CpuError> {
@@ -1187,6 +1274,170 @@ mod tests {
             cpu.step().unwrap(),
             Event::Trapped { cause: riscv_isa::csr::cause::ROCC_TIMEOUT, epc: 0x1004 }
         );
+    }
+
+    /// `addi a0, a0, imm` — the instruction the patching tests rewrite.
+    fn bump_a0(imm: i32) -> Instr {
+        addi(Reg::A0, Reg::A0, imm)
+    }
+
+    fn word(instr: Instr) -> u64 {
+        u64::from(instr.encode().unwrap())
+    }
+
+    #[test]
+    fn guest_store_patches_a_decoded_instruction_on_the_same_page() {
+        let mut cpu = Cpu::new();
+        // Two passes over `target`; the second pass first patches it.
+        let prog = vec![
+            Instr::Branch { op: BranchOp::Beq, rs1: Reg::S1, rs2: Reg::ZERO, offset: 8 },
+            Instr::Store { op: StoreOp::Sw, rs2: Reg::T1, rs1: Reg::T0, offset: 0 },
+            addi(Reg::S1, Reg::S1, 1),
+            bump_a0(1), // target, at 0x100c
+            addi(Reg::T2, Reg::ZERO, 2),
+            Instr::Branch { op: BranchOp::Blt, rs1: Reg::S1, rs2: Reg::T2, offset: -20 },
+            addi(Reg::A7, Reg::ZERO, 93),
+            Instr::Ecall,
+        ];
+        load(&mut cpu, 0x1000, &prog);
+        cpu.set_reg(Reg::T0, 0x100C);
+        cpu.set_reg(Reg::T1, word(bump_a0(100)));
+        assert_eq!(cpu.run(100).unwrap(), 101);
+    }
+
+    #[test]
+    fn guest_store_patches_an_executed_instruction_on_another_page() {
+        let mut cpu = Cpu::new();
+        let main = vec![
+            Instr::Jal { rd: Reg::RA, offset: 0x1000 }, // call 0x2000
+            Instr::Store { op: StoreOp::Sw, rs2: Reg::T1, rs1: Reg::T0, offset: 0 },
+            Instr::Jal { rd: Reg::RA, offset: 0xFF8 }, // call 0x2000 again
+            addi(Reg::A7, Reg::ZERO, 93),
+            Instr::Ecall,
+        ];
+        let callee = [bump_a0(1), Instr::Jalr { rd: Reg::ZERO, rs1: Reg::RA, offset: 0 }];
+        load(&mut cpu, 0x2000, &callee);
+        load(&mut cpu, 0x1000, &main);
+        cpu.set_reg(Reg::T0, 0x2000);
+        cpu.set_reg(Reg::T1, word(bump_a0(100)));
+        assert_eq!(cpu.run(100).unwrap(), 101);
+    }
+
+    #[test]
+    fn harness_write_between_steps_takes_effect() {
+        let mut cpu = Cpu::new();
+        let mut prog = vec![bump_a0(1)];
+        prog.extend(exit_seq());
+        load(&mut cpu, 0x1000, &prog);
+        cpu.step().unwrap();
+        assert_eq!(cpu.reg(Reg::A0), 1);
+        cpu.memory.write_u32(0x1000, bump_a0(100).encode().unwrap()).unwrap();
+        cpu.set_pc(0x1000);
+        assert_eq!(cpu.run(100).unwrap(), 101);
+    }
+
+    /// A coprocessor that stores the low word of `rs2` at address `rs1`.
+    struct TextPatcher;
+
+    impl Coprocessor for TextPatcher {
+        fn execute(&mut self, cmd: &RoccCommand, mem: &mut Memory) -> Result<RoccResponse, CpuError> {
+            mem.write_u32(cmd.rs1_value, cmd.rs2_value as u32)?;
+            Ok(RoccResponse { rd_value: Some(0), ..RoccResponse::default() })
+        }
+        fn reset(&mut self) {}
+    }
+
+    #[test]
+    fn coprocessor_write_into_text_takes_effect() {
+        use riscv_isa::rocc::{CustomOpcode, RoccInstruction};
+        let mut cpu = Cpu::new();
+        cpu.attach_coprocessor(Box::new(TextPatcher));
+        let patch = RoccInstruction::reg_reg(CustomOpcode::Custom0, 1, Reg::ZERO, Reg::T0, Reg::T1);
+        let prog = vec![
+            bump_a0(1), // target, executed once before the patch
+            Instr::Branch { op: BranchOp::Bne, rs1: Reg::S1, rs2: Reg::ZERO, offset: 16 },
+            addi(Reg::S1, Reg::ZERO, 1),
+            Instr::Custom(patch),
+            Instr::Jal { rd: Reg::ZERO, offset: -16 },
+            addi(Reg::A7, Reg::ZERO, 93),
+            Instr::Ecall,
+        ];
+        load(&mut cpu, 0x1000, &prog);
+        cpu.set_reg(Reg::T0, 0x1000);
+        cpu.set_reg(Reg::T1, word(bump_a0(100)));
+        assert_eq!(cpu.run(100).unwrap(), 101);
+    }
+
+    /// `a0 = value; exit` at 0x1000.
+    fn exit_with(cpu: &mut Cpu, value: i32) {
+        let mut prog = vec![addi(Reg::A0, Reg::ZERO, value)];
+        prog.extend(exit_seq());
+        load(cpu, 0x1000, &prog);
+    }
+
+    #[test]
+    fn restoring_other_text_into_a_core_that_ran_executes_it() {
+        let mut other = Cpu::new();
+        exit_with(&mut other, 2);
+        let snapshot = other.snapshot();
+        let mut cpu = Cpu::new();
+        exit_with(&mut cpu, 1);
+        assert_eq!(cpu.run(100).unwrap(), 1);
+        cpu.restore(&snapshot).unwrap();
+        assert_eq!(cpu.run(100).unwrap(), 2);
+    }
+
+    #[test]
+    fn replacing_memory_wholesale_executes_the_new_code() {
+        let mut cpu = Cpu::new();
+        exit_with(&mut cpu, 1);
+        assert_eq!(cpu.run(100).unwrap(), 1);
+        let mut fresh = Cpu::new();
+        exit_with(&mut fresh, 2);
+        cpu.memory = std::mem::take(&mut fresh.memory);
+        cpu.reset();
+        cpu.set_pc(0x1000);
+        assert_eq!(cpu.run(100).unwrap(), 2);
+    }
+
+    #[test]
+    fn swapping_in_a_clone_patched_before_it_was_fetched_executes_the_patch() {
+        let mut cpu = Cpu::new();
+        exit_with(&mut cpu, 1);
+        // The clone is taken, then patched, before the page is ever
+        // fetched: its own writes cannot move any epoch the core knows.
+        let mut clone = cpu.memory.clone();
+        clone.write_u32(0x1000, addi(Reg::A0, Reg::ZERO, 2).encode().unwrap()).unwrap();
+        assert_eq!(cpu.run(100).unwrap(), 1);
+        cpu.memory = clone;
+        cpu.reset();
+        cpu.set_pc(0x1000);
+        assert_eq!(cpu.run(100).unwrap(), 2);
+    }
+
+    #[test]
+    fn decoded_pages_are_reused_across_page_changes() {
+        // A call ping-pongs between two pages; both stay decoded and the
+        // program still sees stores to a data page as plain data.
+        let mut cpu = Cpu::new();
+        let main = vec![
+            addi(Reg::S1, Reg::ZERO, 5),
+            Instr::Jal { rd: Reg::RA, offset: 0x1000 - 4 }, // call 0x2000
+            Instr::Store { op: StoreOp::Sd, rs2: Reg::A0, rs1: Reg::T0, offset: 0 },
+            addi(Reg::S1, Reg::S1, -1),
+            Instr::Branch { op: BranchOp::Bne, rs1: Reg::S1, rs2: Reg::ZERO, offset: -12 },
+            Instr::Load { op: LoadOp::Ld, rd: Reg::A0, rs1: Reg::T0, offset: 0 },
+            addi(Reg::A7, Reg::ZERO, 93),
+            Instr::Ecall,
+        ];
+        let callee = [bump_a0(3), Instr::Jalr { rd: Reg::ZERO, rs1: Reg::RA, offset: 0 }];
+        load(&mut cpu, 0x2000, &callee);
+        load(&mut cpu, 0x1000, &main);
+        cpu.set_reg(Reg::T0, 0x3000);
+        let epoch = cpu.memory.code_epoch();
+        assert_eq!(cpu.run(100).unwrap(), 15);
+        assert_eq!(cpu.memory.code_epoch(), epoch);
+        assert_eq!(cpu.memory.mapped_pages(), 3);
     }
 
     #[test]

@@ -1,16 +1,56 @@
 //! Sparse, page-granular physical memory.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::CpuError;
 
-const PAGE_SHIFT: u64 = 12;
+pub(crate) const PAGE_SHIFT: u64 = 12;
 const PAGE_SIZE: u64 = 1 << PAGE_SHIFT;
+
+/// Source of code epochs. Every value is handed out once per process, so
+/// an epoch names one state of the code pages of one [`Memory`] instance:
+/// a fresh memory, a clone or a restored memory never shares the epoch of
+/// another.
+static NEXT_CODE_EPOCH: AtomicU64 = AtomicU64::new(1);
+
+fn fresh_code_epoch() -> u64 {
+    // Relaxed: only uniqueness matters; the counter publishes no other data.
+    NEXT_CODE_EPOCH.fetch_add(1, Ordering::Relaxed)
+}
+
+/// One mapped 4 KiB page.
+#[derive(Clone)]
+struct Page {
+    bytes: Box<[u8; PAGE_SIZE as usize]>,
+    /// Fetched from since its last write, so a core may hold instructions
+    /// decoded from it.
+    code: bool,
+}
+
+impl Page {
+    fn zeroed() -> Page {
+        Page {
+            bytes: Box::new([0; PAGE_SIZE as usize]),
+            code: false,
+        }
+    }
+}
 
 /// Byte-addressable sparse memory backed by 4 KiB pages.
 ///
 /// Reads of unmapped pages are an error (the guest touched memory the
 /// program never initialized or reserved); writes allocate pages on demand.
+/// Every access looks its page up once; an access that straddles a page
+/// boundary looks up each page it touches.
+///
+/// A page becomes a *code page* when the core fetches an instruction from
+/// it. Any write that touches a code page — a guest store, an accelerator
+/// write through the RoCC memory port, a harness write — moves the memory
+/// to a new code epoch, and so does [`Memory::restore_pages`]. Cores keep
+/// their decoded instructions only while the epoch they were decoded under
+/// is current. Epochs are unique across instances and clones, so replacing
+/// a core's memory wholesale invalidates them too.
 ///
 /// # Example
 ///
@@ -22,9 +62,36 @@ const PAGE_SIZE: u64 = 1 << PAGE_SHIFT;
 /// assert_eq!(mem.read_u64(0x8000_0000).unwrap(), 0xDEAD_BEEF_0BAD_F00D);
 /// assert_eq!(mem.read_u32(0x8000_0004).unwrap(), 0xDEAD_BEEF);
 /// ```
-#[derive(Debug, Default, Clone)]
 pub struct Memory {
-    pages: BTreeMap<u64, Box<[u8; PAGE_SIZE as usize]>>,
+    pages: BTreeMap<u64, Page>,
+    code_epoch: u64,
+}
+
+impl Default for Memory {
+    fn default() -> Self {
+        Memory {
+            pages: BTreeMap::new(),
+            code_epoch: fresh_code_epoch(),
+        }
+    }
+}
+
+impl Clone for Memory {
+    /// Copies the contents; the clone starts a code epoch of its own.
+    fn clone(&self) -> Self {
+        Memory {
+            pages: self.pages.clone(),
+            code_epoch: fresh_code_epoch(),
+        }
+    }
+}
+
+impl std::fmt::Debug for Memory {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Memory")
+            .field("mapped_pages", &self.pages.len())
+            .finish_non_exhaustive()
+    }
 }
 
 impl Memory {
@@ -40,17 +107,84 @@ impl Memory {
         self.pages.len()
     }
 
+    /// The current code epoch (see the type-level documentation).
+    pub(crate) fn code_epoch(&self) -> u64 {
+        self.code_epoch
+    }
+
+    /// Fetches the instruction word at the 4-byte-aligned `pc` and marks
+    /// its page as a code page. Maps nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CpuError::FetchFault`] if the page is unmapped.
+    pub(crate) fn fetch_u32(&mut self, pc: u64) -> Result<u32, CpuError> {
+        debug_assert!(pc.is_multiple_of(4), "fetch from misaligned pc {pc:#x}");
+        let page = self
+            .pages
+            .get_mut(&(pc >> PAGE_SHIFT))
+            .ok_or(CpuError::FetchFault(pc))?;
+        page.code = true;
+        let offset = (pc & (PAGE_SIZE - 1)) as usize;
+        let mut word = [0; 4];
+        word.copy_from_slice(&page.bytes[offset..offset + 4]);
+        Ok(u32::from_le_bytes(word))
+    }
+
+    /// The page with index `index`, mapping it on demand. A write through
+    /// the returned bytes ends the page's code status and the code epoch.
+    fn page_for_write(&mut self, index: u64) -> &mut [u8; PAGE_SIZE as usize] {
+        let page = self.pages.entry(index).or_insert_with(Page::zeroed);
+        if page.code {
+            page.code = false;
+            self.code_epoch = fresh_code_epoch();
+        }
+        &mut page.bytes
+    }
+
+    /// Fills `out` from the bytes starting at `addr`, one page lookup per
+    /// page touched.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CpuError::UnmappedAddress`] carrying the first unmapped
+    /// byte's address.
+    fn read_into(&self, addr: u64, out: &mut [u8]) -> Result<(), CpuError> {
+        let mut done = 0;
+        while done < out.len() {
+            let at = addr.wrapping_add(done as u64);
+            let offset = (at & (PAGE_SIZE - 1)) as usize;
+            let len = (out.len() - done).min(PAGE_SIZE as usize - offset);
+            let page = self
+                .pages
+                .get(&(at >> PAGE_SHIFT))
+                .ok_or(CpuError::UnmappedAddress(at))?;
+            out[done..done + len].copy_from_slice(&page.bytes[offset..offset + len]);
+            done += len;
+        }
+        Ok(())
+    }
+
+    /// Copies `bytes` to `addr`, one page lookup per page touched.
+    fn write_from(&mut self, addr: u64, bytes: &[u8]) {
+        let mut done = 0;
+        while done < bytes.len() {
+            let at = addr.wrapping_add(done as u64);
+            let offset = (at & (PAGE_SIZE - 1)) as usize;
+            let len = (bytes.len() - done).min(PAGE_SIZE as usize - offset);
+            self.page_for_write(at >> PAGE_SHIFT)[offset..offset + len]
+                .copy_from_slice(&bytes[done..done + len]);
+            done += len;
+        }
+    }
+
     /// Reads one byte.
     ///
     /// # Errors
     ///
     /// Returns [`CpuError::UnmappedAddress`] if the page was never written.
     pub fn read_u8(&self, addr: u64) -> Result<u8, CpuError> {
-        let page = self
-            .pages
-            .get(&(addr >> PAGE_SHIFT))
-            .ok_or(CpuError::UnmappedAddress(addr))?;
-        Ok(page[(addr & (PAGE_SIZE - 1)) as usize])
+        Ok(self.read_le::<1>(addr)?[0])
     }
 
     /// Writes one byte, mapping the page on demand.
@@ -60,28 +194,15 @@ impl Memory {
     /// Infallible today; kept fallible for symmetry and future protection
     /// bits.
     pub fn write_u8(&mut self, addr: u64, value: u8) -> Result<(), CpuError> {
-        let page = self
-            .pages
-            .entry(addr >> PAGE_SHIFT)
-            .or_insert_with(|| Box::new([0; PAGE_SIZE as usize]));
-        page[(addr & (PAGE_SIZE - 1)) as usize] = value;
+        self.write_from(addr, &[value]);
         Ok(())
     }
 
     /// Reads `N` little-endian bytes.
     fn read_le<const N: usize>(&self, addr: u64) -> Result<[u8; N], CpuError> {
         let mut out = [0u8; N];
-        for (i, byte) in out.iter_mut().enumerate() {
-            *byte = self.read_u8(addr + i as u64)?;
-        }
+        self.read_into(addr, &mut out)?;
         Ok(out)
-    }
-
-    fn write_le(&mut self, addr: u64, bytes: &[u8]) -> Result<(), CpuError> {
-        for (i, &b) in bytes.iter().enumerate() {
-            self.write_u8(addr + i as u64, b)?;
-        }
-        Ok(())
     }
 
     /// Reads a little-endian u16.
@@ -117,7 +238,8 @@ impl Memory {
     ///
     /// See [`Memory::write_u8`].
     pub fn write_u16(&mut self, addr: u64, value: u16) -> Result<(), CpuError> {
-        self.write_le(addr, &value.to_le_bytes())
+        self.write_from(addr, &value.to_le_bytes());
+        Ok(())
     }
 
     /// Writes a little-endian u32.
@@ -126,7 +248,8 @@ impl Memory {
     ///
     /// See [`Memory::write_u8`].
     pub fn write_u32(&mut self, addr: u64, value: u32) -> Result<(), CpuError> {
-        self.write_le(addr, &value.to_le_bytes())
+        self.write_from(addr, &value.to_le_bytes());
+        Ok(())
     }
 
     /// Writes a little-endian u64.
@@ -135,7 +258,8 @@ impl Memory {
     ///
     /// See [`Memory::write_u8`].
     pub fn write_u64(&mut self, addr: u64, value: u64) -> Result<(), CpuError> {
-        self.write_le(addr, &value.to_le_bytes())
+        self.write_from(addr, &value.to_le_bytes());
+        Ok(())
     }
 
     /// Copies a byte slice into memory at `addr`.
@@ -144,7 +268,8 @@ impl Memory {
     ///
     /// See [`Memory::write_u8`].
     pub fn load_bytes(&mut self, addr: u64, bytes: &[u8]) -> Result<(), CpuError> {
-        self.write_le(addr, bytes)
+        self.write_from(addr, bytes);
+        Ok(())
     }
 
     /// Reads `len` bytes starting at `addr`.
@@ -153,20 +278,24 @@ impl Memory {
     ///
     /// Returns [`CpuError::UnmappedAddress`] for unmapped locations.
     pub fn read_bytes(&self, addr: u64, len: usize) -> Result<Vec<u8>, CpuError> {
-        (0..len as u64).map(|i| self.read_u8(addr + i)).collect()
+        let mut out = vec![0; len];
+        self.read_into(addr, &mut out)?;
+        Ok(out)
     }
 
     /// Dumps every mapped page as `(base address, page bytes)` in address
-    /// order — the snapshot view of memory.
+    /// order — the snapshot view of memory. Code-page status is derived
+    /// state and not part of the dump.
     #[must_use]
     pub fn dump_pages(&self) -> Vec<(u64, Vec<u8>)> {
         self.pages
             .iter()
-            .map(|(&index, data)| (index << PAGE_SHIFT, data.to_vec()))
+            .map(|(&index, page)| (index << PAGE_SHIFT, page.bytes.to_vec()))
             .collect()
     }
 
-    /// Replaces the entire memory contents with previously dumped pages.
+    /// Replaces the entire memory contents with previously dumped pages,
+    /// starting a new code epoch.
     ///
     /// Validates every page before mutating anything, so a malformed dump
     /// leaves the memory untouched.
@@ -186,10 +315,11 @@ impl Memory {
         }
         self.pages.clear();
         for (base, data) in pages {
-            let mut page = Box::new([0u8; PAGE_SIZE as usize]);
-            page.copy_from_slice(data);
+            let mut page = Page::zeroed();
+            page.bytes.copy_from_slice(data);
             self.pages.insert(base >> PAGE_SHIFT, page);
         }
+        self.code_epoch = fresh_code_epoch();
         Ok(())
     }
 }
@@ -231,5 +361,116 @@ mod tests {
         let mut m = Memory::new();
         m.load_bytes(0x2000, &[1, 2, 3, 4]).unwrap();
         assert_eq!(m.read_bytes(0x2000, 4).unwrap(), vec![1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn bulk_load_spanning_pages_round_trips() {
+        let mut m = Memory::new();
+        let bytes: Vec<u8> = (0..9000u32).map(|i| (i % 251) as u8).collect();
+        m.load_bytes(0x1F00, &bytes).unwrap(); // 0x1F00..0x4228
+        assert_eq!(m.mapped_pages(), 4);
+        assert_eq!(m.read_bytes(0x1F00, bytes.len()).unwrap(), bytes);
+        assert_eq!(m.read_u8(0x1F00 + 8999).unwrap(), bytes[8999]);
+    }
+
+    #[test]
+    fn in_page_reads_report_the_unmapped_address() {
+        let mut m = Memory::new();
+        assert_eq!(m.read_u16(0x1006), Err(CpuError::UnmappedAddress(0x1006)));
+        assert_eq!(m.read_u32(0x1004), Err(CpuError::UnmappedAddress(0x1004)));
+        assert_eq!(m.read_u64(0x1008), Err(CpuError::UnmappedAddress(0x1008)));
+        assert_eq!(
+            m.read_bytes(0x1010, 3),
+            Err(CpuError::UnmappedAddress(0x1010))
+        );
+        m.write_u8(0x1000, 1).unwrap();
+        assert_eq!(m.read_u64(0x3008), Err(CpuError::UnmappedAddress(0x3008)));
+    }
+
+    #[test]
+    fn straddling_reads_report_the_first_unmapped_byte() {
+        // Only page 0x1000 is mapped: the fault is at the next page's base.
+        let mut m = Memory::new();
+        m.write_u8(0x1000, 1).unwrap();
+        assert_eq!(m.read_u16(0x1FFF), Err(CpuError::UnmappedAddress(0x2000)));
+        assert_eq!(m.read_u32(0x1FFE), Err(CpuError::UnmappedAddress(0x2000)));
+        assert_eq!(m.read_u64(0x1FFC), Err(CpuError::UnmappedAddress(0x2000)));
+        assert_eq!(
+            m.read_bytes(0x1FF0, 64),
+            Err(CpuError::UnmappedAddress(0x2000))
+        );
+        // Only page 0x2000 is mapped: the access's own first byte faults.
+        let mut m = Memory::new();
+        m.write_u8(0x2000, 1).unwrap();
+        assert_eq!(m.read_u64(0x1FFC), Err(CpuError::UnmappedAddress(0x1FFC)));
+        assert_eq!(m.read_u16(0x1FFF), Err(CpuError::UnmappedAddress(0x1FFF)));
+    }
+
+    #[test]
+    fn fetch_miss_reports_a_fetch_fault() {
+        let mut m = Memory::new();
+        assert_eq!(m.fetch_u32(0x1000), Err(CpuError::FetchFault(0x1000)));
+        m.write_u32(0x1004, 0x0000_0013).unwrap();
+        assert_eq!(m.fetch_u32(0x1004), Ok(0x0000_0013));
+        assert_eq!(m.fetch_u32(0x2000), Err(CpuError::FetchFault(0x2000)));
+    }
+
+    #[test]
+    fn fetching_maps_nothing_and_leaves_the_dump_unchanged() {
+        let mut m = Memory::new();
+        m.write_u32(0x3000, 0x0000_0013).unwrap();
+        m.write_u64(0x1008, 0x1122_3344_5566_7788).unwrap();
+        let pages_before = m.mapped_pages();
+        let dump_before = m.dump_pages();
+        m.fetch_u32(0x3000).unwrap();
+        m.fetch_u32(0x1004).unwrap();
+        let _ = m.fetch_u32(0x2000);
+        assert_eq!(m.mapped_pages(), pages_before);
+        let dump = m.dump_pages();
+        assert_eq!(dump, dump_before);
+        let bases: Vec<u64> = dump.iter().map(|(base, _)| *base).collect();
+        assert_eq!(bases, vec![0x1000, 0x3000]);
+        assert!(dump
+            .iter()
+            .all(|(_, bytes)| bytes.len() == PAGE_SIZE as usize));
+    }
+
+    #[test]
+    fn writes_to_fetched_pages_start_a_new_code_epoch() {
+        let mut m = Memory::new();
+        m.write_u32(0x1000, 0x0000_0013).unwrap();
+        m.write_u64(0x5000, 7).unwrap();
+        let epoch = m.code_epoch();
+        m.fetch_u32(0x1000).unwrap();
+        assert_eq!(m.code_epoch(), epoch, "fetching alone keeps the epoch");
+        m.write_u64(0x5000, 8).unwrap();
+        assert_eq!(m.code_epoch(), epoch, "data pages never move the epoch");
+        m.write_u8(0x1FFF, 1).unwrap();
+        let patched = m.code_epoch();
+        assert_ne!(patched, epoch, "any byte of a fetched page moves the epoch");
+        m.write_u8(0x1FFE, 1).unwrap();
+        assert_eq!(m.code_epoch(), patched, "until it is fetched from again");
+        m.fetch_u32(0x1000).unwrap();
+        // A write straddling into the fetched page counts as well.
+        m.write_u64(0xFFC, 0).unwrap();
+        assert_ne!(m.code_epoch(), patched);
+    }
+
+    #[test]
+    fn code_epochs_are_unique_across_instances_clones_and_restores() {
+        let mut m = Memory::new();
+        m.write_u32(0x1000, 0x0000_0013).unwrap();
+        let other = Memory::new();
+        assert_ne!(m.code_epoch(), other.code_epoch());
+        let copy = m.clone();
+        assert_ne!(m.code_epoch(), copy.code_epoch());
+        assert_eq!(copy.dump_pages(), m.dump_pages());
+        let before = m.code_epoch();
+        m.restore_pages(&copy.dump_pages()).unwrap();
+        assert_ne!(m.code_epoch(), before);
+        // A malformed dump changes nothing, the epoch included.
+        let before = m.code_epoch();
+        assert!(m.restore_pages(&[(0x1001, vec![0; 4096])]).is_err());
+        assert_eq!(m.code_epoch(), before);
     }
 }

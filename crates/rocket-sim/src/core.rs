@@ -185,33 +185,35 @@ impl RocketSim {
     pub fn step(&mut self) -> Result<Event, CpuError> {
         // Let guest rdcycle observe modelled time.
         self.cpu.cycle = self.cycle;
-        let event = self.cpu.step()?;
-        let retired = match event {
-            Event::Exited { .. } => {
+        // Inspected in place and returned as it is (see `Event`).
+        let result = self.cpu.step();
+        let retired = match &result {
+            Err(_) => return result,
+            Ok(Event::Exited { .. }) => {
                 // The exiting ecall costs one software cycle.
                 self.cycle += 1;
                 self.stats.cycles = self.cycle;
                 self.stats.instret += 1;
                 self.stats.sw_cycles += 1;
-                return Ok(event);
+                return result;
             }
-            Event::Trapped { .. } => {
+            Ok(Event::Trapped { .. }) => {
                 // Trap delivery flushes the pipeline but retires nothing.
                 let cost = 1 + u64::from(self.config.trap_penalty);
                 self.cycle += cost;
                 self.stats.cycles = self.cycle;
                 self.stats.sw_cycles += cost;
-                return Ok(event);
+                return result;
             }
-            Event::Retired(r) => r,
+            Ok(Event::Retired(retired)) => retired,
         };
-        let cost = self.charge(&retired)?;
+        let cost = self.charge(retired)?;
         self.cycle += cost.total;
         self.stats.cycles = self.cycle;
         self.stats.instret += 1;
         self.stats.sw_cycles += cost.total - cost.hw;
         self.stats.hw_cycles += cost.hw;
-        Ok(event)
+        result
     }
 
     fn charge(&mut self, retired: &Retired) -> Result<Cost, CpuError> {
