@@ -55,12 +55,9 @@ impl Retired {
 
 /// One step's outcome.
 ///
-/// An event is 80 bytes on a 64-bit host. A wrapper around [`Cpu::step`]
-/// (the timing models) should inspect the returned `Result` by reference
-/// and return it unchanged: moving the event out and re-wrapping it in
-/// `Ok` copies it right after the callee wrote it, which halved the atomic
-/// model's retire rate on an x86-64 host (a store-to-load forwarding
-/// stall, by all appearances).
+/// A wrapper around [`Cpu::step`] (the timing models) inspects the returned
+/// `Result` by reference and returns it unchanged rather than moving the
+/// event out and re-wrapping it in `Ok`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Event {
     /// An instruction retired.
@@ -921,6 +918,24 @@ mod tests {
 
     fn exit_seq() -> [Instr; 2] {
         [addi(Reg::A7, Reg::ZERO, 93), Instr::Ecall]
+    }
+
+    #[test]
+    fn write_syscall_with_a_garbage_length_faults() {
+        // `write(buf, -1)` with only the buffer's page mapped: a typed
+        // fault at the next page, never a host allocation of the length.
+        let mut cpu = Cpu::new();
+        cpu.memory.write_u8(0x1000, b'x').unwrap();
+        let prog = [
+            addi(Reg::A0, Reg::ZERO, 1),
+            Instr::Lui { rd: Reg::A1, imm20: 1 },
+            addi(Reg::A2, Reg::ZERO, -1),
+            addi(Reg::A7, Reg::ZERO, 64),
+            Instr::Ecall,
+        ];
+        load(&mut cpu, 0x8000, &prog);
+        assert_eq!(cpu.run(100), Err(CpuError::UnmappedAddress(0x2000)));
+        assert!(cpu.console.is_empty());
     }
 
     #[test]

@@ -20,7 +20,7 @@ fn fresh_code_epoch() -> u64 {
 }
 
 /// One mapped 4 KiB page.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 struct Page {
     bytes: Box<[u8; PAGE_SIZE as usize]>,
     /// Fetched from since its last write, so a core may hold instructions
@@ -62,6 +62,7 @@ impl Page {
 /// assert_eq!(mem.read_u64(0x8000_0000).unwrap(), 0xDEAD_BEEF_0BAD_F00D);
 /// assert_eq!(mem.read_u32(0x8000_0004).unwrap(), 0xDEAD_BEEF);
 /// ```
+#[derive(Debug)]
 pub struct Memory {
     pages: BTreeMap<u64, Page>,
     code_epoch: u64,
@@ -83,14 +84,6 @@ impl Clone for Memory {
             pages: self.pages.clone(),
             code_epoch: fresh_code_epoch(),
         }
-    }
-}
-
-impl std::fmt::Debug for Memory {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Memory")
-            .field("mapped_pages", &self.pages.len())
-            .finish_non_exhaustive()
     }
 }
 
@@ -278,8 +271,21 @@ impl Memory {
     ///
     /// Returns [`CpuError::UnmappedAddress`] for unmapped locations.
     pub fn read_bytes(&self, addr: u64, len: usize) -> Result<Vec<u8>, CpuError> {
-        let mut out = vec![0; len];
-        self.read_into(addr, &mut out)?;
+        // `len` may come straight from a guest register, so the buffer
+        // grows page by page and is never sized from `len` up front: a
+        // bogus length faults at the first unmapped byte instead of
+        // exhausting host memory.
+        let mut out = Vec::with_capacity(len.min(PAGE_SIZE as usize));
+        while out.len() < len {
+            let at = addr.wrapping_add(out.len() as u64);
+            let offset = (at & (PAGE_SIZE - 1)) as usize;
+            let chunk = (len - out.len()).min(PAGE_SIZE as usize - offset);
+            let page = self
+                .pages
+                .get(&(at >> PAGE_SHIFT))
+                .ok_or(CpuError::UnmappedAddress(at))?;
+            out.extend_from_slice(&page.bytes[offset..offset + chunk]);
+        }
         Ok(out)
     }
 
@@ -404,6 +410,24 @@ mod tests {
         m.write_u8(0x2000, 1).unwrap();
         assert_eq!(m.read_u64(0x1FFC), Err(CpuError::UnmappedAddress(0x1FFC)));
         assert_eq!(m.read_u16(0x1FFF), Err(CpuError::UnmappedAddress(0x1FFF)));
+    }
+
+    #[test]
+    fn oversized_bulk_reads_fault_without_allocating_the_length() {
+        // A garbage length (e.g. a guest's `write(buf, -1)`) must fault at
+        // the first unmapped byte, not size a host buffer from the length.
+        let mut m = Memory::new();
+        m.write_u8(0x1000, 1).unwrap();
+        assert_eq!(
+            m.read_bytes(0x1000, usize::MAX),
+            Err(CpuError::UnmappedAddress(0x2000))
+        );
+        assert_eq!(
+            m.read_bytes(0x1800, usize::MAX / 2),
+            Err(CpuError::UnmappedAddress(0x2000))
+        );
+        assert_eq!(m.read_bytes(0x1000, 0), Ok(Vec::new()));
+        assert_eq!(m.read_bytes(0x9000, 0), Ok(Vec::new()));
     }
 
     #[test]
