@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 (build + root test suite), the workspace tests,
-# clippy, the benchmark's contract tests, and bounded fixed-seed
+# clippy, rustdoc, the benchmark's contract tests, and bounded fixed-seed
 # differential, fault-campaign and crash-resume passes.
 # Everything here is deterministic; a red run reproduces locally with the
 # same commands.
@@ -20,6 +20,12 @@ cargo test -q --workspace
 
 echo "== lint: clippy over the workspace (warnings are errors) =="
 cargo clippy -q --workspace --all-targets -- -D warnings
+
+echo "== docs: rustdoc over the workspace libraries (warnings are errors) =="
+# Catches doc links left dangling by renamed or deleted items. `--lib`
+# skips the binaries, whose doc output would collide with the libraries of
+# the same name (`lockstep`, `rvlint`).
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps --lib
 
 echo "== benchmark contract tests =="
 # perfbench is a package of its own (outside the workspace); these check

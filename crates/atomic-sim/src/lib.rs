@@ -7,7 +7,8 @@
 //! pipeline, no caches. This crate reproduces that model on top of the
 //! shared functional executor: every instruction costs one cycle plus a
 //! fixed latency per data-memory access, and results are reported as
-//! simulated seconds at a configurable clock.
+//! simulated seconds at a configurable clock. [`AtomicSim`] is driven
+//! through [`riscv_sim::Simulator`].
 //!
 //! # Example
 //!
@@ -15,6 +16,7 @@
 //! use atomic_sim::{AtomicSim, AtomicConfig};
 //! use riscv_isa::{Instr, Reg};
 //! use riscv_isa::instr::OpImmOp;
+//! use riscv_sim::Simulator;
 //!
 //! # fn main() -> Result<(), riscv_sim::CpuError> {
 //! let mut sim = AtomicSim::new(AtomicConfig::default());
@@ -27,8 +29,8 @@
 //!     sim.cpu.memory.write_u32(0x1000 + 4 * i as u64, instr.encode().unwrap())?;
 //! }
 //! sim.cpu.set_pc(0x1000);
-//! let report = sim.run(100)?;
-//! assert!(report.simulated_seconds > 0.0);
+//! assert_eq!(sim.run(100)?, 0);
+//! assert!(sim.simulated_seconds() > 0.0);
 //! # Ok(())
 //! # }
 //! ```
@@ -38,7 +40,7 @@
 
 use riscv_isa::Instr;
 use riscv_sim::snapshot::{seal, unseal, ByteReader, ByteWriter};
-use riscv_sim::{Coprocessor, CpuError, CpuSnapshot, Event, Marker, SnapshotError};
+use riscv_sim::{Cpu, CpuError, CpuSnapshot, Event, Simulator, SnapshotError};
 
 /// Atomic-CPU timing parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -79,27 +81,12 @@ pub struct AtomicStats {
     pub mem_accesses: u64,
 }
 
-/// Result of a completed atomic-mode run.
-#[derive(Debug, Clone)]
-pub struct AtomicReport {
-    /// The guest's exit code.
-    pub exit_code: i64,
-    /// Counters.
-    pub stats: AtomicStats,
-    /// Simulated wall-clock time (`cycles / clock_hz`), the quantity the
-    /// paper's Table VI reports.
-    pub simulated_seconds: f64,
-    /// Markers recorded by the guest.
-    pub markers: Vec<Marker>,
-    /// Captured console output.
-    pub console: Vec<u8>,
-}
-
 /// The atomic CPU: the shared functional executor plus trivial fixed-cost
 /// timing.
 pub struct AtomicSim {
-    /// The wrapped functional core (public for program loading).
-    pub cpu: riscv_sim::Cpu,
+    /// The wrapped functional core (public for program loading,
+    /// coprocessors and retirement observers).
+    pub cpu: Cpu,
     config: AtomicConfig,
     stats: AtomicStats,
 }
@@ -122,7 +109,7 @@ impl AtomicSim {
     /// Builds a simulator with the given timing parameters.
     #[must_use]
     pub fn new(config: AtomicConfig) -> Self {
-        let mut cpu = riscv_sim::Cpu::new();
+        let mut cpu = Cpu::new();
         cpu.rocc_watchdog = config.rocc_watchdog;
         AtomicSim {
             cpu,
@@ -131,33 +118,63 @@ impl AtomicSim {
         }
     }
 
-    /// Attaches a RoCC accelerator (SE-mode co-simulation).
-    pub fn attach_coprocessor(&mut self, coprocessor: Box<dyn Coprocessor>) {
-        self.cpu.attach_coprocessor(coprocessor);
-    }
-
-    /// Installs a retirement observer on the wrapped functional core, so
-    /// this simulator emits the same canonical retirement stream as the
-    /// others (see [`riscv_sim::RetirementRecord`]).
-    pub fn set_retire_observer(
-        &mut self,
-        observer: impl FnMut(&riscv_sim::RetirementRecord) + 'static,
-    ) {
-        self.cpu.set_retire_observer(observer);
-    }
-
     /// Counters so far.
     #[must_use]
     pub fn stats(&self) -> AtomicStats {
         self.stats
     }
 
-    /// Executes one instruction, charging one tick plus fixed latencies.
+    /// Simulated wall-clock time so far (`cycles / clock_hz`), the
+    /// quantity the paper's Table VI reports.
+    #[must_use]
+    pub fn simulated_seconds(&self) -> f64 {
+        self.stats.cycles as f64 / self.config.clock_hz
+    }
+
+    /// Captures the complete machine state: the functional core (registers,
+    /// pc, CSRs, memory pages, attached-coprocessor state, counters) plus
+    /// this simulator's tick counters. The timing parameters
+    /// ([`AtomicConfig`]) are *not* part of the snapshot — restore targets a
+    /// simulator built with the same configuration.
+    #[must_use]
+    pub fn snapshot(&self) -> AtomicSnapshot {
+        AtomicSnapshot {
+            cpu: self.cpu.snapshot(),
+            stats: self.stats,
+        }
+    }
+
+    /// Restores a snapshot taken with [`AtomicSim::snapshot`] into this
+    /// simulator. The retirement observer, if any, is harness state and is
+    /// kept as-is.
     ///
     /// # Errors
     ///
-    /// Propagates functional-core faults.
-    pub fn step(&mut self) -> Result<Event, CpuError> {
+    /// Propagates [`SnapshotError`] from the functional-core restore (for
+    /// example a coprocessor-state mismatch).
+    pub fn restore(&mut self, snapshot: &AtomicSnapshot) -> Result<(), SnapshotError> {
+        self.cpu.restore(&snapshot.cpu)?;
+        self.stats = snapshot.stats;
+        Ok(())
+    }
+}
+
+impl Simulator for AtomicSim {
+    fn label(&self) -> &'static str {
+        "atomic"
+    }
+
+    fn cpu(&self) -> &Cpu {
+        &self.cpu
+    }
+
+    fn cpu_mut(&mut self) -> &mut Cpu {
+        &mut self.cpu
+    }
+
+    /// Executes one instruction, charging one tick plus fixed latencies.
+    #[inline]
+    fn step(&mut self) -> Result<Event, CpuError> {
         self.cpu.cycle = self.stats.cycles;
         // Inspected in place and returned as it is (see `Event`).
         let result = self.cpu.step();
@@ -199,53 +216,6 @@ impl AtomicSim {
             }
         }
         result
-    }
-
-    /// Captures the complete machine state: the functional core (registers,
-    /// pc, CSRs, memory pages, attached-coprocessor state, counters) plus
-    /// this simulator's tick counters. The timing parameters
-    /// ([`AtomicConfig`]) are *not* part of the snapshot — restore targets a
-    /// simulator built with the same configuration.
-    #[must_use]
-    pub fn snapshot(&self) -> AtomicSnapshot {
-        AtomicSnapshot {
-            cpu: self.cpu.snapshot(),
-            stats: self.stats,
-        }
-    }
-
-    /// Restores a snapshot taken with [`AtomicSim::snapshot`] into this
-    /// simulator. The retirement observer, if any, is harness state and is
-    /// kept as-is.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SnapshotError`] from the functional-core restore (for
-    /// example a coprocessor-state mismatch).
-    pub fn restore(&mut self, snapshot: &AtomicSnapshot) -> Result<(), SnapshotError> {
-        self.cpu.restore(&snapshot.cpu)?;
-        self.stats = snapshot.stats;
-        Ok(())
-    }
-
-    /// Runs to exit or `max_instructions`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates faults, or [`CpuError::InstructionLimit`].
-    pub fn run(&mut self, max_instructions: u64) -> Result<AtomicReport, CpuError> {
-        for _ in 0..max_instructions {
-            if let Event::Exited { code } = self.step()? {
-                return Ok(AtomicReport {
-                    exit_code: code,
-                    stats: self.stats,
-                    simulated_seconds: self.stats.cycles as f64 / self.config.clock_hz,
-                    markers: self.cpu.markers.clone(),
-                    console: self.cpu.console.clone(),
-                });
-            }
-        }
-        Err(CpuError::InstructionLimit(max_instructions))
     }
 }
 
@@ -328,10 +298,10 @@ mod tests {
         prog.push(addi(Reg::A7, Reg::ZERO, 93));
         prog.push(Instr::Ecall);
         load(&mut sim, &prog);
-        let report = sim.run(100).unwrap();
-        assert_eq!(report.stats.instret, 12);
-        assert_eq!(report.stats.cycles, 12);
-        assert!((report.simulated_seconds - 12e-9).abs() < 1e-15);
+        sim.run(100).unwrap();
+        assert_eq!(sim.stats().instret, 12);
+        assert_eq!(sim.stats().cycles, 12);
+        assert!((sim.simulated_seconds() - 12e-9).abs() < 1e-15);
     }
 
     #[test]
@@ -350,9 +320,9 @@ mod tests {
             Instr::Ecall,
         ];
         load(&mut sim, &prog);
-        let report = sim.run(100).unwrap();
-        assert_eq!(report.stats.cycles, 4); // 3 instructions + 1 mem access
-        assert_eq!(report.stats.mem_accesses, 1);
+        sim.run(100).unwrap();
+        assert_eq!(sim.stats().cycles, 4); // 3 instructions + 1 mem access
+        assert_eq!(sim.stats().mem_accesses, 1);
     }
 
     #[test]
@@ -368,7 +338,7 @@ mod tests {
         };
         // Uninterrupted reference run.
         let mut reference = build();
-        let want = reference.run(100).unwrap();
+        let want_exit = reference.run(100).unwrap();
         // Run half-way, snapshot, serialize, restore into a fresh sim.
         let mut first = build();
         for _ in 0..4 {
@@ -378,9 +348,8 @@ mod tests {
         let snapshot = AtomicSnapshot::from_bytes(&bytes).unwrap();
         let mut resumed = build();
         resumed.restore(&snapshot).unwrap();
-        let got = resumed.run(100).unwrap();
-        assert_eq!(got.exit_code, want.exit_code);
-        assert_eq!(got.stats, want.stats);
+        assert_eq!(resumed.run(100).unwrap(), want_exit);
+        assert_eq!(resumed.stats(), reference.stats());
     }
 
     #[test]
@@ -408,7 +377,7 @@ mod tests {
         ];
         sim.cpu.set_reg(Reg::T2, 1);
         load(&mut sim, &prog);
-        let report = sim.run(100).unwrap();
-        assert_eq!(report.stats.cycles, 4 + 3 + 30);
+        sim.run(100).unwrap();
+        assert_eq!(sim.stats().cycles, 4 + 3 + 30);
     }
 }

@@ -12,6 +12,10 @@
 //! * [`run_atomic`] — the Gem5-`AtomicSimpleCPU`-like model of Table VI;
 //! * [`time_native`] — host wall-clock runs of the native implementations
 //!   (Table V).
+//!
+//! Every simulated run loads the binary with [`load_program`], gives it
+//! [`guest_budget`] instructions, and drives the platform through
+//! [`riscv_sim::Simulator`].
 
 use std::time::{Duration, Instant};
 
@@ -20,6 +24,7 @@ use decnum::Status;
 use dpd::Decimal64;
 use riscv_asm::{assemble, AsmError, Program, STACK_TOP};
 use riscv_isa::Reg;
+use riscv_sim::{Cpu, Marker, Simulator};
 use rocc::DecimalAccelerator;
 use rocket_sim::{RocketSim, RunStats, TimingConfig};
 use testgen::{driver_source, operand_data_section, DriverLayout, TestVector};
@@ -82,15 +87,21 @@ pub fn build_guest_with(
     })
 }
 
-fn load_into_cpu(cpu: &mut riscv_sim::Cpu, guest: &GuestProgram) {
-    for seg in guest.program.segments() {
-        if !seg.data.is_empty() {
+/// Loads an assembled program into a core: all segments into memory, `pc`
+/// at the entry point, and the stack pointer at [`STACK_TOP`].
+///
+/// # Panics
+///
+/// Panics if a segment does not fit in guest memory (a malformed program).
+pub fn load_program(cpu: &mut Cpu, program: &Program) {
+    for segment in program.segments() {
+        if !segment.data.is_empty() {
             cpu.memory
-                .load_bytes(seg.base, &seg.data)
-                .expect("segment loads");
+                .load_bytes(segment.base, &segment.data)
+                .expect("program segment loads");
         }
     }
-    cpu.set_pc(guest.program.entry);
+    cpu.set_pc(program.entry);
     cpu.set_reg(Reg::SP, STACK_TOP);
 }
 
@@ -108,7 +119,10 @@ fn read_results(memory: &riscv_sim::Memory, guest: &GuestProgram) -> Vec<u64> {
         .collect()
 }
 
-fn instruction_budget(guest: &GuestProgram) -> u64 {
+/// The instruction budget every runner gives `guest`: generous for the
+/// slowest kernel, finite for a runaway one.
+#[must_use]
+pub fn guest_budget(guest: &GuestProgram) -> u64 {
     200_000 + guest.layout.count as u64 * u64::from(guest.layout.repetitions.max(1)) * 40_000
 }
 
@@ -143,6 +157,39 @@ impl std::fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
+/// Runs `guest` to exit on `sim` with the decimal accelerator attached,
+/// returning the simulator for its results and counters.
+fn run_guest<S: Simulator>(mut sim: S, guest: &GuestProgram) -> Result<S, RunError> {
+    sim.cpu_mut()
+        .attach_coprocessor(Box::new(DecimalAccelerator::new()));
+    load_program(sim.cpu_mut(), &guest.program);
+    let code = sim
+        .run(guest_budget(guest))
+        .map_err(|error| RunError::Fault {
+            pc: sim.cpu().pc(),
+            error,
+        })?;
+    if code != 0 {
+        return Err(RunError::ExitCode(code));
+    }
+    Ok(sim)
+}
+
+/// The cycles at the driver's loop-start and loop-end markers.
+fn loop_region(markers: &[Marker]) -> Result<(u64, u64), RunError> {
+    let cycle_at = |id, which| {
+        markers
+            .iter()
+            .find(|m| m.id == id)
+            .map(|m| m.cycle)
+            .ok_or(RunError::MissingMarker(which))
+    };
+    Ok((
+        cycle_at(testgen::MARK_LOOP_START, "loop start")?,
+        cycle_at(testgen::MARK_LOOP_END, "loop end")?,
+    ))
+}
+
 /// Reads the fault-tolerant kernel's degradation counter — how many
 /// multiplications fell back to the software datapath — if the guest has
 /// one (`None` for kernels without fault tolerance).
@@ -171,16 +218,7 @@ pub struct FunctionalRun {
 ///
 /// Returns [`RunError`] if the guest faults or exits nonzero.
 pub fn try_run_functional(guest: &GuestProgram) -> Result<FunctionalRun, RunError> {
-    let mut cpu = riscv_sim::Cpu::new();
-    cpu.attach_coprocessor(Box::new(DecimalAccelerator::new()));
-    load_into_cpu(&mut cpu, guest);
-    let code = cpu.run(instruction_budget(guest)).map_err(|error| RunError::Fault {
-        pc: cpu.pc(),
-        error,
-    })?;
-    if code != 0 {
-        return Err(RunError::ExitCode(code));
-    }
+    let cpu = run_guest(Cpu::new(), guest)?;
     Ok(FunctionalRun {
         results: read_results(&cpu.memory, guest),
         instret: cpu.instret,
@@ -229,37 +267,20 @@ pub fn try_run_rocket(
     guest: &GuestProgram,
     timing: TimingConfig,
 ) -> Result<CycleEvaluation, RunError> {
-    let mut sim = RocketSim::new(timing);
-    sim.attach_coprocessor(Box::new(DecimalAccelerator::new()));
-    load_into_cpu(&mut sim.cpu, guest);
-    let report = sim.run(instruction_budget(guest)).map_err(|error| RunError::Fault {
-        pc: sim.cpu.pc(),
-        error,
-    })?;
-    if report.exit_code != 0 {
-        return Err(RunError::ExitCode(report.exit_code));
-    }
-    let start = report
-        .markers
-        .iter()
-        .find(|m| m.id == testgen::MARK_LOOP_START)
-        .ok_or(RunError::MissingMarker("loop start"))?;
-    let end = report
-        .markers
-        .iter()
-        .find(|m| m.id == testgen::MARK_LOOP_END)
-        .ok_or(RunError::MissingMarker("loop end"))?;
+    let sim = run_guest(RocketSim::new(timing), guest)?;
+    let (start, end) = loop_region(&sim.cpu.markers)?;
+    let stats = sim.stats();
     let calls = (guest.layout.count as f64) * f64::from(guest.layout.repetitions.max(1));
-    let region = (end.cycle - start.cycle) as f64;
+    let region = (end - start) as f64;
     // The HW bucket only accumulates inside kernel executions, so the
     // whole-run total is the measurement region's total.
-    let hw = report.stats.hw_cycles as f64;
+    let hw = stats.hw_cycles as f64;
     Ok(CycleEvaluation {
         results: read_results(&sim.cpu.memory, guest),
         avg_total_cycles: region / calls,
         avg_hw_cycles: hw / calls,
         avg_sw_cycles: (region - hw) / calls,
-        stats: report.stats,
+        stats,
         degraded: read_degradation(&sim.cpu.memory, guest),
     })
 }
@@ -303,24 +324,15 @@ pub fn run_rocket_per_class(
         guest.layout.per_sample_marks,
         "guest must be built with per-sample markers"
     );
-    let mut sim = RocketSim::new(timing);
-    sim.attach_coprocessor(Box::new(DecimalAccelerator::new()));
-    load_into_cpu(&mut sim.cpu, guest);
-    let report = sim
-        .run(instruction_budget(guest))
-        .unwrap_or_else(|e| panic!("rocket run faulted: {e}"));
-    assert_eq!(report.exit_code, 0);
+    let sim = run_guest(RocketSim::new(timing), guest)
+        .unwrap_or_else(|e| panic!("rocket run failed: {e}"));
+    let markers = &sim.cpu.markers;
+    let (_, end) = loop_region(markers).unwrap_or_else(|e| panic!("{e}"));
     // Per-sample cycles: marker i+1 (or the end marker) minus marker i.
-    let sample_marks: Vec<&riscv_sim::Marker> = report
-        .markers
+    let sample_marks: Vec<&Marker> = markers
         .iter()
         .filter(|m| m.id >= testgen::MARK_SAMPLE_BASE)
         .collect();
-    let end = report
-        .markers
-        .iter()
-        .find(|m| m.id == testgen::MARK_LOOP_END)
-        .expect("end marker");
     assert_eq!(sample_marks.len(), vectors.len(), "one marker per sample");
     let reps = f64::from(guest.layout.repetitions.max(1));
     let mut sums: std::collections::BTreeMap<testgen::CaseClass, (f64, usize)> =
@@ -328,9 +340,7 @@ pub fn run_rocket_per_class(
     let mut total = 0.0;
     for (i, vector) in vectors.iter().enumerate() {
         let start_cycle = sample_marks[i].cycle;
-        let end_cycle = sample_marks
-            .get(i + 1)
-            .map_or(end.cycle, |m| m.cycle);
+        let end_cycle = sample_marks.get(i + 1).map_or(end, |m| m.cycle);
         let cycles = (end_cycle - start_cycle) as f64 / reps;
         total += cycles;
         let entry = sums.entry(vector.class).or_insert((0.0, 0));
@@ -368,30 +378,12 @@ pub fn try_run_atomic(
     guest: &GuestProgram,
     config: AtomicConfig,
 ) -> Result<AtomicEvaluation, RunError> {
-    let mut sim = AtomicSim::new(config);
-    sim.attach_coprocessor(Box::new(DecimalAccelerator::new()));
-    load_into_cpu(&mut sim.cpu, guest);
-    let report = sim.run(instruction_budget(guest)).map_err(|error| RunError::Fault {
-        pc: sim.cpu.pc(),
-        error,
-    })?;
-    if report.exit_code != 0 {
-        return Err(RunError::ExitCode(report.exit_code));
-    }
-    let start = report
-        .markers
-        .iter()
-        .find(|m| m.id == testgen::MARK_LOOP_START)
-        .ok_or(RunError::MissingMarker("loop start"))?;
-    let end = report
-        .markers
-        .iter()
-        .find(|m| m.id == testgen::MARK_LOOP_END)
-        .ok_or(RunError::MissingMarker("loop end"))?;
+    let sim = run_guest(AtomicSim::new(config), guest)?;
+    let (start, end) = loop_region(&sim.cpu.markers)?;
     Ok(AtomicEvaluation {
         results: read_results(&sim.cpu.memory, guest),
-        simulated_seconds: (end.cycle - start.cycle) as f64 / config.clock_hz,
-        instret: report.stats.instret,
+        simulated_seconds: (end - start) as f64 / config.clock_hz,
+        instret: sim.stats().instret,
     })
 }
 

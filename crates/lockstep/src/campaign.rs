@@ -36,7 +36,7 @@ use riscv_sim::{Coprocessor, Cpu, CpuError, Memory, RoccCommand, RoccResponse};
 use rocc::{DecimalAccelerator, DecimalFunct};
 
 use crate::fuzz::SplitMix64;
-use crate::guest::load_program;
+use codesign::framework::load_program;
 use crate::journal::{Fingerprint, Journal, JournalError, JournalSpec, Progress};
 use crate::supervisor::{run_case, supervise, CaseBudget, RetryPolicy, RunOutcome, WedgeReason};
 

@@ -6,85 +6,10 @@ use std::collections::VecDeque;
 
 use riscv_isa::instr::Instr;
 use riscv_isa::{csr, Reg};
-use riscv_sim::{Cpu, CpuError, Event, RetirementRecord};
+use riscv_sim::{Cpu, CpuError, Event, RetirementRecord, Simulator};
 
 /// Default number of pre-divergence retirements kept as context.
 pub const DEFAULT_CONTEXT: usize = 8;
-
-/// Anything that can be stepped in lockstep: the functional core itself, or
-/// a timing model wrapping one. The wrapped [`Cpu`] gives the comparator
-/// access to the architectural state after each step.
-pub trait LockstepSim {
-    /// Short name used in divergence reports (e.g. `"rocket"`).
-    fn label(&self) -> &'static str;
-
-    /// The wrapped functional core.
-    fn cpu(&self) -> &Cpu;
-
-    /// The wrapped functional core, mutably (for program loading).
-    fn cpu_mut(&mut self) -> &mut Cpu;
-
-    /// Executes one instruction.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying [`CpuError`].
-    fn step_sim(&mut self) -> Result<Event, CpuError>;
-}
-
-impl LockstepSim for Cpu {
-    fn label(&self) -> &'static str {
-        "functional"
-    }
-
-    fn cpu(&self) -> &Cpu {
-        self
-    }
-
-    fn cpu_mut(&mut self) -> &mut Cpu {
-        self
-    }
-
-    fn step_sim(&mut self) -> Result<Event, CpuError> {
-        self.step()
-    }
-}
-
-impl LockstepSim for rocket_sim::RocketSim {
-    fn label(&self) -> &'static str {
-        "rocket"
-    }
-
-    fn cpu(&self) -> &Cpu {
-        &self.cpu
-    }
-
-    fn cpu_mut(&mut self) -> &mut Cpu {
-        &mut self.cpu
-    }
-
-    fn step_sim(&mut self) -> Result<Event, CpuError> {
-        self.step()
-    }
-}
-
-impl LockstepSim for atomic_sim::AtomicSim {
-    fn label(&self) -> &'static str {
-        "atomic"
-    }
-
-    fn cpu(&self) -> &Cpu {
-        &self.cpu
-    }
-
-    fn cpu_mut(&mut self) -> &mut Cpu {
-        &mut self.cpu
-    }
-
-    fn step_sim(&mut self) -> Result<Event, CpuError> {
-        self.step()
-    }
-}
 
 /// What one simulator did at one lockstep position.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -331,11 +256,11 @@ fn divergence_pc(a: &StepOutcome, b: &StepOutcome, fallback: u64) -> u64 {
 /// loaded into them, comparing canonical retirement streams step by step.
 ///
 /// Both simulators must have been loaded with the same program (see
-/// `guest::load_program`). A fault on both sides with the same error is
+/// [`crate::load_program`]). A fault on both sides with the same error is
 /// architectural agreement; anything asymmetric is a divergence.
 pub fn run_lockstep(
-    a: &mut dyn LockstepSim,
-    b: &mut dyn LockstepSim,
+    a: &mut dyn Simulator,
+    b: &mut dyn Simulator,
     options: &LockstepOptions,
 ) -> LockstepOutcome {
     let mut context: VecDeque<RetirementRecord> = VecDeque::with_capacity(options.context.max(1));
@@ -344,8 +269,8 @@ pub fn run_lockstep(
     // final-state register comparison.
     let mut cycle_tainted = [false; 32];
     let divergence = |step: u64,
-                      a: &dyn LockstepSim,
-                      b: &dyn LockstepSim,
+                      a: &dyn Simulator,
+                      b: &dyn Simulator,
                       oa: StepOutcome,
                       ob: StepOutcome,
                       context: &VecDeque<RetirementRecord>| {
@@ -369,8 +294,8 @@ pub fn run_lockstep(
     };
 
     for step in 0..options.max_instructions {
-        let oa = outcome_of(a.step_sim(), a.cpu());
-        let ob = outcome_of(b.step_sim(), b.cpu());
+        let oa = outcome_of(a.step(), a.cpu());
+        let ob = outcome_of(b.step(), b.cpu());
         match (&oa, &ob) {
             (StepOutcome::Retired(ra), StepOutcome::Retired(rb)) => {
                 let (ca, cb) = (canonical(*ra), canonical(*rb));
@@ -428,8 +353,8 @@ pub fn run_lockstep(
 /// cycle/time read hold each timing model's own count and are skipped.
 fn final_state_divergence(
     step: u64,
-    a: &dyn LockstepSim,
-    b: &dyn LockstepSim,
+    a: &dyn Simulator,
+    b: &dyn Simulator,
     oa: &StepOutcome,
     ob: &StepOutcome,
     context: &VecDeque<RetirementRecord>,

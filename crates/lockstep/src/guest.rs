@@ -2,15 +2,14 @@
 //! assembled programs (the fuzzer's case) and over the evaluation
 //! framework's guest programs (the conformance case).
 
-use codesign::framework::GuestProgram;
+use codesign::framework::{guest_budget, load_program, GuestProgram};
 use codesign::kernels::KernelKind;
-use riscv_asm::{Program, STACK_TOP};
-use riscv_isa::Reg;
-use riscv_sim::Cpu;
+use riscv_asm::Program;
+use riscv_sim::{Cpu, Simulator};
 use rocc::DecimalAccelerator;
 use testgen::TestVector;
 
-use crate::compare::{run_lockstep, LockstepOptions, LockstepOutcome, LockstepSim};
+use crate::compare::{run_lockstep, LockstepOptions, LockstepOutcome};
 
 /// Which simulator plays one side of a lockstep pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,8 +39,8 @@ impl SimKind {
     /// Builds a fresh simulator of this kind, with the decimal accelerator
     /// attached when `with_accelerator` is set.
     #[must_use]
-    pub fn build(self, with_accelerator: bool) -> Box<dyn LockstepSim> {
-        let mut sim: Box<dyn LockstepSim> = match self {
+    pub fn build(self, with_accelerator: bool) -> Box<dyn Simulator> {
+        let mut sim: Box<dyn Simulator> = match self {
             SimKind::Functional => Box::new(Cpu::new()),
             SimKind::Rocket => Box::new(rocket_sim::RocketSim::new(
                 rocket_sim::TimingConfig::default(),
@@ -88,25 +87,6 @@ impl std::fmt::Display for Pair {
     }
 }
 
-/// Loads an assembled program into a core the same way the evaluation
-/// framework does: all segments into memory, `pc` at the entry point, and
-/// the stack pointer at [`STACK_TOP`].
-///
-/// # Panics
-///
-/// Panics if a segment does not fit in guest memory (a malformed program).
-pub fn load_program(cpu: &mut Cpu, program: &Program) {
-    for segment in program.segments() {
-        if !segment.data.is_empty() {
-            cpu.memory
-                .load_bytes(segment.base, &segment.data)
-                .expect("program segment loads");
-        }
-    }
-    cpu.set_pc(program.entry);
-    cpu.set_reg(Reg::SP, STACK_TOP);
-}
-
 /// Runs one assembled program on a pair of fresh simulators in lockstep.
 #[must_use]
 pub fn run_program_pair(
@@ -120,13 +100,6 @@ pub fn run_program_pair(
     load_program(a.cpu_mut(), program);
     load_program(b.cpu_mut(), program);
     run_lockstep(a.as_mut(), b.as_mut(), options)
-}
-
-/// The framework's instruction budget for a guest (mirrors
-/// `codesign::framework`).
-#[must_use]
-pub fn guest_budget(guest: &GuestProgram) -> u64 {
-    200_000 + guest.layout.count as u64 * u64::from(guest.layout.repetitions.max(1)) * 40_000
 }
 
 /// Runs an evaluation-framework guest on a pair of simulators in lockstep,

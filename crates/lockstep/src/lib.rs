@@ -67,21 +67,19 @@ pub mod journal;
 pub mod rocc_diff;
 pub mod supervisor;
 
+pub use codesign::framework::{guest_budget, load_program};
 pub use compare::{
-    canonical, run_lockstep, Divergence, LockstepOptions, LockstepOutcome, LockstepSim, RegDelta,
-    StepOutcome, Termination, DEFAULT_CONTEXT,
+    canonical, run_lockstep, Divergence, LockstepOptions, LockstepOutcome, RegDelta, StepOutcome,
+    Termination, DEFAULT_CONTEXT,
 };
-pub use guest::{
-    check_kernel_all_pairs, guest_budget, load_program, run_guest_pair, run_program_pair, Pair,
-    SimKind,
-};
+pub use guest::{check_kernel_all_pairs, run_guest_pair, run_program_pair, Pair, SimKind};
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use riscv_asm::{assemble, TEXT_BASE};
     use riscv_isa::Reg;
-    use riscv_sim::{Cpu, CpuError, Event};
+    use riscv_sim::{Cpu, CpuError, Event, Simulator};
 
     /// A functional core with a deliberate single-instruction semantic
     /// mutation: after the instruction at `mutate_at` retires, its
@@ -103,7 +101,7 @@ mod tests {
         }
     }
 
-    impl LockstepSim for MutantSim {
+    impl Simulator for MutantSim {
         fn label(&self) -> &'static str {
             "mutant"
         }
@@ -116,7 +114,7 @@ mod tests {
             &mut self.cpu
         }
 
-        fn step_sim(&mut self) -> Result<Event, CpuError> {
+        fn step(&mut self) -> Result<Event, CpuError> {
             let event = self.cpu.step()?;
             if let Event::Retired(retired) = &event {
                 if retired.pc == self.mutate_at && !self.fired {

@@ -34,8 +34,8 @@ pub struct CaseBudget {
     pub instruction_fuel: u64,
     /// Maximum mapped 4 KiB guest pages, if capped.
     pub memory_pages: Option<usize>,
-    /// Maximum host wall-clock time, if capped (polled every
-    /// [`WALL_CLOCK_POLL`] instructions).
+    /// Maximum host wall-clock time, if capped (polled every 4,096
+    /// instructions).
     pub wall_clock: Option<Duration>,
 }
 
@@ -275,7 +275,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::guest::load_program;
+    use codesign::framework::load_program;
     use riscv_asm::assemble;
 
     fn run_source(source: &str, budget: &CaseBudget) -> RunOutcome {

@@ -120,7 +120,7 @@ pub mod strategy {
             Map { source: self, f }
         }
 
-        /// Type-erases the strategy (used by [`prop_oneof!`]).
+        /// Type-erases the strategy (used by [`prop_oneof!`](crate::prop_oneof)).
         fn boxed(self) -> BoxedStrategy<Self::Value>
         where
             Self: Sized + 'static,
@@ -175,7 +175,7 @@ pub mod strategy {
         }
     }
 
-    /// Uniform choice between type-erased alternatives ([`prop_oneof!`]).
+    /// Uniform choice between type-erased alternatives ([`prop_oneof!`](crate::prop_oneof)).
     pub struct Union<T> {
         options: Vec<BoxedStrategy<T>>,
     }
@@ -345,7 +345,7 @@ pub mod collection {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
 
-    /// Anything usable as the size argument of [`vec`].
+    /// Anything usable as the size argument of [`vec`](fn@vec).
     pub trait IntoSizeRange {
         /// The inclusive `(min, max)` length bounds.
         fn bounds(self) -> (usize, usize);
@@ -370,7 +370,7 @@ pub mod collection {
         }
     }
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec`](fn@vec).
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

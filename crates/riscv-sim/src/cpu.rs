@@ -6,7 +6,7 @@ use riscv_isa::{csr, Reg};
 use crate::coproc::{Coprocessor, NoCoprocessor, RoccCommand, RoccResponse};
 use crate::memory::PAGE_SHIFT;
 use crate::snapshot::{CpuSnapshot, SnapshotError};
-use crate::{CpuError, Memory};
+use crate::{CpuError, Memory, Simulator};
 
 /// Syscall numbers understood by the host interface (`a7` at `ecall`).
 pub mod syscall {
@@ -398,11 +398,6 @@ impl Cpu {
     /// core, so an observer installed here sees their streams too.
     pub fn set_retire_observer(&mut self, observer: impl FnMut(&RetirementRecord) + 'static) {
         self.retire_observer = Some(Box::new(observer));
-    }
-
-    /// Removes the retirement observer, if one is installed.
-    pub fn clear_retire_observer(&mut self) {
-        self.retire_observer = None;
     }
 
     /// A snapshot of the full integer register file, indexed by register
@@ -864,19 +859,14 @@ impl Cpu {
         }
     }
 
-    /// Runs until exit or `max_instructions` retirements.
+    /// Runs until exit or `max_instructions` steps; [`Simulator::run`]
+    /// without the trait in scope.
     ///
     /// # Errors
     ///
-    /// Propagates any [`CpuError`] from [`Cpu::step`], or
-    /// [`CpuError::InstructionLimit`] if the program did not exit in time.
+    /// See [`Simulator::run`].
     pub fn run(&mut self, max_instructions: u64) -> Result<i64, CpuError> {
-        for _ in 0..max_instructions {
-            if let Event::Exited { code } = self.step()? {
-                return Ok(code);
-            }
-        }
-        Err(CpuError::InstructionLimit(max_instructions))
+        Simulator::run(self, max_instructions)
     }
 
     /// Resets architectural state (registers, pc, counters, coprocessor)
@@ -891,6 +881,25 @@ impl Cpu {
         self.trap_log.clear();
         self.scratch_csrs.clear();
         self.coprocessor.reset();
+    }
+}
+
+impl Simulator for Cpu {
+    fn label(&self) -> &'static str {
+        "functional"
+    }
+
+    fn cpu(&self) -> &Cpu {
+        self
+    }
+
+    fn cpu_mut(&mut self) -> &mut Cpu {
+        self
+    }
+
+    #[inline]
+    fn step(&mut self) -> Result<Event, CpuError> {
+        Cpu::step(self)
     }
 }
 

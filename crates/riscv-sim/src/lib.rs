@@ -9,7 +9,10 @@
 //!   interface (`exit`, `write`, and a `mark` extension for delimiting
 //!   measurement regions) and user counters (`rdcycle`, `rdinstret`);
 //! * [`Coprocessor`] — the RoCC attachment point that the decimal
-//!   accelerator implements.
+//!   accelerator implements;
+//! * [`Simulator`] — the interface every evaluation platform implements
+//!   (`step`, a provided run-to-exit `run`, and access to the wrapped
+//!   [`Cpu`]).
 //!
 //! Timing models (the Rocket-like pipeline in `rocket-sim`, the Gem5-like
 //! atomic CPU in `atomic-sim`) wrap [`Cpu`] for semantics and drive
@@ -23,8 +26,8 @@
 mod coproc;
 mod cpu;
 mod memory;
+mod simulator;
 pub mod snapshot;
-pub mod trace;
 
 use std::fmt;
 
@@ -34,6 +37,7 @@ pub use cpu::{
     RetirementRecord, TrapRecord, DEFAULT_ROCC_WATCHDOG,
 };
 pub use memory::Memory;
+pub use simulator::Simulator;
 pub use snapshot::{CoprocSnapshot, CpuSnapshot, SnapshotError, SNAPSHOT_VERSION};
 
 /// Faults and limits surfaced by the simulators.
@@ -79,7 +83,8 @@ pub enum CpuError {
         /// The watchdog bound that expired, in cycles.
         watchdog: u32,
     },
-    /// `run` exhausted its instruction budget without the program exiting.
+    /// [`Simulator::run`] exhausted its instruction budget without the
+    /// program exiting.
     InstructionLimit(u64),
 }
 

@@ -3,7 +3,7 @@
 use riscv_isa::instr::{Instr, OpOp};
 use riscv_isa::Reg;
 use riscv_sim::snapshot::{seal, unseal, ByteReader, ByteWriter};
-use riscv_sim::{Coprocessor, CpuError, CpuSnapshot, Event, Marker, Memory, Retired, SnapshotError};
+use riscv_sim::{Cpu, CpuError, CpuSnapshot, Event, Retired, Simulator, SnapshotError};
 
 use crate::cache::{Cache, CacheConfig, CacheSnapshot, CacheStats};
 
@@ -79,19 +79,6 @@ pub struct RunStats {
     pub dcache: CacheStats,
 }
 
-/// Result of a completed run.
-#[derive(Debug, Clone)]
-pub struct RunReport {
-    /// The guest's exit code.
-    pub exit_code: i64,
-    /// Cycle/instruction counters.
-    pub stats: RunStats,
-    /// Markers the guest recorded (cycle values are modelled cycles).
-    pub markers: Vec<Marker>,
-    /// Captured console output.
-    pub console: Vec<u8>,
-}
-
 /// The Rocket-like cycle-accurate core: an in-order single-issue pipeline
 /// model wrapping the functional executor.
 ///
@@ -100,16 +87,18 @@ pub struct RunReport {
 /// D-cache miss penalties, a flush penalty for taken control transfers, and
 /// the RoCC handshake + accelerator busy time for custom instructions.
 /// RoCC-attributed cycles accumulate separately so Table IV's SW/HW split
-/// falls directly out of a run.
+/// falls directly out of a run. Runs go through [`Simulator`]; guest
+/// markers carry modelled cycles.
 pub struct RocketSim {
-    /// The wrapped functional core (public for program loading and register
-    /// setup).
-    pub cpu: riscv_sim::Cpu,
+    /// The wrapped functional core (public for program loading, register
+    /// setup, coprocessors and retirement observers).
+    pub cpu: Cpu,
     config: TimingConfig,
     icache: Cache,
     dcache: Cache,
     cycle: u64,
     ready_at: [u64; 32],
+    /// Run counters, except the cache counters, which live in the caches.
     stats: RunStats,
 }
 
@@ -132,7 +121,7 @@ impl RocketSim {
     /// Builds a core with the given timing parameters.
     #[must_use]
     pub fn new(config: TimingConfig) -> Self {
-        let mut cpu = riscv_sim::Cpu::new();
+        let mut cpu = Cpu::new();
         cpu.rocc_watchdog = config.rocc_watchdog;
         RocketSim {
             cpu,
@@ -145,75 +134,14 @@ impl RocketSim {
         }
     }
 
-    /// Attaches an accelerator to the core's RoCC port.
-    pub fn attach_coprocessor(&mut self, coprocessor: Box<dyn Coprocessor>) {
-        self.cpu.attach_coprocessor(coprocessor);
-    }
-
-    /// Installs a retirement observer on the wrapped functional core, so
-    /// this simulator emits the same canonical retirement stream as the
-    /// others (see [`riscv_sim::RetirementRecord`]).
-    pub fn set_retire_observer(
-        &mut self,
-        observer: impl FnMut(&riscv_sim::RetirementRecord) + 'static,
-    ) {
-        self.cpu.set_retire_observer(observer);
-    }
-
-    /// The modelled cycle count so far.
-    #[must_use]
-    pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
-    /// Counters so far.
+    /// Counters so far, including both caches'.
     #[must_use]
     pub fn stats(&self) -> RunStats {
-        self.stats
-    }
-
-    /// Guest memory, for program loading.
-    pub fn memory(&mut self) -> &mut Memory {
-        &mut self.cpu.memory
-    }
-
-    /// Executes one instruction, charging modelled time.
-    ///
-    /// # Errors
-    ///
-    /// Propagates functional-core faults ([`CpuError`]).
-    pub fn step(&mut self) -> Result<Event, CpuError> {
-        // Let guest rdcycle observe modelled time.
-        self.cpu.cycle = self.cycle;
-        // Inspected in place and returned as it is (see `Event`).
-        let result = self.cpu.step();
-        let retired = match &result {
-            Err(_) => return result,
-            Ok(Event::Exited { .. }) => {
-                // The exiting ecall costs one software cycle.
-                self.cycle += 1;
-                self.stats.cycles = self.cycle;
-                self.stats.instret += 1;
-                self.stats.sw_cycles += 1;
-                return result;
-            }
-            Ok(Event::Trapped { .. }) => {
-                // Trap delivery flushes the pipeline but retires nothing.
-                let cost = 1 + u64::from(self.config.trap_penalty);
-                self.cycle += cost;
-                self.stats.cycles = self.cycle;
-                self.stats.sw_cycles += cost;
-                return result;
-            }
-            Ok(Event::Retired(retired)) => retired,
-        };
-        let cost = self.charge(retired)?;
-        self.cycle += cost.total;
-        self.stats.cycles = self.cycle;
-        self.stats.instret += 1;
-        self.stats.sw_cycles += cost.total - cost.hw;
-        self.stats.hw_cycles += cost.hw;
-        result
+        RunStats {
+            icache: self.icache.stats(),
+            dcache: self.dcache.stats(),
+            ..self.stats
+        }
     }
 
     fn charge(&mut self, retired: &Retired) -> Result<Cost, CpuError> {
@@ -334,28 +262,55 @@ impl RocketSim {
         self.stats = snapshot.stats;
         Ok(())
     }
+}
 
-    /// Runs to exit or `max_instructions`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates faults; see [`RocketSim::step`].
-    pub fn run(&mut self, max_instructions: u64) -> Result<RunReport, CpuError> {
-        for _ in 0..max_instructions {
-            if let Event::Exited { code } = self.step()? {
-                return Ok(RunReport {
-                    exit_code: code,
-                    stats: RunStats {
-                        icache: self.icache.stats(),
-                        dcache: self.dcache.stats(),
-                        ..self.stats
-                    },
-                    markers: self.cpu.markers.clone(),
-                    console: self.cpu.console.clone(),
-                });
+impl Simulator for RocketSim {
+    fn label(&self) -> &'static str {
+        "rocket"
+    }
+
+    fn cpu(&self) -> &Cpu {
+        &self.cpu
+    }
+
+    fn cpu_mut(&mut self) -> &mut Cpu {
+        &mut self.cpu
+    }
+
+    /// Executes one instruction, charging modelled time.
+    #[inline]
+    fn step(&mut self) -> Result<Event, CpuError> {
+        // Let guest rdcycle observe modelled time.
+        self.cpu.cycle = self.cycle;
+        // Inspected in place and returned as it is (see `Event`).
+        let result = self.cpu.step();
+        let retired = match &result {
+            Err(_) => return result,
+            Ok(Event::Exited { .. }) => {
+                // The exiting ecall costs one software cycle.
+                self.cycle += 1;
+                self.stats.cycles = self.cycle;
+                self.stats.instret += 1;
+                self.stats.sw_cycles += 1;
+                return result;
             }
-        }
-        Err(CpuError::InstructionLimit(max_instructions))
+            Ok(Event::Trapped { .. }) => {
+                // Trap delivery flushes the pipeline but retires nothing.
+                let cost = 1 + u64::from(self.config.trap_penalty);
+                self.cycle += cost;
+                self.stats.cycles = self.cycle;
+                self.stats.sw_cycles += cost;
+                return result;
+            }
+            Ok(Event::Retired(retired)) => retired,
+        };
+        let cost = self.charge(retired)?;
+        self.cycle += cost.total;
+        self.stats.cycles = self.cycle;
+        self.stats.instret += 1;
+        self.stats.sw_cycles += cost.total - cost.hw;
+        self.stats.hw_cycles += cost.hw;
+        result
     }
 }
 
@@ -376,7 +331,8 @@ pub struct RocketSnapshot {
     pub cycle: u64,
     /// The register scoreboard (cycle each register's value is ready).
     pub ready_at: [u64; 32],
-    /// Run counters.
+    /// Run counters. The cache counters are zero here: they travel with
+    /// the cache states below.
     pub stats: RunStats,
     /// Instruction-cache state.
     pub icache: CacheSnapshot,
@@ -522,10 +478,11 @@ mod tests {
         let mut sim = RocketSim::default();
         let prog = exit_prog(vec![Instr::NOP; 50]);
         load(&mut sim, 0x1000, &prog);
-        let report = sim.run(1000).unwrap();
-        assert!(report.stats.cycles >= report.stats.instret);
-        assert_eq!(report.stats.instret, 52);
-        assert_eq!(report.stats.hw_cycles, 0);
+        sim.run(1000).unwrap();
+        let stats = sim.stats();
+        assert!(stats.cycles >= stats.instret);
+        assert_eq!(stats.instret, 52);
+        assert_eq!(stats.hw_cycles, 0);
     }
 
     #[test]
@@ -555,7 +512,8 @@ mod tests {
             sim.cpu.memory.write_u64(0x2000, 7).unwrap();
             sim.cpu.set_reg(Reg::T1, 0x2000);
             load(&mut sim, 0x1000, prog);
-            sim.run(100).unwrap().stats
+            sim.run(100).unwrap();
+            sim.stats()
         };
         let dep = run(&dependent);
         let indep = run(&independent);
@@ -590,7 +548,8 @@ mod tests {
             sim.cpu.set_reg(Reg::T1, 100);
             sim.cpu.set_reg(Reg::T2, 7);
             load(&mut sim, 0x1000, prog);
-            sim.run(100).unwrap().stats.cycles
+            sim.run(100).unwrap();
+            sim.stats().cycles
         };
         assert!(run(&divs) > run(&muls) + 8 * 20);
     }
@@ -610,21 +569,26 @@ mod tests {
         ]);
         let mut sim = RocketSim::default();
         load(&mut sim, 0x1000, &loop_prog);
-        let report = sim.run(1000).unwrap();
+        sim.run(1000).unwrap();
+        let stats = sim.stats();
         // 9 taken branches * 2-cycle penalty at least.
-        assert!(report.stats.cycles >= report.stats.instret + 9 * 2);
+        assert!(stats.cycles >= stats.instret + 9 * 2);
     }
 
     #[test]
     fn cold_caches_miss_then_warm() {
-        let mut sim = RocketSim::default();
         let prog = exit_prog(vec![Instr::NOP; 4]);
-        load(&mut sim, 0x1000, &prog);
-        let report = sim.run(100).unwrap();
+        let mut ran = RocketSim::default();
+        load(&mut ran, 0x1000, &prog);
+        ran.run(100).unwrap();
         // All instructions share one line: one compulsory I$ miss. The
         // exiting ecall's fetch is not modelled, so five accesses total.
-        assert_eq!(report.stats.icache.misses, 1);
-        assert_eq!(report.stats.icache.hits, 4);
+        assert_eq!(ran.stats().icache, CacheStats { hits: 4, misses: 1 });
+        // Stepping to exit by hand reports the same live counters.
+        let mut stepped = RocketSim::default();
+        load(&mut stepped, 0x1000, &prog);
+        while !matches!(stepped.step().unwrap(), Event::Exited { .. }) {}
+        assert_eq!(stepped.stats(), ran.stats());
     }
 
     #[test]
@@ -647,7 +611,8 @@ mod tests {
                 sim.cpu.memory.write_u64(0x2000 + i * 8, i).unwrap();
             }
             load(&mut sim, 0x1000, &exit_prog(body));
-            sim.run(10_000).unwrap().stats.cycles
+            sim.run(10_000).unwrap();
+            sim.stats().cycles
         };
         assert_eq!(run(3), run(3));
     }
@@ -696,9 +661,9 @@ mod tests {
         sim2.cpu.set_reg(Reg::T1, 10);
         sim2.cpu.set_reg(Reg::T2, 3);
         load(&mut sim2, 0x1000, &prog2);
-        let report = sim2.run(100).unwrap();
+        let code = sim2.run(100).unwrap();
         // The divider took div_latency cycles, so rdcycle must exceed it.
-        assert!(report.exit_code >= 34, "rdcycle saw {}", report.exit_code);
+        assert!(code >= 34, "rdcycle saw {code}");
     }
 }
 
@@ -744,7 +709,8 @@ mod more_tests {
         let run = |prog: &[Instr]| {
             let mut sim = RocketSim::default();
             load(&mut sim, 0x1000, prog);
-            sim.run(100).unwrap().stats
+            sim.run(100).unwrap();
+            sim.stats()
         };
         assert_eq!(run(&hidden).stall_cycles, 0, "distance 4 hides the latency");
         assert!(run(&exposed).stall_cycles >= 2, "immediate consumer stalls");
@@ -760,9 +726,9 @@ mod more_tests {
         sim.cpu.set_reg(Reg::T0, 0x2000);
         sim.cpu.memory.write_u64(0x2008, 5).unwrap();
         load(&mut sim, 0x1000, &prog);
-        let report = sim.run(100).unwrap();
-        assert_eq!(report.stats.dcache.misses, 1, "write-allocate fills the line");
-        assert_eq!(report.stats.dcache.hits, 1, "the load hits the filled line");
+        sim.run(100).unwrap();
+        assert_eq!(sim.stats().dcache.misses, 1, "write-allocate fills the line");
+        assert_eq!(sim.stats().dcache.hits, 1, "the load hits the filled line");
     }
 
     #[test]
@@ -770,11 +736,9 @@ mod more_tests {
         let mut sim = RocketSim::default();
         let prog = exit_prog(vec![Instr::NOP; 25]);
         load(&mut sim, 0x1000, &prog);
-        let report = sim.run(100).unwrap();
-        assert_eq!(
-            report.stats.sw_cycles + report.stats.hw_cycles,
-            report.stats.cycles
-        );
+        sim.run(100).unwrap();
+        let stats = sim.stats();
+        assert_eq!(stats.sw_cycles + stats.hw_cycles, stats.cycles);
     }
 
     #[test]

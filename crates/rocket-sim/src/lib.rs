@@ -6,7 +6,9 @@
 //! L1 instruction/data caches with seeded random replacement, taken-branch
 //! flush penalty, and RoCC dispatch/response timing — and splits every run's
 //! cycles into a software part and a hardware (accelerator) part, which is
-//! exactly the decomposition reported in the paper's Table IV.
+//! exactly the decomposition reported in the paper's Table IV. [`RocketSim`]
+//! is driven through [`riscv_sim::Simulator`]; its counters are read with
+//! [`RocketSim::stats`].
 //!
 //! # Example
 //!
@@ -14,6 +16,7 @@
 //! use rocket_sim::{RocketSim, TimingConfig};
 //! use riscv_isa::{Instr, Reg};
 //! use riscv_isa::instr::OpImmOp;
+//! use riscv_sim::Simulator;
 //!
 //! # fn main() -> Result<(), riscv_sim::CpuError> {
 //! let mut sim = RocketSim::new(TimingConfig::default());
@@ -26,8 +29,9 @@
 //!     sim.cpu.memory.write_u32(0x1000 + 4 * i as u64, instr.encode().unwrap())?;
 //! }
 //! sim.cpu.set_pc(0x1000);
-//! let report = sim.run(100)?;
-//! assert!(report.stats.cycles >= report.stats.instret);
+//! assert_eq!(sim.run(100)?, 0);
+//! let stats = sim.stats();
+//! assert!(stats.cycles >= stats.instret);
 //! # Ok(())
 //! # }
 //! ```
@@ -38,5 +42,5 @@
 mod cache;
 mod core;
 
-pub use crate::core::{RocketSim, RocketSnapshot, RunReport, RunStats, TimingConfig};
+pub use crate::core::{RocketSim, RocketSnapshot, RunStats, TimingConfig};
 pub use cache::{Cache, CacheConfig, CacheSnapshot, CacheStats};

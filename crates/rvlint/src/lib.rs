@@ -4,7 +4,7 @@
 //! The analyzer works on [`riscv_asm::Program`] machine code (not source
 //! text), so it checks exactly what the simulators execute:
 //!
-//! * **CFG recovery** ([`cfg`]) — instruction-granularity control flow
+//! * **CFG recovery** ([`cfg`](mod@cfg)) — instruction-granularity control flow
 //!   with resolved calls, returns, address-taken roots (trap handlers),
 //!   and the exit-syscall convention.
 //! * **Classic dataflow** ([`dataflow`]) — may-initialized registers

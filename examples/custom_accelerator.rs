@@ -11,9 +11,11 @@
 //! cargo run --release --example custom_accelerator
 //! ```
 
-use decimalarith::riscv_asm::{assemble, STACK_TOP};
-use decimalarith::riscv_isa::Reg;
-use decimalarith::riscv_sim::{Coprocessor, CpuError, Memory, RoccCommand, RoccResponse};
+use decimalarith::codesign::framework::load_program;
+use decimalarith::riscv_asm::assemble;
+use decimalarith::riscv_sim::{
+    Coprocessor, CpuError, Memory, RoccCommand, RoccResponse, Simulator,
+};
 use decimalarith::rocket_sim::{RocketSim, TimingConfig};
 
 /// funct7 values of the custom functions.
@@ -93,15 +95,11 @@ fn main() {
     let program = assemble(source).expect("guest assembles");
 
     let mut sim = RocketSim::new(TimingConfig::default());
-    sim.attach_coprocessor(Box::new(CentsAccumulator::new(50_000)));
-    for seg in program.segments() {
-        if !seg.data.is_empty() {
-            sim.cpu.memory.load_bytes(seg.base, &seg.data).unwrap();
-        }
-    }
-    sim.cpu.set_pc(program.entry);
-    sim.cpu.set_reg(Reg::SP, STACK_TOP);
-    let report = sim.run(10_000).expect("guest runs");
+    sim.cpu
+        .attach_coprocessor(Box::new(CentsAccumulator::new(50_000)));
+    load_program(&mut sim.cpu, &program);
+    let total = sim.run(10_000).expect("guest runs");
+    let stats = sim.stats();
 
     let exact: u64 = [1999u64, 2999, 499, 12999, 799, 4999]
         .iter()
@@ -109,12 +107,12 @@ fn main() {
         * 2;
     println!("custom accelerator run:");
     println!("  exact sum            : {exact} cents");
-    println!("  accumulator returned : {} cents (limit 50000)", report.exit_code);
+    println!("  accumulator returned : {total} cents (limit 50000)");
     println!(
         "  cycles {} (hw part {}), {} RoCC commands",
-        report.stats.cycles, report.stats.hw_cycles, report.stats.rocc_instructions
+        stats.cycles, stats.hw_cycles, stats.rocc_instructions
     );
-    assert_eq!(report.exit_code as u64, exact.min(50_000));
-    assert_eq!(report.stats.rocc_instructions, 13);
+    assert_eq!(total as u64, exact.min(50_000));
+    assert_eq!(stats.rocc_instructions, 13);
     println!("  -> the same pipeline, caches and RoCC timing apply to user hardware.");
 }

@@ -1,6 +1,7 @@
 //! Failure injection: the framework must fail loudly and precisely, not
 //! silently, when guests or inputs are malformed.
 
+use decimalarith::codesign::framework::load_program;
 use decimalarith::riscv_asm::assemble;
 use decimalarith::riscv_isa::Reg;
 use decimalarith::riscv_sim::{Cpu, CpuError};
@@ -10,13 +11,7 @@ fn run_with_accel(source: &str) -> Result<i64, CpuError> {
     let program = assemble(source).expect("test program assembles");
     let mut cpu = Cpu::new();
     cpu.attach_coprocessor(Box::new(DecimalAccelerator::new()));
-    for seg in program.segments() {
-        if !seg.data.is_empty() {
-            cpu.memory.load_bytes(seg.base, &seg.data).unwrap();
-        }
-    }
-    cpu.set_pc(program.entry);
-    cpu.set_reg(Reg::SP, decimalarith::riscv_asm::STACK_TOP);
+    load_program(&mut cpu, &program);
     cpu.run(100_000)
 }
 
@@ -66,12 +61,7 @@ fn custom_instruction_without_accelerator_faults() {
     )
     .unwrap();
     let mut cpu = Cpu::new(); // no coprocessor attached
-    for seg in program.segments() {
-        if !seg.data.is_empty() {
-            cpu.memory.load_bytes(seg.base, &seg.data).unwrap();
-        }
-    }
-    cpu.set_pc(program.entry);
+    load_program(&mut cpu, &program);
     assert!(matches!(
         cpu.run(100),
         Err(CpuError::NoCoprocessor { funct7: 4 })
@@ -133,7 +123,7 @@ fn cpu_with(
     let program = assemble(source).expect("test program assembles");
     let mut cpu = Cpu::new();
     cpu.attach_coprocessor(coproc);
-    decimalarith::lockstep::load_program(&mut cpu, &program);
+    load_program(&mut cpu, &program);
     cpu
 }
 

@@ -14,7 +14,7 @@ use decimalarith::lockstep::{
 };
 use decimalarith::riscv_asm::{assemble, Program};
 use decimalarith::riscv_isa::csr::cause;
-use decimalarith::riscv_sim::Event;
+use decimalarith::riscv_sim::{CpuError, Simulator};
 use decimalarith::testgen::{generate, TestConfig};
 
 /// A guest that arms `mtvec`, takes two different synchronous traps (an
@@ -93,19 +93,19 @@ fn rocc_timeout_trap_is_delivered_identically_on_all_three_sims() {
         sim.cpu_mut()
             .attach_coprocessor(Box::new(StuckFsmAccelerator::new(0)));
         load_program(sim.cpu_mut(), &program);
-        let mut code = None;
-        for _ in 0..100_000 {
-            if let Event::Exited { code: c } =
-                sim.step_sim().expect("watchdog must trap, not kill the host")
-            {
-                code = Some(c);
-                break;
-            }
-        }
+        // A budget that ends before the wedge stops the run the same way
+        // on every simulator, and the run resumes from there.
         assert_eq!(
-            code,
-            Some(cause::ROCC_TIMEOUT as i64),
-            "{kind:?}: guest must observe mcause {}",
+            sim.run(3),
+            Err(CpuError::InstructionLimit(3)),
+            "{kind:?}: the budget must end the run"
+        );
+        assert_eq!(sim.cpu().instret, 3, "{kind:?}");
+        assert_eq!(
+            sim.run(100_000),
+            Ok(cause::ROCC_TIMEOUT as i64),
+            "{kind:?}: watchdog must trap, not kill the host, and the guest \
+             must observe mcause {}",
             cause::ROCC_TIMEOUT
         );
         let log = &sim.cpu().trap_log;
@@ -124,7 +124,6 @@ fn watchdog_fires_deterministically_across_cache_seeds() {
     // seed moves cycle counts, but the wedge must surface as the same
     // RoccTimeout at the same retired-instruction count on every seed —
     // never as budget exhaustion.
-    use decimalarith::riscv_sim::CpuError;
     use decimalarith::rocket_sim::{RocketSim, TimingConfig};
 
     let program = assemble(
@@ -144,7 +143,8 @@ fn watchdog_fires_deterministically_across_cache_seeds() {
             seed,
             ..TimingConfig::default()
         });
-        sim.attach_coprocessor(Box::new(StuckFsmAccelerator::new(0)));
+        sim.cpu
+            .attach_coprocessor(Box::new(StuckFsmAccelerator::new(0)));
         load_program(&mut sim.cpu, &program);
         let result = sim.run(1_000_000);
         match result {

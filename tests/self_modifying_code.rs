@@ -11,17 +11,16 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use decimalarith::codesign::framework::GuestProgram;
+use decimalarith::codesign::framework::{load_program, GuestProgram};
 use decimalarith::codesign::kernels::KernelKind;
 use decimalarith::lockstep::{
-    load_program, run_guest_pair, LockstepOutcome, LockstepSim, Pair, SimKind, Termination,
-    DEFAULT_CONTEXT,
+    run_guest_pair, LockstepOutcome, Pair, SimKind, Termination, DEFAULT_CONTEXT,
 };
 use decimalarith::riscv_asm::{assemble, Program};
 use decimalarith::riscv_isa::instr::OpImmOp;
 use decimalarith::riscv_isa::{Instr, Reg};
 use decimalarith::riscv_sim::{
-    Coprocessor, CpuError, Event, Memory, RetirementRecord, RoccCommand, RoccResponse,
+    Coprocessor, Cpu, CpuError, Memory, RetirementRecord, RoccCommand, RoccResponse, Simulator,
 };
 use decimalarith::testgen::DriverLayout;
 
@@ -128,20 +127,10 @@ fn guest_store_patches_an_executed_instruction_on_another_page() {
     assert_eq!(exit_code_on_every_pair(program), 101);
 }
 
-/// Steps `sim` until the guest exits, returning the exit code.
-fn run_to_exit(sim: &mut dyn LockstepSim) -> i64 {
-    for _ in 0..BUDGET {
-        if let Event::Exited { code } = sim.step_sim().expect("no faults") {
-            return code;
-        }
-    }
-    panic!("{} did not exit within {BUDGET} steps", sim.label());
-}
-
 /// Runs `scenario` on a fresh simulator of every kind with a retirement
 /// observer installed, checks that all three return the same exit code and
 /// retire identical streams, and returns the exit code.
-fn agree_on_every_simulator(scenario: impl Fn(&mut dyn LockstepSim) -> i64) -> i64 {
+fn agree_on_every_simulator(scenario: impl Fn(&mut dyn Simulator) -> i64) -> i64 {
     let mut results: Vec<(SimKind, i64, Vec<RetirementRecord>)> = Vec::new();
     for kind in SimKind::ALL {
         let mut sim = kind.build(false);
@@ -182,13 +171,13 @@ fn harness_write_between_steps_takes_effect() {
     let code = agree_on_every_simulator(|sim| {
         let program = bump_then_exit();
         load_program(sim.cpu_mut(), &program);
-        sim.step_sim().expect("first addi retires");
+        sim.step().expect("first addi retires");
         sim.cpu_mut()
             .memory
             .write_u32(program.entry, patched_word())
             .expect("text is writable");
         sim.cpu_mut().set_pc(program.entry);
-        run_to_exit(sim)
+        sim.run(BUDGET).expect("exits without faults")
     });
     assert_eq!(code, 101);
 }
@@ -230,7 +219,7 @@ fn coprocessor_write_into_text_takes_effect() {
     let code = agree_on_every_simulator(|sim| {
         sim.cpu_mut().attach_coprocessor(Box::new(TextPatcher));
         load_program(sim.cpu_mut(), &program);
-        run_to_exit(sim)
+        sim.run(BUDGET).expect("exits without faults")
     });
     assert_eq!(code, 101);
 }
@@ -256,9 +245,9 @@ fn restoring_a_snapshot_with_other_text_executes_it() {
     let snapshot = source.cpu().snapshot();
     let code = agree_on_every_simulator(|sim| {
         load_program(sim.cpu_mut(), &exit_with(1));
-        assert_eq!(run_to_exit(sim), 1);
+        assert_eq!(sim.run(BUDGET), Ok(1));
         sim.cpu_mut().restore(&snapshot).expect("snapshot restores");
-        run_to_exit(sim)
+        sim.run(BUDGET).expect("exits without faults")
     });
     assert_eq!(code, 2);
 }
@@ -268,18 +257,14 @@ fn replacing_memory_wholesale_executes_the_new_code() {
     let code = agree_on_every_simulator(|sim| {
         let first = exit_with(1);
         load_program(sim.cpu_mut(), &first);
-        assert_eq!(run_to_exit(sim), 1);
-        let mut memory = Memory::new();
-        for segment in exit_with(2).segments() {
-            memory
-                .load_bytes(segment.base, &segment.data)
-                .expect("segment loads");
-        }
+        assert_eq!(sim.run(BUDGET), Ok(1));
+        let mut second = Cpu::new();
+        load_program(&mut second, &exit_with(2));
         let cpu = sim.cpu_mut();
-        cpu.memory = memory;
+        cpu.memory = second.memory;
         cpu.reset();
         cpu.set_pc(first.entry);
-        run_to_exit(sim)
+        sim.run(BUDGET).expect("exits without faults")
     });
     assert_eq!(code, 2);
 }

@@ -17,8 +17,8 @@ use std::rc::Rc;
 use decimalarith::atomic_sim::{AtomicConfig, AtomicSim, AtomicSnapshot};
 use decimalarith::codesign::framework::build_guest;
 use decimalarith::codesign::kernels::KernelKind;
-use decimalarith::lockstep::{guest_budget, load_program, LockstepSim, SimKind};
-use decimalarith::riscv_sim::{Cpu, CpuSnapshot, Event, SnapshotError};
+use decimalarith::lockstep::{guest_budget, load_program, SimKind};
+use decimalarith::riscv_sim::{Cpu, CpuSnapshot, Event, Simulator, SnapshotError};
 use decimalarith::rocc::DecimalAccelerator;
 use decimalarith::rocket_sim::{RocketSim, RocketSnapshot, TimingConfig};
 use decimalarith::testgen::{generate, TestConfig};
@@ -42,18 +42,20 @@ impl Sim {
             }
             SimKind::Rocket => {
                 let mut sim = RocketSim::new(TimingConfig::default());
-                sim.attach_coprocessor(Box::new(DecimalAccelerator::new()));
+                sim.cpu
+                    .attach_coprocessor(Box::new(DecimalAccelerator::new()));
                 Sim::Rocket(Box::new(sim))
             }
             SimKind::Atomic => {
                 let mut sim = AtomicSim::new(AtomicConfig::default());
-                sim.attach_coprocessor(Box::new(DecimalAccelerator::new()));
+                sim.cpu
+                    .attach_coprocessor(Box::new(DecimalAccelerator::new()));
                 Sim::Atomic(Box::new(sim))
             }
         }
     }
 
-    fn dynamic(&mut self) -> &mut dyn LockstepSim {
+    fn dynamic(&mut self) -> &mut dyn Simulator {
         match self {
             Sim::Functional(cpu) => &mut **cpu,
             Sim::Rocket(sim) => &mut **sim,
@@ -91,7 +93,7 @@ fn run_to_exit(sim: &mut Sim, budget: u64) -> (i64, u64) {
     loop {
         assert!(steps < budget, "guest did not exit within the step budget");
         steps += 1;
-        match sim.dynamic().step_sim() {
+        match sim.dynamic().step() {
             Ok(Event::Exited { code }) => return (code, steps),
             Ok(_) => {}
             Err(e) => panic!("unexpected fault after {steps} steps: {e}"),
@@ -102,7 +104,7 @@ fn run_to_exit(sim: &mut Sim, budget: u64) -> (i64, u64) {
 /// Steps exactly `n` times, asserting the guest does not exit early.
 fn run_steps(sim: &mut Sim, n: u64) {
     for step in 0..n {
-        match sim.dynamic().step_sim() {
+        match sim.dynamic().step() {
             Ok(Event::Exited { .. }) => panic!("guest exited early at step {step}"),
             Ok(_) => {}
             Err(e) => panic!("unexpected fault at step {step}: {e}"),
