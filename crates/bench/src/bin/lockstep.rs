@@ -31,15 +31,14 @@
 //! failures (an unreadable journal, a kernel that fails to build) are
 //! reported as typed errors with a nonzero exit, never a panic.
 
-use std::collections::HashMap;
 use std::path::PathBuf;
 
 use codesign::kernels::KernelKind;
 use lockstep::campaign::{run_campaign_journaled, CampaignConfig};
 use lockstep::fuzz::{run_fuzz_journaled, FuzzConfig};
-use lockstep::journal::{Fingerprint, Journal, JournalSpec, Progress};
+use lockstep::journal::{CaseLog, Fingerprint, JournalSpec, Progress};
 use lockstep::rocc_diff::fuzz_rocc_commands;
-use lockstep::{guest_budget, run_guest_pair, LockstepOutcome, Pair, Termination, DEFAULT_CONTEXT};
+use lockstep::{check_guest_all_pairs, guest_budget, Pair};
 use testgen::TestConfig;
 
 struct Options {
@@ -159,9 +158,9 @@ fn progress_line(what: &str, progress: Progress) {
 }
 
 /// Lockstep-checks every kernel over the verification database on every
-/// simulator pair. Returns the number of divergences (budget exhaustion
-/// counts: a guest that never exits within budget is a bounded hang, not
-/// an agreement).
+/// simulator pair. Returns the number of failing pairs
+/// ([`check_guest_all_pairs`]: a divergence, or a guest that never exits
+/// within budget — a bounded hang, not an agreement).
 fn conformance(options: &Options) -> u32 {
     println!(
         "— conformance: {} samples, seed {}, {} kernels × {} pairs",
@@ -184,30 +183,26 @@ fn conformance(options: &Options) -> u32 {
         fp.u64(options.samples as u64).u64(options.seed);
         fp.finish()
     };
-    let mut journaled: HashMap<String, u32> = HashMap::new();
     let spec = options.journal_spec(None);
-    let mut journal = match &spec {
-        None => None,
-        Some(spec) if spec.resume => {
-            let (recovered, file) =
-                Journal::resume(&spec.path, "conformance", fingerprint).unwrap_or_else(|e| die(&e));
-            for line in &recovered.cases {
-                if let Some((slug, count)) = line.split_once(' ') {
-                    if let Ok(count) = count.parse() {
-                        journaled.insert(slug.to_string(), count);
-                    }
-                }
-            }
-            Some(file)
-        }
-        Some(spec) => {
-            Some(Journal::create(&spec.path, "conformance", fingerprint).unwrap_or_else(|e| die(&e)))
+    let mut report = |p| {
+        if spec.is_some() {
+            progress_line("conformance", p);
         }
     };
+    let mut log = CaseLog::open(
+        spec.as_ref(),
+        "conformance",
+        fingerprint,
+        KernelKind::ALL.len(),
+        &mut report,
+    )
+    .unwrap_or_else(|e| die(&e));
     let mut divergences = 0;
-    for (done, kind) in KernelKind::ALL.into_iter().enumerate() {
-        if journaled.get(kind.slug()) == Some(&0) {
+    for kind in KernelKind::ALL {
+        let slug = kind.slug();
+        if log.recovered(slug) == Some("0") {
             println!("  {kind:<16} all pairs agree");
+            log.close_case(slug, None, 0).unwrap_or_else(|e| die(&e));
             continue;
         }
         let guest = match codesign::framework::build_guest(kind, &vectors, 1) {
@@ -215,51 +210,29 @@ fn conformance(options: &Options) -> u32 {
             Err(e) => {
                 divergences += 1;
                 println!("  {kind:<16} BUILD FAILED: {e}");
+                log.close_case(slug, None, 0).unwrap_or_else(|e| die(&e));
                 continue;
             }
         };
-        let mut kernel_divergences = 0;
-        for pair in Pair::ALL {
-            let outcome = run_guest_pair(&guest, pair, DEFAULT_CONTEXT);
-            match outcome {
-                LockstepOutcome::Agreement {
-                    termination: Termination::BudgetExhausted,
-                    ..
-                } => {
-                    kernel_divergences += 1;
-                    println!(
-                        "  {kind:<16} WARNING on {pair}: step budget ({}) exhausted before \
-                         exit — a bounded hang, not a pass",
-                        guest_budget(&guest)
-                    );
-                }
-                outcome if !outcome.is_agreement() => {
-                    kernel_divergences += 1;
-                    println!("  {kind:<16} DIVERGED on {pair}:");
-                    if let Some(divergence) = outcome.divergence() {
-                        println!("{divergence}");
-                    }
-                }
-                _ => {}
+        let failing = check_guest_all_pairs(&guest);
+        for (pair, outcome) in &failing {
+            match outcome.divergence() {
+                Some(divergence) => println!("  {kind:<16} DIVERGED on {pair}:\n{divergence}"),
+                None => println!(
+                    "  {kind:<16} WARNING on {pair}: step budget ({}) exhausted before \
+                     exit — a bounded hang, not a pass",
+                    guest_budget(&guest)
+                ),
             }
         }
-        if kernel_divergences == 0 {
+        if failing.is_empty() {
             println!("  {kind:<16} all pairs agree");
         }
-        divergences += kernel_divergences;
-        if let Some(j) = journal.as_mut() {
-            j.append_case(&[kind.slug(), &kernel_divergences.to_string()])
-                .unwrap_or_else(|e| die(&e));
-            progress_line(
-                "conformance",
-                Progress {
-                    done: done + 1,
-                    total: KernelKind::ALL.len(),
-                    quarantined: 0,
-                },
-            );
-        }
+        divergences += failing.len() as u32;
+        log.close_case(slug, Some(&[&failing.len().to_string()]), 0)
+            .unwrap_or_else(|e| die(&e));
     }
+    log.finish(0);
     divergences
 }
 
@@ -294,7 +267,6 @@ fn faults(options: &Options) -> u32 {
             faults: options.faults,
             instruction_budget: guest_budget(&guest),
             result_words: vectors.len(),
-            ..CampaignConfig::default()
         };
         let spec = options.journal_spec(Some(kind.slug()));
         let label = format!("faults[{}]", kind.slug());

@@ -32,6 +32,12 @@ use testgen::{driver_source, operand_data_section, DriverLayout, TestVector};
 use crate::kernels::{kernel_source, KernelKind};
 use crate::native;
 
+/// Data symbol of the driver's result array: one 64-bit word per sample.
+pub const RESULTS_SYMBOL: &str = "results";
+
+/// Data symbol of the fault-tolerant kernel's degradation counter.
+pub const DEGRADED_SYMBOL: &str = "ft_degraded";
+
 /// A built guest program plus the layout needed to read its results back.
 #[derive(Debug, Clone)]
 pub struct GuestProgram {
@@ -108,7 +114,7 @@ pub fn load_program(cpu: &mut Cpu, program: &Program) {
 fn read_results(memory: &riscv_sim::Memory, guest: &GuestProgram) -> Vec<u64> {
     let base = guest
         .program
-        .symbol("results")
+        .symbol(RESULTS_SYMBOL)
         .expect("driver defines results");
     (0..guest.layout.count)
         .map(|i| {
@@ -195,7 +201,7 @@ fn loop_region(markers: &[Marker]) -> Result<(u64, u64), RunError> {
 /// one (`None` for kernels without fault tolerance).
 #[must_use]
 pub fn read_degradation(memory: &riscv_sim::Memory, guest: &GuestProgram) -> Option<u64> {
-    let base = guest.program.symbol("ft_degraded")?;
+    let base = guest.program.symbol(DEGRADED_SYMBOL)?;
     memory.read_u64(base).ok()
 }
 

@@ -24,21 +24,27 @@
 //!
 //! The plan is drawn deterministically from a [`SplitMix64`] seed, so a
 //! campaign is exactly reproducible from `(program, seed, faults)`.
+//!
+//! Every replay is bounded by the instruction budget and by a cap of 4,096
+//! mapped guest pages (16 MiB; a fault can turn a store loop into a memory
+//! hog). A replay that exhausts either, dies on a fault its guest does not
+//! handle, or livelocks on a wedged accelerator is *quarantined*: logged
+//! and skipped, so the campaign still classifies the rest. A replay is a
+//! fresh core and accelerator running the same program, so it is
+//! deterministic; a quarantined case would end the same way again and is
+//! never retried.
 
 use std::cell::Cell;
-use std::collections::HashMap;
 use std::rc::Rc;
-use std::time::Duration;
 
 use riscv_asm::Program;
 use riscv_isa::csr::cause;
-use riscv_sim::{Coprocessor, Cpu, CpuError, Memory, RoccCommand, RoccResponse};
+use riscv_sim::{Coprocessor, Cpu, CpuError, Event, Memory, RoccCommand, RoccResponse};
 use rocc::{DecimalAccelerator, DecimalFunct};
 
 use crate::fuzz::SplitMix64;
-use codesign::framework::load_program;
-use crate::journal::{Fingerprint, Journal, JournalError, JournalSpec, Progress};
-use crate::supervisor::{run_case, supervise, CaseBudget, RetryPolicy, RunOutcome, WedgeReason};
+use crate::journal::{CaseLog, Fingerprint, JournalError, JournalSpec, Progress};
+use codesign::framework::{load_program, DEGRADED_SYMBOL, RESULTS_SYMBOL};
 
 /// One single-bit (or single-latch) fault in accelerator state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -282,25 +288,10 @@ pub struct CampaignConfig {
     pub faults: usize,
     /// Instruction budget per replay (a replay must never hang the host).
     pub instruction_budget: u64,
-    /// Data symbol holding the guest's results, compared word-for-word
-    /// against the golden run to tell masked from corrupted.
-    pub results_symbol: Option<String>,
-    /// Number of 64-bit words under `results_symbol`.
+    /// Number of 64-bit words under the guest's
+    /// [`RESULTS_SYMBOL`], compared
+    /// word for word against the golden run to tell masked from corrupted.
     pub result_words: usize,
-    /// Data symbol of a degradation counter (fault-tolerant kernels); an
-    /// advance past the golden value counts as in-band detection.
-    pub degraded_symbol: Option<String>,
-    /// Cap on mapped guest pages per replay (a fault can turn a store
-    /// loop into a memory hog).
-    pub memory_page_cap: Option<usize>,
-    /// Wall-clock budget per replay attempt, if any.
-    pub wall_clock: Option<Duration>,
-    /// Attempts (first run included) granted to a replay that wedges
-    /// before it is quarantined.
-    pub max_wedge_attempts: u32,
-    /// Backoff before the first wedge retry (doubling); zero disables
-    /// sleeping.
-    pub retry_backoff: Duration,
 }
 
 impl Default for CampaignConfig {
@@ -309,20 +300,14 @@ impl Default for CampaignConfig {
             seed: 2019,
             faults: 500,
             instruction_budget: 2_000_000,
-            results_symbol: Some("results".to_string()),
             result_words: 0,
-            degraded_symbol: Some("ft_degraded".to_string()),
-            memory_page_cap: Some(4096),
-            wall_clock: None,
-            max_wedge_attempts: 3,
-            retry_backoff: Duration::from_millis(10),
         }
     }
 }
 
 /// A planned fault whose replay never produced a classifiable completion:
-/// it stayed wedged through every granted attempt, exhausted a budget, or
-/// died on an unhandled fault. The campaign logs it and moves on.
+/// it livelocked on a wedged accelerator, exhausted a budget, or died on an
+/// unhandled fault. The campaign logs it and moves on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuarantinedCase {
     /// Position in the campaign plan.
@@ -331,9 +316,8 @@ pub struct QuarantinedCase {
     pub at_command: u64,
     /// What was flipped.
     pub target: FaultTarget,
-    /// Attempts consumed before giving up.
-    pub attempts: u32,
-    /// The final attempt's [`RunOutcome`] token.
+    /// How the replay ended, as a stable space-free token (for example
+    /// `wedged:livelock` or `fuel-exhausted:20000`).
     pub outcome: String,
 }
 
@@ -341,8 +325,8 @@ impl std::fmt::Display for QuarantinedCase {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "fault {} before command {} quarantined after {} attempt(s): {}",
-            self.target, self.at_command, self.attempts, self.outcome
+            "fault {} before command {} quarantined: {}",
+            self.target, self.at_command, self.outcome
         )
     }
 }
@@ -357,9 +341,9 @@ pub struct CampaignReport {
     pub golden_exit: i64,
     /// One record per classified fault, in plan order.
     pub records: Vec<FaultRecord>,
-    /// Faults whose replays never completed: wedged past the retry bound,
-    /// over a budget, or dead on an unhandled fault. Each is a logged
-    /// skip — the campaign still completes and classifies the rest.
+    /// Faults whose replays never completed: livelocked, over a budget, or
+    /// dead on an unhandled fault. Each is a logged skip — the campaign
+    /// still completes and classifies the rest.
     pub quarantined: Vec<QuarantinedCase>,
     /// Campaign-level failures (golden run failed, no commands to inject
     /// into). A sound setup leaves this empty.
@@ -402,15 +386,15 @@ impl CampaignReport {
     }
 }
 
-fn read_words(memory: &Memory, program: &Program, symbol: &str, words: usize) -> Option<Vec<u64>> {
-    let base = program.symbol(symbol)?;
+fn read_words(memory: &Memory, program: &Program, words: usize) -> Option<Vec<u64>> {
+    let base = program.symbol(RESULTS_SYMBOL)?;
     (0..words)
         .map(|i| memory.read_u64(base + 8 * i as u64).ok())
         .collect()
 }
 
-fn read_counter(memory: &Memory, program: &Program, symbol: &str) -> Option<u64> {
-    memory.read_u64(program.symbol(symbol)?).ok()
+fn read_counter(memory: &Memory, program: &Program) -> Option<u64> {
+    memory.read_u64(program.symbol(DEGRADED_SYMBOL)?).ok()
 }
 
 fn sample_target(rng: &mut SplitMix64) -> FaultTarget {
@@ -426,6 +410,111 @@ fn sample_target(rng: &mut SplitMix64) -> FaultTarget {
     }
 }
 
+/// Mapped 4 KiB guest pages a replay may hold (16 MiB of guest memory).
+const MEMORY_PAGE_CAP: usize = 4096;
+
+/// Why a replay counts as wedged.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum WedgeReason {
+    /// The core's RoCC busy-watchdog aborted a hung accelerator handshake
+    /// and no trap vector was armed ([`CpuError::RoccTimeout`]).
+    WatchdogAbort,
+    /// Fuel ran out while the trap log shows the guest spinning on
+    /// watchdog traps — it is retrying a permanently wedged accelerator.
+    Livelock,
+}
+
+/// Every way a replay can end. Exactly one variant per run — the taxonomy
+/// is total, so campaign code never needs a catch-all panic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RunOutcome {
+    /// The guest exited with this code.
+    Completed { exit_code: i64 },
+    /// The instruction fuel ran out with no sign of an accelerator wedge.
+    FuelExhausted { fuel: u64 },
+    /// The guest mapped more pages than [`MEMORY_PAGE_CAP`].
+    MemCapExceeded { pages: usize },
+    /// The guest died on an architectural fault it did not handle.
+    Trapped { error: CpuError },
+    /// The replay is wedged.
+    Wedged { reason: WedgeReason },
+}
+
+impl RunOutcome {
+    /// Space-free stable token for journal records.
+    fn token(&self) -> String {
+        match self {
+            RunOutcome::Completed { exit_code } => format!("completed:{exit_code}"),
+            RunOutcome::FuelExhausted { fuel } => format!("fuel-exhausted:{fuel}"),
+            RunOutcome::MemCapExceeded { pages } => {
+                format!("mem-cap:{pages}/{MEMORY_PAGE_CAP}")
+            }
+            RunOutcome::Trapped { error } => format!("fault:{}", error_token(error)),
+            RunOutcome::Wedged { reason } => format!(
+                "wedged:{}",
+                match reason {
+                    WedgeReason::WatchdogAbort => "watchdog",
+                    WedgeReason::Livelock => "livelock",
+                }
+            ),
+        }
+    }
+}
+
+/// Compact space-free rendering of a [`CpuError`] for outcome tokens.
+fn error_token(error: &CpuError) -> String {
+    match *error {
+        CpuError::UnmappedAddress(a) => format!("unmapped@{a:#x}"),
+        CpuError::FetchFault(a) => format!("fetch@{a:#x}"),
+        CpuError::MisalignedPc(a) => format!("misaligned-pc@{a:#x}"),
+        CpuError::Decode(_) => "decode".to_string(),
+        CpuError::UnknownSyscall(n) => format!("syscall:{n}"),
+        CpuError::Breakpoint(a) => format!("breakpoint@{a:#x}"),
+        CpuError::ReadOnlyCsr(c) => format!("readonly-csr:{c:#x}"),
+        CpuError::NoCoprocessor { funct7 } => format!("no-coproc:{funct7}"),
+        CpuError::UnknownRoccFunction { funct7 } => format!("unknown-rocc:{funct7}"),
+        CpuError::RoccProtocol(_) => "rocc-protocol".to_string(),
+        CpuError::MissingRoccResponse { funct7 } => format!("missing-rocc-resp:{funct7}"),
+        CpuError::RoccTimeout { funct7, .. } => format!("rocc-timeout:{funct7}"),
+        CpuError::InstructionLimit(n) => format!("instruction-limit:{n}"),
+        _ => "other".to_string(),
+    }
+}
+
+/// Steps `cpu` for at most `fuel` instructions until it exits, faults,
+/// wedges, or maps more than [`MEMORY_PAGE_CAP`] pages, and classifies the
+/// ending. Never panics, never loops forever: every path out is a
+/// [`RunOutcome`].
+fn run_case(cpu: &mut Cpu, fuel: u64) -> RunOutcome {
+    for _ in 0..fuel {
+        match cpu.step() {
+            Ok(Event::Exited { code }) => return RunOutcome::Completed { exit_code: code },
+            Ok(_) => {}
+            Err(CpuError::RoccTimeout { .. }) => {
+                return RunOutcome::Wedged {
+                    reason: WedgeReason::WatchdogAbort,
+                }
+            }
+            Err(error) => return RunOutcome::Trapped { error },
+        }
+        let pages = cpu.memory.mapped_pages();
+        if pages > MEMORY_PAGE_CAP {
+            return RunOutcome::MemCapExceeded { pages };
+        }
+    }
+    // Fuel is gone. If the trap log shows the watchdog fired, the guest
+    // was spinning on a permanently wedged accelerator (each retry gets a
+    // benign response from the sticky Error state, so it never converges);
+    // that is a wedge, not an honest long computation.
+    if cpu.trap_log.iter().any(|t| t.cause == cause::ROCC_TIMEOUT) {
+        RunOutcome::Wedged {
+            reason: WedgeReason::Livelock,
+        }
+    } else {
+        RunOutcome::FuelExhausted { fuel }
+    }
+}
+
 /// The golden run's observables, against which every replay is judged.
 struct GoldenBaseline {
     exit: i64,
@@ -433,24 +522,16 @@ struct GoldenBaseline {
     degraded: Option<u64>,
 }
 
-/// How one supervised replay ended.
+/// How one replay ended.
 enum CaseResult {
     /// The replay completed (or was watchdog-bounded) and was classified.
     Classified(FaultOutcome),
-    /// The replay never completed; logged and skipped.
-    Quarantined {
-        attempts: u32,
-        outcome: RunOutcome,
-    },
-    /// A quarantine decision reconstructed from the journal: only the
-    /// stable outcome token survives the round trip.
-    QuarantinedReplayed {
-        attempts: u32,
-        token: String,
-    },
+    /// The replay never completed; logged and skipped. Holds the
+    /// [`RunOutcome`] token, the only part that survives the journal.
+    Quarantined(String),
 }
 
-/// Runs one fault replay under the supervisor and classifies it.
+/// Runs one fault replay on a fresh core and accelerator and classifies it.
 fn replay_case(
     program: &Program,
     config: &CampaignConfig,
@@ -458,40 +539,15 @@ fn replay_case(
     at_command: u64,
     target: FaultTarget,
 ) -> CaseResult {
-    let budget = CaseBudget {
-        instruction_fuel: config.instruction_budget,
-        memory_pages: config.memory_page_cap,
-        wall_clock: config.wall_clock,
-    };
-    let policy = RetryPolicy {
-        max_attempts: config.max_wedge_attempts,
-        backoff: config.retry_backoff,
-    };
-    // Each attempt builds a fresh core and accelerator, so a wedge cannot
-    // leak state into its own retry; the last attempt's machine is kept
-    // for classification.
-    let mut last: Option<(Cpu, FaultProbe)> = None;
-    let run = supervise(&policy, || {
-        let (accelerator, probe) = FaultInjectingAccelerator::new(target, at_command);
-        let mut cpu = Cpu::new();
-        cpu.attach_coprocessor(Box::new(accelerator));
-        load_program(&mut cpu, program);
-        let outcome = run_case(&mut cpu, &budget);
-        last = Some((cpu, probe));
-        outcome
-    });
-    let (cpu, probe) = last.expect("supervise runs the attempt at least once");
-    match run.outcome {
+    let (accelerator, probe) = FaultInjectingAccelerator::new(target, at_command);
+    let mut cpu = Cpu::new();
+    cpu.attach_coprocessor(Box::new(accelerator));
+    load_program(&mut cpu, program);
+    match run_case(&mut cpu, config.instruction_budget) {
         RunOutcome::Completed { exit_code } => {
             let watchdog_trapped = cpu.trap_log.iter().any(|t| t.cause == cause::ROCC_TIMEOUT);
-            let results = config
-                .results_symbol
-                .as_deref()
-                .and_then(|s| read_words(&cpu.memory, program, s, config.result_words));
-            let degraded = config
-                .degraded_symbol
-                .as_deref()
-                .and_then(|s| read_counter(&cpu.memory, program, s));
+            let results = read_words(&cpu.memory, program, config.result_words);
+            let degraded = read_counter(&cpu.memory, program);
             let corrupted = exit_code != golden.exit || results != golden.results;
             let in_band = probe.stat_detected()
                 || matches!((golden.degraded, degraded), (Some(g), Some(d)) if d > g);
@@ -510,26 +566,18 @@ fn replay_case(
         RunOutcome::Wedged {
             reason: WedgeReason::WatchdogAbort,
         } => CaseResult::Classified(FaultOutcome::CaughtByWatchdog),
-        outcome => CaseResult::Quarantined {
-            attempts: run.attempts,
-            outcome,
-        },
+        outcome => CaseResult::Quarantined(outcome.token()),
     }
 }
 
 /// Binds a journal to everything that shapes the campaign's case stream:
-/// the plan parameters, the classification symbols, the quarantine bounds,
-/// and the program itself.
+/// the plan parameters, the budget, and the program itself.
 fn campaign_fingerprint(program: &Program, config: &CampaignConfig) -> u64 {
     let mut fp = Fingerprint::new("faults");
     fp.u64(config.seed)
         .u64(config.faults as u64)
         .u64(config.instruction_budget)
         .u64(config.result_words as u64)
-        .bytes(config.results_symbol.as_deref().unwrap_or("").as_bytes())
-        .bytes(config.degraded_symbol.as_deref().unwrap_or("").as_bytes())
-        .u64(config.memory_page_cap.map_or(u64::MAX, |c| c as u64))
-        .u64(u64::from(config.max_wedge_attempts))
         .u64(program.entry);
     for segment in program.segments() {
         fp.u64(segment.base).bytes(&segment.data);
@@ -537,43 +585,20 @@ fn campaign_fingerprint(program: &Program, config: &CampaignConfig) -> u64 {
     fp.finish()
 }
 
-/// One parsed journal line: `(at_command, target token, outcome field)`.
-type JournaledCase = (u64, String, String);
-
-fn parse_journaled_cases(lines: &[String]) -> HashMap<usize, JournaledCase> {
-    let mut cases = HashMap::new();
-    for line in lines {
-        let fields: Vec<&str> = line.split(' ').collect();
-        if let [index, at_command, target, outcome] = fields[..] {
-            if let (Ok(index), Ok(at_command)) = (index.parse(), at_command.parse()) {
-                // Later lines win: a re-run after a rejected replay
-                // supersedes the stale record.
-                cases.insert(index, (at_command, target.to_string(), outcome.to_string()));
-            }
-        }
-    }
-    cases
-}
-
-/// Reconstructs the in-memory result of a journaled case, if its plan
-/// coordinates still match and its outcome field parses.
-fn replay_from_journal(
-    entry: &JournaledCase,
-    at_command: u64,
-    target: FaultTarget,
-) -> Option<CaseResult> {
-    let (journaled_at, journaled_target, outcome) = entry;
-    if *journaled_at != at_command || *journaled_target != target.token() {
+/// Reconstructs the result of a journaled case from its fields
+/// (`<at_command> <target> <outcome>`), if its plan coordinates still match
+/// and its outcome field parses.
+fn replay_from_journal(fields: &str, at_command: u64, target: FaultTarget) -> Option<CaseResult> {
+    let [journaled_at, journaled_target, outcome] = fields.split(' ').collect::<Vec<_>>()[..]
+    else {
+        return None;
+    };
+    if journaled_at.parse() != Ok(at_command) || journaled_target != target.token() {
         return None;
     }
-    if let Some(rest) = outcome.strip_prefix("quarantined:") {
-        let (attempts, token) = rest.split_once(':')?;
-        Some(CaseResult::QuarantinedReplayed {
-            attempts: attempts.parse().ok()?,
-            token: token.to_string(),
-        })
-    } else {
-        FaultOutcome::from_token(outcome).map(CaseResult::Classified)
+    match outcome.strip_prefix("quarantined:") {
+        Some(token) => Some(CaseResult::Quarantined(token.to_string())),
+        None => FaultOutcome::from_token(outcome).map(CaseResult::Classified),
     }
 }
 
@@ -630,14 +655,8 @@ pub fn run_campaign_journaled(
     let total_commands = probe.commands_seen();
     let golden = GoldenBaseline {
         exit: golden_exit,
-        results: config
-            .results_symbol
-            .as_deref()
-            .and_then(|s| read_words(&cpu.memory, program, s, config.result_words)),
-        degraded: config
-            .degraded_symbol
-            .as_deref()
-            .and_then(|s| read_counter(&cpu.memory, program, s)),
+        results: read_words(&cpu.memory, program, config.result_words),
+        degraded: read_counter(&cpu.memory, program),
     };
     if total_commands == 0 {
         return Ok(CampaignReport {
@@ -649,20 +668,9 @@ pub fn run_campaign_journaled(
         });
     }
 
-    // ---- journal recovery ----
-    let fingerprint = campaign_fingerprint(program, config);
-    let mut journaled = HashMap::new();
-    let mut journal_file = match journal {
-        None => None,
-        Some(spec) if spec.resume => {
-            let (recovered, file) = Journal::resume(&spec.path, "faults", fingerprint)?;
-            journaled = parse_journaled_cases(&recovered.cases);
-            Some(file)
-        }
-        Some(spec) => Some(Journal::create(&spec.path, "faults", fingerprint)?),
-    };
-
     // ---- planned replays ----
+    let fingerprint = campaign_fingerprint(program, config);
+    let mut log = CaseLog::open(journal, "faults", fingerprint, config.faults, progress)?;
     let mut rng = SplitMix64::new(config.seed);
     let mut records = Vec::with_capacity(config.faults);
     let mut quarantined = Vec::new();
@@ -671,17 +679,14 @@ pub fn run_campaign_journaled(
         // stream stays aligned with the uninterrupted run.
         let at_command = rng.below(total_commands);
         let target = sample_target(&mut rng);
-        let (result, from_journal) = match journaled
-            .get(&index)
-            .and_then(|entry| replay_from_journal(entry, at_command, target))
+        let key = index.to_string();
+        let journaled = log
+            .recovered(&key)
+            .and_then(|fields| replay_from_journal(fields, at_command, target));
+        let ran = journaled.is_none();
+        let outcome_field = match journaled
+            .unwrap_or_else(|| replay_case(program, config, &golden, at_command, target))
         {
-            Some(result) => (result, true),
-            None => (
-                replay_case(program, config, &golden, at_command, target),
-                false,
-            ),
-        };
-        let outcome_field = match result {
             CaseResult::Classified(outcome) => {
                 records.push(FaultRecord {
                     at_command,
@@ -690,57 +695,21 @@ pub fn run_campaign_journaled(
                 });
                 outcome.to_string()
             }
-            CaseResult::Quarantined { attempts, outcome } => {
-                let token = outcome.token();
+            CaseResult::Quarantined(token) => {
+                let field = format!("quarantined:{token}");
                 quarantined.push(QuarantinedCase {
                     index,
                     at_command,
                     target,
-                    attempts,
-                    outcome: token.clone(),
+                    outcome: token,
                 });
-                format!("quarantined:{attempts}:{token}")
-            }
-            CaseResult::QuarantinedReplayed { attempts, token } => {
-                quarantined.push(QuarantinedCase {
-                    index,
-                    at_command,
-                    target,
-                    attempts,
-                    outcome: token.clone(),
-                });
-                format!("quarantined:{attempts}:{token}")
+                field
             }
         };
-        if let Some(j) = journal_file.as_mut() {
-            if !from_journal {
-                j.append_case(&[
-                    &index.to_string(),
-                    &at_command.to_string(),
-                    &target.token(),
-                    &outcome_field,
-                ])?;
-            }
-        }
-        let done = index + 1;
-        if let Some(spec) = journal {
-            if spec.checkpoint_every > 0 && done.is_multiple_of(spec.checkpoint_every) {
-                if let (Some(j), false) = (journal_file.as_mut(), from_journal) {
-                    j.checkpoint(done)?;
-                }
-                progress(Progress {
-                    done,
-                    total: config.faults,
-                    quarantined: quarantined.len(),
-                });
-            }
-        }
+        let fields: [&str; 3] = [&at_command.to_string(), &target.token(), &outcome_field];
+        log.close_case(&key, ran.then_some(&fields[..]), quarantined.len())?;
     }
-    progress(Progress {
-        done: config.faults,
-        total: config.faults,
-        quarantined: quarantined.len(),
-    });
+    log.finish(quarantined.len());
     Ok(CampaignReport {
         total_commands,
         golden_exit,
@@ -835,33 +804,31 @@ mod tests {
         .unwrap()
     }
 
-    #[test]
-    fn wedged_case_is_quarantined_and_the_campaign_completes() {
-        let program = retrying_guest();
-        let config = CampaignConfig {
+    /// The campaign of `wedged_case_is_quarantined_and_the_campaign_completes`.
+    fn retrying_config() -> CampaignConfig {
+        CampaignConfig {
             faults: 40,
             result_words: 1,
             instruction_budget: 20_000,
-            max_wedge_attempts: 3,
-            retry_backoff: Duration::ZERO,
             ..CampaignConfig::default()
-        };
+        }
+    }
+
+    #[test]
+    fn wedged_case_is_quarantined_and_the_campaign_completes() {
+        let program = retrying_guest();
+        let config = retrying_config();
         let report = run_campaign(&program, &config);
         assert!(report.ok(), "{:?}", report.errors);
         // Every planned fault is accounted for: classified or quarantined.
         assert_eq!(report.records.len() + report.quarantined.len(), 40);
-        assert!(
-            !report.quarantined.is_empty(),
-            "FSM wedges against a retrying guest must quarantine"
-        );
-        // A wedge livelocks the retry loop: the supervisor burns all its
-        // attempts before giving up.
+        // A wedge livelocks the guest's retry loop until the fuel runs out.
         assert!(
             report
                 .quarantined
                 .iter()
-                .any(|q| q.attempts == 3 && q.outcome == "wedged:livelock"),
-            "{:?}",
+                .any(|q| q.outcome == "wedged:livelock"),
+            "FSM wedges against a retrying guest must quarantine: {:?}",
             report.quarantined
         );
         // The quarantine did not eat the ordinary classes.
@@ -872,50 +839,63 @@ mod tests {
 
     #[test]
     fn journaled_campaign_resumes_to_an_identical_report() {
-        let program = add_guest();
-        let config = CampaignConfig {
+        let add_config = CampaignConfig {
             faults: 30,
             result_words: 1,
             ..CampaignConfig::default()
         };
-        let mut path = std::env::temp_dir();
-        path.push(format!("campaign-unit-{}.journal", std::process::id()));
-        let spec = JournalSpec {
-            path: path.clone(),
-            resume: false,
-            checkpoint_every: 7,
-        };
-        let full = run_campaign_journaled(&program, &config, Some(&spec), &mut |_| {}).unwrap();
-        // Truncate the journal to a prefix (simulating a crash), then
-        // resume: the report must come out identical.
-        let bytes = std::fs::read(&path).unwrap();
-        let cut: usize = bytes.len() / 2;
-        std::fs::write(&path, &bytes[..cut]).unwrap();
-        let resume = JournalSpec {
-            path: path.clone(),
-            resume: true,
-            checkpoint_every: 7,
-        };
-        let mut progress_calls = 0;
-        let resumed =
-            run_campaign_journaled(&program, &config, Some(&resume), &mut |_| progress_calls += 1)
-                .unwrap();
-        assert_eq!(resumed, full);
-        assert!(progress_calls > 0);
-        // A second resume over the now-complete journal is pure replay.
-        let replayed =
-            run_campaign_journaled(&program, &config, Some(&resume), &mut |_| {}).unwrap();
-        assert_eq!(replayed, full);
-        // A different seed must refuse the journal.
-        let other = CampaignConfig {
-            seed: 7,
-            ..config.clone()
-        };
-        assert!(matches!(
-            run_campaign_journaled(&program, &other, Some(&resume), &mut |_| {}),
-            Err(JournalError::Fingerprint { .. })
-        ));
-        std::fs::remove_file(&path).unwrap();
+        // The second input quarantines cases, so its journal carries
+        // quarantine lines that the resumed run must read back.
+        for (tag, program, config) in [
+            ("add", add_guest(), add_config),
+            ("retrying", retrying_guest(), retrying_config()),
+        ] {
+            let mut path = std::env::temp_dir();
+            path.push(format!("campaign-unit-{tag}-{}.journal", std::process::id()));
+            let spec = JournalSpec {
+                path: path.clone(),
+                resume: false,
+                checkpoint_every: 7,
+            };
+            let full =
+                run_campaign_journaled(&program, &config, Some(&spec), &mut |_| {}).unwrap();
+            // Truncate the journal to a prefix (simulating a crash), then
+            // resume: the report must come out identical.
+            let bytes = std::fs::read(&path).unwrap();
+            let cut: usize = bytes.len() / 2;
+            std::fs::write(&path, &bytes[..cut]).unwrap();
+            if tag == "retrying" {
+                assert!(!full.quarantined.is_empty());
+                let kept = String::from_utf8_lossy(&bytes[..cut]);
+                assert!(kept.contains(" quarantined:"), "{kept}");
+            }
+            let resume = JournalSpec {
+                path: path.clone(),
+                resume: true,
+                checkpoint_every: 7,
+            };
+            let mut progress_calls = 0;
+            let resumed = run_campaign_journaled(&program, &config, Some(&resume), &mut |_| {
+                progress_calls += 1;
+            })
+            .unwrap();
+            assert_eq!(resumed, full, "{tag}");
+            assert!(progress_calls > 0);
+            // A second resume over the now-complete journal is pure replay.
+            let replayed =
+                run_campaign_journaled(&program, &config, Some(&resume), &mut |_| {}).unwrap();
+            assert_eq!(replayed, full, "{tag}");
+            // A different seed must refuse the journal.
+            let other = CampaignConfig {
+                seed: 7,
+                ..config.clone()
+            };
+            assert!(matches!(
+                run_campaign_journaled(&program, &other, Some(&resume), &mut |_| {}),
+                Err(JournalError::Fingerprint { .. })
+            ));
+            std::fs::remove_file(&path).unwrap();
+        }
     }
 
     #[test]
@@ -936,5 +916,82 @@ mod tests {
         assert!(tally.caught_by_watchdog > 0, "{tally:?}");
         assert!(tally.silent_data_corruption > 0, "{tally:?}");
         assert!(tally.masked > 0, "{tally:?}");
+    }
+
+    fn run_source(source: &str, fuel: u64) -> RunOutcome {
+        let program = assemble(source).unwrap();
+        let mut cpu = Cpu::new();
+        load_program(&mut cpu, &program);
+        run_case(&mut cpu, fuel)
+    }
+
+    #[test]
+    fn clean_exit_is_completed() {
+        let outcome = run_source("start:\n    li a0, 7\n    li a7, 93\n    ecall\n", 1_000);
+        assert_eq!(outcome, RunOutcome::Completed { exit_code: 7 });
+        assert_eq!(outcome.token(), "completed:7");
+    }
+
+    #[test]
+    fn infinite_loop_exhausts_fuel() {
+        let outcome = run_source("start:\n    j start\n", 500);
+        assert_eq!(outcome, RunOutcome::FuelExhausted { fuel: 500 });
+    }
+
+    #[test]
+    fn unhandled_fault_is_trapped() {
+        let outcome = run_source("start:\n    li t0, 0x666000\n    ld a0, 0(t0)\n", 1_000);
+        assert_eq!(
+            outcome,
+            RunOutcome::Trapped {
+                error: CpuError::UnmappedAddress(0x66_6000)
+            }
+        );
+        assert_eq!(outcome.token(), "fault:unmapped@0x666000");
+    }
+
+    #[test]
+    fn page_cap_stops_a_memory_hog() {
+        // Store to a fresh page each iteration, forever.
+        let outcome = run_source(
+            "
+            start:
+                li t0, 0x100000
+                li t1, 4096
+            loop:
+                sd zero, 0(t0)
+                add t0, t0, t1
+                j loop
+            ",
+            100_000,
+        );
+        assert_eq!(
+            outcome,
+            RunOutcome::MemCapExceeded {
+                pages: MEMORY_PAGE_CAP + 1
+            }
+        );
+        assert_eq!(outcome.token(), format!("mem-cap:{}/4096", MEMORY_PAGE_CAP + 1));
+    }
+
+    #[test]
+    fn outcome_tokens_are_space_free() {
+        let outcomes = [
+            RunOutcome::Completed { exit_code: -1 },
+            RunOutcome::FuelExhausted { fuel: 10 },
+            RunOutcome::MemCapExceeded { pages: 20 },
+            RunOutcome::Trapped {
+                error: CpuError::RoccProtocol("x"),
+            },
+            RunOutcome::Wedged {
+                reason: WedgeReason::WatchdogAbort,
+            },
+            RunOutcome::Wedged {
+                reason: WedgeReason::Livelock,
+            },
+        ];
+        for outcome in outcomes {
+            assert!(!outcome.token().contains(' '), "{}", outcome.token());
+        }
     }
 }

@@ -11,7 +11,7 @@ use riscv_asm::assemble;
 
 use crate::compare::{Divergence, LockstepOptions, LockstepOutcome};
 use crate::guest::{run_program_pair, Pair};
-use crate::journal::{Fingerprint, Journal, JournalError, JournalSpec, Progress};
+use crate::journal::{CaseLog, Fingerprint, JournalError, JournalSpec, Progress};
 
 /// A tiny deterministic generator (splitmix64) — the fuzzer's only source
 /// of randomness, so every program is reproducible from its seed.
@@ -502,6 +502,15 @@ fn fuzz_fingerprint(config: &FuzzConfig) -> u64 {
     fp.finish()
 }
 
+/// The `(instructions, pairs)` of a journaled program that ran clean
+/// (fields `<instructions> <pairs> <failures>` with zero failures).
+fn clean_program(fields: &str) -> Option<(u64, u64)> {
+    let [instructions, pairs, "0"] = fields.split(' ').collect::<Vec<_>>()[..] else {
+        return None;
+    };
+    Some((instructions.parse().ok()?, pairs.parse().ok()?))
+}
+
 /// Runs the fuzzing campaign with an optional write-ahead journal and
 /// progress callback.
 ///
@@ -527,31 +536,13 @@ pub fn run_fuzz_journaled(
         max_instructions: config.max_instructions,
         ..LockstepOptions::default()
     };
-    let fingerprint = fuzz_fingerprint(config);
-    // index -> (instructions, pairs, failure count)
-    let mut journaled: std::collections::HashMap<u32, (u64, u64, usize)> =
-        std::collections::HashMap::new();
-    let mut journal_file = match journal {
-        None => None,
-        Some(spec) if spec.resume => {
-            let (recovered, file) = Journal::resume(&spec.path, "fuzz", fingerprint)?;
-            for line in &recovered.cases {
-                let fields: Vec<&str> = line.split(' ').collect();
-                if let [index, instructions, pairs, failures] = fields[..] {
-                    if let (Ok(i), Ok(n), Ok(p), Ok(f)) = (
-                        index.parse(),
-                        instructions.parse(),
-                        pairs.parse(),
-                        failures.parse(),
-                    ) {
-                        journaled.insert(i, (n, p, f));
-                    }
-                }
-            }
-            Some(file)
-        }
-        Some(spec) => Some(Journal::create(&spec.path, "fuzz", fingerprint)?),
-    };
+    let mut log = CaseLog::open(
+        journal,
+        "fuzz",
+        fuzz_fingerprint(config),
+        config.programs as usize,
+        progress,
+    )?;
     let mut report = FuzzReport {
         programs_run: 0,
         pairs_checked: 0,
@@ -560,51 +551,30 @@ pub fn run_fuzz_journaled(
     };
     let mut failed_programs = 0usize;
     for index in 0..config.programs {
+        let key = index.to_string();
         // A journaled clean program is credited without re-running; a
         // journaled diverged program re-runs to regenerate its shrunk
         // failure (the run is deterministic, so the journal only needs
         // the fact of the failure, not its details).
-        let from_journal = matches!(journaled.get(&index), Some(&(_, _, 0)));
-        if from_journal {
-            let &(instructions, pairs, _) = journaled.get(&index).expect("checked above");
+        if let Some((instructions, pairs)) = log.recovered(&key).and_then(clean_program) {
             report.instructions_checked += instructions;
             report.pairs_checked += pairs;
+            log.close_case(&key, None, failed_programs)?;
         } else {
             let result = fuzz_program(config, &options, index);
             report.pairs_checked += result.pairs_checked;
             report.instructions_checked += result.instructions_checked;
             failed_programs += usize::from(!result.failures.is_empty());
-            if let Some(j) = journal_file.as_mut() {
-                if !journaled.contains_key(&index) {
-                    j.append_case(&[
-                        &index.to_string(),
-                        &result.instructions_checked.to_string(),
-                        &result.pairs_checked.to_string(),
-                        &result.failures.len().to_string(),
-                    ])?;
-                }
-            }
+            let fields: [&str; 3] = [
+                &result.instructions_checked.to_string(),
+                &result.pairs_checked.to_string(),
+                &result.failures.len().to_string(),
+            ];
+            log.close_case(&key, Some(&fields), failed_programs)?;
             report.failures.extend(result.failures);
         }
         report.programs_run += 1;
-        let done = (index + 1) as usize;
-        if let Some(spec) = journal {
-            if spec.checkpoint_every > 0 && done.is_multiple_of(spec.checkpoint_every) {
-                if let (Some(j), false) = (journal_file.as_mut(), from_journal) {
-                    j.checkpoint(done)?;
-                }
-                progress(Progress {
-                    done,
-                    total: config.programs as usize,
-                    quarantined: failed_programs,
-                });
-            }
-        }
     }
-    progress(Progress {
-        done: config.programs as usize,
-        total: config.programs as usize,
-        quarantined: failed_programs,
-    });
+    log.finish(failed_programs);
     Ok(report)
 }

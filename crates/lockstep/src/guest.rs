@@ -9,7 +9,7 @@ use riscv_sim::{Cpu, Simulator};
 use rocc::DecimalAccelerator;
 use testgen::TestVector;
 
-use crate::compare::{run_lockstep, LockstepOptions, LockstepOutcome};
+use crate::compare::{run_lockstep, LockstepOptions, LockstepOutcome, Termination, DEFAULT_CONTEXT};
 
 /// Which simulator plays one side of a lockstep pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,9 +115,30 @@ pub fn run_guest_pair(guest: &GuestProgram, pair: Pair, context: usize) -> Locks
     run_program_pair(&guest.program, pair, true, &options)
 }
 
-/// Builds the guest for `kind` over `vectors` and lockstep-checks it on
-/// every simulator pair, returning the first divergence (if any) with the
-/// pair it occurred on.
+/// Lockstep-checks `guest` on every simulator pair and returns each pair
+/// that fails: a divergence, or an agreement that only ended because the
+/// step budget ran out ([`Termination::BudgetExhausted`] — a bounded hang,
+/// not a pass). An empty result means every pair agreed to an exit or to
+/// the same fault.
+#[must_use]
+pub fn check_guest_all_pairs(guest: &GuestProgram) -> Vec<(Pair, LockstepOutcome)> {
+    Pair::ALL
+        .into_iter()
+        .map(|pair| (pair, run_guest_pair(guest, pair, DEFAULT_CONTEXT)))
+        .filter(|(_, outcome)| {
+            !matches!(
+                outcome,
+                LockstepOutcome::Agreement {
+                    termination: Termination::Exited(_) | Termination::MatchingFault(_),
+                    ..
+                }
+            )
+        })
+        .collect()
+}
+
+/// Builds the guest for `kind` over `vectors` and runs
+/// [`check_guest_all_pairs`] on it.
 ///
 /// # Panics
 ///
@@ -127,14 +148,45 @@ pub fn run_guest_pair(guest: &GuestProgram, pair: Pair, context: usize) -> Locks
 pub fn check_kernel_all_pairs(
     kind: KernelKind,
     vectors: &[TestVector],
-) -> Option<(Pair, LockstepOutcome)> {
+) -> Vec<(Pair, LockstepOutcome)> {
     let guest = codesign::framework::build_guest(kind, vectors, 1)
         .unwrap_or_else(|e| panic!("{kind}: {e}"));
-    for pair in Pair::ALL {
-        let outcome = run_guest_pair(&guest, pair, crate::compare::DEFAULT_CONTEXT);
-        if !outcome.is_agreement() {
-            return Some((pair, outcome));
+    check_guest_all_pairs(&guest)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use riscv_asm::assemble;
+    use testgen::DriverLayout;
+
+    #[test]
+    fn a_guest_that_never_exits_fails_on_every_pair() {
+        let guest = GuestProgram {
+            program: assemble("start:\n    j start\n").unwrap(),
+            layout: DriverLayout {
+                count: 0,
+                repetitions: 1,
+                per_sample_marks: false,
+            },
+            kind: KernelKind::Software,
+        };
+        let failing = check_guest_all_pairs(&guest);
+        assert_eq!(
+            failing.iter().map(|(pair, _)| *pair).collect::<Vec<_>>(),
+            Pair::ALL
+        );
+        for (pair, outcome) in &failing {
+            assert!(
+                matches!(
+                    outcome,
+                    LockstepOutcome::Agreement {
+                        termination: Termination::BudgetExhausted,
+                        ..
+                    }
+                ),
+                "{pair}: {outcome:?}"
+            );
         }
     }
-    None
 }

@@ -1,9 +1,10 @@
-//! Append-only write-ahead journal for resumable campaigns.
+//! Append-only write-ahead journal for resumable campaigns, and
+//! [`CaseLog`], the one journaled case loop every resumable workload runs.
 //!
 //! A journaled run appends one line per completed case, flushed before the
 //! next case starts, so a `kill -9` at any point loses at most the case in
 //! flight. On resume the reader replays every intact line and the run
-//! continues from the first case the journal does not cover; because every
+//! re-runs only the cases the journal does not cover; because every
 //! campaign is deterministic in its seed, the resumed run's final report is
 //! byte-identical to an uninterrupted one.
 //!
@@ -16,17 +17,19 @@
 //! ```text
 //! journal faults v1 4f1c0e... #a1b2c3d4e5f60718   <- header: kind + config fingerprint
 //! case 0 3 reg:7:101 masked                       <- one line per completed case
-//! case 1 5 wedge quarantined:3:wedged:livelock
+//! case 1 5 wedge quarantined:wedged:livelock
 //! ckpt 2                                          <- periodic checkpoint marker
 //! ```
 //!
 //! The header binds the journal to a *fingerprint* of the campaign
-//! configuration (seed, case count, budgets, program identity); resuming
+//! configuration (seed, case count, budget, program identity); resuming
 //! with a different configuration is a typed error, not silent garbage.
-//! Case payloads are opaque to this module — campaign and fuzz code define
-//! their own fields, with the rule that fields are space-separated and
+//! A case line is `case <key> <fields...>`; the key names the case and the
+//! fields are opaque to this module — campaign, fuzz and conformance code
+//! define their own, with the rule that fields are space-separated and
 //! space-free.
 
+use std::collections::HashMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
@@ -141,18 +144,18 @@ fn header_payload(kind: &str, fingerprint: u64) -> String {
 /// The intact contents of a journal file, as recovered by
 /// [`Journal::recover`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Recovered {
+struct Recovered {
     /// The payload of every intact `case` line, in file order, with the
     /// `case ` prefix stripped.
-    pub cases: Vec<String>,
+    cases: Vec<String>,
     /// Byte length of the intact prefix — everything after it is a torn
     /// or corrupt tail and is truncated away before appending resumes.
-    pub valid_len: u64,
+    valid_len: u64,
 }
 
 /// An append-only, checksummed, line-oriented write-ahead journal.
 #[derive(Debug)]
-pub struct Journal {
+struct Journal {
     writer: BufWriter<File>,
 }
 
@@ -163,7 +166,7 @@ impl Journal {
     /// # Errors
     ///
     /// Propagates file-creation failures.
-    pub fn create(path: &Path, kind: &str, fingerprint: u64) -> Result<Journal, JournalError> {
+    fn create(path: &Path, kind: &str, fingerprint: u64) -> Result<Journal, JournalError> {
         let file = File::create(path)?;
         let mut journal = Journal {
             writer: BufWriter::new(file),
@@ -175,22 +178,18 @@ impl Journal {
     /// Reads the intact prefix of the journal at `path`, validating the
     /// header against `kind` and `fingerprint`. A missing file is an empty
     /// recovery (fresh start), not an error. Reading stops at the first
-    /// line whose checksum fails — everything before it is trusted,
-    /// everything after it is a crash artifact.
+    /// line that is not UTF-8 or whose checksum fails — everything before
+    /// it is trusted, everything after it is a crash artifact.
     ///
     /// # Errors
     ///
     /// Typed errors for a non-journal file or a header that does not match
     /// this workload; I/O errors propagate.
-    pub fn recover(
-        path: &Path,
-        kind: &str,
-        fingerprint: u64,
-    ) -> Result<Recovered, JournalError> {
-        let mut text = String::new();
+    fn recover(path: &Path, kind: &str, fingerprint: u64) -> Result<Recovered, JournalError> {
+        let mut bytes = Vec::new();
         match File::open(path) {
             Ok(mut file) => {
-                file.read_to_string(&mut text)?;
+                file.read_to_end(&mut bytes)?;
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 return Ok(Recovered::default())
@@ -199,14 +198,18 @@ impl Journal {
         }
         // A zero-byte file is the crash artifact of a create that died
         // before the header flush — a fresh start, like a missing file.
-        if text.is_empty() {
+        if bytes.is_empty() {
             return Ok(Recovered::default());
         }
         let mut cases = Vec::new();
         let mut valid_len = 0u64;
         let mut saw_header = false;
-        for line in text.split_inclusive('\n') {
-            let Some(payload) = line.strip_suffix('\n').and_then(unseal_line) else {
+        for line in bytes.split_inclusive(|&b| b == b'\n') {
+            let Some(payload) = line
+                .strip_suffix(b"\n")
+                .and_then(|line| std::str::from_utf8(line).ok())
+                .and_then(unseal_line)
+            else {
                 break; // torn or corrupt tail
             };
             if !saw_header {
@@ -233,7 +236,7 @@ impl Journal {
     /// # Errors
     ///
     /// Same typed errors as [`Journal::recover`] and [`Journal::reopen`].
-    pub fn resume(
+    fn resume(
         path: &Path,
         kind: &str,
         fingerprint: u64,
@@ -254,7 +257,7 @@ impl Journal {
     /// # Errors
     ///
     /// Propagates open/truncate failures.
-    pub fn reopen(path: &Path, valid_len: u64) -> Result<Journal, JournalError> {
+    fn reopen(path: &Path, valid_len: u64) -> Result<Journal, JournalError> {
         let file = OpenOptions::new().write(true).open(path)?;
         file.set_len(valid_len)?;
         let mut file = OpenOptions::new().append(true).open(path)?;
@@ -272,23 +275,123 @@ impl Journal {
         Ok(())
     }
 
-    /// Appends one completed-case record. `fields` must be space-free;
-    /// they are joined with single spaces after the `case` tag.
-    ///
-    /// # Errors
-    ///
-    /// Propagates write failures.
-    pub fn append_case(&mut self, fields: &[&str]) -> Result<(), JournalError> {
-        self.append_raw(&format!("case {}", fields.join(" ")))
+    /// Appends one completed-case record, `case <key> <fields...>`. The
+    /// key and fields must be space-free.
+    fn append_case(&mut self, key: &str, fields: &[&str]) -> Result<(), JournalError> {
+        self.append_raw(&format!("case {key} {}", fields.join(" ")))
     }
 
     /// Appends a checkpoint marker recording `done` completed cases.
+    fn checkpoint(&mut self, done: usize) -> Result<(), JournalError> {
+        self.append_raw(&format!("ckpt {done}"))
+    }
+}
+
+/// The one journaled case loop: a run walks its cases in plan order and
+/// closes each one here, and the log does the rest.
+///
+/// * It opens the journal ([`JournalSpec::resume`] recovers the intact
+///   prefix of an existing one, anything else starts fresh) and keeps the
+///   recovered fields of each case key; when a key appears twice, the last
+///   intact line wins.
+/// * [`CaseLog::close_case`] appends the cases that actually ran, never
+///   the ones credited from the journal.
+/// * Every [`JournalSpec::checkpoint_every`] closed cases it reports
+///   [`Progress`] and, if that case ran, appends a `ckpt` line;
+///   [`CaseLog::finish`] reports the final [`Progress`]. A run without a
+///   journal reports only the final one.
+pub struct CaseLog<'p> {
+    journal: Option<Journal>,
+    recovered: HashMap<String, String>,
+    checkpoint_every: usize,
+    done: usize,
+    total: usize,
+    progress: &'p mut dyn FnMut(Progress),
+}
+
+impl<'p> CaseLog<'p> {
+    /// Opens the log of a `kind` run of `total` cases bound to
+    /// `fingerprint`, journaled as `spec` says (`None`: no journal).
     ///
     /// # Errors
     ///
-    /// Propagates write failures.
-    pub fn checkpoint(&mut self, done: usize) -> Result<(), JournalError> {
-        self.append_raw(&format!("ckpt {done}"))
+    /// Journal I/O failures and header mismatches ([`JournalError`]).
+    pub fn open(
+        spec: Option<&JournalSpec>,
+        kind: &str,
+        fingerprint: u64,
+        total: usize,
+        progress: &'p mut dyn FnMut(Progress),
+    ) -> Result<Self, JournalError> {
+        let mut recovered = HashMap::new();
+        let journal = match spec {
+            None => None,
+            Some(spec) if spec.resume => {
+                let (intact, journal) = Journal::resume(&spec.path, kind, fingerprint)?;
+                for case in intact.cases {
+                    if let Some((key, fields)) = case.split_once(' ') {
+                        recovered.insert(key.to_string(), fields.to_string());
+                    }
+                }
+                Some(journal)
+            }
+            Some(spec) => Some(Journal::create(&spec.path, kind, fingerprint)?),
+        };
+        Ok(CaseLog {
+            journal,
+            recovered,
+            checkpoint_every: spec.map_or(0, |spec| spec.checkpoint_every),
+            done: 0,
+            total,
+            progress,
+        })
+    }
+
+    /// The fields the journal recovered for case `key`, space-separated.
+    #[must_use]
+    pub fn recovered(&self, key: &str) -> Option<&str> {
+        self.recovered.get(key).map(String::as_str)
+    }
+
+    /// Closes the next case. `ran` holds the fields of a case that ran,
+    /// which are journaled under `key`; `None` marks a case credited from
+    /// the journal. `quarantined` is the run's count so far, for
+    /// [`Progress`].
+    ///
+    /// # Errors
+    ///
+    /// Journal write failures.
+    pub fn close_case(
+        &mut self,
+        key: &str,
+        ran: Option<&[&str]>,
+        quarantined: usize,
+    ) -> Result<(), JournalError> {
+        self.done += 1;
+        if let (Some(journal), Some(fields)) = (self.journal.as_mut(), ran) {
+            journal.append_case(key, fields)?;
+        }
+        if self.checkpoint_every > 0 && self.done.is_multiple_of(self.checkpoint_every) {
+            if let (Some(journal), Some(_)) = (self.journal.as_mut(), ran) {
+                journal.checkpoint(self.done)?;
+            }
+            self.report(quarantined);
+        }
+        Ok(())
+    }
+
+    /// Reports the final [`Progress`] of the run.
+    pub fn finish(mut self, quarantined: usize) {
+        self.done = self.total;
+        self.report(quarantined);
+    }
+
+    fn report(&mut self, quarantined: usize) {
+        (self.progress)(Progress {
+            done: self.done,
+            total: self.total,
+            quarantined,
+        });
     }
 }
 
@@ -381,8 +484,8 @@ mod tests {
     fn write_then_recover_round_trips() {
         let path = temp_path("roundtrip");
         let mut journal = Journal::create(&path, "faults", 0xABCD).unwrap();
-        journal.append_case(&["0", "reg:7:3", "masked"]).unwrap();
-        journal.append_case(&["1", "wedge", "caught-by-watchdog"]).unwrap();
+        journal.append_case("0", &["reg:7:3", "masked"]).unwrap();
+        journal.append_case("1", &["wedge", "caught-by-watchdog"]).unwrap();
         journal.checkpoint(2).unwrap();
         drop(journal);
         let recovered = Journal::recover(&path, "faults", 0xABCD).unwrap();
@@ -399,12 +502,11 @@ mod tests {
     fn torn_tail_is_dropped_and_truncated_on_reopen() {
         let path = temp_path("torn");
         let mut journal = Journal::create(&path, "faults", 1).unwrap();
-        journal.append_case(&["0", "ok"]).unwrap();
+        journal.append_case("0", &["ok"]).unwrap();
         drop(journal);
         let intact = std::fs::metadata(&path).unwrap().len();
         // Simulate a crash mid-append: half a line, no newline, no valid
         // checksum.
-        use std::io::Write as _;
         let mut file = OpenOptions::new().append(true).open(&path).unwrap();
         file.write_all(b"case 1 half-writ").unwrap();
         drop(file);
@@ -412,10 +514,52 @@ mod tests {
         assert_eq!(recovered.cases, vec!["0 ok"]);
         assert_eq!(recovered.valid_len, intact);
         let mut journal = Journal::reopen(&path, recovered.valid_len).unwrap();
-        journal.append_case(&["1", "retried"]).unwrap();
+        journal.append_case("1", &["retried"]).unwrap();
         drop(journal);
         let recovered = Journal::recover(&path, "faults", 1).unwrap();
         assert_eq!(recovered.cases, vec!["0 ok", "1 retried"]);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_tail_that_is_not_utf8_is_dropped() {
+        let path = temp_path("not-utf8");
+        let mut journal = Journal::create(&path, "faults", 1).unwrap();
+        journal.append_case("0", &["ok"]).unwrap();
+        drop(journal);
+        let intact = std::fs::metadata(&path).unwrap().len();
+        let mut file = OpenOptions::new().append(true).open(&path).unwrap();
+        file.write_all(b"case 1 \xff\xfe\n").unwrap();
+        drop(file);
+        let recovered = Journal::recover(&path, "faults", 1).unwrap();
+        assert_eq!(recovered.cases, vec!["0 ok"]);
+        assert_eq!(recovered.valid_len, intact);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn case_log_journals_only_cases_that_ran_and_the_last_line_wins() {
+        let path = temp_path("case-log");
+        let spec = |resume| JournalSpec {
+            path: path.clone(),
+            resume,
+            checkpoint_every: 1,
+        };
+        let mut reports = Vec::new();
+        let mut report = |p: Progress| reports.push(p.done);
+        let mut log = CaseLog::open(Some(&spec(false)), "fuzz", 5, 3, &mut report).unwrap();
+        log.close_case("0", Some(&["stale"]), 0).unwrap();
+        log.close_case("1", None, 0).unwrap();
+        log.close_case("0", Some(&["fresh"]), 1).unwrap();
+        log.finish(1);
+        assert_eq!(reports, vec![1, 2, 3, 3]);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let tags: Vec<&str> = text.lines().skip(1).map(|l| l.rsplit_once(" #").unwrap().0).collect();
+        assert_eq!(tags, vec!["case 0 stale", "ckpt 1", "case 0 fresh", "ckpt 3"]);
+        let mut ignore = |_| {};
+        let log = CaseLog::open(Some(&spec(true)), "fuzz", 5, 3, &mut ignore).unwrap();
+        assert_eq!(log.recovered("0"), Some("fresh"));
+        assert_eq!(log.recovered("1"), None);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -438,7 +582,7 @@ mod tests {
             }
             let (recovered, mut journal) = Journal::resume(&path, "faults", 9).unwrap();
             assert_eq!(recovered, Recovered::default());
-            journal.append_case(&["0", "ok"]).unwrap();
+            journal.append_case("0", &["ok"]).unwrap();
             drop(journal);
             // The fresh-start journal carries a header and round-trips.
             let recovered = Journal::recover(&path, "faults", 9).unwrap();

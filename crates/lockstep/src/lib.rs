@@ -26,13 +26,12 @@
 //! * the [`campaign`] module runs seeded single-bit fault-injection
 //!   campaigns over the accelerator's architectural state, classifying
 //!   every fault as masked, detected in-band, caught by the watchdog, or
-//!   silent data corruption;
-//! * the [`supervisor`] module bounds every replayed case with instruction
-//!   fuel, a memory-page cap, and a wall-clock budget, classifies every
-//!   termination into a typed [`supervisor::RunOutcome`], and retries
-//!   wedged cases a bounded number of times before quarantining them;
+//!   silent data corruption; each replay is bounded by instruction fuel
+//!   and a fixed memory-page cap, and a replay that ends any other way is
+//!   quarantined (it is deterministic, so it is never retried);
 //! * the [`journal`] module provides the append-only, checksummed
-//!   write-ahead journal that makes campaigns resumable: a killed run
+//!   write-ahead journal and [`journal::CaseLog`], the one case loop that
+//!   makes campaign, fuzz and conformance runs resumable: a killed run
 //!   restarted with its journal completes with a byte-identical report.
 //!
 //! Cycle counts are timing, not architecture: guest `rdcycle` values
@@ -65,14 +64,15 @@ mod guest;
 pub mod inject;
 pub mod journal;
 pub mod rocc_diff;
-pub mod supervisor;
 
 pub use codesign::framework::{guest_budget, load_program};
 pub use compare::{
     canonical, run_lockstep, Divergence, LockstepOptions, LockstepOutcome, RegDelta, StepOutcome,
     Termination, DEFAULT_CONTEXT,
 };
-pub use guest::{check_kernel_all_pairs, run_guest_pair, run_program_pair, Pair, SimKind};
+pub use guest::{
+    check_guest_all_pairs, check_kernel_all_pairs, run_guest_pair, run_program_pair, Pair, SimKind,
+};
 
 #[cfg(test)]
 mod tests {

@@ -10,7 +10,7 @@
 //! conformance --samples 8000` runs the full configuration.
 
 use decimalarith::codesign::kernels::KernelKind;
-use decimalarith::lockstep::{check_kernel_all_pairs, run_guest_pair, Pair, DEFAULT_CONTEXT};
+use decimalarith::lockstep::{check_guest_all_pairs, check_kernel_all_pairs, LockstepOutcome, Pair};
 use decimalarith::testgen::{generate, CaseClass, TestConfig};
 
 fn vectors(count: usize, seed: u64) -> Vec<decimalarith::testgen::TestVector> {
@@ -21,16 +21,22 @@ fn vectors(count: usize, seed: u64) -> Vec<decimalarith::testgen::TestVector> {
     })
 }
 
+/// Fails the test on the first failing pair, with its divergence report or
+/// its bounded hang.
+fn assert_all_pairs_pass(what: &str, failing: &[(Pair, LockstepOutcome)]) {
+    if let Some((pair, outcome)) = failing.first() {
+        match outcome.divergence() {
+            Some(divergence) => panic!("{what} diverged on {pair}:\n{divergence}"),
+            None => panic!("{what} exhausted its step budget on {pair}: {outcome:?}"),
+        }
+    }
+}
+
 #[test]
 fn every_kernel_agrees_on_every_pair() {
     let vectors = vectors(5, 2019);
     for kind in KernelKind::ALL {
-        if let Some((pair, outcome)) = check_kernel_all_pairs(kind, &vectors) {
-            panic!(
-                "{kind:?} diverged on {pair}:\n{}",
-                outcome.divergence().unwrap()
-            );
-        }
+        assert_all_pairs_pass(&format!("{kind:?}"), &check_kernel_all_pairs(kind, &vectors));
     }
 }
 
@@ -55,12 +61,10 @@ fn every_case_class_agrees_in_lockstep() {
             ..TestConfig::default()
         });
         for kind in [KernelKind::Software, KernelKind::Method4] {
-            if let Some((pair, outcome)) = check_kernel_all_pairs(kind, &vectors) {
-                panic!(
-                    "{kind:?} on {class} operands diverged on {pair}:\n{}",
-                    outcome.divergence().unwrap()
-                );
-            }
+            assert_all_pairs_pass(
+                &format!("{kind:?} on {class} operands"),
+                &check_kernel_all_pairs(kind, &vectors),
+            );
         }
     }
 }
@@ -74,13 +78,6 @@ fn scaled_verification_database_stays_in_lockstep() {
     for kind in [KernelKind::Method1, KernelKind::Method2, KernelKind::Method3] {
         let guest =
             decimalarith::codesign::framework::build_guest(kind, &vectors, 1).unwrap();
-        for pair in Pair::ALL {
-            let outcome = run_guest_pair(&guest, pair, DEFAULT_CONTEXT);
-            assert!(
-                outcome.is_agreement(),
-                "{kind:?} diverged on {pair}:\n{}",
-                outcome.divergence().unwrap()
-            );
-        }
+        assert_all_pairs_pass(&format!("{kind:?}"), &check_guest_all_pairs(&guest));
     }
 }

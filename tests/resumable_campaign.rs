@@ -41,7 +41,6 @@ fn campaign_resumes_identically_from_any_truncation_point() {
         faults: 10,
         instruction_budget: guest_budget(&guest),
         result_words: vectors.len(),
-        ..CampaignConfig::default()
     };
 
     // The uninterrupted reference: journaled, run to completion.

@@ -180,7 +180,6 @@ fn ft_campaign_is_reproducible_and_free_of_silent_corruption() {
         faults: 80,
         instruction_budget: guest_budget(&guest),
         result_words: vectors.len(),
-        ..CampaignConfig::default()
     };
     let first = run_campaign(&guest.program, &config);
     let second = run_campaign(&guest.program, &config);
