@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 (build + root test suite), the workspace tests,
-# clippy, rustdoc, the benchmark's contract tests, and bounded fixed-seed
-# differential, fault-campaign and crash-resume passes.
+# clippy, rustdoc, the benchmark's contract tests, a run of every example,
+# and bounded fixed-seed differential, fault-campaign and crash-resume
+# passes.
 # Everything here is deterministic; a red run reproduces locally with the
 # same commands.
 set -euo pipefail
@@ -31,6 +32,16 @@ echo "== benchmark contract tests =="
 # perfbench is a package of its own (outside the workspace); these check
 # its metric names, result line and determinism record.
 cargo test -q --release --manifest-path perfbench/Cargo.toml
+
+echo "== examples: run every program under examples/ =="
+# Clippy only compiles the examples; this runs each one, and a nonzero
+# exit (a panic, a failed assertion) fails CI. Standard output is dropped
+# to keep this log short; rerun a failing example to see it.
+for example in examples/*.rs; do
+    name=$(basename "$example" .rs)
+    echo "-- $name"
+    cargo run -q --release --example "$name" > /dev/null
+done
 
 echo "== static analysis: rvlint over every kernel guest =="
 # Lints every co-design kernel guest (CFG/dataflow + RoCC-protocol

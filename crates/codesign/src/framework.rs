@@ -1,9 +1,9 @@
 //! The evaluation framework (paper Fig. 2).
 //!
 //! Guest programs are produced exactly as the paper's flow does: the test
-//! generator supplies operands, the driver loop and the kernel under test
-//! are assembled into one RISC-V binary, and that binary runs unmodified on
-//! each evaluation platform —
+//! generator supplies operands, the kernel under test is assembled once,
+//! and each guest links it with its driver loop and operand table into one
+//! RISC-V binary, which runs unmodified on each evaluation platform —
 //!
 //! * [`run_functional`] — the Spike-role functional simulator, used for
 //!   verification against the `decnum` oracle;
@@ -17,12 +17,13 @@
 //! [`guest_budget`] instructions, and drives the platform through
 //! [`riscv_sim::Simulator`].
 
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use atomic_sim::{AtomicConfig, AtomicSim};
 use decnum::Status;
 use dpd::Decimal64;
-use riscv_asm::{assemble, AsmError, Program, STACK_TOP};
+use riscv_asm::{link, parse, AsmError, AsmOptions, Program, Unit, STACK_TOP};
 use riscv_isa::Reg;
 use riscv_sim::{Cpu, Marker, Simulator};
 use rocc::DecimalAccelerator;
@@ -74,23 +75,40 @@ pub fn build_guest(
 /// Builds the guest program with an explicit driver layout (e.g. with
 /// per-sample markers for per-class cycle attribution).
 ///
+/// The driver and operand table are parsed on each call and linked with
+/// the kernel's cached [`Unit`]; the program is the one that assembling
+/// `driver_source + kernel_source + operand_data_section` gives.
+///
 /// # Errors
 ///
-/// See [`build_guest`].
+/// See [`build_guest`]. A parse error's line counts within the piece that
+/// failed (driver, kernel or operand table); a link error's line counts
+/// across all three.
 pub fn build_guest_with(
     kind: KernelKind,
     vectors: &[TestVector],
     layout: DriverLayout,
 ) -> Result<GuestProgram, AsmError> {
-    let mut source = String::new();
-    source += &driver_source(layout);
-    source += &kernel_source(kind);
-    source += &operand_data_section(vectors);
+    let driver = parse(&driver_source(layout))?;
+    let kernel = kernel_unit(kind)?;
+    let operands = parse(&operand_data_section(vectors))?;
     Ok(GuestProgram {
-        program: assemble(&source)?,
+        program: link(&[&driver, kernel, &operands], &AsmOptions::default())?,
         layout,
         kind,
     })
+}
+
+/// The parsed kernel for `kind`. The kernel text is a pure function of
+/// `kind`, so each is parsed once per process and shared by every guest
+/// (and every thread) after that.
+fn kernel_unit(kind: KernelKind) -> Result<&'static Unit, AsmError> {
+    static UNITS: [OnceLock<Result<Unit, AsmError>>; KernelKind::ALL.len()] =
+        [const { OnceLock::new() }; KernelKind::ALL.len()];
+    UNITS[kind as usize]
+        .get_or_init(|| parse(&kernel_source(kind)))
+        .as_ref()
+        .map_err(Clone::clone)
 }
 
 /// Loads an assembled program into a core: all segments into memory, `pc`
@@ -480,6 +498,35 @@ mod tests {
         });
         for kind in KernelKind::ALL {
             build_guest(kind, &vectors, 1).unwrap_or_else(|e| panic!("{kind}: {e}"));
+        }
+    }
+
+    #[test]
+    fn linked_guests_equal_the_assembled_concatenation() {
+        let vectors = testgen::generate(&TestConfig {
+            count: 2049,
+            ..TestConfig::default()
+        });
+        // 2047/2048/2049 straddle the one-instruction `li` limit, which
+        // moves the kernel and its `.align`s.
+        for kind in KernelKind::ALL {
+            for count in [0, 1, 25, 2047, 2048, 2049] {
+                for repetitions in [0, 1, 5000] {
+                    for per_sample_marks in [false, true] {
+                        let layout = DriverLayout {
+                            count,
+                            repetitions,
+                            per_sample_marks,
+                        };
+                        let guest = build_guest_with(kind, &vectors[..count], layout).unwrap();
+                        let source = driver_source(layout)
+                            + &kernel_source(kind)
+                            + &operand_data_section(&vectors[..count]);
+                        let oracle = riscv_asm::assemble(&source).unwrap();
+                        assert_eq!(guest.program, oracle, "{kind} {layout:?}");
+                    }
+                }
+            }
         }
     }
 

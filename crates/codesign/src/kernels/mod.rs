@@ -142,7 +142,8 @@ impl std::fmt::Display for KernelKind {
 
 /// Emits the complete kernel source for `kind`: the `kernel` entry, its
 /// helper subroutines, and the `.data` tables and scratch space it needs.
-/// Concatenate with a driver (see [`testgen::driver_source`]) and assemble.
+/// [`build_guest_with`](crate::framework::build_guest_with) parses it once
+/// per process and links it after a driver (see [`testgen::driver_source`]).
 #[must_use]
 pub fn kernel_source(kind: KernelKind) -> String {
     let mut out = String::from("    .text\n");

@@ -1,6 +1,7 @@
-//! The two-pass assembler core.
+//! The assembler core: [`parse`] a source text into a [`Unit`], then
+//! [`link`] units into a [`Program`].
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 
 use riscv_isa::instr::{BranchOp, CsrOp, Instr, LoadOp, Op32Op, OpImm32Op, OpImmOp, OpOp, StoreOp};
@@ -102,13 +103,14 @@ pub struct Program {
     /// All defined symbols.
     pub symbols: BTreeMap<String, u64>,
     /// 1-based source line per text word: `line_map[i]` is the line that
-    /// produced the word at `text.base + 4*i` (0 for alignment padding).
+    /// produced the word at `text.base + 4*i` (an `.align`'s line for its
+    /// NOP padding).
     pub line_map: Vec<u32>,
 }
 
 impl Program {
     /// The 1-based source line that produced the instruction at `pc`, if
-    /// `pc` lies inside the text segment and isn't alignment padding.
+    /// `pc` lies inside the text segment.
     #[must_use]
     pub fn source_line(&self, pc: u64) -> Option<u32> {
         let offset = pc.checked_sub(self.text.base)?;
@@ -225,19 +227,89 @@ enum Section {
     Data,
 }
 
-#[derive(Debug)]
+/// An instruction as written: its mnemonic, operands and encoded size.
+#[derive(Debug, Clone)]
 struct PendingInstr {
-    line: usize,
     mnemonic: String,
     operands: Vec<Operand>,
-    addr: u64,
     size: u64,
 }
 
-#[derive(Debug)]
-enum DataItem {
-    Bytes(Vec<u8>),
-    SymValue { size: u8, sym: String, line: usize },
+/// A `.word`/`.dword` whose value is a symbol's address.
+#[derive(Debug, Clone)]
+struct SymbolWord {
+    size: u8,
+    sym: String,
+}
+
+/// Bytes a fragment leaves zero until [`link`] knows the symbols.
+#[derive(Debug, Clone)]
+struct Fixup<T> {
+    /// Byte offset inside the fragment.
+    offset: u64,
+    /// 1-based line inside the unit.
+    line: usize,
+    item: T,
+}
+
+/// A run of one section's bytes with no `.align` inside it, so everything
+/// in it sits at a fixed offset from its start; [`link`] places the start.
+#[derive(Debug, Clone)]
+struct Fragment<T> {
+    /// The `.align` that opens the fragment, as (log2 alignment, line).
+    /// Each section of a unit starts with one fragment that has none.
+    align: Option<(u32, usize)>,
+    bytes: Vec<u8>,
+    /// Text only: the unit line of each word.
+    lines: Vec<u32>,
+    fixups: Vec<Fixup<T>>,
+}
+
+impl<T> Fragment<T> {
+    fn new(align: Option<(u32, usize)>) -> Self {
+        Fragment {
+            align,
+            bytes: Vec::new(),
+            lines: Vec::new(),
+            fixups: Vec::new(),
+        }
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+enum SymbolValue {
+    /// A label: byte `offset` into fragment `fragment` of `section`.
+    Label {
+        section: Section,
+        fragment: usize,
+        offset: u64,
+    },
+    /// An `.equ`/`.set` constant.
+    Absolute(u64),
+}
+
+#[derive(Debug, Clone)]
+struct SymbolDef {
+    name: String,
+    /// 1-based line inside the unit.
+    line: usize,
+    value: SymbolValue,
+}
+
+/// A parsed source text: the input to [`link`].
+///
+/// Parsing does all the per-line work once — labels, directives, operands,
+/// instruction sizes, and the machine words of every instruction that names
+/// no symbol. What depends on where the unit lands (`.align` padding,
+/// symbol addresses, instructions and data words that name symbols) is left
+/// to [`link`], so one `Unit` can be linked into many programs.
+#[derive(Debug, Clone)]
+pub struct Unit {
+    /// Source lines: how far the lines of the next linked unit are offset.
+    lines: usize,
+    text: Vec<Fragment<PendingInstr>>,
+    data: Vec<Fragment<SymbolWord>>,
+    symbols: Vec<SymbolDef>,
 }
 
 /// Assembles `source` with default section bases.
@@ -250,147 +322,312 @@ pub fn assemble(source: &str) -> Result<Program, AsmError> {
     assemble_with(source, &AsmOptions::default())
 }
 
-/// Assembles `source` with explicit section bases.
+/// Assembles `source` with explicit section bases: a one-unit [`link`].
 ///
 /// # Errors
 ///
 /// See [`assemble`].
 pub fn assemble_with(source: &str, options: &AsmOptions) -> Result<Program, AsmError> {
-    Assembler::new(options)
-        .run(source)
+    parse(source)
+        .and_then(|unit| link(&[&unit], options))
         .map_err(|e| e.with_source_context(source))
 }
 
-struct Assembler {
-    options: AsmOptions,
-    symbols: BTreeMap<String, u64>,
-    text_len: u64,
-    data_len: u64,
-    section: Section,
-    instrs: Vec<PendingInstr>,
-    data_items: Vec<(u64, DataItem)>,
+/// Parses `source` into a [`Unit`], starting in `.text`.
+///
+/// # Errors
+///
+/// Returns the first error found line by line (syntax, bad directive,
+/// duplicate symbol, …), with its line inside `source`. Errors that need
+/// the symbols, and instructions that fail to encode, are reported by
+/// [`link`] in source order, as [`assemble`] reports them.
+pub fn parse(source: &str) -> Result<Unit, AsmError> {
+    let mut parser = Parser {
+        unit: Unit {
+            lines: 0,
+            text: vec![Fragment::new(None)],
+            data: vec![Fragment::new(None)],
+            symbols: Vec::new(),
+        },
+        section: Section::Text,
+        defined: HashSet::new(),
+    };
+    for (idx, raw_line) in source.lines().enumerate() {
+        parser.line(raw_line, idx + 1)?;
+        parser.unit.lines = idx + 1;
+    }
+    Ok(parser.unit)
 }
 
-impl Assembler {
-    fn new(options: &AsmOptions) -> Self {
-        Assembler {
-            options: *options,
-            symbols: BTreeMap::new(),
-            text_len: 0,
-            data_len: 0,
-            section: Section::Text,
-            instrs: Vec::new(),
-            data_items: Vec::new(),
-        }
-    }
-
-    fn here(&self) -> u64 {
-        match self.section {
-            Section::Text => self.options.text_base + self.text_len,
-            Section::Data => self.options.data_base + self.data_len,
-        }
-    }
-
-    fn advance(&mut self, bytes: u64) {
-        match self.section {
-            Section::Text => self.text_len += bytes,
-            Section::Data => self.data_len += bytes,
-        }
-    }
-
-    fn run(mut self, source: &str) -> Result<Program, AsmError> {
-        // Pass 1: parse, size, place, collect symbols.
-        for (idx, raw_line) in source.lines().enumerate() {
-            let line_no = idx + 1;
-            let err = |message: String| AsmError::new(line_no, message);
-            let mut rest = strip_comment(raw_line).trim();
-            // Peel leading labels.
-            while let Some(colon) = find_label_colon(rest) {
-                let name = rest[..colon].trim();
-                if !is_symbol(name) {
-                    return Err(err(format!("invalid label name {name:?}")));
+/// Links `units` into one program: each unit starts in `.text`, its text is
+/// placed after the text of the units before it and its data after their
+/// data, and its line numbers continue from theirs.
+///
+/// If `a` ends with a newline and `b` begins with a section directive,
+/// `link(&[&parse(a)?, &parse(b)?], options)` equals
+/// `assemble_with(&(a + b), options)`.
+///
+/// # Errors
+///
+/// A symbol defined in two units, an undefined symbol, or an instruction
+/// that does not encode, with its line counted across all of `units`.
+pub fn link(units: &[&Unit], options: &AsmOptions) -> Result<Program, AsmError> {
+    let mut text = Vec::new();
+    let mut line_map = Vec::new();
+    let mut data = Vec::new();
+    let mut symbols = BTreeMap::new();
+    // Per unit: its first line, and where each of its fragments landed.
+    let mut placed = Vec::with_capacity(units.len());
+    let mut first_line = 0;
+    for unit in units {
+        let text_starts = place(
+            &unit.text,
+            Section::Text,
+            options.text_base,
+            first_line,
+            &mut text,
+            &mut line_map,
+        )?;
+        let data_starts = place(
+            &unit.data,
+            Section::Data,
+            options.data_base,
+            first_line,
+            &mut data,
+            &mut Vec::new(),
+        )?;
+        for def in &unit.symbols {
+            let addr = match def.value {
+                SymbolValue::Label {
+                    section,
+                    fragment,
+                    offset,
+                } => {
+                    let starts = match section {
+                        Section::Text => &text_starts,
+                        Section::Data => &data_starts,
+                    };
+                    starts[fragment] + offset
                 }
-                if self.symbols.contains_key(name) {
-                    return Err(err(format!("duplicate symbol {name:?}")));
+                SymbolValue::Absolute(value) => value,
+            };
+            if symbols.insert(def.name.clone(), addr).is_some() {
+                return Err(AsmError::new(
+                    first_line + def.line,
+                    format!("duplicate symbol {:?}", def.name),
+                ));
+            }
+        }
+        placed.push((first_line, text_starts, data_starts));
+        first_line += unit.lines;
+    }
+
+    for (unit, (first_line, text_starts, _)) in units.iter().zip(&placed) {
+        for (fragment, start) in unit.text.iter().zip(text_starts) {
+            for fixup in &fragment.fixups {
+                let addr = start + fixup.offset;
+                let words = encode(&fixup.item, addr, &symbols)
+                    .map_err(|message| AsmError::new(first_line + fixup.line, message))?;
+                let off = (addr - options.text_base) as usize;
+                for (slot, word) in text[off..].chunks_exact_mut(4).zip(words) {
+                    slot.copy_from_slice(&word.to_le_bytes());
                 }
-                self.symbols.insert(name.to_string(), self.here());
-                rest = rest[colon + 1..].trim();
             }
-            if rest.is_empty() {
-                continue;
+        }
+    }
+    for (unit, (first_line, _, data_starts)) in units.iter().zip(&placed) {
+        for (fragment, start) in unit.data.iter().zip(data_starts) {
+            for fixup in &fragment.fixups {
+                let SymbolWord { size, sym } = &fixup.item;
+                let value = *symbols.get(sym).ok_or_else(|| {
+                    AsmError::new(first_line + fixup.line, format!("undefined symbol {sym:?}"))
+                })?;
+                let off = (start + fixup.offset - options.data_base) as usize;
+                let size = usize::from(*size);
+                data[off..off + size].copy_from_slice(&value.to_le_bytes()[..size]);
             }
-            let (mnemonic, operand_str) = split_mnemonic(rest);
-            let mnemonic = mnemonic.to_ascii_lowercase();
-            if let Some(directive) = mnemonic.strip_prefix('.') {
-                self.directive(directive, operand_str, line_no)?;
+        }
+    }
+
+    let entry = ["start", "_start", "main"]
+        .iter()
+        .find_map(|name| symbols.get(*name).copied())
+        .unwrap_or(options.text_base);
+    // Callers keep programs (a set-up may build hundreds), so drop the
+    // capacity the images grew into.
+    text.shrink_to_fit();
+    data.shrink_to_fit();
+    line_map.shrink_to_fit();
+    Ok(Program {
+        entry,
+        text: Segment {
+            base: options.text_base,
+            data: text,
+        },
+        data: Segment {
+            base: options.data_base,
+            data,
+        },
+        symbols,
+        line_map,
+    })
+}
+
+/// Appends `fragments` to the image of a section that starts at `base`,
+/// padding each `.align` against the absolute address (NOPs in text,
+/// zeros in data); returns the address of each fragment.
+fn place<T>(
+    fragments: &[Fragment<T>],
+    section: Section,
+    base: u64,
+    first_line: usize,
+    image: &mut Vec<u8>,
+    line_map: &mut Vec<u32>,
+) -> Result<Vec<u64>, AsmError> {
+    let mut starts = Vec::with_capacity(fragments.len());
+    for fragment in fragments {
+        let here = base + image.len() as u64;
+        if let Some((n, line)) = fragment.align {
+            let alignment = 1u64 << n;
+            let pad = (alignment - (here % alignment)) % alignment;
+            if section == Section::Text {
+                if !pad.is_multiple_of(4) {
+                    return Err(AsmError::new(
+                        first_line + line,
+                        ".align in .text must be word-aligned".into(),
+                    ));
+                }
+                // Pad with NOPs so the gap stays executable.
+                let nop = Instr::NOP.encode().expect("nop encodes");
+                for _ in 0..pad / 4 {
+                    image.extend_from_slice(&nop.to_le_bytes());
+                    line_map.push((first_line + line) as u32);
+                }
             } else {
-                if self.section != Section::Text {
-                    return Err(err("instruction outside .text".into()));
-                }
-                let operands = parse_operands(operand_str).map_err(&err)?;
-                let size = instr_size(&mnemonic, &operands).map_err(&err)?;
-                self.instrs.push(PendingInstr {
-                    line: line_no,
-                    mnemonic,
-                    operands,
-                    addr: self.here(),
-                    size,
-                });
-                self.advance(size);
+                image.resize(image.len() + pad as usize, 0);
             }
         }
+        starts.push(base + image.len() as u64);
+        image.extend_from_slice(&fragment.bytes);
+        line_map.extend(fragment.lines.iter().map(|&line| line + first_line as u32));
+    }
+    Ok(starts)
+}
 
-        // Pass 2: expand and encode.
-        let mut text = vec![0u8; self.text_len as usize];
-        let mut line_map = vec![0u32; (self.text_len / 4) as usize];
-        for pending in &self.instrs {
-            let instrs = expand(pending, &self.symbols)
-                .map_err(|message| AsmError::new(pending.line, message))?;
-            debug_assert_eq!(instrs.len() as u64 * 4, pending.size, "{}", pending.mnemonic);
-            for (i, instr) in instrs.iter().enumerate() {
-                let word = instr
-                    .encode()
-                    .map_err(|e| AsmError::new(pending.line, e.to_string()))?;
-                let off = (pending.addr - self.options.text_base) as usize + 4 * i;
-                text[off..off + 4].copy_from_slice(&word.to_le_bytes());
-                line_map[off / 4] = pending.line as u32;
-            }
-        }
-        let mut data = vec![0u8; self.data_len as usize];
-        for (addr, item) in &self.data_items {
-            let off = (*addr - self.options.data_base) as usize;
-            match item {
-                DataItem::Bytes(bytes) => data[off..off + bytes.len()].copy_from_slice(bytes),
-                DataItem::SymValue { size, sym, line } => {
-                    let value = *self.symbols.get(sym).ok_or_else(|| {
-                        AsmError::new(*line, format!("undefined symbol {sym:?}"))
-                    })?;
-                    let bytes = value.to_le_bytes();
-                    data[off..off + *size as usize].copy_from_slice(&bytes[..*size as usize]);
-                }
-            }
-        }
+/// Expands `instr`, placed at `addr`, and encodes it to machine words.
+fn encode(
+    instr: &PendingInstr,
+    addr: u64,
+    symbols: &BTreeMap<String, u64>,
+) -> Result<Vec<u32>, String> {
+    let instrs = expand(instr, addr, symbols)?;
+    debug_assert_eq!(instrs.len() as u64 * 4, instr.size, "{}", instr.mnemonic);
+    instrs
+        .iter()
+        .map(|i| i.encode().map_err(|e| e.to_string()))
+        .collect()
+}
 
-        let entry = ["start", "_start", "main"]
-            .iter()
-            .find_map(|name| self.symbols.get(*name).copied())
-            .unwrap_or(self.options.text_base);
-        Ok(Program {
-            entry,
-            text: Segment {
-                base: self.options.text_base,
-                data: text,
-            },
-            data: Segment {
-                base: self.options.data_base,
-                data,
-            },
-            symbols: self.symbols,
-            line_map,
-        })
+struct Parser<'a> {
+    unit: Unit,
+    section: Section,
+    /// Names defined so far in this unit.
+    defined: HashSet<&'a str>,
+}
+
+impl<'a> Parser<'a> {
+    /// The current position, as a label would record it.
+    fn here(&self) -> SymbolValue {
+        fn end<T>(fragments: &[Fragment<T>]) -> (usize, u64) {
+            let last = fragments.len() - 1;
+            (last, fragments[last].bytes.len() as u64)
+        }
+        let (fragment, offset) = match self.section {
+            Section::Text => end(&self.unit.text),
+            Section::Data => end(&self.unit.data),
+        };
+        SymbolValue::Label {
+            section: self.section,
+            fragment,
+            offset,
+        }
     }
 
-    fn directive(&mut self, name: &str, args: &str, line: usize) -> Result<(), AsmError> {
+    fn define(&mut self, name: &'a str, line: usize, value: SymbolValue) -> Result<(), AsmError> {
+        if !self.defined.insert(name) {
+            return Err(AsmError::new(line, format!("duplicate symbol {name:?}")));
+        }
+        self.unit.symbols.push(SymbolDef {
+            name: name.to_string(),
+            line,
+            value,
+        });
+        Ok(())
+    }
+
+    fn data(&mut self) -> &mut Fragment<SymbolWord> {
+        self.unit.data.last_mut().expect("every section has a fragment")
+    }
+
+    fn line(&mut self, raw_line: &'a str, line: usize) -> Result<(), AsmError> {
+        let err = |message: String| AsmError::new(line, message);
+        let mut rest = strip_comment(raw_line).trim();
+        // Peel leading labels.
+        while let Some(colon) = find_label_colon(rest) {
+            let name = rest[..colon].trim();
+            if !is_symbol(name) {
+                return Err(err(format!("invalid label name {name:?}")));
+            }
+            self.define(name, line, self.here())?;
+            rest = rest[colon + 1..].trim();
+        }
+        if rest.is_empty() {
+            return Ok(());
+        }
+        let (mnemonic, operand_str) = split_mnemonic(rest);
+        let mnemonic = mnemonic.to_ascii_lowercase();
+        if let Some(directive) = mnemonic.strip_prefix('.') {
+            return self.directive(directive, operand_str, line);
+        }
+        if self.section != Section::Text {
+            return Err(err("instruction outside .text".into()));
+        }
+        let operands = parse_operands(operand_str).map_err(&err)?;
+        let size = instr_size(&mnemonic, &operands).map_err(&err)?;
+        let instr = PendingInstr {
+            mnemonic,
+            operands,
+            size,
+        };
+        // Without symbol operands the words do not depend on placement. One
+        // that fails to encode is left to `link`, which reports it in order.
+        let words = if instr.operands.iter().any(|o| matches!(o, Operand::Sym(_))) {
+            None
+        } else {
+            encode(&instr, 0, &BTreeMap::new()).ok()
+        };
+        let fragment = self.unit.text.last_mut().expect("every section has a fragment");
+        match words {
+            Some(words) => {
+                for word in words {
+                    fragment.bytes.extend_from_slice(&word.to_le_bytes());
+                }
+            }
+            None => {
+                let offset = fragment.bytes.len() as u64;
+                fragment.bytes.resize((offset + size) as usize, 0);
+                fragment.fixups.push(Fixup {
+                    offset,
+                    line,
+                    item: instr,
+                });
+            }
+        }
+        fragment.lines.resize(fragment.lines.len() + (size / 4) as usize, line as u32);
+        Ok(())
+    }
+
+    fn directive(&mut self, name: &str, args: &'a str, line: usize) -> Result<(), AsmError> {
         let err = |message: String| AsmError::new(line, message);
         match name {
             "text" => self.section = Section::Text,
@@ -404,29 +641,10 @@ impl Assembler {
                 if n > 12 {
                     return Err(err(format!(".align {n} too large")));
                 }
-                let alignment = 1u64 << n;
-                let pad = (alignment - (self.here() % alignment)) % alignment;
-                if pad > 0 {
-                    if self.section == Section::Text {
-                        if !pad.is_multiple_of(4) {
-                            return Err(err(".align in .text must be word-aligned".into()));
-                        }
-                        // Pad with NOPs so the gap stays executable.
-                        for _ in 0..pad / 4 {
-                            self.instrs.push(PendingInstr {
-                                line,
-                                mnemonic: "nop".into(),
-                                operands: vec![],
-                                addr: self.here(),
-                                size: 4,
-                            });
-                            self.advance(4);
-                        }
-                    } else {
-                        self.data_items
-                            .push((self.here(), DataItem::Bytes(vec![0; pad as usize])));
-                        self.advance(pad);
-                    }
+                let align = Some((n, line));
+                match self.section {
+                    Section::Text => self.unit.text.push(Fragment::new(align)),
+                    Section::Data => self.unit.data.push(Fragment::new(align)),
                 }
             }
             "byte" | "half" | "word" | "dword" | "quad" => {
@@ -439,61 +657,65 @@ impl Assembler {
                 if self.section != Section::Data {
                     return Err(err(format!(".{name} outside .data")));
                 }
+                let fragment = self.data();
                 for piece in split_top_level(args) {
                     let piece = piece.trim();
                     if piece.is_empty() {
                         return Err(err("empty data value".into()));
                     }
                     if let Ok(v) = parse_int(piece) {
+                        // The literal's true value, before any wrapping: the
+                        // signed minimum up to the unsigned maximum.
                         let min = -(1i128 << (8 * size - 1));
                         let max = (1i128 << (8 * size)) - 1;
-                        if (v as i128) < min || (v as i128) > max {
+                        if v < min || v > max {
                             return Err(err(format!("value {v} does not fit .{name}")));
                         }
-                        let bytes = (v as u64).to_le_bytes()[..size as usize].to_vec();
-                        self.data_items.push((self.here(), DataItem::Bytes(bytes)));
+                        fragment
+                            .bytes
+                            .extend_from_slice(&(v as u64).to_le_bytes()[..usize::from(size)]);
                     } else if is_symbol(piece) {
                         if size < 4 {
                             return Err(err("symbol values need .word or .dword".into()));
                         }
-                        self.data_items.push((
-                            self.here(),
-                            DataItem::SymValue {
+                        let offset = fragment.bytes.len() as u64;
+                        fragment
+                            .bytes
+                            .resize(fragment.bytes.len() + usize::from(size), 0);
+                        fragment.fixups.push(Fixup {
+                            offset,
+                            line,
+                            item: SymbolWord {
                                 size,
                                 sym: piece.to_string(),
-                                line,
                             },
-                        ));
+                        });
                     } else {
                         return Err(err(format!("bad data value {piece:?}")));
                     }
-                    self.advance(u64::from(size));
                 }
             }
             "ascii" | "asciz" | "string" => {
                 if self.section != Section::Data {
                     return Err(err(format!(".{name} outside .data")));
                 }
-                let mut bytes = parse_string(args.trim()).map_err(&err)?;
+                let bytes = parse_string(args.trim()).map_err(&err)?;
+                let fragment = self.data();
+                fragment.bytes.extend_from_slice(&bytes);
                 if name != "ascii" {
-                    bytes.push(0);
+                    fragment.bytes.push(0);
                 }
-                let len = bytes.len() as u64;
-                self.data_items.push((self.here(), DataItem::Bytes(bytes)));
-                self.advance(len);
             }
             "space" | "zero" | "skip" => {
-                let n: u64 = args
+                let n: usize = args
                     .trim()
                     .parse()
                     .map_err(|_| err(format!("bad .{name} argument {args:?}")))?;
-                if self.section == Section::Data {
-                    self.data_items
-                        .push((self.here(), DataItem::Bytes(vec![0; n as usize])));
-                    self.advance(n);
-                } else {
+                if self.section != Section::Data {
                     return Err(err(format!(".{name} outside .data")));
                 }
+                let fragment = self.data();
+                fragment.bytes.resize(fragment.bytes.len() + n, 0);
             }
             "equ" | "set" => {
                 let parts: Vec<&str> = split_top_level(args).collect();
@@ -506,7 +728,7 @@ impl Assembler {
                 }
                 let value =
                     parse_int(parts[1].trim()).map_err(|_| err("bad .equ value".into()))?;
-                self.symbols.insert(sym.to_string(), value as u64);
+                self.define(sym, line, SymbolValue::Absolute(value as u64))?;
             }
             other => return Err(err(format!("unknown directive .{other}"))),
         }
@@ -590,27 +812,36 @@ fn split_top_level(s: &str) -> impl Iterator<Item = &str> {
     pieces.into_iter().filter(|p| !p.trim().is_empty())
 }
 
-fn parse_int(s: &str) -> Result<i64, String> {
+/// Parses an integer literal to its true value: decimal, `0x` hex, `0b`
+/// binary or a `'c'` character, with an optional sign and `_` separators,
+/// and a magnitude of up to `u64::MAX`.
+fn parse_int(s: &str) -> Result<i128, String> {
     let s = s.trim();
     let (neg, body) = match s.strip_prefix('-') {
         Some(rest) => (true, rest),
         None => (false, s.strip_prefix('+').unwrap_or(s)),
     };
-    let value: i64 = if let Some(hex) = body.strip_prefix("0x").or_else(|| body.strip_prefix("0X"))
+    let magnitude = if let Some(hex) = body.strip_prefix("0x").or_else(|| body.strip_prefix("0X"))
     {
-        u64::from_str_radix(&hex.replace('_', ""), 16).map_err(|e| e.to_string())? as i64
+        parse_digits(hex, 16)?
     } else if let Some(bin) = body.strip_prefix("0b").or_else(|| body.strip_prefix("0B")) {
-        u64::from_str_radix(&bin.replace('_', ""), 2).map_err(|e| e.to_string())? as i64
+        parse_digits(bin, 2)?
     } else if body.len() == 3 && body.starts_with('\'') && body.ends_with('\'') {
-        i64::from(body.as_bytes()[1])
+        u64::from(body.as_bytes()[1])
     } else {
-        // Parse through u64 so the full 64-bit range is accepted
-        // (e.g. `-9223372036854775808` and `18446744073709551615`).
-        body.replace('_', "")
-            .parse::<u64>()
-            .map_err(|e| e.to_string())? as i64
+        parse_digits(body, 10)?
     };
-    Ok(if neg { value.wrapping_neg() } else { value })
+    let value = i128::from(magnitude);
+    Ok(if neg { -value } else { value })
+}
+
+fn parse_digits(digits: &str, radix: u32) -> Result<u64, String> {
+    let parsed = if digits.contains('_') {
+        u64::from_str_radix(&digits.replace('_', ""), radix)
+    } else {
+        u64::from_str_radix(digits, radix)
+    };
+    parsed.map_err(|e| e.to_string())
 }
 
 fn parse_string(s: &str) -> Result<Vec<u8>, String> {
@@ -656,7 +887,7 @@ fn parse_operand(s: &str) -> Result<Operand, String> {
             let offset = if offset_str.is_empty() {
                 0
             } else {
-                parse_int(offset_str)?
+                parse_int(offset_str)? as i64
             };
             return Ok(Operand::Mem { offset, base });
         }
@@ -664,8 +895,9 @@ fn parse_operand(s: &str) -> Result<Operand, String> {
     if let Ok(reg) = s.parse::<Reg>() {
         return Ok(Operand::Reg(reg));
     }
+    // Immediates wrap to 64 bits: `0xFFFFFFFFFFFFFFFF` is -1.
     if let Ok(v) = parse_int(s) {
-        return Ok(Operand::Imm(v));
+        return Ok(Operand::Imm(v as i64));
     }
     if is_symbol(s) {
         return Ok(Operand::Sym(s.to_string()));
@@ -741,7 +973,8 @@ fn li_args(operands: &[Operand]) -> Result<(Reg, i64), String> {
 }
 
 struct Ctx<'a> {
-    pending: &'a PendingInstr,
+    instr: &'a PendingInstr,
+    addr: u64,
     symbols: &'a BTreeMap<String, u64>,
 }
 
@@ -752,7 +985,7 @@ impl Ctx<'_> {
             other => Err(format!(
                 "operand {} of {} must be a register, got {}",
                 i + 1,
-                self.pending.mnemonic,
+                self.instr.mnemonic,
                 other.describe()
             )),
         }
@@ -769,7 +1002,7 @@ impl Ctx<'_> {
             other => Err(format!(
                 "operand {} of {} must be an immediate, got {}",
                 i + 1,
-                self.pending.mnemonic,
+                self.instr.mnemonic,
                 other.describe()
             )),
         }
@@ -788,7 +1021,7 @@ impl Ctx<'_> {
             other => Err(format!(
                 "operand {} of {} must be offset(base), got {}",
                 i + 1,
-                self.pending.mnemonic,
+                self.instr.mnemonic,
                 other.describe()
             )),
         }
@@ -804,14 +1037,14 @@ impl Ctx<'_> {
                     .get(s)
                     .copied()
                     .ok_or_else(|| format!("undefined symbol {s:?}"))?;
-                addr.wrapping_sub(self.pending.addr) as i64
+                addr.wrapping_sub(self.addr) as i64
             }
             Operand::Imm(v) => *v,
             other => {
                 return Err(format!(
                     "operand {} of {} must be a label or offset, got {}",
                     i + 1,
-                    self.pending.mnemonic,
+                    self.instr.mnemonic,
                     other.describe()
                 ))
             }
@@ -820,24 +1053,24 @@ impl Ctx<'_> {
     }
 
     fn operand(&self, i: usize) -> Result<&Operand, String> {
-        self.pending.operands.get(i).ok_or_else(|| {
+        self.instr.operands.get(i).ok_or_else(|| {
             format!(
                 "{} needs at least {} operands",
-                self.pending.mnemonic,
+                self.instr.mnemonic,
                 i + 1
             )
         })
     }
 
     fn expect_len(&self, n: usize) -> Result<(), String> {
-        if self.pending.operands.len() == n {
+        if self.instr.operands.len() == n {
             Ok(())
         } else {
             Err(format!(
                 "{} expects {} operands, got {}",
-                self.pending.mnemonic,
+                self.instr.mnemonic,
                 n,
-                self.pending.operands.len()
+                self.instr.operands.len()
             ))
         }
     }
@@ -976,9 +1209,17 @@ fn custom_for(mnemonic: &str) -> Option<CustomOpcode> {
     })
 }
 
-fn expand(pending: &PendingInstr, symbols: &BTreeMap<String, u64>) -> Result<Vec<Instr>, String> {
-    let ctx = Ctx { pending, symbols };
-    let m = pending.mnemonic.as_str();
+fn expand(
+    instr: &PendingInstr,
+    addr: u64,
+    symbols: &BTreeMap<String, u64>,
+) -> Result<Vec<Instr>, String> {
+    let ctx = Ctx {
+        instr,
+        addr,
+        symbols,
+    };
+    let m = instr.mnemonic.as_str();
 
     if let Some(op) = op_for(m) {
         ctx.expect_len(3)?;
@@ -1074,7 +1315,7 @@ fn expand(pending: &PendingInstr, symbols: &BTreeMap<String, u64>) -> Result<Vec
                 imm20: ctx.imm32(1)?,
             }]
         }
-        "jal" => match pending.operands.len() {
+        "jal" => match instr.operands.len() {
             1 => vec![Instr::Jal {
                 rd: Reg::RA,
                 offset: ctx.target(0)?,
@@ -1085,7 +1326,7 @@ fn expand(pending: &PendingInstr, symbols: &BTreeMap<String, u64>) -> Result<Vec
             }],
             n => return Err(format!("jal expects 1 or 2 operands, got {n}")),
         },
-        "jalr" => match pending.operands.len() {
+        "jalr" => match instr.operands.len() {
             1 => {
                 let (offset, base) = ctx.mem(0)?;
                 vec![Instr::Jalr {
@@ -1177,7 +1418,7 @@ fn expand(pending: &PendingInstr, symbols: &BTreeMap<String, u64>) -> Result<Vec
             ]
         }
         "li" => {
-            let (rd, imm) = li_args(&pending.operands)?;
+            let (rd, imm) = li_args(&instr.operands)?;
             li_sequence(rd, imm)
         }
         "nop" => vec![Instr::NOP],
@@ -1397,6 +1638,55 @@ mod tests {
         );
         assert_eq!(parse_operand("loop").unwrap(), Operand::Sym("loop".into()));
         assert!(parse_operand("12(xx)").is_err());
+    }
+
+    #[test]
+    fn equ_cannot_redefine_a_symbol() {
+        for (source, line) in [
+            ("start:\n    nop\n    .equ start, 5\n", 3),
+            (".equ k, 1\n.equ k, 2\n", 2),
+            (".set k, 1\nk:\n", 2),
+        ] {
+            let err = assemble(source).expect_err(source);
+            assert_eq!(err.line, line, "{source:?}");
+            assert!(err.message.starts_with("duplicate symbol"), "{source:?}: {err}");
+        }
+        let first = parse(".equ k, 1\n").unwrap();
+        let second = parse(".equ k, 2\n").unwrap();
+        let err = link(&[&first, &second], &AsmOptions::default()).unwrap_err();
+        assert_eq!((err.line, err.message.as_str()), (2, "duplicate symbol \"k\""));
+    }
+
+    #[test]
+    fn data_values_are_range_checked_before_wrapping() {
+        let data = |directive: &str| assemble(&format!(".data\n    {directive}\n"));
+        for directive in [
+            ".half 0xFFFFFFFFFFFF8000",
+            ".byte 0xFFFFFFFFFFFFFF80",
+            ".byte 256",
+            ".half -32769",
+            ".word 0x100000000",
+            ".dword -18446744073709551615",
+        ] {
+            let err = data(directive).expect_err(directive);
+            assert!(err.message.contains("does not fit"), "{directive}: {err}");
+        }
+        for (directive, bytes) in [
+            (".dword -9223372036854775808", 0x8000_0000_0000_0000u64.to_le_bytes().to_vec()),
+            (".dword 18446744073709551615", vec![0xFF; 8]),
+            (".dword 0xFFFFFFFFFFFFFFFF", vec![0xFF; 8]),
+            (".byte -0x80", vec![0x80]),
+            (".half 0xFFFF", vec![0xFF, 0xFF]),
+            (".word -2147483648", vec![0x00, 0x00, 0x00, 0x80]),
+        ] {
+            let program = data(directive).unwrap_or_else(|e| panic!("{directive}: {e}"));
+            assert_eq!(program.data.data, bytes, "{directive}");
+        }
+        // Instruction immediates still wrap to 64 bits.
+        assert_eq!(
+            assemble("li a0, 0xFFFFFFFFFFFFFFFF").unwrap().text,
+            assemble("li a0, -1").unwrap().text
+        );
     }
 
     #[test]

@@ -1,10 +1,18 @@
-//! A two-pass RV64IM assembler.
+//! An RV64IM assembler with separate parse and link steps.
 //!
 //! This crate replaces the GNU cross-toolchain of the paper's framework: the
 //! evaluated guest kernels are authored in textual RISC-V assembly (emitted
 //! by the `codesign` crate or written by hand), assembled here into real
 //! RV64IM machine code, and executed on the functional, cycle-accurate and
 //! atomic simulators.
+//!
+//! [`parse`] turns one source text into a [`Unit`]: all the per-line work,
+//! including the machine words of every instruction that names no symbol.
+//! [`link`] places units one after another (text after text, data after
+//! data), pads `.align`s, assigns symbol addresses and encodes what refers
+//! to symbols. A unit can be parsed once and linked into many programs —
+//! the co-design framework parses each kernel once per process and links it
+//! with every driver and operand table. [`assemble`] is a one-unit link.
 //!
 //! Supported surface:
 //!
@@ -34,6 +42,20 @@
 //! "#).unwrap();
 //! assert_eq!(program.entry, riscv_asm::TEXT_BASE);
 //! ```
+//!
+//! Two units, parsed separately and linked: the first calls a routine and
+//! loads a table that the second defines.
+//!
+//! ```
+//! use riscv_asm::{assemble, link, parse, AsmOptions};
+//!
+//! let main = "start:\n    la a0, table\n    call double\n    li a7, 93\n    ecall\n";
+//! let library = ".text\ndouble:\n    slli a0, a0, 1\n    ret\n.data\ntable:\n    .dword 21\n";
+//! let linked = link(&[&parse(main)?, &parse(library)?], &AsmOptions::default())?;
+//! assert_eq!(linked.symbol("table"), Some(riscv_asm::DATA_BASE));
+//! assert_eq!(linked, assemble(&format!("{main}{library}"))?);
+//! # Ok::<(), riscv_asm::AsmError>(())
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,7 +63,7 @@
 mod asm;
 mod source;
 
-pub use asm::{assemble, assemble_with, AsmError, AsmOptions, Program, Segment};
+pub use asm::{assemble, assemble_with, link, parse, AsmError, AsmOptions, Program, Segment, Unit};
 pub use source::SourceBuilder;
 
 /// Default base address of the `.text` section.
