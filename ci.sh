@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 (build + root test suite), the workspace tests,
 # clippy, rustdoc, the benchmark's contract tests, a run of every example,
-# and bounded fixed-seed differential, fault-campaign and crash-resume
-# passes.
+# every table at CI scale, and bounded fixed-seed differential,
+# fault-campaign and crash-resume passes.
 # Everything here is deterministic; a red run reproduces locally with the
 # same commands.
 set -euo pipefail
@@ -42,6 +42,12 @@ for example in examples/*.rs; do
     echo "-- $name"
     cargo run -q --release --example "$name" > /dev/null
 done
+
+echo "== tables: regenerate every table, ablation and microbenchmark =="
+# Runs each `tables` subcommand once at CI scale; a panic or a typed
+# failure (a guest that faults, a result mismatch) exits nonzero and fails
+# CI. Standard output is dropped: host timings differ run to run.
+cargo run -q --release -p decimal-bench --bin tables -- all --samples 120 --reps 1 > /dev/null
 
 echo "== static analysis: rvlint over every kernel guest =="
 # Lints every co-design kernel guest (CFG/dataflow + RoCC-protocol

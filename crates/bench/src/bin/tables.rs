@@ -1,15 +1,24 @@
 //! Regenerates every table of the paper's evaluation.
 //!
 //! ```text
-//! tables [table2|table3|table4|table5|table6|pareto|all] [--samples N] [--seed S] [--reps R]
+//! tables [table2|table3|table4|table5|table6|pareto|classes|seeds|ablations|micro|all]
+//!        [--samples N] [--seed S] [--reps R]
 //! ```
 //!
 //! Defaults: `all`, 8,000 samples (the paper's count), seed 2019.
+//! `ablations` sweeps Rocket timing parameters and the software-baseline
+//! style; `micro` times the decimal substrates on the host.
 
-use codesign::framework::{time_native, NativeMethod};
+use std::hint::black_box;
+use std::time::Instant;
+
+use codesign::framework::{time_native, try_run_atomic, NativeMethod};
 use codesign::kernels::KernelKind;
 use codesign::report;
-use decimal_bench::{atomic_config, rocket_timing, try_evaluate_cycles, try_guest_for, workload};
+use decimal_bench::{
+    atomic_config, rocket_timing, try_evaluate_cycles, try_guest_for, workload, BenchError,
+};
+use rocket_sim::TimingConfig;
 
 struct Options {
     what: String,
@@ -32,7 +41,8 @@ fn parse_args() -> Options {
                 options.samples = args
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--samples needs a number"));
+                    .filter(|&n| n > 0)
+                    .unwrap_or_else(|| usage("--samples needs a positive number"));
             }
             "--seed" => {
                 options.seed = args
@@ -44,11 +54,11 @@ fn parse_args() -> Options {
                 options.reps = args
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--reps needs a number"));
+                    .filter(|&n| n > 0)
+                    .unwrap_or_else(|| usage("--reps needs a positive number"));
             }
             "table2" | "table3" | "table4" | "table5" | "table6" | "pareto" | "classes"
-            | "seeds" | "all"
-            => {
+            | "seeds" | "ablations" | "micro" | "all" => {
                 options.what = arg;
             }
             other => usage(&format!("unknown argument {other:?}")),
@@ -60,14 +70,15 @@ fn parse_args() -> Options {
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: tables [table2|table3|table4|table5|table6|pareto|classes|seeds|all] \
+        "usage: tables [table2|table3|table4|table5|table6|pareto|classes|seeds|ablations|micro|all] \
          [--samples N] [--seed S] [--reps R]"
     );
     std::process::exit(2)
 }
 
-/// Reports a typed runtime failure (a kernel that fails to build, a result
-/// mismatch against the oracle) and exits nonzero without a panic.
+/// Reports a typed runtime failure (a kernel that fails to build, a failed
+/// guest run, a result mismatch against the oracle) and exits nonzero
+/// without a panic.
 fn die(error: &dyn std::fmt::Display) -> ! {
     eprintln!("error: {error}");
     std::process::exit(1);
@@ -99,6 +110,12 @@ fn main() {
     }
     if matches!(what, "seeds" | "all") {
         seeds(&options);
+    }
+    if matches!(what, "ablations" | "all") {
+        ablations(&options);
+    }
+    if matches!(what, "micro" | "all") {
+        micro();
     }
 }
 
@@ -234,7 +251,8 @@ fn table6(options: &Options) {
         ("Software (decNumber-style)", KernelKind::Software),
     ] {
         let guest = try_guest_for(kind, &vectors).unwrap_or_else(|e| die(&e));
-        let eval = codesign::framework::run_atomic(&guest, config);
+        let eval = try_run_atomic(&guest, config)
+            .unwrap_or_else(|error| die(&BenchError::Run { kind, error }));
         rows.push((label.to_string(), eval.simulated_seconds));
     }
     println!(
@@ -268,4 +286,125 @@ fn pareto(options: &Options) {
         entries.push((name, gates, eval.avg_total_cycles));
     }
     println!("{}", report::pareto_table(&entries));
+}
+
+fn ablations(options: &Options) {
+    let count = options.samples.min(2_000);
+    let vectors = workload(count, options.seed);
+    eprintln!("[ablations] sweeping timing parameters ({count} samples)...");
+    let cycles = |kind, timing| {
+        try_evaluate_cycles(kind, &vectors, timing)
+            .unwrap_or_else(|e| die(&e))
+            .avg_total_cycles
+    };
+    let base = rocket_timing(options.seed);
+
+    // The interface overhead the paper's Sec. V discusses ("such an
+    // interface imposes a latency overhead"). Of the two kernels measured
+    // here only Method-1 issues RoCC commands, so only it is swept.
+    println!("Ablation: Method-1 avg cycles vs RoCC response latency");
+    let sweep = [0u32, 2, 4, 8].map(|resp| {
+        let timing = TimingConfig {
+            rocc_resp_latency: resp,
+            ..base
+        };
+        (resp, cycles(KernelKind::Method1, timing))
+    });
+    for (resp, avg) in sweep {
+        println!("  resp latency {resp:>2} cycles -> avg total {avg:>8.2}");
+    }
+    let ((first, low), (last, high)) = (sweep[0], sweep[sweep.len() - 1]);
+    println!(
+        "  slope: {:+.2} cycles per response-latency cycle",
+        (high - low) / f64::from(last - first)
+    );
+
+    println!("Ablation: avg cycles vs L1 miss penalty");
+    for miss in [10u32, 20, 40] {
+        let timing = TimingConfig {
+            miss_penalty: miss,
+            ..base
+        };
+        let software = cycles(KernelKind::Software, timing);
+        let method1 = cycles(KernelKind::Method1, timing);
+        println!(
+            "  miss {miss:>2} -> software {software:>8.2}, method-1 {method1:>8.2}, speedup {:.2}x",
+            software / method1
+        );
+    }
+
+    println!("Ablation: software baseline style");
+    let decnumber = cycles(KernelKind::Software, base);
+    let bid = cycles(KernelKind::SoftwareBid, base);
+    println!("  {:<28} {decnumber:>8.2}", KernelKind::Software.name());
+    println!(
+        "  {:<28} {bid:>8.2}  ({:.2}x faster)",
+        KernelKind::SoftwareBid.name(),
+        decnumber / bid
+    );
+    println!();
+}
+
+/// How many times `micro` calls each operation.
+const MICRO_ITERATIONS: u32 = 100_000;
+
+/// Host nanoseconds per call of `op`, averaged over [`MICRO_ITERATIONS`]
+/// calls. `op` receives the iteration index, so loops over inputs need no
+/// state of their own.
+fn ns_per_op<R>(mut op: impl FnMut(u32) -> R) -> f64 {
+    let start = Instant::now();
+    for i in 0..MICRO_ITERATIONS {
+        black_box(op(black_box(i)));
+    }
+    start.elapsed().as_secs_f64() * 1e9 / f64::from(MICRO_ITERATIONS)
+}
+
+fn micro() {
+    use bcd::cla::BcdCla;
+    use bcd::Bcd64;
+    use decnum::{Context, DecNumber};
+    use rocc::{DecimalAccelerator, DecimalFunct};
+
+    eprintln!("[micro] timing the decimal substrates on the host...");
+    let a = Bcd64::from_value(9_876_543_210_123_456).expect("16 digits fit");
+    let b = Bcd64::from_value(1_234_567_890_654_321).expect("16 digits fit");
+    let cla = BcdCla::new(16);
+    let x: DecNumber = "1234567890123456".parse().expect("valid literal");
+    let y: DecNumber = "9876543210987654".parse().expect("valid literal");
+    let mut accelerator = DecimalAccelerator::new();
+    let rows = [
+        ("bcd64_add", ns_per_op(|_| black_box(a).add(black_box(b)))),
+        ("bcd64_full_mul", ns_per_op(|_| black_box(a).full_mul(black_box(b)))),
+        ("bcd_cla_add", ns_per_op(|_| cla.add(black_box(a), black_box(b), false))),
+        (
+            "declet_encode",
+            ns_per_op(|i| dpd::declet::encode_declet_bin((i % 1000) as u16)),
+        ),
+        (
+            "declet_decode",
+            ns_per_op(|i| dpd::declet::decode_declet_bin((i % 1024) as u16)),
+        ),
+        (
+            "decnum_mul",
+            ns_per_op(|_| black_box(&x).mul(black_box(&y), &mut Context::decimal64())),
+        ),
+        (
+            "decnum_div",
+            ns_per_op(|_| black_box(&x).div(black_box(&y), &mut Context::decimal64())),
+        ),
+        (
+            "accelerator_dec_add",
+            ns_per_op(|_| {
+                accelerator
+                    .command(DecimalFunct::DecAdd, 0x1234_5678, 0x8765_4321, 0, 0, 0)
+                    .unwrap_or_else(|e| die(&e))
+            }),
+        ),
+    ];
+    println!("Host microbenchmarks (wall clock, {MICRO_ITERATIONS} calls each)");
+    println!("{:<28} {:>10}", "Operation", "ns/op");
+    for (name, ns) in rows {
+        println!("{name:<28} {ns:>10.1}");
+    }
+    println!();
 }

@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 use atomic_sim::{AtomicConfig, AtomicSim};
 use decnum::Status;
 use dpd::Decimal64;
-use riscv_asm::{link, parse, AsmError, AsmOptions, Program, Unit, STACK_TOP};
+use riscv_asm::{link, parse, AsmError, Program, Unit, STACK_TOP};
 use riscv_isa::Reg;
 use riscv_sim::{Cpu, Marker, Simulator};
 use rocc::DecimalAccelerator;
@@ -93,7 +93,7 @@ pub fn build_guest_with(
     let kernel = kernel_unit(kind)?;
     let operands = parse(&operand_data_section(vectors))?;
     Ok(GuestProgram {
-        program: link(&[&driver, kernel, &operands], &AsmOptions::default())?,
+        program: link(&[&driver, kernel, &operands])?,
         layout,
         kind,
     })

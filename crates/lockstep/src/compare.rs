@@ -138,7 +138,8 @@ pub enum Termination {
 /// The result of a lockstep run.
 #[derive(Debug, Clone)]
 pub enum LockstepOutcome {
-    /// The retirement streams (and final state, if compared) matched.
+    /// The retirement streams and, when both programs exited, the final
+    /// state (registers, console output, markers) matched.
     Agreement {
         /// Instructions retired in lockstep.
         instructions: u64,
@@ -173,9 +174,6 @@ pub struct LockstepOptions {
     pub max_instructions: u64,
     /// Pre-divergence retirements to keep as context.
     pub context: usize,
-    /// Also compare final register files, console output and markers when
-    /// both programs exit.
-    pub compare_final_state: bool,
 }
 
 impl Default for LockstepOptions {
@@ -183,7 +181,6 @@ impl Default for LockstepOptions {
         LockstepOptions {
             max_instructions: 2_000_000,
             context: DEFAULT_CONTEXT,
-            compare_final_state: true,
         }
     }
 }
@@ -257,7 +254,9 @@ fn divergence_pc(a: &StepOutcome, b: &StepOutcome, fallback: u64) -> u64 {
 ///
 /// Both simulators must have been loaded with the same program (see
 /// [`crate::load_program`]). A fault on both sides with the same error is
-/// architectural agreement; anything asymmetric is a divergence.
+/// architectural agreement; anything asymmetric is a divergence. When both
+/// exit with the same code, their final register files, console output and
+/// markers are compared too.
 pub fn run_lockstep(
     a: &mut dyn Simulator,
     b: &mut dyn Simulator,
@@ -313,12 +312,10 @@ pub fn run_lockstep(
                 }
             }
             (StepOutcome::Exited { code: ca }, StepOutcome::Exited { code: cb }) if ca == cb => {
-                if options.compare_final_state {
-                    if let Some(outcome) =
-                        final_state_divergence(step, a, b, &oa, &ob, &context, &cycle_tainted)
-                    {
-                        return outcome;
-                    }
+                if let Some(outcome) =
+                    final_state_divergence(step, a, b, &oa, &ob, &context, &cycle_tainted)
+                {
+                    return outcome;
                 }
                 return LockstepOutcome::Agreement {
                     instructions: step + 1,

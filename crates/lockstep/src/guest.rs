@@ -110,7 +110,6 @@ pub fn run_guest_pair(guest: &GuestProgram, pair: Pair, context: usize) -> Locks
     let options = LockstepOptions {
         max_instructions: guest_budget(guest),
         context,
-        compare_final_state: true,
     };
     run_program_pair(&guest.program, pair, true, &options)
 }

@@ -64,24 +64,6 @@ impl fmt::Display for AsmError {
 
 impl std::error::Error for AsmError {}
 
-/// Section base addresses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AsmOptions {
-    /// Where `.text` starts.
-    pub text_base: u64,
-    /// Where `.data` starts.
-    pub data_base: u64,
-}
-
-impl Default for AsmOptions {
-    fn default() -> Self {
-        AsmOptions {
-            text_base: TEXT_BASE,
-            data_base: DATA_BASE,
-        }
-    }
-}
-
 /// A contiguous loadable region.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Segment {
@@ -312,24 +294,16 @@ pub struct Unit {
     symbols: Vec<SymbolDef>,
 }
 
-/// Assembles `source` with default section bases.
+/// Assembles `source`: a one-unit [`link`], with errors quoting the
+/// offending source line.
 ///
 /// # Errors
 ///
 /// Returns the first [`AsmError`] encountered (syntax, unknown mnemonic,
 /// undefined symbol, out-of-range immediate, …).
 pub fn assemble(source: &str) -> Result<Program, AsmError> {
-    assemble_with(source, &AsmOptions::default())
-}
-
-/// Assembles `source` with explicit section bases: a one-unit [`link`].
-///
-/// # Errors
-///
-/// See [`assemble`].
-pub fn assemble_with(source: &str, options: &AsmOptions) -> Result<Program, AsmError> {
     parse(source)
-        .and_then(|unit| link(&[&unit], options))
+        .and_then(|unit| link(&[&unit]))
         .map_err(|e| e.with_source_context(source))
 }
 
@@ -359,19 +333,20 @@ pub fn parse(source: &str) -> Result<Unit, AsmError> {
     Ok(parser.unit)
 }
 
-/// Links `units` into one program: each unit starts in `.text`, its text is
-/// placed after the text of the units before it and its data after their
-/// data, and its line numbers continue from theirs.
+/// Links `units` into one program with `.text` at [`TEXT_BASE`] and `.data`
+/// at [`DATA_BASE`]: each unit starts in `.text`, its text is placed after
+/// the text of the units before it and its data after their data, and its
+/// line numbers continue from theirs.
 ///
 /// If `a` ends with a newline and `b` begins with a section directive,
-/// `link(&[&parse(a)?, &parse(b)?], options)` equals
-/// `assemble_with(&(a + b), options)`.
+/// `link(&[&parse(a)?, &parse(b)?])` equals `assemble(&(a + b))` apart from
+/// the source context `assemble` adds to an error.
 ///
 /// # Errors
 ///
 /// A symbol defined in two units, an undefined symbol, or an instruction
 /// that does not encode, with its line counted across all of `units`.
-pub fn link(units: &[&Unit], options: &AsmOptions) -> Result<Program, AsmError> {
+pub fn link(units: &[&Unit]) -> Result<Program, AsmError> {
     let mut text = Vec::new();
     let mut line_map = Vec::new();
     let mut data = Vec::new();
@@ -383,7 +358,7 @@ pub fn link(units: &[&Unit], options: &AsmOptions) -> Result<Program, AsmError> 
         let text_starts = place(
             &unit.text,
             Section::Text,
-            options.text_base,
+            TEXT_BASE,
             first_line,
             &mut text,
             &mut line_map,
@@ -391,7 +366,7 @@ pub fn link(units: &[&Unit], options: &AsmOptions) -> Result<Program, AsmError> 
         let data_starts = place(
             &unit.data,
             Section::Data,
-            options.data_base,
+            DATA_BASE,
             first_line,
             &mut data,
             &mut Vec::new(),
@@ -428,7 +403,7 @@ pub fn link(units: &[&Unit], options: &AsmOptions) -> Result<Program, AsmError> 
                 let addr = start + fixup.offset;
                 let words = encode(&fixup.item, addr, &symbols)
                     .map_err(|message| AsmError::new(first_line + fixup.line, message))?;
-                let off = (addr - options.text_base) as usize;
+                let off = (addr - TEXT_BASE) as usize;
                 for (slot, word) in text[off..].chunks_exact_mut(4).zip(words) {
                     slot.copy_from_slice(&word.to_le_bytes());
                 }
@@ -442,7 +417,7 @@ pub fn link(units: &[&Unit], options: &AsmOptions) -> Result<Program, AsmError> 
                 let value = *symbols.get(sym).ok_or_else(|| {
                     AsmError::new(first_line + fixup.line, format!("undefined symbol {sym:?}"))
                 })?;
-                let off = (start + fixup.offset - options.data_base) as usize;
+                let off = (start + fixup.offset - DATA_BASE) as usize;
                 let size = usize::from(*size);
                 data[off..off + size].copy_from_slice(&value.to_le_bytes()[..size]);
             }
@@ -452,7 +427,7 @@ pub fn link(units: &[&Unit], options: &AsmOptions) -> Result<Program, AsmError> 
     let entry = ["start", "_start", "main"]
         .iter()
         .find_map(|name| symbols.get(*name).copied())
-        .unwrap_or(options.text_base);
+        .unwrap_or(TEXT_BASE);
     // Callers keep programs (a set-up may build hundreds), so drop the
     // capacity the images grew into.
     text.shrink_to_fit();
@@ -461,11 +436,11 @@ pub fn link(units: &[&Unit], options: &AsmOptions) -> Result<Program, AsmError> 
     Ok(Program {
         entry,
         text: Segment {
-            base: options.text_base,
+            base: TEXT_BASE,
             data: text,
         },
         data: Segment {
-            base: options.data_base,
+            base: DATA_BASE,
             data,
         },
         symbols,
@@ -1653,7 +1628,7 @@ mod tests {
         }
         let first = parse(".equ k, 1\n").unwrap();
         let second = parse(".equ k, 2\n").unwrap();
-        let err = link(&[&first, &second], &AsmOptions::default()).unwrap_err();
+        let err = link(&[&first, &second]).unwrap_err();
         assert_eq!((err.line, err.message.as_str()), (2, "duplicate symbol \"k\""));
     }
 

@@ -47,11 +47,11 @@
 //! loads a table that the second defines.
 //!
 //! ```
-//! use riscv_asm::{assemble, link, parse, AsmOptions};
+//! use riscv_asm::{assemble, link, parse};
 //!
 //! let main = "start:\n    la a0, table\n    call double\n    li a7, 93\n    ecall\n";
 //! let library = ".text\ndouble:\n    slli a0, a0, 1\n    ret\n.data\ntable:\n    .dword 21\n";
-//! let linked = link(&[&parse(main)?, &parse(library)?], &AsmOptions::default())?;
+//! let linked = link(&[&parse(main)?, &parse(library)?])?;
 //! assert_eq!(linked.symbol("table"), Some(riscv_asm::DATA_BASE));
 //! assert_eq!(linked, assemble(&format!("{main}{library}"))?);
 //! # Ok::<(), riscv_asm::AsmError>(())
@@ -63,13 +63,13 @@
 mod asm;
 mod source;
 
-pub use asm::{assemble, assemble_with, link, parse, AsmError, AsmOptions, Program, Segment, Unit};
+pub use asm::{assemble, link, parse, AsmError, Program, Segment, Unit};
 pub use source::SourceBuilder;
 
-/// Default base address of the `.text` section.
+/// Base address of the `.text` section.
 pub const TEXT_BASE: u64 = 0x8000_0000;
 
-/// Default base address of the `.data` section.
+/// Base address of the `.data` section.
 pub const DATA_BASE: u64 = 0x8010_0000;
 
 /// Conventional initial stack pointer (grows down, away from both sections).

@@ -1,7 +1,7 @@
 //! The link contract: linking separately parsed units gives the program
 //! that assembling their concatenated text gives, field for field.
 
-use riscv_asm::{assemble, link, parse, AsmError, AsmOptions, Program};
+use riscv_asm::{assemble, link, parse, AsmError, Program};
 
 fn link_pieces(pieces: &[&str]) -> Result<Program, AsmError> {
     let units = pieces
@@ -9,7 +9,7 @@ fn link_pieces(pieces: &[&str]) -> Result<Program, AsmError> {
         .map(|piece| parse(piece))
         .collect::<Result<Vec<_>, _>>()?;
     let refs: Vec<_> = units.iter().collect();
-    link(&refs, &AsmOptions::default())
+    link(&refs)
 }
 
 /// Links `pieces` and checks the result against `assemble` of their

@@ -88,6 +88,55 @@ fn deeper_offload_methods_are_faster() {
 }
 
 #[test]
+fn ablations_respond_to_the_parameters_they_model() {
+    let vectors = vectors(100, 7);
+    let guests: Vec<_> = [KernelKind::Method1, KernelKind::Software]
+        .into_iter()
+        .map(|kind| build_guest(kind, &vectors, 1).unwrap())
+        .collect();
+    let latencies = [0u32, 1, 2, 4, 8];
+    let sweep = |guest| -> Vec<f64> {
+        latencies
+            .iter()
+            .map(|&resp| {
+                let timing = TimingConfig {
+                    rocc_resp_latency: resp,
+                    seed: 7,
+                    ..TimingConfig::default()
+                };
+                run_rocket(guest, timing).avg_total_cycles
+            })
+            .collect()
+    };
+    // (a) Every RoCC response waits the latency once, so Method-1's
+    // cycles are linear in it.
+    let method1 = sweep(&guests[0]);
+    let per_cycle = method1[1] - method1[0];
+    assert!(per_cycle > 0.0, "response latency must cost cycles: {method1:?}");
+    for (&k, &c) in latencies.iter().zip(&method1) {
+        let expected = f64::from(k) * per_cycle;
+        assert!(
+            ((c - method1[0]) - expected).abs() <= 1e-9 * expected.abs().max(1.0),
+            "Method-1 not linear in response latency at {k}: {method1:?}"
+        );
+    }
+    // (b) The software kernel issues no RoCC command.
+    let software = sweep(&guests[1]);
+    assert!(
+        software.iter().all(|&c| c == software[0]),
+        "software cycles moved with the response latency: {software:?}"
+    );
+    // (c) The BID-style baseline is the cheaper software style.
+    let bid = build_guest(KernelKind::SoftwareBid, &vectors, 1).unwrap();
+    let timing = TimingConfig {
+        seed: 7,
+        ..TimingConfig::default()
+    };
+    let bid = run_rocket(&bid, timing).avg_total_cycles;
+    assert!(bid < software[0], "BID-style {bid:.0} vs decNumber-style {:.0}", software[0]);
+}
+
+#[test]
 fn repetitions_scale_the_measurement_region() {
     let vectors = vectors(20, 5);
     let timing = TimingConfig::default();
