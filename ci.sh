@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 (build + root test suite), the workspace tests,
-# clippy, rustdoc, the benchmark's contract tests, a run of every example,
-# every table at CI scale, and bounded fixed-seed differential,
-# fault-campaign and crash-resume passes.
+# clippy, rustdoc, the benchmark's contract tests, a short run of every
+# benchmark workload, a run of every example, every table at CI scale, and
+# bounded fixed-seed differential, fault-campaign and crash-resume passes.
 # Everything here is deterministic; a red run reproduces locally with the
 # same commands.
 set -euo pipefail
@@ -32,6 +32,15 @@ echo "== benchmark contract tests =="
 # perfbench is a package of its own (outside the workspace); these check
 # its metric names, result line and determinism record.
 cargo test -q --release --manifest-path perfbench/Cargo.toml
+
+echo "== benchmark smoke run: every workload, 3 s each =="
+# The contract tests compile the benchmark but never run it against the
+# changed crates; this runs each workload the way BENCHMARK.json does, and
+# a nonzero exit (a build failure, a wrong result) fails CI.
+for workload in paper_eval ledger_batches fault_campaign lockstep_conformance; do
+    echo "-- $workload"
+    python3 perfbench/run.py --workload "$workload" --seed 11 --seconds 3 --trace 0
+done
 
 echo "== examples: run every program under examples/ =="
 # Clippy only compiles the examples; this runs each one, and a nonzero

@@ -39,8 +39,7 @@
 #![warn(missing_docs)]
 
 use riscv_isa::Instr;
-use riscv_sim::snapshot::{seal, unseal, ByteReader, ByteWriter};
-use riscv_sim::{Cpu, CpuError, CpuSnapshot, Event, Simulator, SnapshotError};
+use riscv_sim::{Cpu, CpuError, Event, Simulator};
 
 /// Atomic-CPU timing parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -84,8 +83,8 @@ pub struct AtomicStats {
 /// The atomic CPU: the shared functional executor plus trivial fixed-cost
 /// timing.
 pub struct AtomicSim {
-    /// The wrapped functional core (public for program loading,
-    /// coprocessors and retirement observers).
+    /// The wrapped functional core (public for program loading and
+    /// coprocessors).
     pub cpu: Cpu,
     config: AtomicConfig,
     stats: AtomicStats,
@@ -129,33 +128,6 @@ impl AtomicSim {
     #[must_use]
     pub fn simulated_seconds(&self) -> f64 {
         self.stats.cycles as f64 / self.config.clock_hz
-    }
-
-    /// Captures the complete machine state: the functional core (registers,
-    /// pc, CSRs, memory pages, attached-coprocessor state, counters) plus
-    /// this simulator's tick counters. The timing parameters
-    /// ([`AtomicConfig`]) are *not* part of the snapshot — restore targets a
-    /// simulator built with the same configuration.
-    #[must_use]
-    pub fn snapshot(&self) -> AtomicSnapshot {
-        AtomicSnapshot {
-            cpu: self.cpu.snapshot(),
-            stats: self.stats,
-        }
-    }
-
-    /// Restores a snapshot taken with [`AtomicSim::snapshot`] into this
-    /// simulator. The retirement observer, if any, is harness state and is
-    /// kept as-is.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SnapshotError`] from the functional-core restore (for
-    /// example a coprocessor-state mismatch).
-    pub fn restore(&mut self, snapshot: &AtomicSnapshot) -> Result<(), SnapshotError> {
-        self.cpu.restore(&snapshot.cpu)?;
-        self.stats = snapshot.stats;
-        Ok(())
     }
 }
 
@@ -219,53 +191,6 @@ impl Simulator for AtomicSim {
     }
 }
 
-/// Envelope kind tag for serialized [`AtomicSnapshot`]s (`"ATM1"`).
-pub const SNAPSHOT_KIND: u32 = 0x314D_5441;
-
-/// Serializable state of an [`AtomicSim`]: the wrapped functional core plus
-/// the atomic-mode tick counters. The [`AtomicConfig`] is excluded — a
-/// snapshot only restores into a simulator built with the same
-/// configuration.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AtomicSnapshot {
-    /// Functional-core state.
-    pub cpu: CpuSnapshot,
-    /// Tick counters at the snapshot point.
-    pub stats: AtomicStats,
-}
-
-impl AtomicSnapshot {
-    /// Serializes into the common checksummed snapshot envelope.
-    #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.blob(&self.cpu.to_bytes());
-        w.u64(self.stats.cycles);
-        w.u64(self.stats.instret);
-        w.u64(self.stats.mem_accesses);
-        seal(SNAPSHOT_KIND, &w.finish())
-    }
-
-    /// Deserializes a snapshot produced by [`AtomicSnapshot::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SnapshotError`] if the envelope, version, kind,
-    /// checksum, or body layout is invalid.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let body = unseal(bytes, SNAPSHOT_KIND)?;
-        let mut r = ByteReader::new(body);
-        let cpu = CpuSnapshot::from_bytes(r.blob()?)?;
-        let stats = AtomicStats {
-            cycles: r.u64()?,
-            instret: r.u64()?,
-            mem_accesses: r.u64()?,
-        };
-        r.expect_end()?;
-        Ok(AtomicSnapshot { cpu, stats })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,33 +248,6 @@ mod tests {
         sim.run(100).unwrap();
         assert_eq!(sim.stats().cycles, 4); // 3 instructions + 1 mem access
         assert_eq!(sim.stats().mem_accesses, 1);
-    }
-
-    #[test]
-    fn snapshot_restore_resumes_identically() {
-        let build = || {
-            let mut sim = AtomicSim::default();
-            let mut prog = vec![Instr::NOP; 6];
-            prog.push(addi(Reg::A0, Reg::ZERO, 7));
-            prog.push(addi(Reg::A7, Reg::ZERO, 93));
-            prog.push(Instr::Ecall);
-            load(&mut sim, &prog);
-            sim
-        };
-        // Uninterrupted reference run.
-        let mut reference = build();
-        let want_exit = reference.run(100).unwrap();
-        // Run half-way, snapshot, serialize, restore into a fresh sim.
-        let mut first = build();
-        for _ in 0..4 {
-            first.step().unwrap();
-        }
-        let bytes = first.snapshot().to_bytes();
-        let snapshot = AtomicSnapshot::from_bytes(&bytes).unwrap();
-        let mut resumed = build();
-        resumed.restore(&snapshot).unwrap();
-        assert_eq!(resumed.run(100).unwrap(), want_exit);
-        assert_eq!(resumed.stats(), reference.stats());
     }
 
     #[test]

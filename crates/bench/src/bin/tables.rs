@@ -16,7 +16,8 @@ use codesign::framework::{time_native, try_run_atomic, NativeMethod};
 use codesign::kernels::KernelKind;
 use codesign::report;
 use decimal_bench::{
-    atomic_config, rocket_timing, try_evaluate_cycles, try_guest_for, workload, BenchError,
+    atomic_config, check_results, rocket_timing, try_evaluate_cycles, try_guest_for, workload,
+    BenchError,
 };
 use rocket_sim::TimingConfig;
 
@@ -176,7 +177,9 @@ fn classes(options: &Options) {
             },
         )
         .unwrap_or_else(|e| die(&format!("{kind}: failed to build guest: {e}")));
-        let breakdown = run_rocket_per_class(&guest, &vectors, timing);
+        let breakdown = run_rocket_per_class(&guest, &vectors, timing)
+            .unwrap_or_else(|error| die(&BenchError::Run { kind, error }));
+        check_results(kind, &breakdown.results, &vectors).unwrap_or_else(|e| die(&e));
         configs.push((kind.name().to_string(), breakdown));
     }
     println!("{}", codesign::report::class_table(&configs));

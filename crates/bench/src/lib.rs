@@ -110,16 +110,28 @@ pub fn try_evaluate_cycles(
 ) -> Result<CycleEvaluation, BenchError> {
     let guest = try_guest_for(kind, vectors)?;
     let eval = try_run_rocket(&guest, timing).map_err(|error| BenchError::Run { kind, error })?;
-    if !kind.results_are_dummy() {
-        let mismatches = verify_results(&eval.results, vectors);
-        if !mismatches.is_empty() {
-            return Err(BenchError::ResultMismatch {
-                kind,
-                mismatches: mismatches.len(),
-            });
-        }
-    }
+    check_results(kind, &eval.results, vectors)?;
     Ok(eval)
+}
+
+/// Verifies `results` against the oracle unless `kind` is a dummy
+/// configuration, whose results are wrong by design.
+///
+/// # Errors
+///
+/// Returns [`BenchError::ResultMismatch`] if any result disagrees.
+pub fn check_results(
+    kind: KernelKind,
+    results: &[u64],
+    vectors: &[TestVector],
+) -> Result<(), BenchError> {
+    if kind.results_are_dummy() {
+        return Ok(());
+    }
+    match verify_results(results, vectors).len() {
+        0 => Ok(()),
+        mismatches => Err(BenchError::ResultMismatch { kind, mismatches }),
+    }
 }
 
 #[cfg(test)]

@@ -151,9 +151,9 @@ pub fn guest_budget(guest: &GuestProgram) -> u64 {
 }
 
 /// A guest run that did not produce results: a fault, a nonzero exit, or a
-/// missing measurement marker. The panicking `run_*` entry points wrap
-/// these; the `try_run_*` variants surface them to callers that inject
-/// faults on purpose and expect to handle failure.
+/// missing or miscounted measurement marker. The panicking `run_*` entry
+/// points wrap these; the `try_run_*` variants surface them to callers
+/// that inject faults on purpose and expect to handle failure.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RunError {
     /// The guest faulted; the program counter locates the instruction.
@@ -167,6 +167,14 @@ pub enum RunError {
     ExitCode(i64),
     /// A required measurement marker never fired.
     MissingMarker(&'static str),
+    /// A per-sample run fired a different number of sample markers than
+    /// there are samples (the guest was built without per-sample markers).
+    SampleMarkers {
+        /// The number of samples.
+        expected: usize,
+        /// The number of sample markers that fired.
+        found: usize,
+    },
 }
 
 impl std::fmt::Display for RunError {
@@ -175,6 +183,9 @@ impl std::fmt::Display for RunError {
             RunError::Fault { pc, error } => write!(f, "guest faulted at pc {pc:#x}: {error}"),
             RunError::ExitCode(code) => write!(f, "guest exited with {code}"),
             RunError::MissingMarker(which) => write!(f, "missing {which} marker"),
+            RunError::SampleMarkers { expected, found } => {
+                write!(f, "{found} per-sample markers for {expected} samples")
+            }
         }
     }
 }
@@ -322,6 +333,8 @@ pub fn run_rocket(guest: &GuestProgram, timing: TimingConfig) -> CycleEvaluation
 /// Per-input-class cycle averages from a marked run.
 #[derive(Debug, Clone)]
 pub struct ClassBreakdown {
+    /// Result bits per sample.
+    pub results: Vec<u64>,
     /// `(class, average cycles per multiplication, sample count)` rows,
     /// ordered by class.
     pub rows: Vec<(testgen::CaseClass, f64, usize)>,
@@ -335,29 +348,30 @@ pub struct ClassBreakdown {
 /// highly dependent on the nature of the input, like rounding operation
 /// takes higher time than normal operation".
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the guest was built without per-sample markers, or on faults.
-#[must_use]
+/// Returns [`RunError`] on guest faults, nonzero exit, a missing
+/// measurement region, or a sample-marker count other than one per vector
+/// (a guest built without per-sample markers).
 pub fn run_rocket_per_class(
     guest: &GuestProgram,
     vectors: &[TestVector],
     timing: TimingConfig,
-) -> ClassBreakdown {
-    assert!(
-        guest.layout.per_sample_marks,
-        "guest must be built with per-sample markers"
-    );
-    let sim = run_guest(RocketSim::new(timing), guest)
-        .unwrap_or_else(|e| panic!("rocket run failed: {e}"));
+) -> Result<ClassBreakdown, RunError> {
+    let sim = run_guest(RocketSim::new(timing), guest)?;
     let markers = &sim.cpu.markers;
-    let (_, end) = loop_region(markers).unwrap_or_else(|e| panic!("{e}"));
+    let (_, end) = loop_region(markers)?;
     // Per-sample cycles: marker i+1 (or the end marker) minus marker i.
     let sample_marks: Vec<&Marker> = markers
         .iter()
         .filter(|m| m.id >= testgen::MARK_SAMPLE_BASE)
         .collect();
-    assert_eq!(sample_marks.len(), vectors.len(), "one marker per sample");
+    if sample_marks.len() != vectors.len() {
+        return Err(RunError::SampleMarkers {
+            expected: vectors.len(),
+            found: sample_marks.len(),
+        });
+    }
     let reps = f64::from(guest.layout.repetitions.max(1));
     let mut sums: std::collections::BTreeMap<testgen::CaseClass, (f64, usize)> =
         std::collections::BTreeMap::new();
@@ -371,13 +385,14 @@ pub fn run_rocket_per_class(
         entry.0 += cycles;
         entry.1 += 1;
     }
-    ClassBreakdown {
+    Ok(ClassBreakdown {
+        results: read_results(&sim.cpu.memory, guest),
         rows: sums
             .into_iter()
             .map(|(class, (sum, n))| (class, sum / n as f64, n))
             .collect(),
         overall: total / vectors.len() as f64,
-    }
+    })
 }
 
 /// Outcome of a Gem5-like atomic run: Table VI's quantities.
@@ -528,6 +543,49 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn per_class_runs_report_failures_as_errors() {
+        let vectors = testgen::generate(&TestConfig {
+            count: 3,
+            ..TestConfig::default()
+        });
+        let marked = DriverLayout {
+            count: vectors.len(),
+            repetitions: 1,
+            per_sample_marks: true,
+        };
+        let timing = TimingConfig::default();
+        let mut guest = build_guest_with(KernelKind::Method1, &vectors, marked).unwrap();
+        let breakdown = run_rocket_per_class(&guest, &vectors, timing).unwrap();
+        assert!(verify_results(&breakdown.results, &vectors).is_empty());
+
+        // An `ebreak` over the kernel's first instruction faults the first
+        // call, after the loop-start and first sample markers have fired.
+        let kernel = guest.program.symbol("kernel").unwrap();
+        let at = (kernel - guest.program.text.base) as usize;
+        guest.program.text.data[at..at + 4].copy_from_slice(&0x0010_0073u32.to_le_bytes());
+        assert!(matches!(
+            run_rocket_per_class(&guest, &vectors, timing),
+            Err(RunError::Fault {
+                error: riscv_sim::CpuError::Breakpoint(pc),
+                ..
+            }) if pc == kernel
+        ));
+
+        let unmarked = DriverLayout {
+            per_sample_marks: false,
+            ..marked
+        };
+        let guest = build_guest_with(KernelKind::Method1, &vectors, unmarked).unwrap();
+        assert_eq!(
+            run_rocket_per_class(&guest, &vectors, timing).unwrap_err(),
+            RunError::SampleMarkers {
+                expected: 3,
+                found: 0
+            }
+        );
     }
 
     #[test]

@@ -61,10 +61,8 @@
 #![warn(missing_docs)]
 
 mod asm;
-mod source;
 
 pub use asm::{assemble, link, parse, AsmError, Program, Segment, Unit};
-pub use source::SourceBuilder;
 
 /// Base address of the `.text` section.
 pub const TEXT_BASE: u64 = 0x8000_0000;

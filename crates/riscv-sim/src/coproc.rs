@@ -9,7 +9,6 @@
 
 use riscv_isa::rocc::RoccInstruction;
 
-use crate::snapshot::{CoprocSnapshot, SnapshotError};
 use crate::{CpuError, Memory};
 
 /// A command sent to an accelerator over the RoCC `cmd` interface: the
@@ -63,6 +62,39 @@ impl RoccResponse {
     }
 }
 
+/// Opaque coprocessor state for [`Coprocessor::snapshot_state`].
+///
+/// Nothing in the simulators produces or consumes it: the type exists only
+/// so that the counting accelerator wrapper in `perfbench/src/layers.rs`,
+/// which overrides both snapshot hooks, keeps compiling.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CoprocSnapshot {
+    /// Implementation tag.
+    pub tag: u32,
+    /// Implementation-defined state bytes.
+    pub data: Vec<u8>,
+}
+
+/// The error of [`Coprocessor::restore_state`]; kept only for
+/// `perfbench/src/layers.rs`, like [`CoprocSnapshot`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SnapshotError {
+    /// The coprocessor cannot restore state with this tag.
+    Coprocessor {
+        /// The tag of the rejected state.
+        found: u32,
+    },
+}
+
+impl std::fmt::Display for SnapshotError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let SnapshotError::Coprocessor { found } = self;
+        write!(f, "coprocessor cannot restore state with tag {found:#010x}")
+    }
+}
+
+impl std::error::Error for SnapshotError {}
+
 /// An accelerator attachable to a simulated core's RoCC port.
 pub trait Coprocessor {
     /// Executes one command. `mem` is the core's memory as seen through the
@@ -84,25 +116,18 @@ pub trait Coprocessor {
     /// Resets all architectural accelerator state.
     fn reset(&mut self);
 
-    /// Serializes the accelerator's architectural state for a machine
-    /// snapshot. The default — for coprocessors with no state worth
-    /// carrying across a snapshot — returns `None`, in which case
-    /// [`Coprocessor::restore_state`] is never called on restore and the
-    /// coprocessor is [`Coprocessor::reset`] instead.
+    /// Returns `None`. No simulator calls this hook; it exists only
+    /// because `perfbench/src/layers.rs` overrides it.
     fn snapshot_state(&self) -> Option<CoprocSnapshot> {
         None
     }
 
-    /// Restores state previously captured by
-    /// [`Coprocessor::snapshot_state`]. The default rejects every
-    /// snapshot: a stateful snapshot cannot be restored into a
-    /// coprocessor that never produces one.
+    /// Rejects `snapshot`. No simulator calls this hook; it exists only
+    /// because `perfbench/src/layers.rs` overrides it.
     ///
     /// # Errors
     ///
-    /// Returns [`SnapshotError::Coprocessor`] when the snapshot tag does
-    /// not belong to this implementation, or a decode error for corrupt
-    /// state bytes.
+    /// Always returns [`SnapshotError::Coprocessor`].
     fn restore_state(&mut self, snapshot: &CoprocSnapshot) -> Result<(), SnapshotError> {
         Err(SnapshotError::Coprocessor {
             found: snapshot.tag,

@@ -5,7 +5,6 @@ use riscv_isa::{csr, Reg};
 
 use crate::coproc::{Coprocessor, NoCoprocessor, RoccCommand, RoccResponse};
 use crate::memory::PAGE_SHIFT;
-use crate::snapshot::{CpuSnapshot, SnapshotError};
 use crate::{CpuError, Memory, Simulator};
 
 /// Syscall numbers understood by the host interface (`a7` at `ecall`).
@@ -211,9 +210,6 @@ fn read_sized(memory: &Memory, addr: u64, size: u64) -> u64 {
     value.unwrap_or(0)
 }
 
-/// An observer invoked on every retirement (the canonical stream).
-pub type RetireObserver = Box<dyn FnMut(&RetirementRecord)>;
-
 /// Instruction slots in one 4 KiB page.
 const SLOTS_PER_PAGE: usize = 1 << (PAGE_SHIFT - 2);
 
@@ -225,8 +221,8 @@ const NO_PAGE: u64 = u64::MAX;
 
 /// The core's decoded-instruction cache: instructions decoded from the
 /// code pages fetched so far, valid while the memory stays at the code
-/// epoch they were decoded under (see [`Memory`]). It is derived state —
-/// never snapshotted, rebuilt on demand.
+/// epoch they were decoded under (see [`Memory`]). It is derived state,
+/// rebuilt on demand.
 struct DecodedPages {
     /// The memory code epoch the cached instructions belong to.
     epoch: u64,
@@ -289,8 +285,8 @@ pub struct Marker {
 ///
 /// Instructions are decoded once per code page slot and reused until
 /// [`Cpu::memory`] moves to a new code epoch — a write to any page fetched
-/// from, a restore, or a different memory installed in the field — so
-/// self-modifying code and harness patches always execute as written.
+/// from, or a different memory installed in the field — so self-modifying
+/// code and harness patches always execute as written.
 ///
 /// # Example
 ///
@@ -339,7 +335,6 @@ pub struct Cpu {
     pub rocc_watchdog: u32,
     coprocessor: Box<dyn Coprocessor>,
     scratch_csrs: std::collections::BTreeMap<u16, u64>,
-    retire_observer: Option<RetireObserver>,
     decoded: DecodedPages,
 }
 
@@ -380,7 +375,6 @@ impl Cpu {
             rocc_watchdog: DEFAULT_ROCC_WATCHDOG,
             coprocessor: Box::new(NoCoprocessor),
             scratch_csrs: std::collections::BTreeMap::new(),
-            retire_observer: None,
             decoded: DecodedPages::new(),
         }
     }
@@ -388,16 +382,6 @@ impl Cpu {
     /// Attaches an accelerator to the RoCC port.
     pub fn attach_coprocessor(&mut self, coprocessor: Box<dyn Coprocessor>) {
         self.coprocessor = coprocessor;
-    }
-
-    /// Installs an observer called with the canonical [`RetirementRecord`]
-    /// of every retired instruction. The observer is harness state, not
-    /// architectural state: [`Cpu::reset`] keeps it installed.
-    ///
-    /// Timing wrappers (`rocket-sim`, `atomic-sim`) execute through this
-    /// core, so an observer installed here sees their streams too.
-    pub fn set_retire_observer(&mut self, observer: impl FnMut(&RetirementRecord) + 'static) {
-        self.retire_observer = Some(Box::new(observer));
     }
 
     /// A snapshot of the full integer register file, indexed by register
@@ -429,63 +413,6 @@ impl Cpu {
     /// Sets the program counter (e.g. to a program's entry point).
     pub fn set_pc(&mut self, pc: u64) {
         self.pc = pc;
-    }
-
-    /// Captures the complete architectural state — registers, pc,
-    /// counters, scratch CSRs, all mapped memory pages, console/marker/
-    /// trap logs, and (if the attached coprocessor supports it) the
-    /// accelerator state. Restoring the snapshot into a fresh core
-    /// continues the run bit-for-bit.
-    ///
-    /// The retirement observer is harness state, not machine state, and
-    /// is not part of the snapshot.
-    #[must_use]
-    pub fn snapshot(&self) -> CpuSnapshot {
-        CpuSnapshot {
-            regs: self.regs,
-            pc: self.pc,
-            cycle: self.cycle,
-            instret: self.instret,
-            rocc_watchdog: self.rocc_watchdog,
-            csrs: self.scratch_csrs.iter().map(|(&k, &v)| (k, v)).collect(),
-            pages: self.memory.dump_pages(),
-            console: self.console.clone(),
-            markers: self.markers.clone(),
-            trap_log: self.trap_log.clone(),
-            coproc: self.coprocessor.snapshot_state(),
-        }
-    }
-
-    /// Restores a previously captured snapshot, replacing all
-    /// architectural state (the attached coprocessor and the retirement
-    /// observer stay attached; the coprocessor is handed its own snapshot
-    /// state, or reset if the snapshot carries none).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapshotError`] if the snapshot's coprocessor state does
-    /// not belong to the attached coprocessor, or a memory page is
-    /// malformed. Validation happens before any state is overwritten
-    /// except the coprocessor's own restore.
-    pub fn restore(&mut self, snapshot: &CpuSnapshot) -> Result<(), SnapshotError> {
-        match &snapshot.coproc {
-            Some(coproc) => self.coprocessor.restore_state(coproc)?,
-            None => self.coprocessor.reset(),
-        }
-        self.memory
-            .restore_pages(&snapshot.pages)
-            .map_err(SnapshotError::Malformed)?;
-        self.regs = snapshot.regs;
-        self.regs[0] = 0;
-        self.pc = snapshot.pc;
-        self.cycle = snapshot.cycle;
-        self.instret = snapshot.instret;
-        self.rocc_watchdog = snapshot.rocc_watchdog;
-        self.scratch_csrs = snapshot.csrs.iter().copied().collect();
-        self.console = snapshot.console.clone();
-        self.markers = snapshot.markers.clone();
-        self.trap_log = snapshot.trap_log.clone();
-        Ok(())
     }
 
     /// Executes one instruction.
@@ -786,20 +713,13 @@ impl Cpu {
         self.pc = next_pc;
         self.instret += 1;
         self.cycle += 1;
-        let retired = Retired {
+        Ok(Event::Retired(Retired {
             pc,
             instr,
             next_pc,
             mem_access,
             rocc,
-        };
-        // Take the observer out so it can borrow the post-step state; it
-        // cannot reach the Cpu, so it cannot install a replacement meanwhile.
-        if let Some(mut observer) = self.retire_observer.take() {
-            observer(&RetirementRecord::capture(self, &retired));
-            self.retire_observer = Some(observer);
-        }
-        Ok(Event::Retired(retired))
+        }))
     }
 
     /// The decoded instruction at the aligned `pc`: from the decoded-page
@@ -1139,7 +1059,7 @@ mod tests {
     }
 
     #[test]
-    fn retire_observer_sees_canonical_stream() {
+    fn captured_records_are_the_canonical_stream() {
         let mut cpu = Cpu::new();
         let mut prog = vec![
             addi(Reg::T0, Reg::ZERO, 7),
@@ -1149,11 +1069,15 @@ mod tests {
         ];
         prog.extend(exit_seq());
         load(&mut cpu, 0x1000, &prog);
-        let stream = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-        let sink = stream.clone();
-        cpu.set_retire_observer(move |record| sink.borrow_mut().push(*record));
-        assert_eq!(cpu.run(100).unwrap(), 7);
-        let stream = stream.borrow();
+        let mut stream = Vec::new();
+        let code = loop {
+            match cpu.step().unwrap() {
+                Event::Retired(retired) => stream.push(RetirementRecord::capture(&cpu, &retired)),
+                Event::Exited { code } => break code,
+                Event::Trapped { .. } => panic!("unexpected trap"),
+            }
+        };
+        assert_eq!(code, 7);
         // The exiting ecall retires without a record; everything else streams.
         assert_eq!(stream.len(), prog.len() - 1);
         assert_eq!(stream[0].seq, 1);
@@ -1397,18 +1321,6 @@ mod tests {
         let mut prog = vec![addi(Reg::A0, Reg::ZERO, value)];
         prog.extend(exit_seq());
         load(cpu, 0x1000, &prog);
-    }
-
-    #[test]
-    fn restoring_other_text_into_a_core_that_ran_executes_it() {
-        let mut other = Cpu::new();
-        exit_with(&mut other, 2);
-        let snapshot = other.snapshot();
-        let mut cpu = Cpu::new();
-        exit_with(&mut cpu, 1);
-        assert_eq!(cpu.run(100).unwrap(), 1);
-        cpu.restore(&snapshot).unwrap();
-        assert_eq!(cpu.run(100).unwrap(), 2);
     }
 
     #[test]

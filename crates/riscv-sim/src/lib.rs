@@ -27,18 +27,18 @@ mod coproc;
 mod cpu;
 mod memory;
 mod simulator;
-pub mod snapshot;
 
 use std::fmt;
 
-pub use coproc::{Coprocessor, NoCoprocessor, RoccCommand, RoccResponse, ROCC_HANG};
+pub use coproc::{
+    CoprocSnapshot, Coprocessor, NoCoprocessor, RoccCommand, RoccResponse, SnapshotError, ROCC_HANG,
+};
 pub use cpu::{
-    syscall, trap_cause, Cpu, Event, Marker, MemAccess, MemEffect, Retired, RetireObserver,
-    RetirementRecord, TrapRecord, DEFAULT_ROCC_WATCHDOG,
+    syscall, trap_cause, Cpu, Event, Marker, MemAccess, MemEffect, Retired, RetirementRecord,
+    TrapRecord, DEFAULT_ROCC_WATCHDOG,
 };
 pub use memory::Memory;
 pub use simulator::Simulator;
-pub use snapshot::{CoprocSnapshot, CpuSnapshot, SnapshotError, SNAPSHOT_VERSION};
 
 /// Faults and limits surfaced by the simulators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -10,8 +10,7 @@ const PAGE_SIZE: u64 = 1 << PAGE_SHIFT;
 
 /// Source of code epochs. Every value is handed out once per process, so
 /// an epoch names one state of the code pages of one [`Memory`] instance:
-/// a fresh memory, a clone or a restored memory never shares the epoch of
-/// another.
+/// a fresh memory or a clone never shares the epoch of another.
 static NEXT_CODE_EPOCH: AtomicU64 = AtomicU64::new(1);
 
 fn fresh_code_epoch() -> u64 {
@@ -47,9 +46,8 @@ impl Page {
 /// A page becomes a *code page* when the core fetches an instruction from
 /// it. Any write that touches a code page — a guest store, an accelerator
 /// write through the RoCC memory port, a harness write — moves the memory
-/// to a new code epoch, and so does [`Memory::restore_pages`]. Cores keep
-/// their decoded instructions only while the epoch they were decoded under
-/// is current. Epochs are unique across instances and clones, so replacing
+/// to a new code epoch. Cores keep their decoded instructions only while
+/// the epoch they were decoded under is current. Epochs are unique across instances and clones, so replacing
 /// a core's memory wholesale invalidates them too.
 ///
 /// # Example
@@ -288,46 +286,6 @@ impl Memory {
         }
         Ok(out)
     }
-
-    /// Dumps every mapped page as `(base address, page bytes)` in address
-    /// order — the snapshot view of memory. Code-page status is derived
-    /// state and not part of the dump.
-    #[must_use]
-    pub fn dump_pages(&self) -> Vec<(u64, Vec<u8>)> {
-        self.pages
-            .iter()
-            .map(|(&index, page)| (index << PAGE_SHIFT, page.bytes.to_vec()))
-            .collect()
-    }
-
-    /// Replaces the entire memory contents with previously dumped pages,
-    /// starting a new code epoch.
-    ///
-    /// Validates every page before mutating anything, so a malformed dump
-    /// leaves the memory untouched.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description if a page base is not page-aligned or a page
-    /// is not exactly one page long.
-    pub fn restore_pages(&mut self, pages: &[(u64, Vec<u8>)]) -> Result<(), &'static str> {
-        for (base, data) in pages {
-            if base & (PAGE_SIZE - 1) != 0 {
-                return Err("memory page base is not page-aligned");
-            }
-            if data.len() != PAGE_SIZE as usize {
-                return Err("memory page has the wrong size");
-            }
-        }
-        self.pages.clear();
-        for (base, data) in pages {
-            let mut page = Page::zeroed();
-            page.bytes.copy_from_slice(data);
-            self.pages.insert(base >> PAGE_SHIFT, page);
-        }
-        self.code_epoch = fresh_code_epoch();
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -440,23 +398,20 @@ mod tests {
     }
 
     #[test]
-    fn fetching_maps_nothing_and_leaves_the_dump_unchanged() {
+    fn fetching_maps_nothing_and_leaves_the_contents_unchanged() {
         let mut m = Memory::new();
         m.write_u32(0x3000, 0x0000_0013).unwrap();
         m.write_u64(0x1008, 0x1122_3344_5566_7788).unwrap();
-        let pages_before = m.mapped_pages();
-        let dump_before = m.dump_pages();
+        let contents = |m: &Memory| {
+            [0x1000, 0x3000].map(|base| m.read_bytes(base, PAGE_SIZE as usize).unwrap())
+        };
+        let before = contents(&m);
         m.fetch_u32(0x3000).unwrap();
         m.fetch_u32(0x1004).unwrap();
         let _ = m.fetch_u32(0x2000);
-        assert_eq!(m.mapped_pages(), pages_before);
-        let dump = m.dump_pages();
-        assert_eq!(dump, dump_before);
-        let bases: Vec<u64> = dump.iter().map(|(base, _)| *base).collect();
-        assert_eq!(bases, vec![0x1000, 0x3000]);
-        assert!(dump
-            .iter()
-            .all(|(_, bytes)| bytes.len() == PAGE_SIZE as usize));
+        assert_eq!(m.mapped_pages(), 2);
+        assert_eq!(contents(&m), before);
+        assert_eq!(m.read_u8(0x2000), Err(CpuError::UnmappedAddress(0x2000)));
     }
 
     #[test]
@@ -481,20 +436,13 @@ mod tests {
     }
 
     #[test]
-    fn code_epochs_are_unique_across_instances_clones_and_restores() {
+    fn code_epochs_are_unique_across_instances_and_clones() {
         let mut m = Memory::new();
         m.write_u32(0x1000, 0x0000_0013).unwrap();
         let other = Memory::new();
         assert_ne!(m.code_epoch(), other.code_epoch());
         let copy = m.clone();
         assert_ne!(m.code_epoch(), copy.code_epoch());
-        assert_eq!(copy.dump_pages(), m.dump_pages());
-        let before = m.code_epoch();
-        m.restore_pages(&copy.dump_pages()).unwrap();
-        assert_ne!(m.code_epoch(), before);
-        // A malformed dump changes nothing, the epoch included.
-        let before = m.code_epoch();
-        assert!(m.restore_pages(&[(0x1001, vec![0; 4096])]).is_err());
-        assert_eq!(m.code_epoch(), before);
+        assert_eq!(copy.read_u32(0x1000), m.read_u32(0x1000));
     }
 }

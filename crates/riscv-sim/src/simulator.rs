@@ -6,7 +6,7 @@ use crate::{Cpu, CpuError, Event};
 /// [`Cpu`]: the functional core itself, or a timing model around one
 /// (`rocket-sim`, `atomic-sim`).
 ///
-/// Loading, observers, coprocessors and architectural state all live on the
+/// Loading, coprocessors and architectural state all live on the
 /// [`Cpu`] reached through [`Simulator::cpu_mut`]; a simulator only adds
 /// how one step is charged. Harnesses (the evaluation framework, the
 /// lockstep comparator, campaigns) drive any platform through this trait,

@@ -6,8 +6,7 @@ use std::collections::BTreeMap;
 use bcd::cla::BcdCla;
 use bcd::convert::double_dabble;
 use bcd::{Bcd128, Bcd64};
-use riscv_sim::snapshot::{ByteReader, ByteWriter};
-use riscv_sim::{Coprocessor, CoprocSnapshot, CpuError, Memory, RoccCommand, RoccResponse, SnapshotError};
+use riscv_sim::{Coprocessor, CpuError, Memory, RoccCommand, RoccResponse};
 
 use crate::fsm::{FsmState, InterfaceFsm};
 use crate::isa::{decode_reg_address, DecimalFunct};
@@ -15,42 +14,6 @@ use crate::status::{AccelCause, AccelStatus};
 
 /// Register-file index that serves as the wide accumulator (`ACC`).
 pub const ACC_INDEX: usize = 15;
-
-/// Snapshot tag identifying decimal-accelerator state (`"DECA"`).
-pub const SNAPSHOT_TAG: u32 = 0x4143_4544;
-
-/// Encodes an FSM state as `(state code, funct7 of Execute)`.
-fn encode_fsm_state(state: FsmState) -> (u8, u8) {
-    match state {
-        FsmState::Idle => (0, 0),
-        FsmState::Read => (1, 0),
-        FsmState::Write => (2, 0),
-        FsmState::Clear => (3, 0),
-        FsmState::Accum => (4, 0),
-        FsmState::Execute(funct) => (5, funct.funct7()),
-        FsmState::RespondRead => (6, 0),
-        FsmState::RespondWrite => (7, 0),
-        FsmState::Error => (8, 0),
-    }
-}
-
-fn decode_fsm_state(code: u8, funct7: u8) -> Result<FsmState, SnapshotError> {
-    Ok(match code {
-        0 => FsmState::Idle,
-        1 => FsmState::Read,
-        2 => FsmState::Write,
-        3 => FsmState::Clear,
-        4 => FsmState::Accum,
-        5 => FsmState::Execute(
-            DecimalFunct::from_funct7(funct7)
-                .ok_or(SnapshotError::Malformed("unknown Execute funct7"))?,
-        ),
-        6 => FsmState::RespondRead,
-        7 => FsmState::RespondWrite,
-        8 => FsmState::Error,
-        _ => return Err(SnapshotError::Malformed("unknown FSM state code")),
-    })
-}
 
 /// Per-function execution-unit busy cycles (excluding the core-side
 /// dispatch/response handshake, which the pipeline model charges).
@@ -517,75 +480,6 @@ impl Coprocessor for DecimalAccelerator {
         self.clear_state();
         self.fsm.reset();
     }
-
-    fn snapshot_state(&self) -> Option<CoprocSnapshot> {
-        let mut w = ByteWriter::new();
-        for reg in self.regfile {
-            w.u128(reg);
-        }
-        w.u64(self.bin_scratch);
-        w.bool(self.carry);
-        let (state_code, state_funct7) = encode_fsm_state(self.fsm.state());
-        w.u8(state_code);
-        w.u8(state_funct7);
-        match self.latched {
-            None => w.bool(false),
-            Some((cause, funct7)) => {
-                w.bool(true);
-                w.u8(cause.code());
-                w.u8(funct7);
-            }
-        }
-        w.u64(self.command_counts.len() as u64);
-        for (&funct, &count) in &self.command_counts {
-            w.u8(funct.funct7());
-            w.u64(count);
-        }
-        w.u64(self.total_busy);
-        Some(CoprocSnapshot {
-            tag: SNAPSHOT_TAG,
-            data: w.finish(),
-        })
-    }
-
-    fn restore_state(&mut self, snapshot: &CoprocSnapshot) -> Result<(), SnapshotError> {
-        if snapshot.tag != SNAPSHOT_TAG {
-            return Err(SnapshotError::Coprocessor { found: snapshot.tag });
-        }
-        let mut r = ByteReader::new(&snapshot.data);
-        let mut regfile = [0u128; 16];
-        for reg in &mut regfile {
-            *reg = r.u128()?;
-        }
-        let bin_scratch = r.u64()?;
-        let carry = r.bool()?;
-        let state = decode_fsm_state(r.u8()?, r.u8()?)?;
-        let latched = if r.bool()? {
-            let cause = AccelCause::from_code(r.u8()?)
-                .ok_or(SnapshotError::Malformed("unknown accelerator fault cause"))?;
-            let funct7 = r.u8()?;
-            Some((cause, funct7))
-        } else {
-            None
-        };
-        let count_entries = r.u64()?;
-        let mut command_counts = BTreeMap::new();
-        for _ in 0..count_entries {
-            let funct = DecimalFunct::from_funct7(r.u8()?)
-                .ok_or(SnapshotError::Malformed("unknown counted funct7"))?;
-            command_counts.insert(funct, r.u64()?);
-        }
-        let total_busy = r.u64()?;
-        r.expect_end()?;
-        self.regfile = regfile;
-        self.bin_scratch = bin_scratch;
-        self.carry = carry;
-        self.fsm.restore_state(state);
-        self.latched = latched;
-        self.command_counts = command_counts;
-        self.total_busy = total_busy;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -794,36 +688,6 @@ mod tests {
         // acc = 0*10 + 123*9 = 1107
         a.command(DecimalFunct::DecMulD, 9, 0, 0, 0, 0).unwrap();
         assert_eq!(a.acc(), 0x1107);
-    }
-
-    #[test]
-    fn snapshot_roundtrip_preserves_error_state_and_counters() {
-        let mut a = acc();
-        a.command(DecimalFunct::Wr, 0x123, 0, 0, 0, 1).unwrap();
-        a.command(DecimalFunct::DecAdd, 0x9999_9999_9999_9999, 1, 0, 0, 0)
-            .unwrap(); // sets the carry
-        a.command(DecimalFunct::DecAdd, 0xA, 0x1, 0, 0, 0).unwrap(); // latches a fault
-        let snapshot = a.snapshot_state().unwrap();
-        let mut b = DecimalAccelerator::new();
-        b.restore_state(&snapshot).unwrap();
-        assert_eq!(b.register(1), 0x123);
-        assert_eq!(b.carry(), a.carry());
-        assert_eq!(b.status(), a.status());
-        assert_eq!(b.fsm().state(), FsmState::Error, "sticky Error survives");
-        assert_eq!(b.command_counts(), a.command_counts());
-        assert_eq!(b.total_busy_cycles(), a.total_busy_cycles());
-    }
-
-    #[test]
-    fn snapshot_with_foreign_tag_is_rejected() {
-        let a = acc();
-        let mut snapshot = a.snapshot_state().unwrap();
-        snapshot.tag = 0xDEAD;
-        let mut b = acc();
-        assert_eq!(
-            b.restore_state(&snapshot),
-            Err(SnapshotError::Coprocessor { found: 0xDEAD })
-        );
     }
 
     #[test]

@@ -168,14 +168,6 @@ impl InterfaceFsm {
     pub fn reset(&mut self) {
         self.state = FsmState::Idle;
     }
-
-    /// Restores a previously captured state without recording a
-    /// transition — the machine-snapshot restore path, which must not
-    /// perturb the observable trace the way [`InterfaceFsm::force_state`]
-    /// (a modelled bit flip) does.
-    pub fn restore_state(&mut self, state: FsmState) {
-        self.state = state;
-    }
 }
 
 #[cfg(test)]

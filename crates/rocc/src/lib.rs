@@ -40,7 +40,7 @@ pub mod fsm;
 mod isa;
 mod status;
 
-pub use accelerator::{busy_cycles, DecimalAccelerator, ACC_INDEX, SNAPSHOT_TAG};
+pub use accelerator::{busy_cycles, DecimalAccelerator, ACC_INDEX};
 pub use cost::AcceleratorConfig;
 pub use isa::{decode_reg_address, encode_reg_address, DecimalFunct};
 pub use status::{AccelCause, AccelStatus, STATUS_ERROR_BIT};

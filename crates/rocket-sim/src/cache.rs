@@ -146,46 +146,6 @@ impl Cache {
         self.tags.fill(None);
         self.stats = CacheStats::default();
     }
-
-    /// Captures tag array, generator state, and counters. Restoring the
-    /// snapshot reproduces the exact future victim sequence, so a resumed
-    /// run's `rdcycle` values match the uninterrupted run bit-for-bit.
-    #[must_use]
-    pub fn snapshot(&self) -> CacheSnapshot {
-        CacheSnapshot {
-            tags: self.tags.clone(),
-            rng: self.rng,
-            stats: self.stats,
-        }
-    }
-
-    /// Restores a snapshot taken from a cache of the same geometry.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description if the snapshot's tag array does not fit this
-    /// cache's geometry.
-    pub fn restore(&mut self, snapshot: &CacheSnapshot) -> Result<(), &'static str> {
-        if snapshot.tags.len() != self.tags.len() {
-            return Err("cache snapshot geometry does not match");
-        }
-        self.tags.clone_from(&snapshot.tags);
-        self.rng = snapshot.rng;
-        self.stats = snapshot.stats;
-        Ok(())
-    }
-}
-
-/// Serializable state of a [`Cache`] (geometry excluded — a snapshot only
-/// restores into a cache built with the same [`CacheConfig`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CacheSnapshot {
-    /// The tag array, `tags[set * ways + way]`.
-    pub tags: Vec<Option<u64>>,
-    /// Replacement-generator state.
-    pub rng: u64,
-    /// Hit/miss counters.
-    pub stats: CacheStats,
 }
 
 #[cfg(test)]

@@ -2,10 +2,9 @@
 
 use riscv_isa::instr::{Instr, OpOp};
 use riscv_isa::Reg;
-use riscv_sim::snapshot::{seal, unseal, ByteReader, ByteWriter};
-use riscv_sim::{Cpu, CpuError, CpuSnapshot, Event, Retired, Simulator, SnapshotError};
+use riscv_sim::{Cpu, CpuError, Event, Retired, Simulator};
 
-use crate::cache::{Cache, CacheConfig, CacheSnapshot, CacheStats};
+use crate::cache::{Cache, CacheConfig, CacheStats};
 
 /// Pipeline latency and penalty parameters, with Rocket-flavoured defaults.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -91,7 +90,7 @@ pub struct RunStats {
 /// markers carry modelled cycles.
 pub struct RocketSim {
     /// The wrapped functional core (public for program loading, register
-    /// setup, coprocessors and retirement observers).
+    /// setup and coprocessors).
     pub cpu: Cpu,
     config: TimingConfig,
     icache: Cache,
@@ -222,46 +221,6 @@ impl RocketSim {
 
         Ok(Cost { total, hw })
     }
-
-    /// Captures the complete machine state: the wrapped functional core
-    /// (via [`riscv_sim::Cpu::snapshot`]), the modelled cycle count, the
-    /// register scoreboard, the run counters, and both cache models
-    /// including their replacement-generator state — so a restored run's
-    /// timing (and therefore every guest-visible `rdcycle` value) matches
-    /// the uninterrupted run bit-for-bit.
-    #[must_use]
-    pub fn snapshot(&self) -> RocketSnapshot {
-        RocketSnapshot {
-            cpu: self.cpu.snapshot(),
-            cycle: self.cycle,
-            ready_at: self.ready_at,
-            stats: self.stats,
-            icache: self.icache.snapshot(),
-            dcache: self.dcache.snapshot(),
-        }
-    }
-
-    /// Restores a snapshot taken from a core with the same
-    /// [`TimingConfig`] (the config itself is not snapshotted; cache
-    /// geometry is validated).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapshotError`] on cache-geometry or coprocessor
-    /// mismatches; see [`riscv_sim::Cpu::restore`].
-    pub fn restore(&mut self, snapshot: &RocketSnapshot) -> Result<(), SnapshotError> {
-        self.icache
-            .restore(&snapshot.icache)
-            .map_err(SnapshotError::Malformed)?;
-        self.dcache
-            .restore(&snapshot.dcache)
-            .map_err(SnapshotError::Malformed)?;
-        self.cpu.restore(&snapshot.cpu)?;
-        self.cycle = snapshot.cycle;
-        self.ready_at = snapshot.ready_at;
-        self.stats = snapshot.stats;
-        Ok(())
-    }
 }
 
 impl Simulator for RocketSim {
@@ -317,130 +276,6 @@ impl Simulator for RocketSim {
 struct Cost {
     total: u64,
     hw: u64,
-}
-
-/// Envelope kind tag of a Rocket-core snapshot.
-pub const SNAPSHOT_KIND: u32 = 0x3154_4B52; // "RKT1"
-
-/// Complete serializable state of a [`RocketSim`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RocketSnapshot {
-    /// The wrapped functional core's state.
-    pub cpu: CpuSnapshot,
-    /// The modelled cycle count.
-    pub cycle: u64,
-    /// The register scoreboard (cycle each register's value is ready).
-    pub ready_at: [u64; 32],
-    /// Run counters. The cache counters are zero here: they travel with
-    /// the cache states below.
-    pub stats: RunStats,
-    /// Instruction-cache state.
-    pub icache: CacheSnapshot,
-    /// Data-cache state.
-    pub dcache: CacheSnapshot,
-}
-
-fn encode_cache(w: &mut ByteWriter, cache: &CacheSnapshot) {
-    w.u64(cache.tags.len() as u64);
-    for tag in &cache.tags {
-        match tag {
-            None => w.bool(false),
-            Some(tag) => {
-                w.bool(true);
-                w.u64(*tag);
-            }
-        }
-    }
-    w.u64(cache.rng);
-    w.u64(cache.stats.hits);
-    w.u64(cache.stats.misses);
-}
-
-fn decode_cache(r: &mut ByteReader<'_>) -> Result<CacheSnapshot, SnapshotError> {
-    let entries = r.u64()?;
-    let mut tags = Vec::new();
-    for _ in 0..entries {
-        tags.push(if r.bool()? { Some(r.u64()?) } else { None });
-    }
-    Ok(CacheSnapshot {
-        tags,
-        rng: r.u64()?,
-        stats: CacheStats {
-            hits: r.u64()?,
-            misses: r.u64()?,
-        },
-    })
-}
-
-impl RocketSnapshot {
-    /// Serializes into the sealed envelope format shared with the other
-    /// simulators (same magic/version/checksum scheme).
-    #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.blob(&self.cpu.to_bytes());
-        w.u64(self.cycle);
-        for ready in self.ready_at {
-            w.u64(ready);
-        }
-        w.u64(self.stats.cycles);
-        w.u64(self.stats.sw_cycles);
-        w.u64(self.stats.hw_cycles);
-        w.u64(self.stats.instret);
-        w.u64(self.stats.rocc_instructions);
-        w.u64(self.stats.stall_cycles);
-        w.u64(self.stats.icache.hits);
-        w.u64(self.stats.icache.misses);
-        w.u64(self.stats.dcache.hits);
-        w.u64(self.stats.dcache.misses);
-        encode_cache(&mut w, &self.icache);
-        encode_cache(&mut w, &self.dcache);
-        seal(SNAPSHOT_KIND, &w.finish())
-    }
-
-    /// Deserializes from the sealed envelope format.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapshotError`] on version, kind, checksum, or structure
-    /// mismatches.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let body = unseal(bytes, SNAPSHOT_KIND)?;
-        let mut r = ByteReader::new(body);
-        let cpu = CpuSnapshot::from_bytes(r.blob()?)?;
-        let cycle = r.u64()?;
-        let mut ready_at = [0u64; 32];
-        for ready in &mut ready_at {
-            *ready = r.u64()?;
-        }
-        let stats = RunStats {
-            cycles: r.u64()?,
-            sw_cycles: r.u64()?,
-            hw_cycles: r.u64()?,
-            instret: r.u64()?,
-            rocc_instructions: r.u64()?,
-            stall_cycles: r.u64()?,
-            icache: CacheStats {
-                hits: r.u64()?,
-                misses: r.u64()?,
-            },
-            dcache: CacheStats {
-                hits: r.u64()?,
-                misses: r.u64()?,
-            },
-        };
-        let icache = decode_cache(&mut r)?;
-        let dcache = decode_cache(&mut r)?;
-        r.expect_end()?;
-        Ok(RocketSnapshot {
-            cpu,
-            cycle,
-            ready_at,
-            stats,
-            icache,
-            dcache,
-        })
-    }
 }
 
 #[cfg(test)]

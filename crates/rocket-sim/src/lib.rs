@@ -42,5 +42,5 @@
 mod cache;
 mod core;
 
-pub use crate::core::{RocketSim, RocketSnapshot, RunStats, TimingConfig};
-pub use cache::{Cache, CacheConfig, CacheSnapshot, CacheStats};
+pub use crate::core::{RocketSim, RunStats, TimingConfig};
+pub use cache::{Cache, CacheConfig, CacheStats};

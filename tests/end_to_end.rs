@@ -200,7 +200,7 @@ fn dummy_functions_flatten_input_dependence() {
             },
         )
         .unwrap();
-        let breakdown = run_rocket_per_class(&guest, &vectors, TimingConfig::default());
+        let breakdown = run_rocket_per_class(&guest, &vectors, TimingConfig::default()).unwrap();
         let max = breakdown.rows.iter().map(|r| r.1).fold(0.0f64, f64::max);
         let min = breakdown.rows.iter().map(|r| r.1).fold(f64::MAX, f64::min);
         max / min

@@ -1,15 +1,12 @@
 //! Self-modifying code and out-of-band text writes on every simulator.
 //!
 //! The functional core reuses decoded instructions until a write touches a
-//! page it has fetched from, the machine is restored, or its memory is
-//! replaced. Each case below rewrites an instruction that has already been
-//! decoded — from the guest, from the harness, from an accelerator, by a
-//! snapshot restore, or by swapping in a different memory — and checks that
-//! the rewritten instruction is what retires: the exit code proves it ran,
-//! and all three simulators must retire identical canonical streams.
-
-use std::cell::RefCell;
-use std::rc::Rc;
+//! page it has fetched from or its memory is replaced. Each case below
+//! rewrites an instruction that has already been decoded — from the guest,
+//! from the harness, from an accelerator, or by swapping in a different
+//! memory — and checks that the rewritten instruction is what retires: the
+//! exit code proves it ran, and all three simulators must retire identical
+//! canonical streams.
 
 use decimalarith::codesign::framework::{load_program, GuestProgram};
 use decimalarith::codesign::kernels::KernelKind;
@@ -20,7 +17,8 @@ use decimalarith::riscv_asm::{assemble, Program};
 use decimalarith::riscv_isa::instr::OpImmOp;
 use decimalarith::riscv_isa::{Instr, Reg};
 use decimalarith::riscv_sim::{
-    Coprocessor, Cpu, CpuError, Memory, RetirementRecord, RoccCommand, RoccResponse, Simulator,
+    Coprocessor, Cpu, CpuError, Event, Memory, RetirementRecord, RoccCommand, RoccResponse,
+    Simulator,
 };
 use decimalarith::testgen::DriverLayout;
 
@@ -127,22 +125,51 @@ fn guest_store_patches_an_executed_instruction_on_another_page() {
     assert_eq!(exit_code_on_every_pair(program), 101);
 }
 
-/// Runs `scenario` on a fresh simulator of every kind with a retirement
-/// observer installed, checks that all three return the same exit code and
-/// retire identical streams, and returns the exit code.
+/// A simulator that records the canonical stream of the one it wraps:
+/// [`RetirementRecord::capture`] after every step that retires.
+struct Recorder {
+    sim: Box<dyn Simulator>,
+    stream: Vec<RetirementRecord>,
+}
+
+impl Simulator for Recorder {
+    fn label(&self) -> &'static str {
+        self.sim.label()
+    }
+
+    fn cpu(&self) -> &Cpu {
+        self.sim.cpu()
+    }
+
+    fn cpu_mut(&mut self) -> &mut Cpu {
+        self.sim.cpu_mut()
+    }
+
+    fn step(&mut self) -> Result<Event, CpuError> {
+        let event = self.sim.step()?;
+        if let Event::Retired(retired) = &event {
+            self.stream
+                .push(RetirementRecord::capture(self.sim.cpu(), retired));
+        }
+        Ok(event)
+    }
+}
+
+/// Runs `scenario` on a fresh simulator of every kind, recording every
+/// retirement, checks that all three return the same exit code and retire
+/// identical streams, and returns the exit code.
 fn agree_on_every_simulator(scenario: impl Fn(&mut dyn Simulator) -> i64) -> i64 {
     let mut results: Vec<(SimKind, i64, Vec<RetirementRecord>)> = Vec::new();
     for kind in SimKind::ALL {
-        let mut sim = kind.build(false);
-        let stream = Rc::new(RefCell::new(Vec::new()));
-        let sink = stream.clone();
-        sim.cpu_mut()
-            .set_retire_observer(move |record| sink.borrow_mut().push(*record));
-        let code = scenario(sim.as_mut());
-        let stream = stream.borrow().clone();
-        results.push((kind, code, stream));
+        let mut recorder = Recorder {
+            sim: kind.build(false),
+            stream: Vec::new(),
+        };
+        let code = scenario(&mut recorder);
+        results.push((kind, code, recorder.stream));
     }
     let (first_kind, first_code, first_stream) = &results[0];
+    assert!(!first_stream.is_empty(), "{first_kind}: nothing retired");
     for (kind, code, stream) in &results[1..] {
         assert_eq!(code, first_code, "{kind} vs {first_kind}: exit codes");
         assert_eq!(
@@ -236,20 +263,6 @@ fn exit_with(value: u32) -> Program {
             ecall
         "
     ))
-}
-
-#[test]
-fn restoring_a_snapshot_with_other_text_executes_it() {
-    let mut source = SimKind::Functional.build(false);
-    load_program(source.cpu_mut(), &exit_with(2));
-    let snapshot = source.cpu().snapshot();
-    let code = agree_on_every_simulator(|sim| {
-        load_program(sim.cpu_mut(), &exit_with(1));
-        assert_eq!(sim.run(BUDGET), Ok(1));
-        sim.cpu_mut().restore(&snapshot).expect("snapshot restores");
-        sim.run(BUDGET).expect("exits without faults")
-    });
-    assert_eq!(code, 2);
 }
 
 #[test]
