@@ -7,8 +7,8 @@
 //! pipeline, no caches. This crate reproduces that model on top of the
 //! shared functional executor: every instruction costs one cycle plus a
 //! fixed latency per data-memory access, and results are reported as
-//! simulated seconds at a configurable clock. [`AtomicSim`] is driven
-//! through [`riscv_sim::Simulator`].
+//! simulated seconds at Gem5's default 1 GHz clock ([`CLOCK_HZ`]).
+//! [`AtomicSim`] is driven through [`riscv_sim::Simulator`].
 //!
 //! # Example
 //!
@@ -41,32 +41,20 @@
 use riscv_isa::Instr;
 use riscv_sim::{Cpu, CpuError, Event, Simulator};
 
-/// Atomic-CPU timing parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Simulated clock frequency in Hz (Gem5's default CPU clock, 1 GHz).
+pub const CLOCK_HZ: f64 = 1.0e9;
+
+/// Extra cycles charged per data-memory access (atomic access latency).
+const MEM_ACCESS_CYCLES: u64 = 1;
+
+/// The functional-unit latencies the evaluation varies: zero in lockstep
+/// runs, Table VI's Minor-CPU-like values for the paper's cross-check.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct AtomicConfig {
-    /// Clock frequency in Hz (Gem5's default CPU clock is 1 GHz).
-    pub clock_hz: f64,
-    /// Extra cycles charged per data-memory access (atomic access latency).
-    pub mem_access_cycles: u64,
     /// Extra cycles charged per multiply.
     pub mul_cycles: u64,
     /// Extra cycles charged per divide/remainder.
     pub div_cycles: u64,
-    /// RoCC busy-watchdog bound forwarded to the functional core (a hung
-    /// accelerator command reports [`CpuError::RoccTimeout`]).
-    pub rocc_watchdog: u32,
-}
-
-impl Default for AtomicConfig {
-    fn default() -> Self {
-        AtomicConfig {
-            clock_hz: 1.0e9,
-            mem_access_cycles: 1,
-            mul_cycles: 0,
-            div_cycles: 0,
-            rocc_watchdog: riscv_sim::DEFAULT_ROCC_WATCHDOG,
-        }
-    }
 }
 
 /// Counters for one atomic-mode run.
@@ -108,10 +96,8 @@ impl AtomicSim {
     /// Builds a simulator with the given timing parameters.
     #[must_use]
     pub fn new(config: AtomicConfig) -> Self {
-        let mut cpu = Cpu::new();
-        cpu.rocc_watchdog = config.rocc_watchdog;
         AtomicSim {
-            cpu,
+            cpu: Cpu::new(),
             config,
             stats: AtomicStats::default(),
         }
@@ -123,11 +109,11 @@ impl AtomicSim {
         self.stats
     }
 
-    /// Simulated wall-clock time so far (`cycles / clock_hz`), the
+    /// Simulated wall-clock time so far (`cycles / CLOCK_HZ`), the
     /// quantity the paper's Table VI reports.
     #[must_use]
     pub fn simulated_seconds(&self) -> f64 {
-        self.stats.cycles as f64 / self.config.clock_hz
+        self.stats.cycles as f64 / CLOCK_HZ
     }
 }
 
@@ -161,7 +147,7 @@ impl Simulator for AtomicSim {
         self.stats.instret += 1;
         if let Event::Retired(retired) = event {
             if retired.mem_access.is_some() {
-                self.stats.cycles += self.config.mem_access_cycles;
+                self.stats.cycles += MEM_ACCESS_CYCLES;
                 self.stats.mem_accesses += 1;
             }
             match retired.instr {
@@ -255,7 +241,6 @@ mod tests {
         let mut sim = AtomicSim::new(AtomicConfig {
             mul_cycles: 3,
             div_cycles: 30,
-            ..AtomicConfig::default()
         });
         let prog = vec![
             Instr::Op {

@@ -33,15 +33,6 @@ impl GateCost {
             delay_levels: self.delay_levels.max(other.delay_levels),
         }
     }
-
-    /// Combines two blocks in series (areas add, delays add).
-    #[must_use]
-    pub fn series(self, other: GateCost) -> GateCost {
-        GateCost {
-            gates: self.gates + other.gates,
-            delay_levels: self.delay_levels + other.delay_levels,
-        }
-    }
 }
 
 /// Per-digit cost of one BCD-CLA cell: a 4-bit binary CLA adder (~28 gates),
@@ -235,7 +226,6 @@ mod tests {
         let a = GateCost { gates: 100, delay_levels: 5 };
         let b = GateCost { gates: 50, delay_levels: 8 };
         assert_eq!(a.parallel(b), GateCost { gates: 150, delay_levels: 8 });
-        assert_eq!(a.series(b), GateCost { gates: 150, delay_levels: 13 });
     }
 
     #[test]

@@ -1,27 +1,13 @@
-//! Binary ⇄ BCD conversion.
+//! Binary ⇄ BCD conversion circuits.
 //!
 //! The `DEC_CNV` accelerator instruction converts a binary number to BCD in
 //! hardware; the classic circuit for this is the *double-dabble* (shift and
 //! add-3) algorithm. [`double_dabble`] models that circuit exactly — one
 //! iteration per input bit — so the accelerator's timing model can charge a
-//! realistic cycle count, while [`binary_to_bcd`] is the fast software path.
+//! realistic cycle count. The fast software paths are
+//! [`Bcd64::from_value`] and [`Bcd64::to_value`].
 
-use crate::{Bcd128, Bcd64, BcdError};
-
-/// Converts a binary integer to BCD using division (software path).
-///
-/// # Errors
-///
-/// Returns [`BcdError::ValueTooLarge`] if `value >= 10^16`.
-pub fn binary_to_bcd(value: u64) -> Result<Bcd64, BcdError> {
-    Bcd64::from_value(value)
-}
-
-/// Converts a BCD value to a binary integer.
-#[must_use]
-pub fn bcd_to_binary(bcd: Bcd64) -> u64 {
-    bcd.to_value()
-}
+use crate::{Bcd128, Bcd64};
 
 /// Result of a hardware-modelled conversion: the value plus the number of
 /// clock cycles the sequential circuit would take.
@@ -91,13 +77,6 @@ pub fn reverse_double_dabble(bcd: Bcd64) -> HwConversion {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn software_roundtrip() {
-        for v in [0u64, 7, 10, 255, 123_456, 9_999_999_999_999_999] {
-            assert_eq!(bcd_to_binary(binary_to_bcd(v).unwrap()), v);
-        }
-    }
 
     #[test]
     fn double_dabble_matches_software() {

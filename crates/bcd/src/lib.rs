@@ -9,8 +9,9 @@
 //!   as coefficient products and the accelerator's internal accumulator).
 //! * [`cla`] — a functional, cost-annotated model of the BCD carry-lookahead
 //!   adder (BCD-CLA) that the paper's accelerator is built around.
-//! * [`convert`] — binary ⇄ BCD conversion, including the double-dabble
-//!   algorithm that models the `DEC_CNV` instruction's hardware.
+//! * [`convert`] — the double-dabble binary ⇄ BCD circuits that model the
+//!   `DEC_CNV` instruction's hardware (the software conversions are
+//!   [`Bcd64::from_value`] and [`Bcd64::to_value`]).
 //!
 //! # Example
 //!

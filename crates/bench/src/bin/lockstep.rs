@@ -96,19 +96,14 @@ fn parse_args() -> Options {
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut number = |flag: &str| -> u64 {
-            args.next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| usage(&format!("{flag} needs a number")))
-        };
         match arg.as_str() {
-            "--samples" => options.samples = number("--samples") as usize,
-            "--seed" => options.seed = number("--seed"),
-            "--programs" => options.programs = number("--programs") as u32,
-            "--body" => options.body_items = number("--body") as usize,
-            "--commands" => options.commands = number("--commands") as u32,
-            "--faults" => options.faults = number("--faults") as usize,
-            "--fault-samples" => options.fault_samples = number("--fault-samples") as usize,
+            "--samples" => options.samples = number(&mut args, "--samples"),
+            "--seed" => options.seed = number(&mut args, "--seed"),
+            "--programs" => options.programs = number(&mut args, "--programs"),
+            "--body" => options.body_items = number(&mut args, "--body"),
+            "--commands" => options.commands = number(&mut args, "--commands"),
+            "--faults" => options.faults = number(&mut args, "--faults"),
+            "--fault-samples" => options.fault_samples = number(&mut args, "--fault-samples"),
             "--no-rocc" => options.with_rocc = false,
             "--journal" => {
                 options.journal =
@@ -120,7 +115,7 @@ fn parse_args() -> Options {
                 options.resume = true;
             }
             "--checkpoint-every" => {
-                options.checkpoint_every = number("--checkpoint-every") as usize;
+                options.checkpoint_every = number(&mut args, "--checkpoint-every");
             }
             "conformance" | "fuzz" | "rocc" | "faults" | "all" => options.what = arg,
             other => usage(&format!("unknown argument {other:?}")),
@@ -131,6 +126,14 @@ fn parse_args() -> Options {
         usage("--journal/--resume requires a single journaled subcommand: conformance, fuzz, or faults");
     }
     options
+}
+
+/// The value after `flag`, parsed in the type it is stored in, so an
+/// out-of-range number is a usage error rather than a silently narrowed one.
+fn number<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> T {
+    args.next()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| usage(&format!("{flag} needs a number in range")))
 }
 
 fn usage(msg: &str) -> ! {

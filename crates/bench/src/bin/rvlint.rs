@@ -41,15 +41,10 @@ fn parse_args() -> Options {
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut number = |flag: &str| -> u64 {
-            args.next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| usage(&format!("{flag} needs a number")))
-        };
         match arg.as_str() {
-            "--seed" => options.seed = number("--seed"),
-            "--testgen-samples" => options.testgen_samples = number("--testgen-samples") as usize,
-            "--repetitions" => options.repetitions = number("--repetitions") as u32,
+            "--seed" => options.seed = number(&mut args, "--seed"),
+            "--testgen-samples" => options.testgen_samples = number(&mut args, "--testgen-samples"),
+            "--repetitions" => options.repetitions = number(&mut args, "--repetitions"),
             "--verbose" => options.verbose = true,
             slug => match KernelKind::from_slug(slug) {
                 Some(kind) => options.kinds.push(kind),
@@ -64,6 +59,14 @@ fn parse_args() -> Options {
         options.kinds = KernelKind::ALL.to_vec();
     }
     options
+}
+
+/// The value after `flag`, parsed in the type it is stored in, so an
+/// out-of-range number is a usage error rather than a silently narrowed one.
+fn number<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> T {
+    args.next()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| usage(&format!("{flag} needs a number in range")))
 }
 
 fn usage(msg: &str) -> ! {

@@ -36,14 +36,13 @@ pub fn rocket_timing(seed: u64) -> TimingConfig {
     }
 }
 
-/// The Gem5-like configuration for Table VI: 1 GHz clock with Minor-CPU-ish
-/// functional-unit latencies (IntMult 3, IntDiv 12).
+/// The Gem5-like configuration for Table VI: Minor-CPU-ish functional-unit
+/// latencies (IntMult 3, IntDiv 12) on the atomic model's 1 GHz clock.
 #[must_use]
 pub fn atomic_config() -> AtomicConfig {
     AtomicConfig {
         mul_cycles: 3,
         div_cycles: 12,
-        ..AtomicConfig::default()
     }
 }
 

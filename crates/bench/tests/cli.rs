@@ -1,4 +1,4 @@
-//! The `tables` binary rejects arguments it cannot run with as usage
+//! The report binaries reject arguments they cannot run with as usage
 //! errors: exit code 2 and a message, never a panic.
 
 use std::process::Command;
@@ -10,6 +10,24 @@ fn zero_samples_or_repetitions_is_a_usage_error() {
             .args(args)
             .output()
             .expect("tables runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+/// A count that does not fit the option's type is a usage error, not a
+/// silently narrowed value: `4294967296` once wrapped to 0 fuzz programs
+/// or RoCC commands (a vacuous pass) and to 1 rvlint repetition.
+#[test]
+fn out_of_range_numbers_are_usage_errors() {
+    let runs: [(&str, [&str; 3]); 3] = [
+        (env!("CARGO_BIN_EXE_lockstep"), ["fuzz", "--programs", "4294967296"]),
+        (env!("CARGO_BIN_EXE_lockstep"), ["rocc", "--commands", "4294967296"]),
+        (env!("CARGO_BIN_EXE_rvlint"), ["method1", "--repetitions", "4294967296"]),
+    ];
+    for (binary, args) in runs {
+        let output = Command::new(binary).args(args).output().expect("binary runs");
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");

@@ -5,11 +5,12 @@
 //! and each guest links it with its driver loop and operand table into one
 //! RISC-V binary, which runs unmodified on each evaluation platform —
 //!
-//! * [`run_functional`] — the Spike-role functional simulator, used for
+//! * [`try_run_functional`] — the Spike-role functional simulator, used for
 //!   verification against the `decnum` oracle;
-//! * [`run_rocket`] — the cycle-accurate Rocket-like core with the decimal
-//!   accelerator attached, producing the SW/HW cycle split of Table IV;
-//! * [`run_atomic`] — the Gem5-`AtomicSimpleCPU`-like model of Table VI;
+//! * [`try_run_rocket`] — the cycle-accurate Rocket-like core with the
+//!   decimal accelerator attached, producing the SW/HW cycle split of
+//!   Table IV;
+//! * [`try_run_atomic`] — the Gem5-`AtomicSimpleCPU`-like model of Table VI;
 //! * [`time_native`] — host wall-clock runs of the native implementations
 //!   (Table V).
 //!
@@ -25,7 +26,7 @@ use decnum::Status;
 use dpd::Decimal64;
 use riscv_asm::{link, parse, AsmError, Program, Unit, STACK_TOP};
 use riscv_isa::Reg;
-use riscv_sim::{Cpu, Marker, Simulator};
+use riscv_sim::{Cpu, Marker, Memory, Simulator};
 use rocc::DecimalAccelerator;
 use rocket_sim::{RocketSim, RunStats, TimingConfig};
 use testgen::{driver_source, operand_data_section, DriverLayout, TestVector};
@@ -129,18 +130,30 @@ pub fn load_program(cpu: &mut Cpu, program: &Program) {
     cpu.set_reg(Reg::SP, STACK_TOP);
 }
 
-fn read_results(memory: &riscv_sim::Memory, guest: &GuestProgram) -> Vec<u64> {
-    let base = guest
-        .program
-        .symbol(RESULTS_SYMBOL)
-        .expect("driver defines results");
-    (0..guest.layout.count)
-        .map(|i| {
-            memory
-                .read_u64(base + 8 * i as u64)
-                .expect("result slot mapped")
-        })
+/// Reads the first `count` words of `program`'s result array
+/// ([`RESULTS_SYMBOL`]); `None` if the program has no result array or a
+/// slot is unmapped (a guest that a fault left in a wild state).
+#[must_use]
+pub fn read_result_words(memory: &Memory, program: &Program, count: usize) -> Option<Vec<u64>> {
+    let base = program.symbol(RESULTS_SYMBOL)?;
+    (0..count)
+        .map(|i| memory.read_u64(base + 8 * i as u64).ok())
         .collect()
+}
+
+/// Reads the fault-tolerant kernel's degradation counter
+/// ([`DEGRADED_SYMBOL`]) — how many multiplications fell back to the
+/// software datapath — if the program has one (`None` for kernels without
+/// fault tolerance).
+#[must_use]
+pub fn read_degradation(memory: &Memory, program: &Program) -> Option<u64> {
+    memory.read_u64(program.symbol(DEGRADED_SYMBOL)?).ok()
+}
+
+/// One result word per sample of a guest that ran to a clean exit.
+fn read_results(memory: &Memory, guest: &GuestProgram) -> Vec<u64> {
+    read_result_words(memory, &guest.program, guest.layout.count)
+        .expect("driver defines a mapped result array")
 }
 
 /// The instruction budget every runner gives `guest`: generous for the
@@ -151,9 +164,7 @@ pub fn guest_budget(guest: &GuestProgram) -> u64 {
 }
 
 /// A guest run that did not produce results: a fault, a nonzero exit, or a
-/// missing or miscounted measurement marker. The panicking `run_*` entry
-/// points wrap these; the `try_run_*` variants surface them to callers
-/// that inject faults on purpose and expect to handle failure.
+/// missing or miscounted measurement marker.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RunError {
     /// The guest faulted; the program counter locates the instruction.
@@ -225,15 +236,6 @@ fn loop_region(markers: &[Marker]) -> Result<(u64, u64), RunError> {
     ))
 }
 
-/// Reads the fault-tolerant kernel's degradation counter — how many
-/// multiplications fell back to the software datapath — if the guest has
-/// one (`None` for kernels without fault tolerance).
-#[must_use]
-pub fn read_degradation(memory: &riscv_sim::Memory, guest: &GuestProgram) -> Option<u64> {
-    let base = guest.program.symbol(DEGRADED_SYMBOL)?;
-    memory.read_u64(base).ok()
-}
-
 /// Outcome of a functional (Spike-role) run.
 #[derive(Debug, Clone)]
 pub struct FunctionalRun {
@@ -257,20 +259,8 @@ pub fn try_run_functional(guest: &GuestProgram) -> Result<FunctionalRun, RunErro
     Ok(FunctionalRun {
         results: read_results(&cpu.memory, guest),
         instret: cpu.instret,
-        degraded: read_degradation(&cpu.memory, guest),
+        degraded: read_degradation(&cpu.memory, &guest.program),
     })
-}
-
-/// Runs the guest on the functional simulator (with the accelerator
-/// attached when the kernel needs it).
-///
-/// # Panics
-///
-/// Panics if the guest faults — kernels are expected to be correct by
-/// construction; a fault is a framework bug worth failing loudly on.
-#[must_use]
-pub fn run_functional(guest: &GuestProgram) -> FunctionalRun {
-    try_run_functional(guest).unwrap_or_else(|e| panic!("functional run failed: {e}"))
 }
 
 /// Outcome of a cycle-accurate run: Table IV's quantities.
@@ -316,18 +306,8 @@ pub fn try_run_rocket(
         avg_hw_cycles: hw / calls,
         avg_sw_cycles: (region - hw) / calls,
         stats,
-        degraded: read_degradation(&sim.cpu.memory, guest),
+        degraded: read_degradation(&sim.cpu.memory, &guest.program),
     })
-}
-
-/// Runs the guest cycle-accurately on the Rocket-like core.
-///
-/// # Panics
-///
-/// Panics on guest faults or a missing measurement region.
-#[must_use]
-pub fn run_rocket(guest: &GuestProgram, timing: TimingConfig) -> CycleEvaluation {
-    try_run_rocket(guest, timing).unwrap_or_else(|e| panic!("rocket run failed: {e}"))
 }
 
 /// Per-input-class cycle averages from a marked run.
@@ -421,20 +401,9 @@ pub fn try_run_atomic(
     let (start, end) = loop_region(&sim.cpu.markers)?;
     Ok(AtomicEvaluation {
         results: read_results(&sim.cpu.memory, guest),
-        simulated_seconds: (end - start) as f64 / config.clock_hz,
+        simulated_seconds: (end - start) as f64 / atomic_sim::CLOCK_HZ,
         instret: sim.stats().instret,
     })
-}
-
-/// Runs the guest on the atomic (Gem5 `AtomicSimpleCPU` SE-mode analogue)
-/// simulator.
-///
-/// # Panics
-///
-/// Panics on guest faults.
-#[must_use]
-pub fn run_atomic(guest: &GuestProgram, config: AtomicConfig) -> AtomicEvaluation {
-    try_run_atomic(guest, config).unwrap_or_else(|e| panic!("atomic run failed: {e}"))
 }
 
 /// Compares per-sample results against the `decnum` oracle; returns the
@@ -466,9 +435,6 @@ pub enum NativeMethod {
     Software,
     /// Method-1 flow with dummy functions (the paper's Table V subject).
     Method1Dummy,
-    /// Method-1 flow with the real accelerator model (not in the paper's
-    /// Table V — hardware cannot run natively — but useful for comparison).
-    Method1Accel,
 }
 
 /// Times `repetitions` passes of a native implementation over `vectors` on
@@ -490,7 +456,6 @@ pub fn time_native(method: NativeMethod, vectors: &[TestVector], repetitions: u3
             let r = match method {
                 NativeMethod::Software => native::software_multiply(x, y, &mut status),
                 NativeMethod::Method1Dummy => native::method1_multiply_dummy(x, y, &mut status),
-                NativeMethod::Method1Accel => native::method1_multiply_accel(x, y, &mut status),
             };
             sink = sink.wrapping_add(r.to_bits());
         }

@@ -2,7 +2,7 @@
 //! oracle's bits on the functional simulator (the Spike-role check of the
 //! paper's flow), except the dummy configuration which is wrong by design.
 
-use crate::framework::{build_guest, run_functional, verify_results};
+use crate::framework::{build_guest, try_run_functional, verify_results};
 use crate::kernels::KernelKind;
 use testgen::{generate, CaseClass, TestConfig};
 
@@ -25,7 +25,7 @@ fn vectors(count: usize, seed: u64) -> Vec<testgen::TestVector> {
 fn check_kernel(kind: KernelKind, count: usize, seed: u64) {
     let vectors = vectors(count, seed);
     let guest = build_guest(kind, &vectors, 1).unwrap_or_else(|e| panic!("{kind}: {e}"));
-    let run = run_functional(&guest);
+    let run = try_run_functional(&guest).expect("functional run");
     let mismatches = verify_results(&run.results, &vectors);
     assert!(
         mismatches.is_empty(),
@@ -57,7 +57,7 @@ fn method1_ft_kernel_matches_oracle() {
 fn method1_ft_never_degrades_on_a_healthy_accelerator() {
     let vectors = vectors(60, 88);
     let guest = build_guest(KernelKind::Method1Ft, &vectors, 1).unwrap();
-    let run = run_functional(&guest);
+    let run = try_run_functional(&guest).expect("functional run");
     assert!(verify_results(&run.results, &vectors).is_empty());
     assert_eq!(
         run.degraded,
@@ -85,7 +85,7 @@ fn method4_kernel_matches_oracle() {
 fn dummy_kernel_runs_but_is_wrong() {
     let vectors = vectors(60, 66);
     let guest = build_guest(KernelKind::Method1Dummy, &vectors, 1).unwrap();
-    let run = run_functional(&guest);
+    let run = try_run_functional(&guest).expect("functional run");
     let mismatches = verify_results(&run.results, &vectors);
     assert!(
         !mismatches.is_empty(),
@@ -125,7 +125,7 @@ fn regression_pow10_overrun_in_binary_rounding() {
     }];
     for kind in [KernelKind::Software, KernelKind::SoftwareBid] {
         let guest = build_guest(kind, &vectors, 1).unwrap();
-        let run = run_functional(&guest);
+        let run = try_run_functional(&guest).expect("functional run");
         assert!(
             verify_results(&run.results, &vectors).is_empty(),
             "{kind}: got {:#018x}",
@@ -154,7 +154,7 @@ fn regression_full_width_discard_shift() {
         KernelKind::Method4,
     ] {
         let guest = build_guest(kind, &vectors, 1).unwrap();
-        let run = run_functional(&guest);
+        let run = try_run_functional(&guest).expect("functional run");
         assert!(
             verify_results(&run.results, &vectors).is_empty(),
             "{kind}: got {:#018x}",

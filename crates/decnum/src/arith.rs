@@ -12,23 +12,6 @@ use dpd::Sign;
 use crate::context::{Context, Rounding, Status};
 use crate::number::{DecNumber, Kind};
 
-/// NaN handling shared by every unary operation: returns `Some(result)` if
-/// the operand is a NaN (propagated quiet, with invalid-operation raised for
-/// a signaling NaN).
-pub(crate) fn handle_nan_unary(a: &DecNumber, ctx: &mut Context) -> Option<DecNumber> {
-    match a.kind {
-        Kind::Nan { signaling } => {
-            if signaling {
-                ctx.raise(Status::INVALID_OPERATION);
-            }
-            let mut out = a.clone();
-            out.kind = Kind::Nan { signaling: false };
-            Some(out)
-        }
-        _ => None,
-    }
-}
-
 /// NaN handling shared by every binary operation.
 pub(crate) fn handle_nan_binary(
     a: &DecNumber,
@@ -463,17 +446,6 @@ impl DecNumber {
             ctx.raise(Status::INEXACT);
         }
         result
-    }
-
-    /// Fused multiply of sign/exponent only — exposed for the co-design
-    /// methods, which compute the "easy" parts in software: returns
-    /// `(result_sign, preliminary_exponent)` for `self × other`.
-    #[must_use]
-    pub fn mul_sign_exponent(&self, other: &DecNumber) -> (Sign, i32) {
-        (
-            self.sign.xor(other.sign),
-            self.exponent.saturating_add(other.exponent),
-        )
     }
 }
 

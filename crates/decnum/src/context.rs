@@ -162,19 +162,6 @@ pub struct Context {
 }
 
 impl Context {
-    /// A context with the IEEE decimal32 parameters (7 digits).
-    #[must_use]
-    pub fn decimal32() -> Self {
-        Context {
-            precision: 7,
-            emax: 96,
-            emin: -95,
-            rounding: Rounding::HalfEven,
-            clamp: true,
-            status: Status::CLEAR,
-        }
-    }
-
     /// A context with the IEEE decimal64 parameters (16 digits) — the
     /// "double" precision evaluated in the paper's Table IV.
     #[must_use]
@@ -280,9 +267,6 @@ mod tests {
         let c128 = Context::decimal128();
         assert_eq!(c128.etiny(), -6176);
         assert_eq!(c128.etop(), 6111);
-        let c32 = Context::decimal32();
-        assert_eq!(c32.etiny(), -101);
-        assert_eq!(c32.etop(), 90);
     }
 
     #[test]

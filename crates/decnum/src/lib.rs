@@ -11,8 +11,8 @@
 //! * [`DecNumber`] — sign + decimal coefficient + exponent, of any length;
 //! * [`Context`] — working precision, rounding mode, exponent range and
 //!   accumulated [`Status`] flags;
-//! * arithmetic (`add`, `sub`, `mul`, `div`, `compare`, `quantize`, …) that
-//!   computes exact intermediates and rounds once;
+//! * arithmetic (`add`, `sub`, `mul`, `div`, `compare`, `quantize`, and the
+//!   quiet `abs`/`neg`) that computes exact intermediates and rounds once;
 //! * conversions to and from the DPD interchange formats
 //!   ([`dpd::Decimal64`], [`dpd::Decimal128`]).
 //!
@@ -33,7 +33,6 @@
 #![warn(missing_docs)]
 
 mod arith;
-mod arith_ext;
 mod context;
 mod convert;
 mod number;

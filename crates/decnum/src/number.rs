@@ -224,13 +224,6 @@ impl DecNumber {
         !self.is_nan() && self.sign == Sign::Negative
     }
 
-    /// True if the value is subnormal in `ctx` (finite, non-zero, adjusted
-    /// exponent below `emin`).
-    #[must_use]
-    pub fn is_subnormal(&self, ctx: &Context) -> bool {
-        self.is_finite() && !self.is_zero() && self.adjusted_exponent() < ctx.emin
-    }
-
     /// The absolute value (quiet; no rounding, no flags).
     #[must_use]
     pub fn abs(&self) -> Self {
@@ -248,34 +241,6 @@ impl DecNumber {
         let mut n = self.clone();
         n.sign = n.sign.negate();
         n
-    }
-
-    /// Copies the number, applying context rounding (IEEE `plus`: `0 + x`).
-    #[must_use]
-    pub fn plus(&self, ctx: &mut Context) -> Self {
-        if let Some(n) = crate::arith::handle_nan_unary(self, ctx) {
-            return n;
-        }
-        self.clone().finish(ctx)
-    }
-
-    /// Removes trailing zeros from the coefficient (decNumber `reduce`),
-    /// then applies context rounding.
-    #[must_use]
-    pub fn reduce(&self, ctx: &mut Context) -> Self {
-        if let Some(n) = crate::arith::handle_nan_unary(self, ctx) {
-            return n;
-        }
-        let mut n = self.clone();
-        if n.is_zero() {
-            n.exponent = 0;
-            return n.finish(ctx);
-        }
-        while n.digits.first() == Some(&0) {
-            n.digits.remove(0);
-            n.exponent += 1;
-        }
-        n.finish(ctx)
     }
 
     /// Coefficient as a big-endian decimal string (for diagnostics).
@@ -581,14 +546,5 @@ mod tests {
         let n = DecNumber::parse_with("not-a-number", &mut ctx);
         assert!(n.is_nan());
         assert!(ctx.status().contains(Status::CONVERSION_SYNTAX));
-    }
-
-    #[test]
-    fn subnormal_predicate() {
-        let ctx = Context::decimal64();
-        let tiny: DecNumber = "1E-390".parse().unwrap();
-        assert!(tiny.is_subnormal(&ctx));
-        let normal: DecNumber = "1E-383".parse().unwrap();
-        assert!(!normal.is_subnormal(&ctx));
     }
 }

@@ -7,9 +7,9 @@
 //! large-digit combinations shuffle bits.
 //!
 //! [`encode_declet`] and [`decode_declet`] implement the canonical
-//! compression/decompression tables directly; `ENCODE_LUT`/`DECODE_LUT`
-//! style lookups are available through [`declet_tables`] for the guest
-//! kernels, which (like decNumber) use in-memory tables.
+//! compression/decompression tables directly. The guest kernels, like
+//! decNumber, use in-memory lookup tables instead; they build them from
+//! these functions when their data sections are emitted.
 
 /// Compresses three decimal digits `(d2, d1, d0)` — most significant first —
 /// into a ten-bit declet.
@@ -120,35 +120,6 @@ pub fn encode_declet_bin(value: u16) -> u16 {
     encode_declet((value / 100) as u8, ((value / 10) % 10) as u8, (value % 10) as u8)
 }
 
-/// The in-memory lookup tables the guest kernels (and decNumber) use:
-/// `dpd_to_bcd[d]` maps each of the 1024 declets to twelve BCD bits, and
-/// `bcd_to_dpd[b]` maps each packed-BCD triple (index `0x000..=0x999`, with
-/// gaps for invalid nibbles) to its declet.
-#[derive(Debug, Clone)]
-pub struct DecletTables {
-    /// 1024-entry declet → packed-BCD table.
-    pub dpd_to_bcd: Vec<u16>,
-    /// 4096-entry packed-BCD → declet table (entries at invalid BCD indices
-    /// are zero and must not be consulted).
-    pub bcd_to_dpd: Vec<u16>,
-}
-
-/// Builds both lookup tables.
-#[must_use]
-pub fn declet_tables() -> DecletTables {
-    let dpd_to_bcd = (0..1024u16).map(decode_declet_bcd).collect();
-    let mut bcd_to_dpd = vec![0u16; 4096];
-    for d2 in 0..10u16 {
-        for d1 in 0..10u16 {
-            for d0 in 0..10u16 {
-                let idx = ((d2 << 8) | (d1 << 4) | d0) as usize;
-                bcd_to_dpd[idx] = encode_declet(d2 as u8, d1 as u8, d0 as u8);
-            }
-        }
-    }
-    DecletTables { dpd_to_bcd, bcd_to_dpd }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,18 +194,6 @@ mod tests {
         assert_eq!(canonical.len(), 1000);
         let noncanonical = (0..1024u16).filter(|b| !canonical.contains(b)).count();
         assert_eq!(noncanonical, 24);
-    }
-
-    #[test]
-    fn tables_match_functions() {
-        let tables = declet_tables();
-        for bits in 0..1024u16 {
-            assert_eq!(tables.dpd_to_bcd[bits as usize], decode_declet_bcd(bits));
-        }
-        for v in 0..1000u16 {
-            let bcd = (v / 100) << 8 | ((v / 10) % 10) << 4 | (v % 10);
-            assert_eq!(tables.bcd_to_dpd[bcd as usize], encode_declet_bin(v));
-        }
     }
 
     #[test]

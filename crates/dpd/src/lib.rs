@@ -8,8 +8,8 @@
 //! lookups, and results are repacked the same way.
 //!
 //! * [`declet`] — the 3-digit ⇄ 10-bit compression at the heart of DPD.
-//! * [`Decimal32`], [`Decimal64`], [`Decimal128`] — the interchange formats
-//!   (the paper's "double" is decimal64 and "quad" is decimal128).
+//! * [`Decimal64`], [`Decimal128`] — the interchange formats (the paper's
+//!   "double" is decimal64 and "quad" is decimal128).
 //!
 //! # Example
 //!
@@ -28,13 +28,11 @@
 #![warn(missing_docs)]
 
 mod d128;
-mod d32;
 mod d64;
 pub mod declet;
 mod error;
 
 pub use d128::{Decimal128, Parts128};
-pub use d32::{Decimal32, Parts32};
 pub use d64::{Decimal64, Parts64};
 pub use error::DpdError;
 
@@ -100,12 +98,6 @@ impl Class {
     pub fn is_nan(self) -> bool {
         matches!(self, Class::QuietNan | Class::SignalingNan)
     }
-
-    /// True for anything that is not [`Class::Finite`].
-    #[must_use]
-    pub fn is_special(self) -> bool {
-        self != Class::Finite
-    }
 }
 
 #[cfg(test)]
@@ -127,7 +119,5 @@ mod tests {
         assert!(Class::QuietNan.is_nan());
         assert!(Class::SignalingNan.is_nan());
         assert!(!Class::Infinity.is_nan());
-        assert!(Class::Infinity.is_special());
-        assert!(!Class::Finite.is_special());
     }
 }

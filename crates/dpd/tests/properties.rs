@@ -2,7 +2,7 @@
 
 use bcd::Bcd64;
 use dpd::declet::{decode_declet, decode_declet_bin, encode_declet, encode_declet_bin};
-use dpd::{Decimal128, Decimal32, Decimal64, Sign};
+use dpd::{Decimal128, Decimal64, Sign};
 use proptest::prelude::*;
 
 proptest! {
@@ -56,19 +56,6 @@ proptest! {
         } else {
             prop_assert!(v.to_parts().is_err());
         }
-    }
-
-    #[test]
-    fn d32_parts_roundtrip(
-        coeff in 0u64..=9_999_999,
-        exp in Decimal32::EMIN_Q..=Decimal32::EMAX_Q,
-        negative: bool,
-    ) {
-        let sign = if negative { Sign::Negative } else { Sign::Positive };
-        let c = Bcd64::from_value(coeff).unwrap();
-        let v = Decimal32::from_parts(sign, c, exp).unwrap();
-        let p = v.to_parts().unwrap();
-        prop_assert_eq!((p.sign, p.coefficient, p.exponent), (sign, c, exp));
     }
 
     #[test]

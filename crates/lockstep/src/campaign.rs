@@ -44,7 +44,7 @@ use rocc::{DecimalAccelerator, DecimalFunct};
 
 use crate::fuzz::SplitMix64;
 use crate::journal::{CaseLog, Fingerprint, JournalError, JournalSpec, Progress};
-use codesign::framework::{load_program, DEGRADED_SYMBOL, RESULTS_SYMBOL};
+use codesign::framework::{load_program, read_degradation, read_result_words};
 
 /// One single-bit (or single-latch) fault in accelerator state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -289,7 +289,7 @@ pub struct CampaignConfig {
     /// Instruction budget per replay (a replay must never hang the host).
     pub instruction_budget: u64,
     /// Number of 64-bit words under the guest's
-    /// [`RESULTS_SYMBOL`], compared
+    /// [`RESULTS_SYMBOL`](codesign::framework::RESULTS_SYMBOL), compared
     /// word for word against the golden run to tell masked from corrupted.
     pub result_words: usize,
 }
@@ -384,17 +384,6 @@ impl CampaignReport {
     pub fn ok(&self) -> bool {
         self.errors.is_empty()
     }
-}
-
-fn read_words(memory: &Memory, program: &Program, words: usize) -> Option<Vec<u64>> {
-    let base = program.symbol(RESULTS_SYMBOL)?;
-    (0..words)
-        .map(|i| memory.read_u64(base + 8 * i as u64).ok())
-        .collect()
-}
-
-fn read_counter(memory: &Memory, program: &Program) -> Option<u64> {
-    memory.read_u64(program.symbol(DEGRADED_SYMBOL)?).ok()
 }
 
 fn sample_target(rng: &mut SplitMix64) -> FaultTarget {
@@ -546,8 +535,8 @@ fn replay_case(
     match run_case(&mut cpu, config.instruction_budget) {
         RunOutcome::Completed { exit_code } => {
             let watchdog_trapped = cpu.trap_log.iter().any(|t| t.cause == cause::ROCC_TIMEOUT);
-            let results = read_words(&cpu.memory, program, config.result_words);
-            let degraded = read_counter(&cpu.memory, program);
+            let results = read_result_words(&cpu.memory, program, config.result_words);
+            let degraded = read_degradation(&cpu.memory, program);
             let corrupted = exit_code != golden.exit || results != golden.results;
             let in_band = probe.stat_detected()
                 || matches!((golden.degraded, degraded), (Some(g), Some(d)) if d > g);
@@ -655,8 +644,8 @@ pub fn run_campaign_journaled(
     let total_commands = probe.commands_seen();
     let golden = GoldenBaseline {
         exit: golden_exit,
-        results: read_words(&cpu.memory, program, config.result_words),
-        degraded: read_counter(&cpu.memory, program),
+        results: read_result_words(&cpu.memory, program, config.result_words),
+        degraded: read_degradation(&cpu.memory, program),
     };
     if total_commands == 0 {
         return Ok(CampaignReport {

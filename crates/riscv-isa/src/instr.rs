@@ -443,38 +443,6 @@ impl Instr {
         )
     }
 
-    /// True if execution can continue at the next sequential instruction:
-    /// everything except unconditional jumps and trap returns. (`Ecall` is
-    /// sequential at the ISA level; an exit-syscall convention is the
-    /// caller's knowledge, not the decoder's.)
-    #[must_use]
-    pub fn falls_through(&self) -> bool {
-        !matches!(self, Instr::Jal { .. } | Instr::Jalr { .. } | Instr::Mret)
-    }
-
-    /// The statically-known control-flow target of a jump or branch at
-    /// `pc`: `pc + offset` for `Jal`/`Branch`, `None` for everything else
-    /// (including `Jalr`, whose target is a register value).
-    #[must_use]
-    pub fn branch_target(&self, pc: u64) -> Option<u64> {
-        match *self {
-            Instr::Jal { offset, .. } | Instr::Branch { offset, .. } => {
-                Some(pc.wrapping_add(offset as i64 as u64))
-            }
-            _ => None,
-        }
-    }
-
-    /// True for the conventional call forms: `jal`/`jalr` linking through
-    /// `ra` (`x1`).
-    #[must_use]
-    pub fn is_call(&self) -> bool {
-        matches!(
-            *self,
-            Instr::Jal { rd: Reg::RA, .. } | Instr::Jalr { rd: Reg::RA, .. }
-        )
-    }
-
     /// True for the conventional return: `jalr zero, 0(ra)`.
     #[must_use]
     pub fn is_return(&self) -> bool {
@@ -628,33 +596,10 @@ mod tests {
     }
 
     #[test]
-    fn cfg_helpers() {
-        let call = Instr::Jal { rd: Reg::RA, offset: 16 };
-        assert!(call.is_call());
-        assert!(!call.falls_through());
-        assert_eq!(call.branch_target(0x100), Some(0x110));
-
-        let jump = Instr::Jal { rd: Reg::ZERO, offset: -8 };
-        assert!(!jump.is_call());
-        assert_eq!(jump.branch_target(0x100), Some(0xF8));
-
-        let ret = Instr::Jalr { rd: Reg::ZERO, rs1: Reg::RA, offset: 0 };
-        assert!(ret.is_return());
-        assert!(!ret.falls_through());
+    fn return_detection() {
+        assert!(Instr::Jalr { rd: Reg::ZERO, rs1: Reg::RA, offset: 0 }.is_return());
         assert!(!Instr::Jalr { rd: Reg::ZERO, rs1: Reg::T0, offset: 0 }.is_return());
-
-        let branch = Instr::Branch {
-            op: BranchOp::Bne,
-            rs1: Reg::A0,
-            rs2: Reg::ZERO,
-            offset: 12,
-        };
-        assert!(branch.falls_through());
-        assert_eq!(branch.branch_target(0x100), Some(0x10C));
-
-        assert!(!Instr::Mret.falls_through());
-        assert!(Instr::Ecall.falls_through());
-        assert_eq!(Instr::Ecall.branch_target(0x100), None);
+        assert!(!Instr::Jal { rd: Reg::RA, offset: 16 }.is_return());
     }
 
     #[test]

@@ -328,20 +328,17 @@ pub struct Cpu {
     pub markers: Vec<Marker>,
     /// Guest traps delivered so far (empty unless the guest armed `mtvec`).
     pub trap_log: Vec<TrapRecord>,
-    /// RoCC busy-watchdog bound in cycles: if an accelerator response
-    /// claims this many busy cycles or more (including the
-    /// [`crate::ROCC_HANG`] hang sentinel), the core aborts the handshake
-    /// instead of waiting forever.
-    pub rocc_watchdog: u32,
     coprocessor: Box<dyn Coprocessor>,
     scratch_csrs: std::collections::BTreeMap<u16, u64>,
     decoded: DecodedPages,
 }
 
-/// Default RoCC busy-watchdog bound. Far above any legitimate command
-/// (the slowest, `DEC_CNV`, stays under 70 cycles) and far below any
-/// simulation budget.
-pub const DEFAULT_ROCC_WATCHDOG: u32 = 10_000;
+/// RoCC busy-watchdog bound in cycles: if an accelerator response claims
+/// this many busy cycles or more (including the [`crate::ROCC_HANG`] hang
+/// sentinel), the core aborts the handshake instead of waiting forever. Far
+/// above any legitimate command (the slowest, `DEC_CNV`, stays under 70
+/// cycles) and far below any simulation budget.
+const ROCC_WATCHDOG: u32 = 10_000;
 
 impl std::fmt::Debug for Cpu {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -372,7 +369,6 @@ impl Cpu {
             console: Vec::new(),
             markers: Vec::new(),
             trap_log: Vec::new(),
-            rocc_watchdog: DEFAULT_ROCC_WATCHDOG,
             coprocessor: Box::new(NoCoprocessor),
             scratch_csrs: std::collections::BTreeMap::new(),
             decoded: DecodedPages::new(),
@@ -690,14 +686,14 @@ impl Cpu {
                     },
                 };
                 let resp = self.coprocessor.execute(&cmd, &mut self.memory)?;
-                if resp.busy_cycles >= self.rocc_watchdog {
+                if resp.busy_cycles >= ROCC_WATCHDOG {
                     // The response will never arrive (or not within the
                     // bound): abort the handshake instead of hanging the
                     // core, and tell the accelerator so it can recover.
                     self.coprocessor.watchdog_abort();
                     return Err(CpuError::RoccTimeout {
                         funct7: rocc_instr.funct7,
-                        watchdog: self.rocc_watchdog,
+                        watchdog: ROCC_WATCHDOG,
                     });
                 }
                 if rocc_instr.xd {

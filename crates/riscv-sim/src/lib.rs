@@ -35,7 +35,7 @@ pub use coproc::{
 };
 pub use cpu::{
     syscall, trap_cause, Cpu, Event, Marker, MemAccess, MemEffect, Retired, RetirementRecord,
-    TrapRecord, DEFAULT_ROCC_WATCHDOG,
+    TrapRecord,
 };
 pub use memory::Memory;
 pub use simulator::Simulator;

@@ -1,7 +1,6 @@
 //! The decimal accelerator (paper Fig. 4): decode/interface FSM, a sixteen
 //! entry × 128-bit register set, and a BCD-CLA-based execution unit.
 
-use std::collections::BTreeMap;
 
 use bcd::cla::BcdCla;
 use bcd::convert::double_dabble;
@@ -68,7 +67,6 @@ pub struct DecimalAccelerator {
     /// First latched fault: `(cause, funct7 of the command that faulted)`.
     /// Sticky until `CLR_ALL` — see [`AccelStatus`] for the wire format.
     latched: Option<(AccelCause, u8)>,
-    command_counts: BTreeMap<DecimalFunct, u64>,
     total_busy: u64,
 }
 
@@ -98,7 +96,6 @@ impl DecimalAccelerator {
             cla: BcdCla::new(16),
             fsm: InterfaceFsm::new(),
             latched: None,
-            command_counts: BTreeMap::new(),
             total_busy: 0,
         }
     }
@@ -140,12 +137,6 @@ impl DecimalAccelerator {
     #[must_use]
     pub fn total_busy_cycles(&self) -> u64 {
         self.total_busy
-    }
-
-    /// Per-function command counts since construction.
-    #[must_use]
-    pub fn command_counts(&self) -> &BTreeMap<DecimalFunct, u64> {
-        &self.command_counts
     }
 
     fn write_half(&mut self, field: u8, value: u64) {
@@ -260,9 +251,8 @@ impl DecimalAccelerator {
         Ok(self.dispatch(funct, rs1_value, rs2_value, rd_field, rs1_field, rs2_field, None))
     }
 
-    fn account(&mut self, funct: DecimalFunct, busy: u32) {
+    fn account(&mut self, busy: u32) {
         self.total_busy += u64::from(busy);
-        *self.command_counts.entry(funct).or_insert(0) += 1;
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -284,7 +274,7 @@ impl DecimalAccelerator {
                 // core's handshake still completes.
                 return match funct {
                     DecimalFunct::Stat => {
-                        self.account(funct, 1);
+                        self.account(1);
                         RoccResponse {
                             rd_value: Some(self.status().word()),
                             busy_cycles: 1,
@@ -294,7 +284,7 @@ impl DecimalAccelerator {
                     DecimalFunct::ClrAll => {
                         self.clear_state();
                         self.fsm.clear_error();
-                        self.account(funct, 1);
+                        self.account(1);
                         RoccResponse {
                             rd_value: None,
                             busy_cycles: 1,
@@ -316,7 +306,7 @@ impl DecimalAccelerator {
         match self.execute_unit(funct, rs1_value, rs2_value, rd_field, rs1_field, rs2_field, mem) {
             Ok((rd_value, mem_accesses)) => {
                 let busy = busy_cycles(funct, rs1_value);
-                self.account(funct, busy);
+                self.account(busy);
                 self.fsm.run_command(funct, rd_value.is_some());
                 RoccResponse {
                     rd_value,
@@ -325,7 +315,7 @@ impl DecimalAccelerator {
                 }
             }
             Err(cause) => {
-                self.account(funct, 1);
+                self.account(1);
                 self.latch_error(cause, funct.funct7());
                 // The command is dropped; a benign zero keeps an `xd`
                 // handshake alive so the fault stays in-band.
@@ -695,7 +685,6 @@ mod tests {
         let mut a = acc();
         a.command(DecimalFunct::DecAdd, 1, 2, 0, 0, 0).unwrap();
         a.command(DecimalFunct::DecAdd, 3, 4, 0, 0, 0).unwrap();
-        assert_eq!(a.command_counts()[&DecimalFunct::DecAdd], 2);
         assert_eq!(a.total_busy_cycles(), 2);
     }
 }

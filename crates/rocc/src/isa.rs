@@ -226,14 +226,6 @@ impl DecimalFunct {
         }
     }
 
-    /// True for the commands that deposit a value into the register file
-    /// from outside (`WR`/`LD`) — the "setup" the deeper-offload compute
-    /// commands require on their explicitly-addressed operands.
-    #[must_use]
-    pub fn is_setup_write(self) -> bool {
-        matches!(self, DecimalFunct::Wr | DecimalFunct::Ld)
-    }
-
     /// Core-register operands (`rs1`, `rs2`) that must hold packed-BCD
     /// data, as a pair of booleans. `DEC_ACCUM`/`DEC_MULD` take a single
     /// digit in `rs1` (checked separately as a digit, not 16 nibbles).

@@ -8,38 +8,18 @@
 //! seed replays exactly while different seeds exhibit the same spread the
 //! paper describes.
 
-/// Geometry of one cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheConfig {
-    /// Total capacity in bytes.
-    pub size_bytes: u64,
-    /// Associativity.
-    pub ways: u64,
-    /// Line size in bytes.
-    pub line_bytes: u64,
-}
-
-impl CacheConfig {
-    /// Rocket's default 16 KiB, 4-way, 64-byte-line L1.
-    #[must_use]
-    pub fn rocket_l1() -> Self {
-        CacheConfig {
-            size_bytes: 16 * 1024,
-            ways: 4,
-            line_bytes: 64,
-        }
-    }
-
-    fn sets(&self) -> u64 {
-        self.size_bytes / (self.ways * self.line_bytes)
-    }
-}
-
-impl Default for CacheConfig {
-    fn default() -> Self {
-        CacheConfig::rocket_l1()
-    }
-}
+// Rocket's L1 geometry, shared by the instruction and data caches: 16 KiB,
+// 4-way, 64-byte lines.
+const SIZE_BYTES: u64 = 16 * 1024;
+const WAYS: usize = 4;
+const LINE_BYTES: u64 = 64;
+const SETS: u64 = SIZE_BYTES / (WAYS as u64 * LINE_BYTES);
+const LINE_SHIFT: u32 = LINE_BYTES.trailing_zeros();
+const SET_MASK: u64 = SETS - 1;
+const _: () = assert!(
+    SETS.is_power_of_two() && LINE_BYTES.is_power_of_two(),
+    "set count and line size must be powers of two"
+);
 
 /// Hit/miss counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -50,52 +30,21 @@ pub struct CacheStats {
     pub misses: u64,
 }
 
-impl CacheStats {
-    /// Total accesses.
-    #[must_use]
-    pub fn accesses(&self) -> u64 {
-        self.hits + self.misses
-    }
-
-    /// Hit rate in [0, 1]; 1 for an untouched cache.
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        if self.accesses() == 0 {
-            1.0
-        } else {
-            self.hits as f64 / self.accesses() as f64
-        }
-    }
-}
-
 /// A tag-only set-associative cache with random replacement.
 #[derive(Debug, Clone)]
 pub struct Cache {
-    config: CacheConfig,
-    line_shift: u32,
-    set_mask: u64,
-    /// `tags[set * ways + way]`.
+    /// `tags[set * WAYS + way]`.
     tags: Vec<Option<u64>>,
     rng: u64,
     stats: CacheStats,
 }
 
 impl Cache {
-    /// Builds an empty cache.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the geometry is not a power-of-two split.
+    /// Builds an empty L1 whose replacement generator starts from `seed`.
     #[must_use]
-    pub fn new(config: CacheConfig, seed: u64) -> Self {
-        let sets = config.sets();
-        assert!(sets.is_power_of_two(), "set count must be a power of two");
-        assert!(config.line_bytes.is_power_of_two(), "line size must be a power of two");
+    pub fn new(seed: u64) -> Self {
         Cache {
-            config,
-            line_shift: config.line_bytes.trailing_zeros(),
-            set_mask: sets - 1,
-            tags: vec![None; (sets * config.ways) as usize],
+            tags: vec![None; SETS as usize * WAYS],
             rng: seed | 1, // xorshift must not start at zero
             stats: CacheStats::default(),
         }
@@ -115,12 +64,11 @@ impl Cache {
     /// Performs one access; returns true on hit. Misses fill the line
     /// (allocate-on-miss for both reads and writes).
     pub fn access(&mut self, addr: u64) -> bool {
-        let line = addr >> self.line_shift;
-        let set = (line & self.set_mask) as usize;
-        let tag = line >> self.set_mask.count_ones();
-        let ways = self.config.ways as usize;
-        let base = set * ways;
-        for way in 0..ways {
+        let line = addr >> LINE_SHIFT;
+        let set = (line & SET_MASK) as usize;
+        let tag = line >> SET_MASK.count_ones();
+        let base = set * WAYS;
+        for way in 0..WAYS {
             if self.tags[base + way] == Some(tag) {
                 self.stats.hits += 1;
                 return true;
@@ -128,9 +76,9 @@ impl Cache {
         }
         self.stats.misses += 1;
         // Prefer an invalid way; otherwise evict a random victim.
-        let victim = (0..ways)
+        let victim = (0..WAYS)
             .find(|&w| self.tags[base + w].is_none())
-            .unwrap_or_else(|| (self.next_random() % ways as u64) as usize);
+            .unwrap_or_else(|| (self.next_random() % WAYS as u64) as usize);
         self.tags[base + victim] = Some(tag);
         false
     }
@@ -140,12 +88,6 @@ impl Cache {
     pub fn stats(&self) -> CacheStats {
         self.stats
     }
-
-    /// Invalidates all lines and clears statistics (seed preserved).
-    pub fn reset(&mut self) {
-        self.tags.fill(None);
-        self.stats = CacheStats::default();
-    }
 }
 
 #[cfg(test)]
@@ -154,7 +96,7 @@ mod tests {
 
     #[test]
     fn first_touch_misses_then_hits() {
-        let mut c = Cache::new(CacheConfig::rocket_l1(), 1);
+        let mut c = Cache::new(1);
         assert!(!c.access(0x1000));
         assert!(c.access(0x1000));
         assert!(c.access(0x1038), "same 64-byte line");
@@ -165,7 +107,7 @@ mod tests {
 
     #[test]
     fn associativity_holds_conflicting_lines() {
-        let mut c = Cache::new(CacheConfig::rocket_l1(), 1);
+        let mut c = Cache::new(1);
         // 64 sets * 64-byte lines => same set every 4096 bytes.
         for i in 0..4u64 {
             assert!(!c.access(0x1000 + i * 4096));
@@ -185,9 +127,27 @@ mod tests {
     }
 
     #[test]
+    fn geometry_is_16_kib_4_way_64_sets() {
+        // Five lines `stride` bytes apart: how many stay resident.
+        let resident = |stride: u64| {
+            let mut c = Cache::new(1);
+            for i in 0..5 {
+                c.access(i * stride);
+            }
+            (0..5).filter(|i| c.clone().access(i * stride)).count()
+        };
+        // Lines 16 KiB apart always share a set, which holds four ways.
+        assert_eq!(resident(16 * 1024), 4);
+        // 4 KiB apart they still share one: 64 sets of 64-byte lines.
+        assert_eq!(resident(4096), 4);
+        // 2 KiB apart they spread over two sets.
+        assert_eq!(resident(2048), 5);
+    }
+
+    #[test]
     fn replacement_is_seed_deterministic() {
         let run = |seed: u64| {
-            let mut c = Cache::new(CacheConfig::rocket_l1(), seed);
+            let mut c = Cache::new(seed);
             // Thrash one set, then record the exact hit pattern.
             let pattern: Vec<bool> = (0..64u64)
                 .map(|i| c.access(0x1000 + (i % 8) * 4096))
@@ -196,29 +156,5 @@ mod tests {
         };
         assert_eq!(run(42), run(42));
         assert_ne!(run(1), run(99), "different seeds shuffle victims");
-    }
-
-    #[test]
-    fn stats_hit_rate() {
-        let mut c = Cache::new(CacheConfig::rocket_l1(), 7);
-        assert_eq!(c.stats().hit_rate(), 1.0);
-        c.access(0);
-        c.access(0);
-        assert_eq!(c.stats().hit_rate(), 0.5);
-        c.reset();
-        assert_eq!(c.stats().accesses(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn bad_geometry_rejected() {
-        let _ = Cache::new(
-            CacheConfig {
-                size_bytes: 3000,
-                ways: 3,
-                line_bytes: 60,
-            },
-            1,
-        );
     }
 }

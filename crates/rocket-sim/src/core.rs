@@ -4,35 +4,30 @@ use riscv_isa::instr::{Instr, OpOp};
 use riscv_isa::Reg;
 use riscv_sim::{Cpu, CpuError, Event, Retired, Simulator};
 
-use crate::cache::{Cache, CacheConfig, CacheStats};
+use crate::cache::{Cache, CacheStats};
 
-/// Pipeline latency and penalty parameters, with Rocket-flavoured defaults.
+// Rocket's fixed pipeline latencies and penalties, in cycles.
+/// Load-to-use latency on a hit.
+const LOAD_LATENCY: u64 = 2;
+/// Pipelined multiplier result latency.
+const MUL_LATENCY: u64 = 4;
+/// Iterative, blocking divider occupancy.
+const DIV_LATENCY: u64 = 34;
+/// Front-end flush after a taken control-flow transfer.
+const BRANCH_PENALTY: u64 = 2;
+/// Pipeline flush when a trap is delivered to the `mtvec` handler.
+const TRAP_PENALTY: u64 = 3;
+
+/// The timing parameters the evaluation varies; every other latency,
+/// penalty and the cache geometry are fixed Rocket values.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimingConfig {
-    /// Instruction cache geometry.
-    pub icache: CacheConfig,
-    /// Data cache geometry.
-    pub dcache: CacheConfig,
     /// Extra cycles for an L1 miss (refill from the next level).
     pub miss_penalty: u32,
-    /// Load-to-use latency on a hit (1 means no load-use stall possible).
-    pub load_latency: u32,
-    /// Multiplier result latency (pipelined).
-    pub mul_latency: u32,
-    /// Iterative divider occupancy (blocking).
-    pub div_latency: u32,
-    /// Flush penalty for a taken control-flow transfer.
-    pub branch_penalty: u32,
     /// Cycles from accelerator `ready` to the core observing `resp` when the
     /// command has `xd` set (the RoCC interface "imposes a latency overhead
     /// during data exchange", paper §V).
     pub rocc_resp_latency: u32,
-    /// RoCC busy-watchdog bound: a command whose accelerator busy time
-    /// reaches this many cycles is aborted and reported as
-    /// [`CpuError::RoccTimeout`] (trappable when `mtvec` is armed).
-    pub rocc_watchdog: u32,
-    /// Pipeline flush cost of delivering a trap to the `mtvec` handler.
-    pub trap_penalty: u32,
     /// Seed for the caches' random-replacement generators.
     pub seed: u64,
 }
@@ -40,16 +35,8 @@ pub struct TimingConfig {
 impl Default for TimingConfig {
     fn default() -> Self {
         TimingConfig {
-            icache: CacheConfig::rocket_l1(),
-            dcache: CacheConfig::rocket_l1(),
             miss_penalty: 20,
-            load_latency: 2,
-            mul_latency: 4,
-            div_latency: 34,
-            branch_penalty: 2,
             rocc_resp_latency: 2,
-            rocc_watchdog: riscv_sim::DEFAULT_ROCC_WATCHDOG,
-            trap_penalty: 3,
             seed: 0x5EED_0001,
         }
     }
@@ -120,12 +107,10 @@ impl RocketSim {
     /// Builds a core with the given timing parameters.
     #[must_use]
     pub fn new(config: TimingConfig) -> Self {
-        let mut cpu = Cpu::new();
-        cpu.rocc_watchdog = config.rocc_watchdog;
         RocketSim {
-            cpu,
-            icache: Cache::new(config.icache, config.seed ^ 0x1CAC4E),
-            dcache: Cache::new(config.dcache, config.seed ^ 0xDCAC4E),
+            cpu: Cpu::new(),
+            icache: Cache::new(config.seed ^ 0x1CAC4E),
+            dcache: Cache::new(config.seed ^ 0xDCAC4E),
             config,
             cycle: 0,
             ready_at: [0; 32],
@@ -171,7 +156,7 @@ impl RocketSim {
             if !access.store {
                 if let Some(rd) = retired.instr.dest() {
                     self.ready_at[rd.number() as usize] =
-                        self.cycle + total + u64::from(self.config.load_latency) - 1;
+                        self.cycle + total + LOAD_LATENCY - 1;
                 }
             }
         }
@@ -180,20 +165,20 @@ impl RocketSim {
             Instr::Op { op, rd, .. } if op.is_muldiv() => {
                 if matches!(op, OpOp::Div | OpOp::Divu | OpOp::Rem | OpOp::Remu) {
                     // Iterative, blocking divider.
-                    total += u64::from(self.config.div_latency) - 1;
+                    total += DIV_LATENCY - 1;
                 } else if rd != Reg::ZERO {
                     self.ready_at[rd.number() as usize] =
-                        self.cycle + total + u64::from(self.config.mul_latency) - 1;
+                        self.cycle + total + MUL_LATENCY - 1;
                 }
             }
             Instr::Op32 { op, rd, .. } if op.is_muldiv() => {
                 if op == riscv_isa::instr::Op32Op::Mulw {
                     if rd != Reg::ZERO {
                         self.ready_at[rd.number() as usize] =
-                            self.cycle + total + u64::from(self.config.mul_latency) - 1;
+                            self.cycle + total + MUL_LATENCY - 1;
                     }
                 } else {
-                    total += u64::from(self.config.div_latency) - 1;
+                    total += DIV_LATENCY - 1;
                 }
             }
             Instr::Custom(instr) => {
@@ -216,7 +201,7 @@ impl RocketSim {
 
         // Taken control transfers flush the front end.
         if retired.redirected() {
-            total += u64::from(self.config.branch_penalty);
+            total += BRANCH_PENALTY;
         }
 
         Ok(Cost { total, hw })
@@ -255,7 +240,7 @@ impl Simulator for RocketSim {
             }
             Ok(Event::Trapped { .. }) => {
                 // Trap delivery flushes the pipeline but retires nothing.
-                let cost = 1 + u64::from(self.config.trap_penalty);
+                let cost = 1 + TRAP_PENALTY;
                 self.cycle += cost;
                 self.stats.cycles = self.cycle;
                 self.stats.sw_cycles += cost;
@@ -497,7 +482,7 @@ mod tests {
         sim2.cpu.set_reg(Reg::T2, 3);
         load(&mut sim2, 0x1000, &prog2);
         let code = sim2.run(100).unwrap();
-        // The divider took div_latency cycles, so rdcycle must exceed it.
+        // The divider took DIV_LATENCY cycles, so rdcycle must exceed it.
         assert!(code >= 34, "rdcycle saw {code}");
     }
 }
@@ -574,6 +559,29 @@ mod more_tests {
         sim.run(100).unwrap();
         let stats = sim.stats();
         assert_eq!(stats.sw_cycles + stats.hw_cycles, stats.cycles);
+    }
+
+    #[test]
+    fn trap_delivery_costs_issue_plus_flush() {
+        use riscv_isa::csr;
+        use riscv_isa::instr::CsrOp;
+        let mut sim = RocketSim::default();
+        load(&mut sim, 0x2000, &exit_prog(vec![]));
+        load(
+            &mut sim,
+            0x1000,
+            &[Instr::Csr { op: CsrOp::Csrrw, rd: Reg::ZERO, csr: csr::MTVEC, rs1: Reg::T0 }],
+        );
+        sim.cpu.memory.write_u32(0x1004, 0xFFFF_FFFF).unwrap();
+        sim.cpu.set_reg(Reg::T0, 0x2000);
+        assert!(matches!(sim.step().unwrap(), Event::Retired(_)));
+        let before = sim.stats();
+        assert!(matches!(sim.step().unwrap(), Event::Trapped { .. }));
+        let after = sim.stats();
+        // One issue cycle plus Rocket's 3-cycle flush, all software time.
+        assert_eq!(after.cycles - before.cycles, 4);
+        assert_eq!(after.sw_cycles - before.sw_cycles, 4);
+        assert_eq!(after.instret, before.instret, "the trap retires nothing");
     }
 
     #[test]

@@ -43,4 +43,4 @@ mod cache;
 mod core;
 
 pub use crate::core::{RocketSim, RunStats, TimingConfig};
-pub use cache::{Cache, CacheConfig, CacheStats};
+pub use cache::{Cache, CacheStats};

@@ -91,8 +91,6 @@ pub struct TestConfig {
     pub count: usize,
     /// Class mix as `(class, weight)`; weights are relative.
     pub class_mix: Vec<(CaseClass, u32)>,
-    /// Repetitions per calculation in generated test programs.
-    pub repetitions: u32,
     /// RNG seed — the whole database is a pure function of the config.
     pub seed: u64,
 }
@@ -106,7 +104,6 @@ impl Default for TestConfig {
             operation: Operation::Mul,
             count: 8_000,
             class_mix: paper_mix(),
-            repetitions: 1,
             seed: 2019, // SOCC'19
         }
     }

@@ -13,7 +13,7 @@
 //! cargo run --release --example financial_ledger
 //! ```
 
-use decimalarith::codesign::framework::{build_guest, run_rocket, verify_results};
+use decimalarith::codesign::framework::{build_guest, try_run_rocket, verify_results};
 use decimalarith::codesign::kernels::KernelKind;
 use decimalarith::decnum::{Context, DecNumber};
 use decimalarith::rocket_sim::TimingConfig;
@@ -66,7 +66,7 @@ fn main() {
     let mut baseline = None;
     for kind in [KernelKind::Software, KernelKind::Method1] {
         let guest = build_guest(kind, &vectors, 50).expect("kernel assembles");
-        let eval = run_rocket(&guest, TimingConfig::default());
+        let eval = try_run_rocket(&guest, TimingConfig::default()).expect("rocket run");
         assert!(
             verify_results(&eval.results, &vectors).is_empty(),
             "all line items must verify against the reference"

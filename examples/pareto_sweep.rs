@@ -7,7 +7,7 @@
 //! cargo run --release --example pareto_sweep -- 500
 //! ```
 
-use decimalarith::codesign::framework::{build_guest, run_rocket, verify_results};
+use decimalarith::codesign::framework::{build_guest, try_run_rocket, verify_results};
 use decimalarith::codesign::kernels::KernelKind;
 use decimalarith::rocc::AcceleratorConfig;
 use decimalarith::rocket_sim::TimingConfig;
@@ -26,7 +26,7 @@ fn main() {
     // Software baseline for the speedup column.
     let software = {
         let guest = build_guest(KernelKind::Software, &vectors, 1).expect("assembles");
-        run_rocket(&guest, TimingConfig::default()).avg_total_cycles
+        try_run_rocket(&guest, TimingConfig::default()).expect("rocket run").avg_total_cycles
     };
     println!("software baseline: {software:.0} cycles/multiply over {count} samples\n");
     println!(
@@ -43,7 +43,7 @@ fn main() {
     let mut frontier: Vec<(u64, f64)> = Vec::new();
     for (kind, config) in methods {
         let guest = build_guest(kind, &vectors, 1).expect("assembles");
-        let eval = run_rocket(&guest, TimingConfig::default());
+        let eval = try_run_rocket(&guest, TimingConfig::default()).expect("rocket run");
         assert!(
             verify_results(&eval.results, &vectors).is_empty(),
             "{kind} must verify"

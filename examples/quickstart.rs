@@ -6,7 +6,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use decimalarith::codesign::framework::{build_guest, run_rocket, verify_results};
+use decimalarith::codesign::framework::{build_guest, try_run_rocket, verify_results};
 use decimalarith::codesign::kernels::KernelKind;
 use decimalarith::codesign::native::{method1_multiply_accel, software_multiply};
 use decimalarith::codesign::{format_decimal64, parse_decimal64};
@@ -47,7 +47,7 @@ fn main() {
     });
     for kind in [KernelKind::Software, KernelKind::Method1] {
         let guest = build_guest(kind, &vectors, 1).expect("kernel assembles");
-        let eval = run_rocket(&guest, TimingConfig::default());
+        let eval = try_run_rocket(&guest, TimingConfig::default()).expect("rocket run");
         let mismatches = verify_results(&eval.results, &vectors);
         println!(
             "{:<28} avg {:>6.0} cycles/multiply (SW {:>6.0} + HW {:>4.0}), {} of {} verified",

@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use decimalarith::codesign::framework::{build_guest, run_functional, verify_results};
+use decimalarith::codesign::framework::{build_guest, try_run_functional, verify_results};
 use decimalarith::codesign::kernels::KernelKind;
 use decimalarith::testgen::{generate, CaseClass, TestConfig};
 
@@ -44,7 +44,7 @@ fn main() {
         KernelKind::Method4,
     ] {
         let guest = build_guest(kind, &vectors, 1).expect("kernel assembles");
-        let run = run_functional(&guest);
+        let run = try_run_functional(&guest).expect("functional run");
         let mismatches = verify_results(&run.results, &vectors);
         // Tally pass/fail per class.
         let mut per_class: BTreeMap<CaseClass, (usize, usize)> = BTreeMap::new();

@@ -3,7 +3,8 @@
 //! cycles nondeterministically"), but averaging over many samples gives
 //! statistically meaningful results.
 
-use decimalarith::codesign::framework::{build_guest, run_rocket};
+use decimalarith::atomic_sim::AtomicConfig;
+use decimalarith::codesign::framework::{build_guest, try_run_atomic, try_run_rocket};
 use decimalarith::codesign::kernels::KernelKind;
 use decimalarith::rocket_sim::TimingConfig;
 use decimalarith::testgen::{generate, TestConfig};
@@ -22,8 +23,8 @@ fn same_seed_replays_exactly() {
         ..TestConfig::default()
     });
     let guest = build_guest(KernelKind::Method1, &vectors, 1).unwrap();
-    let a = run_rocket(&guest, timing(42));
-    let b = run_rocket(&guest, timing(42));
+    let a = try_run_rocket(&guest, timing(42)).expect("rocket run");
+    let b = try_run_rocket(&guest, timing(42)).expect("rocket run");
     assert_eq!(a.stats.cycles, b.stats.cycles);
     assert_eq!(a.results, b.results);
 }
@@ -35,7 +36,7 @@ fn different_seeds_change_cycles_but_not_results() {
         ..TestConfig::default()
     });
     let guest = build_guest(KernelKind::Software, &vectors, 1).unwrap();
-    let runs: Vec<_> = (0..4u64).map(|s| run_rocket(&guest, timing(s))).collect();
+    let runs: Vec<_> = (0..4u64).map(|s| try_run_rocket(&guest, timing(s)).expect("rocket run")).collect();
     // Results are architectural: identical across seeds.
     for r in &runs[1..] {
         assert_eq!(r.results, runs[0].results);
@@ -61,7 +62,7 @@ fn averages_are_statistically_stable_across_seeds() {
     });
     let guest = build_guest(KernelKind::Method1, &vectors, 1).unwrap();
     let averages: Vec<f64> = (0..5u64)
-        .map(|s| run_rocket(&guest, timing(s)).avg_total_cycles)
+        .map(|s| try_run_rocket(&guest, timing(s)).expect("rocket run").avg_total_cycles)
         .collect();
     let mean = averages.iter().sum::<f64>() / averages.len() as f64;
     for avg in &averages {
@@ -80,4 +81,55 @@ fn workload_generation_is_a_pure_function_of_the_config() {
         ..TestConfig::default()
     };
     assert_eq!(generate(&config), generate(&config));
+}
+
+/// Table VI's functional-unit latencies on top of `config`, set field by
+/// field so this reads the same however many other fields the config has.
+fn with_table6_latencies(mut config: AtomicConfig) -> AtomicConfig {
+    config.mul_cycles = 3;
+    config.div_cycles = 12;
+    config
+}
+
+/// Exact simulated numbers for every kernel on a 16-vector, seed-2019
+/// workload. Rocket: `(cycles, hw_cycles, instret, stall_cycles, I$ misses,
+/// D$ misses)` at cache seed 2019. Atomic, with Table VI's functional-unit
+/// latencies (mul 3, div 12): `(instret, measurement-region ticks)` at its
+/// 1 GHz clock. A change to a pipeline latency, the branch or miss penalty,
+/// the cache line size, the atomic access cost or a kernel moves at least
+/// one of these. (These guests never trap and fit the L1s, so the trap
+/// penalty, associativity and set count are pinned by `rocket-sim`'s unit
+/// tests instead.)
+#[test]
+fn simulated_numbers_are_pinned() {
+    #[rustfmt::skip]
+    const PINNED: [(KernelKind, [u64; 6], [u64; 2]); 8] = [
+        (KernelKind::Software,     [42463,    0, 23494, 6317, 35, 62], [23494, 37365]),
+        (KernelKind::SoftwareBid,  [18175,    0,  6502,  797, 26, 59], [ 6502, 10901]),
+        (KernelKind::Method1,      [15927, 3088,  9772,  225, 25, 63], [ 9772, 12212]),
+        (KernelKind::Method1Dummy, [18786,    0, 12782,  240, 23, 39], [12782, 14465]),
+        (KernelKind::Method1Ft,    [34341, 3188, 19650,  257, 32, 63], [19650, 23984]),
+        (KernelKind::Method2,      [10791, 1380,  6348,  225, 24, 60], [ 6348,  7764]),
+        (KernelKind::Method3,      [10387,  996,  6220,  225, 23, 60], [ 6220,  7380]),
+        (KernelKind::Method4,      [ 8435,  544,  4956,  225, 23, 60], [ 4956,  5908]),
+    ];
+    let vectors = generate(&TestConfig {
+        count: 16,
+        seed: 2019,
+        ..TestConfig::default()
+    });
+    let table6 = with_table6_latencies(AtomicConfig::default());
+    assert_eq!(PINNED.map(|(kind, ..)| kind), KernelKind::ALL);
+    for (kind, rocket, atomic) in PINNED {
+        let guest = build_guest(kind, &vectors, 1).unwrap();
+        let s = try_run_rocket(&guest, timing(2019)).expect("rocket run").stats;
+        assert_eq!(
+            [s.cycles, s.hw_cycles, s.instret, s.stall_cycles, s.icache.misses, s.dcache.misses],
+            rocket,
+            "{kind}: rocket"
+        );
+        let eval = try_run_atomic(&guest, table6).expect("atomic run");
+        let ticks = (eval.simulated_seconds * 1e9).round() as u64;
+        assert_eq!([eval.instret, ticks], atomic, "{kind}: atomic");
+    }
 }

@@ -3,7 +3,7 @@
 
 use decimalarith::atomic_sim::AtomicConfig;
 use decimalarith::codesign::framework::{
-    build_guest, run_atomic, run_functional, run_rocket, verify_results,
+    build_guest, try_run_atomic, try_run_functional, try_run_rocket, verify_results,
 };
 use decimalarith::codesign::kernels::KernelKind;
 use decimalarith::rocket_sim::TimingConfig;
@@ -21,9 +21,9 @@ fn vectors(count: usize, seed: u64) -> Vec<decimalarith::testgen::TestVector> {
 fn all_platforms_agree_on_results() {
     let vectors = vectors(60, 1);
     let guest = build_guest(KernelKind::Method1, &vectors, 1).unwrap();
-    let functional = run_functional(&guest);
-    let rocket = run_rocket(&guest, TimingConfig::default());
-    let atomic = run_atomic(&guest, AtomicConfig::default());
+    let functional = try_run_functional(&guest).expect("functional run");
+    let rocket = try_run_rocket(&guest, TimingConfig::default()).expect("rocket run");
+    let atomic = try_run_atomic(&guest, AtomicConfig::default()).expect("atomic run");
     assert_eq!(functional.results, rocket.results);
     assert_eq!(functional.results, atomic.results);
     assert!(verify_results(&functional.results, &vectors).is_empty());
@@ -35,7 +35,7 @@ fn method1_beats_software_and_dummy_lands_between() {
     let timing = TimingConfig::default();
     let cycles = |kind: KernelKind| {
         let guest = build_guest(kind, &vectors, 1).unwrap();
-        run_rocket(&guest, timing).avg_total_cycles
+        try_run_rocket(&guest, timing).expect("rocket run").avg_total_cycles
     };
     let software = cycles(KernelKind::Software);
     let method1 = cycles(KernelKind::Method1);
@@ -61,7 +61,7 @@ fn method1_beats_software_and_dummy_lands_between() {
 fn hw_part_is_a_small_fraction_of_method1() {
     let vectors = vectors(100, 3);
     let guest = build_guest(KernelKind::Method1, &vectors, 1).unwrap();
-    let eval = run_rocket(&guest, TimingConfig::default());
+    let eval = try_run_rocket(&guest, TimingConfig::default()).expect("rocket run");
     let share = eval.avg_hw_cycles / eval.avg_total_cycles;
     // Paper Table IV: 188 of 1201 cycles = 15.7%.
     assert!(
@@ -76,7 +76,7 @@ fn deeper_offload_methods_are_faster() {
     let timing = TimingConfig::default();
     let cycles = |kind: KernelKind| {
         let guest = build_guest(kind, &vectors, 1).unwrap();
-        let eval = run_rocket(&guest, timing);
+        let eval = try_run_rocket(&guest, timing).expect("rocket run");
         assert!(verify_results(&eval.results, &vectors).is_empty(), "{kind}");
         eval.avg_total_cycles
     };
@@ -104,7 +104,7 @@ fn ablations_respond_to_the_parameters_they_model() {
                     seed: 7,
                     ..TimingConfig::default()
                 };
-                run_rocket(guest, timing).avg_total_cycles
+                try_run_rocket(guest, timing).expect("rocket run").avg_total_cycles
             })
             .collect()
     };
@@ -132,7 +132,7 @@ fn ablations_respond_to_the_parameters_they_model() {
         seed: 7,
         ..TimingConfig::default()
     };
-    let bid = run_rocket(&bid, timing).avg_total_cycles;
+    let bid = try_run_rocket(&bid, timing).expect("rocket run").avg_total_cycles;
     assert!(bid < software[0], "BID-style {bid:.0} vs decNumber-style {:.0}", software[0]);
 }
 
@@ -142,7 +142,7 @@ fn repetitions_scale_the_measurement_region() {
     let timing = TimingConfig::default();
     let run = |reps: u32| {
         let guest = build_guest(KernelKind::Method1, &vectors, reps).unwrap();
-        run_rocket(&guest, timing)
+        try_run_rocket(&guest, timing).expect("rocket run")
     };
     let once = run(1);
     let thrice = run(3);
@@ -161,16 +161,16 @@ fn atomic_and_rocket_rank_configurations_the_same_way() {
     let vectors = vectors(100, 6);
     let rank = |kind: KernelKind| {
         let guest = build_guest(kind, &vectors, 1).unwrap();
-        let rocket = run_rocket(&guest, TimingConfig::default()).avg_total_cycles;
-        let atomic = run_atomic(
-            &guest,
-            AtomicConfig {
-                mul_cycles: 3,
-                div_cycles: 12,
-                ..AtomicConfig::default()
-            },
-        )
-        .simulated_seconds;
+        let rocket = try_run_rocket(&guest, TimingConfig::default())
+            .expect("rocket run")
+            .avg_total_cycles;
+        let table6 = AtomicConfig {
+            mul_cycles: 3,
+            div_cycles: 12,
+        };
+        let atomic = try_run_atomic(&guest, table6)
+            .expect("atomic run")
+            .simulated_seconds;
         (rocket, atomic)
     };
     let (sw_r, sw_a) = rank(KernelKind::Software);

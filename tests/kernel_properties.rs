@@ -5,7 +5,7 @@
 //! Assembly and simulation are amortized by batching each proptest case
 //! into one guest run over a vector of operand pairs.
 
-use decimalarith::codesign::framework::{build_guest, run_functional, verify_results};
+use decimalarith::codesign::framework::{build_guest, try_run_functional, verify_results};
 use decimalarith::codesign::kernels::KernelKind;
 use decimalarith::decnum::DecNumber;
 use decimalarith::dpd::Sign;
@@ -51,7 +51,7 @@ proptest! {
             .map(|(x, y)| TestVector { x, y, class: CaseClass::Normal })
             .collect();
         let guest = build_guest(KernelKind::Method1, &vectors, 1).unwrap();
-        let run = run_functional(&guest);
+        let run = try_run_functional(&guest).expect("functional run");
         let mismatches = verify_results(&run.results, &vectors);
         prop_assert!(
             mismatches.is_empty(),
@@ -71,7 +71,7 @@ proptest! {
             .map(|(x, y)| TestVector { x, y, class: CaseClass::Normal })
             .collect();
         let guest = build_guest(KernelKind::Software, &vectors, 1).unwrap();
-        let run = run_functional(&guest);
+        let run = try_run_functional(&guest).expect("functional run");
         let mismatches = verify_results(&run.results, &vectors);
         prop_assert!(mismatches.is_empty(), "mismatches: {mismatches:?}");
     }
