@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 (build + root test suite), the workspace tests,
 # clippy, rustdoc, the benchmark's contract tests, a short run of every
-# benchmark workload, a run of every example, every table at CI scale, and
-# bounded fixed-seed differential, fault-campaign and crash-resume passes.
+# benchmark workload, a run of every example, every table at CI scale,
+# bounded fixed-seed differential, fault-campaign and crash-resume passes,
+# and lockstep conformance over the paper's full 8,000-sample database.
 # Everything here is deterministic; a red run reproduces locally with the
 # same commands.
 set -euo pipefail
@@ -67,10 +68,15 @@ cargo run --release -p decimal-bench --bin rvlint -- --seed 2019
 
 echo "== differential verification (bounded) =="
 # Conformance on a CI-sized database slice, a 200-program fuzz run, and
-# the RoCC command differential — all on the paper's seed. The full
-# 8,000-sample configuration is the same binary with --samples 8000.
+# the RoCC command differential — all on the paper's seed.
 cargo run --release -p decimal-bench --bin lockstep -- all \
     --seed 2019 --samples 200 --programs 200 --commands 10000
+
+echo "== differential verification (paper scale) =="
+# Conformance over the paper's full 8,000-sample database: every kernel on
+# every simulator pair, every retirement compared.
+cargo run --release -p decimal-bench --bin lockstep -- conformance \
+    --seed 2019 --samples 8000
 
 echo "== fault-injection campaign (bounded, fixed seed) =="
 # 500 seeded single-bit faults against the plain and the fault-tolerant

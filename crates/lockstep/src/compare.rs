@@ -2,11 +2,9 @@
 //! compares their canonical retirement streams, and reports the first
 //! divergence with full context.
 
-use std::collections::VecDeque;
-
 use riscv_isa::instr::Instr;
 use riscv_isa::{csr, Reg};
-use riscv_sim::{Cpu, CpuError, Event, RetirementRecord, Simulator};
+use riscv_sim::{Cpu, CpuError, Event, MemEffect, Retired, RetirementRecord, Simulator};
 
 /// Default number of pre-divergence retirements kept as context.
 pub const DEFAULT_CONTEXT: usize = 8;
@@ -199,6 +197,16 @@ fn is_cycle_read(instr: &Instr) -> bool {
     matches!(csr_number(instr), Some(number) if matches!(number, csr::CYCLE | csr::TIME))
 }
 
+/// The comparable value of a destination write by `instr`: zero for a
+/// cycle/time read, `value` for everything else.
+fn masked_rd_value(instr: &Instr, value: u64) -> u64 {
+    if is_cycle_read(instr) {
+        0
+    } else {
+        value
+    }
+}
+
 /// Canonicalizes a record for comparison: the destination value of a
 /// `rdcycle`/`rdtime` read is each timing model's own cycle count, which
 /// legitimately differs across simulators, so it is masked to zero.
@@ -211,12 +219,76 @@ fn is_cycle_read(instr: &Instr) -> bool {
 /// register immediately after reading `rdcycle` into it.
 #[must_use]
 pub fn canonical(mut record: RetirementRecord) -> RetirementRecord {
-    if is_cycle_read(&record.instr) {
-        if let Some((reg, _)) = record.rd_write {
-            record.rd_write = Some((reg, 0));
-        }
+    if let Some((reg, value)) = record.rd_write {
+        record.rd_write = Some((reg, masked_rd_value(&record.instr, value)));
     }
     record
+}
+
+/// True if `canonical(RetirementRecord::capture(cpu, retired))` would equal
+/// `record`, checked field by field without building it. `record` is the
+/// other simulator's canonical record of the same lockstep step.
+///
+/// The pattern names every field of [`RetirementRecord`], so a field added
+/// there does not compile here until it is compared; each field is read
+/// from `cpu` and `retired` the way `capture` reads it.
+#[inline]
+fn agrees(record: &RetirementRecord, cpu: &Cpu, retired: &Retired) -> bool {
+    let RetirementRecord {
+        seq,
+        pc,
+        instr,
+        next_pc,
+        rd_write,
+        mem,
+        rocc_rd,
+    } = *record;
+    seq == cpu.instret
+        && pc == retired.pc
+        && next_pc == retired.next_pc
+        && instr == retired.instr
+        // Equal instructions write the same destination register, if any.
+        && rd_write.is_none_or(|(reg, value)| masked_rd_value(&instr, cpu.reg(reg)) == value)
+        && mem == retired.mem_access.map(|access| MemEffect::after(&cpu.memory, access))
+        && rocc_rd == retired.rocc.and_then(|response| response.rd_value)
+}
+
+/// The last `capacity` records pushed. The buffer grows to at most
+/// `capacity` entries, then each push overwrites the oldest.
+struct ContextRing {
+    records: Vec<RetirementRecord>,
+    capacity: usize,
+    /// Index of the oldest record once the buffer is full.
+    oldest: usize,
+}
+
+impl ContextRing {
+    fn new(capacity: usize) -> Self {
+        ContextRing {
+            records: Vec::new(),
+            capacity,
+            oldest: 0,
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, record: RetirementRecord) {
+        if self.records.len() < self.capacity {
+            self.records.push(record);
+        } else if self.capacity > 0 {
+            self.records[self.oldest] = record;
+            self.oldest += 1;
+            if self.oldest == self.capacity {
+                self.oldest = 0;
+            }
+        }
+    }
+
+    /// The records, oldest first.
+    fn to_vec(&self) -> Vec<RetirementRecord> {
+        let (newer, older) = self.records.split_at(self.oldest);
+        older.iter().chain(newer).copied().collect()
+    }
 }
 
 fn register_delta(a: &Cpu, b: &Cpu) -> Vec<RegDelta> {
@@ -257,60 +329,41 @@ fn divergence_pc(a: &StepOutcome, b: &StepOutcome, fallback: u64) -> u64 {
 /// architectural agreement; anything asymmetric is a divergence. When both
 /// exit with the same code, their final register files, console output and
 /// markers are compared too.
+///
+/// Each step where both sides retire builds one canonical record, the
+/// first simulator's, for the context, and checks the second simulator's
+/// retirement against it in place. The per-side [`StepOutcome`]s are built
+/// only when that check fails or a side does anything but retire.
 pub fn run_lockstep(
     a: &mut dyn Simulator,
     b: &mut dyn Simulator,
     options: &LockstepOptions,
 ) -> LockstepOutcome {
-    let mut context: VecDeque<RetirementRecord> = VecDeque::with_capacity(options.context.max(1));
+    let mut context = ContextRing::new(options.context);
     // Registers whose current value came straight from a cycle/time read;
     // they hold each timing model's own count and are excluded from the
     // final-state register comparison.
     let mut cycle_tainted = [false; 32];
-    let divergence = |step: u64,
-                      a: &dyn Simulator,
-                      b: &dyn Simulator,
-                      oa: StepOutcome,
-                      ob: StepOutcome,
-                      context: &VecDeque<RetirementRecord>| {
-        let mem_delta = match (&oa, &ob) {
-            (StepOutcome::Retired(ra), StepOutcome::Retired(rb)) if ra.mem != rb.mem => {
-                Some((ra.mem, rb.mem))
-            }
-            _ => None,
-        };
-        LockstepOutcome::Divergence(Box::new(Divergence {
-            step,
-            pc: divergence_pc(&oa, &ob, a.cpu().pc()),
-            a_label: a.label(),
-            b_label: b.label(),
-            reg_delta: register_delta(a.cpu(), b.cpu()),
-            mem_delta,
-            a: oa,
-            b: ob,
-            context: context.iter().copied().collect(),
-        }))
-    };
 
     for step in 0..options.max_instructions {
-        let oa = outcome_of(a.step(), a.cpu());
-        let ob = outcome_of(b.step(), b.cpu());
-        match (&oa, &ob) {
-            (StepOutcome::Retired(ra), StepOutcome::Retired(rb)) => {
-                let (ca, cb) = (canonical(*ra), canonical(*rb));
-                if ca != cb {
-                    return divergence(step, a, b, oa, ob, &context);
+        let result_a = a.step();
+        let result_b = b.step();
+        if let (Ok(Event::Retired(retired_a)), Ok(Event::Retired(retired_b))) =
+            (&result_a, &result_b)
+        {
+            let record = canonical(RetirementRecord::capture(a.cpu(), retired_a));
+            if agrees(&record, b.cpu(), retired_b) {
+                if let Some((reg, _)) = record.rd_write {
+                    cycle_tainted[reg.number() as usize] = is_cycle_read(&record.instr);
                 }
-                if let Some((reg, _)) = ca.rd_write {
-                    cycle_tainted[reg.number() as usize] = is_cycle_read(&ca.instr);
-                }
-                if context.len() == options.context {
-                    context.pop_front();
-                }
-                if options.context > 0 {
-                    context.push_back(ca);
-                }
+                context.push(record);
+                continue;
             }
+        }
+
+        let oa = outcome_of(result_a, a.cpu());
+        let ob = outcome_of(result_b, b.cpu());
+        match (&oa, &ob) {
             (StepOutcome::Exited { code: ca }, StepOutcome::Exited { code: cb }) if ca == cb => {
                 if let Some(outcome) =
                     final_state_divergence(step, a, b, &oa, &ob, &context, &cycle_tainted)
@@ -335,13 +388,48 @@ pub fn run_lockstep(
                     termination: Termination::MatchingFault(*ea),
                 };
             }
-            _ => return divergence(step, a, b, oa, ob, &context),
+            _ => {
+                debug_assert!(
+                    !matches!((&oa, &ob), (StepOutcome::Retired(ra), StepOutcome::Retired(rb))
+                        if canonical(*ra) == canonical(*rb)),
+                    "`agrees` rejected equal canonical records"
+                );
+                return divergence(step, a, b, oa, ob, &context);
+            }
         }
     }
     LockstepOutcome::Agreement {
         instructions: options.max_instructions,
         termination: Termination::BudgetExhausted,
     }
+}
+
+/// The report for a step at which the two sides did different things.
+fn divergence(
+    step: u64,
+    a: &dyn Simulator,
+    b: &dyn Simulator,
+    oa: StepOutcome,
+    ob: StepOutcome,
+    context: &ContextRing,
+) -> LockstepOutcome {
+    let mem_delta = match (&oa, &ob) {
+        (StepOutcome::Retired(ra), StepOutcome::Retired(rb)) if ra.mem != rb.mem => {
+            Some((ra.mem, rb.mem))
+        }
+        _ => None,
+    };
+    LockstepOutcome::Divergence(Box::new(Divergence {
+        step,
+        pc: divergence_pc(&oa, &ob, a.cpu().pc()),
+        a_label: a.label(),
+        b_label: b.label(),
+        reg_delta: register_delta(a.cpu(), b.cpu()),
+        mem_delta,
+        a: oa,
+        b: ob,
+        context: context.to_vec(),
+    }))
 }
 
 /// After a matching exit, checks final architectural state: register files,
@@ -354,7 +442,7 @@ fn final_state_divergence(
     b: &dyn Simulator,
     oa: &StepOutcome,
     ob: &StepOutcome,
-    context: &VecDeque<RetirementRecord>,
+    context: &ContextRing,
     cycle_tainted: &[bool; 32],
 ) -> Option<LockstepOutcome> {
     let mut reg_delta = register_delta(a.cpu(), b.cpu());
@@ -378,6 +466,6 @@ fn final_state_divergence(
         b: ob.clone(),
         reg_delta,
         mem_delta: None,
-        context: context.iter().copied().collect(),
+        context: context.to_vec(),
     })))
 }

@@ -135,18 +135,31 @@ pub struct RetirementRecord {
     pub rocc_rd: Option<u64>,
 }
 
+impl MemEffect {
+    /// The effect of `access`, read back from `memory` after the access's
+    /// step: the value now held at its address.
+    #[inline]
+    #[must_use]
+    pub fn after(memory: &Memory, access: MemAccess) -> MemEffect {
+        MemEffect {
+            addr: access.addr,
+            size: access.size,
+            store: access.store,
+            value: read_sized(memory, access.addr, access.size),
+        }
+    }
+}
+
 impl RetirementRecord {
     /// Builds the canonical record for `retired`, reading the post-step
     /// architectural state out of `cpu`. Must be called after the step that
     /// produced `retired` and before the next one.
+    #[inline]
     #[must_use]
     pub fn capture(cpu: &Cpu, retired: &Retired) -> RetirementRecord {
-        let mem = retired.mem_access.map(|access| MemEffect {
-            addr: access.addr,
-            size: access.size,
-            store: access.store,
-            value: read_sized(&cpu.memory, access.addr, access.size),
-        });
+        let mem = retired
+            .mem_access
+            .map(|access| MemEffect::after(&cpu.memory, access));
         RetirementRecord {
             seq: cpu.instret,
             pc: retired.pc,
