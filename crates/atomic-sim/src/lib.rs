@@ -38,6 +38,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use riscv_isa::alu::MulDiv;
 use riscv_isa::Instr;
 use riscv_sim::{Cpu, CpuError, Event, Simulator};
 
@@ -75,13 +76,14 @@ pub struct AtomicSim {
     /// coprocessors).
     pub cpu: Cpu,
     config: AtomicConfig,
+    /// Run counters, except `instret`, which is the core's.
     stats: AtomicStats,
 }
 
 impl std::fmt::Debug for AtomicSim {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AtomicSim")
-            .field("stats", &self.stats)
+            .field("stats", &self.stats())
             .finish_non_exhaustive()
     }
 }
@@ -103,10 +105,13 @@ impl AtomicSim {
         }
     }
 
-    /// Counters so far.
+    /// Counters so far, including the core's `instret`.
     #[must_use]
     pub fn stats(&self) -> AtomicStats {
-        self.stats
+        AtomicStats {
+            instret: self.cpu.instret,
+            ..self.stats
+        }
     }
 
     /// Simulated wall-clock time so far (`cycles / CLOCK_HZ`), the
@@ -139,38 +144,23 @@ impl Simulator for AtomicSim {
         let Ok(event) = &result else {
             return result;
         };
+        // Every event, a trap delivery too, consumes one tick.
         self.stats.cycles += 1;
-        if let Event::Trapped { .. } = event {
-            // Trap delivery consumes the tick but retires nothing.
-            return result;
-        }
-        self.stats.instret += 1;
         if let Event::Retired(retired) = event {
             if retired.mem_access.is_some() {
                 self.stats.cycles += MEM_ACCESS_CYCLES;
                 self.stats.mem_accesses += 1;
             }
-            match retired.instr {
-                Instr::Op { op, .. } if op.is_muldiv() => {
-                    self.stats.cycles += if matches!(
-                        op,
-                        riscv_isa::instr::OpOp::Mul
-                            | riscv_isa::instr::OpOp::Mulh
-                            | riscv_isa::instr::OpOp::Mulhsu
-                            | riscv_isa::instr::OpOp::Mulhu
-                    ) {
-                        self.config.mul_cycles
-                    } else {
-                        self.config.div_cycles
-                    };
+            self.stats.cycles += match retired.instr.muldiv() {
+                Some(MulDiv::Mul) => self.config.mul_cycles,
+                Some(MulDiv::Div) => self.config.div_cycles,
+                None => 0,
+            };
+            if let Instr::Custom(_) = retired.instr {
+                if let Some(resp) = retired.rocc {
+                    self.stats.cycles += u64::from(resp.busy_cycles);
+                    self.stats.mem_accesses += u64::from(resp.mem_accesses);
                 }
-                Instr::Custom(_) => {
-                    if let Some(resp) = retired.rocc {
-                        self.stats.cycles += u64::from(resp.busy_cycles);
-                        self.stats.mem_accesses += u64::from(resp.mem_accesses);
-                    }
-                }
-                _ => {}
             }
         }
         result
@@ -180,7 +170,7 @@ impl Simulator for AtomicSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use riscv_isa::instr::{OpImmOp, OpOp};
+    use riscv_isa::instr::{Op32Op, OpImmOp, OpOp};
     use riscv_isa::Reg;
 
     fn load(sim: &mut AtomicSim, prog: &[Instr]) {
@@ -261,6 +251,31 @@ mod tests {
         sim.cpu.set_reg(Reg::T2, 1);
         load(&mut sim, &prog);
         sim.run(100).unwrap();
+        assert_eq!(sim.stats().cycles, 4 + 3 + 30);
+    }
+
+    #[test]
+    fn word_muldiv_latencies_are_charged_too() {
+        let mut sim = AtomicSim::new(AtomicConfig {
+            mul_cycles: 3,
+            div_cycles: 30,
+        });
+        let op32 = |op| Instr::Op32 {
+            op,
+            rd: Reg::T0,
+            rs1: Reg::T1,
+            rs2: Reg::T2,
+        };
+        let prog = vec![
+            op32(Op32Op::Mulw),
+            op32(Op32Op::Divw),
+            addi(Reg::A7, Reg::ZERO, 93),
+            Instr::Ecall,
+        ];
+        sim.cpu.set_reg(Reg::T2, 1);
+        load(&mut sim, &prog);
+        sim.run(100).unwrap();
+        assert_eq!(sim.stats().instret, 4);
         assert_eq!(sim.stats().cycles, 4 + 3 + 30);
     }
 }

@@ -5,8 +5,7 @@
 //!
 //! ```text
 //! lockstep [conformance|fuzz|rocc|faults|all] [--samples N] [--seed S]
-//!          [--programs N] [--body N] [--commands N] [--no-rocc]
-//!          [--faults N] [--fault-samples N]
+//!          [--programs N] [--commands N] [--faults N] [--fault-samples N]
 //!          [--journal PATH | --resume PATH] [--checkpoint-every N]
 //! ```
 //!
@@ -35,7 +34,7 @@ use std::path::PathBuf;
 
 use codesign::kernels::KernelKind;
 use lockstep::campaign::{run_campaign_journaled, CampaignConfig};
-use lockstep::fuzz::{run_fuzz_journaled, FuzzConfig};
+use lockstep::fuzz::{run_fuzz_journaled, FuzzConfig, BODY_ITEMS};
 use lockstep::journal::{CaseLog, Fingerprint, JournalSpec, Progress};
 use lockstep::rocc_diff::fuzz_rocc_commands;
 use lockstep::{check_guest_all_pairs, guest_budget, Pair};
@@ -46,9 +45,7 @@ struct Options {
     samples: usize,
     seed: u64,
     programs: u32,
-    body_items: usize,
     commands: u32,
-    with_rocc: bool,
     faults: usize,
     fault_samples: usize,
     journal: Option<PathBuf>,
@@ -85,9 +82,7 @@ fn parse_args() -> Options {
         samples: 200,
         seed: 2019,
         programs: 200,
-        body_items: 40,
         commands: 10_000,
-        with_rocc: true,
         faults: 500,
         fault_samples: 6,
         journal: None,
@@ -100,11 +95,9 @@ fn parse_args() -> Options {
             "--samples" => options.samples = number(&mut args, "--samples"),
             "--seed" => options.seed = number(&mut args, "--seed"),
             "--programs" => options.programs = number(&mut args, "--programs"),
-            "--body" => options.body_items = number(&mut args, "--body"),
             "--commands" => options.commands = number(&mut args, "--commands"),
             "--faults" => options.faults = number(&mut args, "--faults"),
             "--fault-samples" => options.fault_samples = number(&mut args, "--fault-samples"),
-            "--no-rocc" => options.with_rocc = false,
             "--journal" => {
                 options.journal =
                     Some(args.next().unwrap_or_else(|| usage("--journal needs a path")).into());
@@ -140,7 +133,7 @@ fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
         "usage: lockstep [conformance|fuzz|rocc|faults|all] [--samples N] [--seed S] \
-         [--programs N] [--body N] [--commands N] [--no-rocc] [--faults N] [--fault-samples N] \
+         [--programs N] [--commands N] [--faults N] [--fault-samples N] \
          [--journal PATH | --resume PATH] [--checkpoint-every N]"
     );
     std::process::exit(2);
@@ -313,20 +306,16 @@ fn faults(options: &Options) -> u32 {
 /// Runs the differential instruction fuzzer. Returns the failure count.
 fn fuzz(options: &Options) -> u32 {
     println!(
-        "— fuzz: {} programs × {} pairs, seed {}, {} body items, rocc {}",
+        "— fuzz: {} programs × {} pairs, seed {}, {BODY_ITEMS} body items, rocc on",
         options.programs,
         Pair::ALL.len(),
         options.seed,
-        options.body_items,
-        if options.with_rocc { "on" } else { "off" }
     );
     let spec = options.journal_spec(None);
     let report = run_fuzz_journaled(
         &FuzzConfig {
             seed: options.seed,
             programs: options.programs,
-            body_items: options.body_items,
-            with_rocc: options.with_rocc,
             ..FuzzConfig::default()
         },
         spec.as_ref(),

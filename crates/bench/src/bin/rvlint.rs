@@ -134,12 +134,14 @@ fn main() {
     for &kind in &options.kinds {
         println!("— {} ({})", kind.name(), kind.slug());
         for (sample, &count) in sizes.iter().enumerate() {
+            // Layout seeds count up from `--seed`, wrapping past u64::MAX.
+            let seed = options.seed.wrapping_add(sample as u64);
             let vectors = testgen::generate(&TestConfig {
                 count,
-                seed: options.seed + sample as u64,
+                seed,
                 ..TestConfig::default()
             });
-            let label = format!("{} vectors (seed {})", count, options.seed + sample as u64);
+            let label = format!("{count} vectors (seed {seed})");
             errors += lint_guest(&label, kind, &vectors, &options);
         }
     }

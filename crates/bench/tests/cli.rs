@@ -33,3 +33,24 @@ fn out_of_range_numbers_are_usage_errors() {
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
 }
+
+/// The largest seed is a valid seed: the per-layout seeds after it wrap to
+/// 0, 1, … and each label names the seed it used, where the layout seeds
+/// once overflowed (a panic in a debug build).
+#[test]
+fn rvlint_accepts_the_largest_seed() {
+    let output = Command::new(env!("CARGO_BIN_EXE_rvlint"))
+        .args(["method1", "--seed", "18446744073709551615"])
+        .output()
+        .expect("rvlint runs");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(0), "{stdout}{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    for seed in ["18446744073709551615", "0", "1", "2"] {
+        assert!(
+            stdout.contains(&format!("(seed {seed})")),
+            "{seed}: {stdout}"
+        );
+    }
+}

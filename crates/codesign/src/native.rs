@@ -9,12 +9,14 @@
 //! [`SoftwareBackend`] it is a software-only reference of the same flow.
 //!
 //! [`software_multiply`] is the decNumber-style baseline.
+//!
+//! [`SoftwareBackend`]: crate::backend::SoftwareBackend
 
 use bcd::Bcd64;
 use decnum::{Context, Status};
 use dpd::{Class, Decimal64, Sign};
 
-use crate::backend::{AccelBackend, ClaBackend, DummyBackend, SoftwareBackend};
+use crate::backend::{AccelBackend, ClaBackend, DummyBackend};
 
 /// decimal64 landmarks in *biased* form (bias 398).
 const BIASED_EMIN_ADJ: i64 = 15; // adjusted exponent of emin (-383 + 398)
@@ -41,12 +43,6 @@ pub fn method1_multiply_accel(x: Decimal64, y: Decimal64, status: &mut Status) -
 #[must_use]
 pub fn method1_multiply_dummy(x: Decimal64, y: Decimal64, status: &mut Status) -> Decimal64 {
     method1_multiply(x, y, &mut DummyBackend::new(), status)
-}
-
-/// Method-1 with software BCD arithmetic standing in for the accelerator.
-#[must_use]
-pub fn method1_multiply_software(x: Decimal64, y: Decimal64, status: &mut Status) -> Decimal64 {
-    method1_multiply(x, y, &mut SoftwareBackend::new(), status)
 }
 
 /// A canonical quiet NaN carrying `payload` (low 15 digits) and `sign`.
@@ -460,6 +456,7 @@ pub fn software_add(x: Decimal64, y: Decimal64, status: &mut Status) -> Decimal6
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::SoftwareBackend;
     use decnum::DecNumber as N;
 
     fn d64(s: &str) -> Decimal64 {

@@ -227,11 +227,6 @@ impl Context {
         self.status.set(flags);
     }
 
-    /// Clears the accumulated status.
-    pub fn clear_status(&mut self) {
-        self.status.clear();
-    }
-
     /// The exponent of the least significant digit of the smallest subnormal
     /// (`Etiny = emin - (precision - 1)`).
     #[must_use]

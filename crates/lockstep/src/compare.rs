@@ -1,13 +1,125 @@
-//! The lockstep comparator: steps two simulators through the same program,
-//! compares their canonical retirement streams, and reports the first
-//! divergence with full context.
+//! The lockstep comparator: defines the canonical retirement record two
+//! simulators must agree on, steps two simulators through the same program,
+//! compares their retirement streams, and reports the first divergence with
+//! full context.
 
 use riscv_isa::instr::Instr;
 use riscv_isa::{csr, Reg};
-use riscv_sim::{Cpu, CpuError, Event, MemEffect, Retired, RetirementRecord, Simulator};
+use riscv_sim::{Cpu, CpuError, Event, MemAccess, Memory, Retired, Simulator};
 
 /// Default number of pre-divergence retirements kept as context.
 pub const DEFAULT_CONTEXT: usize = 8;
+
+/// A data-memory effect of one retired instruction, with the transferred
+/// value — unlike [`MemAccess`] (which the cache models consume and which
+/// only carries the address), this is the architectural view the
+/// differential checker compares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MemEffect {
+    /// Effective address.
+    pub addr: u64,
+    /// Access size in bytes.
+    pub size: u64,
+    /// True for stores.
+    pub store: bool,
+    /// The value now held at `addr` (the stored value for stores, the raw
+    /// bytes that were loaded for loads), zero-extended to 64 bits.
+    pub value: u64,
+}
+
+/// The canonical record of one retired instruction: the architectural
+/// effects every simulator must agree on, independent of its timing model.
+///
+/// Records are identical across the functional, Rocket-like and atomic
+/// simulators for the same program, with one documented exception: the
+/// destination value of a `rdcycle`/`rdtime` CSR read reflects each timing
+/// model's own cycle count ([`canonical`] masks it). `rdinstret` values are
+/// identical everywhere.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RetirementRecord {
+    /// Retirement sequence number (the value of `instret` after this
+    /// instruction, i.e. 1 for the first retirement).
+    pub seq: u64,
+    /// Address of the retired instruction.
+    pub pc: u64,
+    /// The decoded instruction.
+    pub instr: Instr,
+    /// Address of the next instruction to execute.
+    pub next_pc: u64,
+    /// Destination-register writeback, if any: `(register, value after)`.
+    pub rd_write: Option<(Reg, u64)>,
+    /// Data-memory effect, if any.
+    pub mem: Option<MemEffect>,
+    /// The accelerator's `rd` value, if the instruction was a RoCC command
+    /// with `xd` set. Timing fields of the response (busy cycles, memory
+    /// traffic) are deliberately excluded — they are not architectural.
+    pub rocc_rd: Option<u64>,
+}
+
+impl MemEffect {
+    /// The effect of `access`, read back from `memory` after the access's
+    /// step: the value now held at its address.
+    #[inline]
+    fn after(memory: &Memory, access: MemAccess) -> MemEffect {
+        MemEffect {
+            addr: access.addr,
+            size: access.size,
+            store: access.store,
+            value: read_sized(memory, access.addr, access.size),
+        }
+    }
+}
+
+impl RetirementRecord {
+    /// Builds the canonical record for `retired`, reading the post-step
+    /// architectural state out of `cpu`. Must be called after the step that
+    /// produced `retired` and before the next one.
+    #[inline]
+    #[must_use]
+    pub fn capture(cpu: &Cpu, retired: &Retired) -> RetirementRecord {
+        let mem = retired
+            .mem_access
+            .map(|access| MemEffect::after(&cpu.memory, access));
+        RetirementRecord {
+            seq: cpu.instret,
+            pc: retired.pc,
+            instr: retired.instr,
+            next_pc: retired.next_pc,
+            rd_write: retired.instr.dest().map(|reg| (reg, cpu.reg(reg))),
+            mem,
+            rocc_rd: retired.rocc.and_then(|resp| resp.rd_value),
+        }
+    }
+}
+
+impl std::fmt::Display for RetirementRecord {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "#{:<6} {:#010x}  {:<32}", self.seq, self.pc, self.instr)?;
+        if let Some((reg, value)) = self.rd_write {
+            write!(f, "  {reg} <- {value:#x}")?;
+        }
+        if let Some(mem) = self.mem {
+            let dir = if mem.store { "<-" } else { "->" };
+            write!(f, "  [{:#x}] {dir} {:#x}", mem.addr, mem.value)?;
+        }
+        if let Some(rocc_rd) = self.rocc_rd {
+            write!(f, "  rocc {rocc_rd:#x}")?;
+        }
+        Ok(())
+    }
+}
+
+/// Reads `size` bytes at `addr` zero-extended to 64 bits; the access was
+/// just performed by the instruction being recorded, so faults cannot occur.
+fn read_sized(memory: &Memory, addr: u64, size: u64) -> u64 {
+    let value = match size {
+        1 => memory.read_u8(addr).map(u64::from),
+        2 => memory.read_u16(addr).map(u64::from),
+        4 => memory.read_u32(addr).map(u64::from),
+        _ => memory.read_u64(addr),
+    };
+    value.unwrap_or(0)
+}
 
 /// What one simulator did at one lockstep position.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,7 +188,7 @@ pub struct Divergence {
     /// Registers whose post-step values differ.
     pub reg_delta: Vec<RegDelta>,
     /// Memory effects, when the two sides' differ: `(first, second)`.
-    pub mem_delta: Option<(Option<riscv_sim::MemEffect>, Option<riscv_sim::MemEffect>)>,
+    pub mem_delta: Option<(Option<MemEffect>, Option<MemEffect>)>,
     /// The last retirements before the divergence — identical on both sides
     /// by construction, so one copy suffices.
     pub context: Vec<RetirementRecord>,
@@ -468,4 +580,55 @@ fn final_state_divergence(
         mem_delta: None,
         context: context.to_vec(),
     })))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use riscv_isa::instr::{LoadOp, OpImmOp, StoreOp};
+
+    fn addi(rd: Reg, rs1: Reg, imm: i32) -> Instr {
+        Instr::OpImm { op: OpImmOp::Addi, rd, rs1, imm }
+    }
+
+    #[test]
+    fn captured_records_are_the_canonical_stream() {
+        let mut cpu = Cpu::new();
+        let mut prog = vec![
+            addi(Reg::T0, Reg::ZERO, 7),
+            Instr::Lui { rd: Reg::T1, imm20: 0x2 }, // t1 = 0x2000
+            Instr::Store { op: StoreOp::Sd, rs2: Reg::T0, rs1: Reg::T1, offset: 0 },
+            Instr::Load { op: LoadOp::Ld, rd: Reg::A0, rs1: Reg::T1, offset: 0 },
+        ];
+        prog.extend([addi(Reg::A7, Reg::ZERO, 93), Instr::Ecall]);
+        for (i, instr) in prog.iter().enumerate() {
+            cpu.memory.write_u32(0x1000 + 4 * i as u64, instr.encode().unwrap()).unwrap();
+        }
+        cpu.set_pc(0x1000);
+        let mut stream = Vec::new();
+        let code = loop {
+            match cpu.step().unwrap() {
+                Event::Retired(retired) => stream.push(RetirementRecord::capture(&cpu, &retired)),
+                Event::Exited { code } => break code,
+                Event::Trapped { .. } => panic!("unexpected trap"),
+            }
+        };
+        assert_eq!(code, 7);
+        // The exiting ecall retires without a record; everything else streams.
+        assert_eq!(stream.len(), prog.len() - 1);
+        assert_eq!(stream[0].seq, 1);
+        assert_eq!(stream[0].pc, 0x1000);
+        assert_eq!(stream[0].rd_write, Some((Reg::T0, 7)));
+        let store = &stream[2];
+        assert_eq!(
+            store.mem,
+            Some(MemEffect { addr: 0x2000, size: 8, store: true, value: 7 })
+        );
+        let load_rec = &stream[3];
+        assert_eq!(load_rec.rd_write, Some((Reg::A0, 7)));
+        assert_eq!(
+            load_rec.mem,
+            Some(MemEffect { addr: 0x2000, size: 8, store: false, value: 7 })
+        );
+    }
 }

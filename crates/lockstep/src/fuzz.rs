@@ -1,6 +1,6 @@
 //! The differential instruction fuzzer: generates seeded random-but-valid
-//! RV64IM programs (optionally laced with RoCC command sequences), runs each
-//! on every simulator pair in lockstep, and shrinks any failure to a minimal
+//! RV64IM programs laced with RoCC command sequences, runs each on every
+//! simulator pair in lockstep, and shrinks any failure to a minimal
 //! reproducing program by delta debugging.
 //!
 //! Generated programs terminate by construction: all control transfers are
@@ -180,12 +180,7 @@ fn rocc_item(rng: &mut SplitMix64) -> Vec<String> {
     }
 }
 
-fn item_lines(
-    rng: &mut SplitMix64,
-    index: usize,
-    total: usize,
-    with_rocc: bool,
-) -> Vec<String> {
+fn item_lines(rng: &mut SplitMix64, index: usize, total: usize) -> Vec<String> {
     let forward_label = |rng: &mut SplitMix64| {
         let target = index as u64 + 1 + rng.below(total as u64 - index as u64);
         if target as usize >= total {
@@ -267,18 +262,17 @@ fn item_lines(
                 vec![format!("{op} {}, {csr:#x}, {}", writable(rng), readable(rng))]
             }
         },
-        _ if with_rocc => rocc_item(rng),
-        _ => vec![format!("add {}, {}, {}", writable(rng), readable(rng), readable(rng))],
+        _ => rocc_item(rng),
     }
 }
 
 /// Generates the body items of one random program.
 #[must_use]
-pub fn generate_items(rng: &mut SplitMix64, count: usize, with_rocc: bool) -> Vec<Item> {
+pub fn generate_items(rng: &mut SplitMix64, count: usize) -> Vec<Item> {
     (0..count)
         .map(|index| Item {
             label: format!("b{index}"),
-            lines: item_lines(rng, index, count, with_rocc),
+            lines: item_lines(rng, index, count),
         })
         .collect()
 }
@@ -305,17 +299,18 @@ pub fn render_program(items: &[Item], rng: &mut SplitMix64) -> String {
     source
 }
 
-/// Fuzzer configuration. Everything is deterministic in `seed`.
+/// Body items per generated program (each item is 1–5 instructions).
+pub const BODY_ITEMS: usize = 40;
+
+/// Fuzzer configuration. Everything is deterministic in `seed`. Every
+/// program has [`BODY_ITEMS`] body items, RoCC command sequences among
+/// them, and runs with the decimal accelerator attached.
 #[derive(Debug, Clone)]
 pub struct FuzzConfig {
     /// Master seed; program `i` derives its own stream from `(seed, i)`.
     pub seed: u64,
     /// Number of programs to generate and check.
     pub programs: u32,
-    /// Body items per program (each item is 1–5 instructions).
-    pub body_items: usize,
-    /// Also emit RoCC command sequences (and attach the accelerator).
-    pub with_rocc: bool,
     /// Per-run lockstep step budget (generated programs retire far fewer —
     /// control flow is forward-only).
     pub max_instructions: u64,
@@ -326,8 +321,6 @@ impl Default for FuzzConfig {
         FuzzConfig {
             seed: 2019,
             programs: 50,
-            body_items: 40,
-            with_rocc: true,
             max_instructions: 100_000,
         }
     }
@@ -381,7 +374,7 @@ fn program_rng(seed: u64, index: u32) -> SplitMix64 {
 #[must_use]
 pub fn nth_program_source(config: &FuzzConfig, index: u32) -> String {
     let mut rng = program_rng(config.seed, index);
-    let items = generate_items(&mut rng, config.body_items, config.with_rocc);
+    let items = generate_items(&mut rng, BODY_ITEMS);
     render_program(&items, &mut rng)
 }
 
@@ -431,7 +424,7 @@ fn fuzz_program(config: &FuzzConfig, options: &LockstepOptions, index: u32) -> P
         failures: Vec::new(),
     };
     let mut rng = program_rng(config.seed, index);
-    let items = generate_items(&mut rng, config.body_items, config.with_rocc);
+    let items = generate_items(&mut rng, BODY_ITEMS);
     // The data/prologue seeds must not depend on which items survive
     // shrinking, so render against a fixed tail stream.
     let tail_rng = rng.clone();
@@ -441,7 +434,7 @@ fn fuzz_program(config: &FuzzConfig, options: &LockstepOptions, index: u32) -> P
         .unwrap_or_else(|e| panic!("generated program {index} does not assemble: {e}"));
     for pair in Pair::ALL {
         result.pairs_checked += 1;
-        let outcome = run_program_pair(&program, pair, config.with_rocc, options);
+        let outcome = run_program_pair(&program, pair, true, options);
         match outcome {
             LockstepOutcome::Agreement { instructions, .. } => {
                 result.instructions_checked += instructions;
@@ -453,14 +446,13 @@ fn fuzz_program(config: &FuzzConfig, options: &LockstepOptions, index: u32) -> P
                         // this candidate is invalid, not minimal.
                         return false;
                     };
-                    !run_program_pair(&program, pair, config.with_rocc, options).is_agreement()
+                    !run_program_pair(&program, pair, true, options).is_agreement()
                 };
                 let shrunk = shrink_items(items.clone(), &reproduces);
                 let shrunk_source = render(&shrunk);
                 let shrunk_program =
                     assemble(&shrunk_source).expect("shrunk candidate assembled before");
-                let final_outcome =
-                    run_program_pair(&shrunk_program, pair, config.with_rocc, options);
+                let final_outcome = run_program_pair(&shrunk_program, pair, true, options);
                 let divergence = final_outcome
                     .divergence()
                     .expect("shrinker only keeps reproducing candidates")
@@ -491,13 +483,15 @@ pub fn run_fuzz(config: &FuzzConfig) -> FuzzReport {
         .expect("a fuzz run without a journal performs no fallible I/O")
 }
 
-/// Binds a fuzz journal to everything that shapes the program stream.
+/// Binds a fuzz journal to everything that shapes the program stream. The
+/// body size and the RoCC switch (always on) are hashed where they stood
+/// when they were settable, so older journals still resume.
 fn fuzz_fingerprint(config: &FuzzConfig) -> u64 {
     let mut fp = Fingerprint::new("fuzz");
     fp.u64(config.seed)
         .u64(u64::from(config.programs))
-        .u64(config.body_items as u64)
-        .u64(u64::from(config.with_rocc))
+        .u64(BODY_ITEMS as u64)
+        .u64(u64::from(true))
         .u64(config.max_instructions);
     fp.finish()
 }
@@ -577,4 +571,22 @@ pub fn run_fuzz_journaled(
     }
     log.finish(failed_programs);
     Ok(report)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The value a journal of `lockstep fuzz --seed 2019 --programs 3`
+    /// carries in its header, from when the body size and the RoCC switch
+    /// were still fields: such journals must keep resuming.
+    #[test]
+    fn fingerprint_is_unchanged_from_when_body_and_rocc_were_settable() {
+        let config = FuzzConfig {
+            seed: 2019,
+            programs: 3,
+            ..FuzzConfig::default()
+        };
+        assert_eq!(fuzz_fingerprint(&config), 0xcec4_c736_99a6_8e47);
+    }
 }

@@ -6,9 +6,10 @@
 //! architectural behaviour of every guest binary. This crate *checks* that
 //! trust, the way Spike-based co-simulation checks an RTL core:
 //!
-//! * every simulator emits a **canonical retirement stream**
-//!   ([`riscv_sim::RetirementRecord`]): pc, decoded instruction, register
-//!   writeback, memory effect, RoCC response value;
+//! * every retirement is read as a **canonical record**
+//!   ([`RetirementRecord`], captured from the core after each step): pc,
+//!   decoded instruction, register writeback, memory effect, RoCC response
+//!   value — this crate alone decides what two simulators must agree on;
 //! * [`run_lockstep`] steps two simulators through the same program and
 //!   compares the streams retirement by retirement, reporting the first
 //!   [`Divergence`] with the pc, the instruction, the register/memory
@@ -67,8 +68,8 @@ pub mod rocc_diff;
 
 pub use codesign::framework::{guest_budget, load_program};
 pub use compare::{
-    canonical, run_lockstep, Divergence, LockstepOptions, LockstepOutcome, RegDelta, StepOutcome,
-    Termination, DEFAULT_CONTEXT,
+    canonical, run_lockstep, Divergence, LockstepOptions, LockstepOutcome, MemEffect, RegDelta,
+    RetirementRecord, StepOutcome, Termination, DEFAULT_CONTEXT,
 };
 pub use guest::{
     check_guest_all_pairs, check_kernel_all_pairs, run_guest_pair, run_program_pair, Pair, SimKind,
@@ -235,7 +236,6 @@ mod tests {
     fn fuzz_smoke_run_is_clean() {
         let report = fuzz::run_fuzz(&fuzz::FuzzConfig {
             programs: 15,
-            body_items: 30,
             ..fuzz::FuzzConfig::default()
         });
         assert_eq!(report.programs_run, 15);
@@ -274,7 +274,7 @@ mod tests {
         use rocc::{DecimalAccelerator, DecimalFunct};
 
         let mut rng = SplitMix64::new(7);
-        let mut items = generate_items(&mut rng, 60, true);
+        let mut items = generate_items(&mut rng, 60);
         // A DEC_ADD that always executes (no branch skips past the last
         // item), so the wrong-digit mutant is guaranteed to be exercised.
         items.push(Item::new(

@@ -1063,13 +1063,7 @@ impl Ctx<'_> {
 fn csr_number(ctx: &Ctx, i: usize) -> Result<u16, String> {
     match ctx.operand(i)? {
         Operand::Imm(v) => u16::try_from(*v).map_err(|_| format!("csr number {v} out of range")),
-        Operand::Sym(name) => match name.as_str() {
-            "cycle" => Ok(csr::CYCLE),
-            "time" => Ok(csr::TIME),
-            "instret" => Ok(csr::INSTRET),
-            "mhartid" => Ok(csr::MHARTID),
-            other => Err(format!("unknown csr name {other:?}")),
-        },
+        Operand::Sym(name) => csr::number(name).ok_or_else(|| format!("unknown csr name {name:?}")),
         other => Err(format!("csr operand must be a number or name, got {}", other.describe())),
     }
 }
@@ -1662,6 +1656,20 @@ mod tests {
             assemble("li a0, 0xFFFFFFFFFFFFFFFF").unwrap().text,
             assemble("li a0, -1").unwrap().text
         );
+    }
+
+    #[test]
+    fn csr_operands_accept_csr_names() {
+        assert_eq!(
+            assemble("csrrw zero, mtvec, t0").unwrap().text,
+            assemble("csrrw zero, 0x305, t0").unwrap().text
+        );
+        assert_eq!(
+            assemble("csrrsi a0, mepc, 0").unwrap().text,
+            assemble("csrrsi a0, 0x341, 0").unwrap().text
+        );
+        let err = assemble("csrrw zero, mfoo, t0").unwrap_err();
+        assert!(err.message.contains("unknown csr name \"mfoo\""), "{err}");
     }
 
     #[test]

@@ -52,22 +52,29 @@ pub mod cause {
     pub const ROCC_TIMEOUT: u64 = 24;
 }
 
-/// Returns the canonical name of a CSR number, if known.
+/// Every CSR the framework names, as `(name, number)`: the names the
+/// assembler accepts in a CSR operand.
+const NAMES: [(&str, u16); 10] = [
+    ("cycle", CYCLE),
+    ("time", TIME),
+    ("instret", INSTRET),
+    ("mhartid", MHARTID),
+    ("mstatus", MSTATUS),
+    ("mtvec", MTVEC),
+    ("mscratch", MSCRATCH),
+    ("mepc", MEPC),
+    ("mcause", MCAUSE),
+    ("mtval", MTVAL),
+];
+
+/// The number of the CSR called `name`: one of the counters (`cycle`,
+/// `time`, `instret`), `mhartid`, or a machine trap CSR defined here.
 #[must_use]
-pub fn name(csr: u16) -> Option<&'static str> {
-    match csr {
-        CYCLE => Some("cycle"),
-        TIME => Some("time"),
-        INSTRET => Some("instret"),
-        MHARTID => Some("mhartid"),
-        MSTATUS => Some("mstatus"),
-        MTVEC => Some("mtvec"),
-        MSCRATCH => Some("mscratch"),
-        MEPC => Some("mepc"),
-        MCAUSE => Some("mcause"),
-        MTVAL => Some("mtval"),
-        _ => None,
-    }
+pub fn number(name: &str) -> Option<u16> {
+    NAMES
+        .iter()
+        .find(|&&(known, _)| known == name)
+        .map(|&(_, number)| number)
 }
 
 #[cfg(test)]
@@ -76,11 +83,14 @@ mod tests {
 
     #[test]
     fn names() {
-        assert_eq!(name(CYCLE), Some("cycle"));
-        assert_eq!(name(INSTRET), Some("instret"));
-        assert_eq!(name(MTVEC), Some("mtvec"));
-        assert_eq!(name(MEPC), Some("mepc"));
-        assert_eq!(name(0x123), None);
+        assert_eq!(number("cycle"), Some(CYCLE));
+        assert_eq!(number("instret"), Some(INSTRET));
+        assert_eq!(number("mtvec"), Some(MTVEC));
+        assert_eq!(number("mepc"), Some(MEPC));
+        assert_eq!(number("mfoo"), None);
+        for (name, csr) in NAMES {
+            assert_eq!(number(name), Some(csr), "{name}");
+        }
     }
 
     #[test]

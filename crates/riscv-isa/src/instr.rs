@@ -251,22 +251,6 @@ pub enum OpOp {
 }
 
 impl OpOp {
-    /// True for M-extension operations.
-    #[must_use]
-    pub fn is_muldiv(self) -> bool {
-        matches!(
-            self,
-            OpOp::Mul
-                | OpOp::Mulh
-                | OpOp::Mulhsu
-                | OpOp::Mulhu
-                | OpOp::Div
-                | OpOp::Divu
-                | OpOp::Rem
-                | OpOp::Remu
-        )
-    }
-
     pub(crate) fn mnemonic(self) -> &'static str {
         match self {
             OpOp::Add => "add",
@@ -317,15 +301,6 @@ pub enum Op32Op {
 }
 
 impl Op32Op {
-    /// True for M-extension operations.
-    #[must_use]
-    pub fn is_muldiv(self) -> bool {
-        matches!(
-            self,
-            Op32Op::Mulw | Op32Op::Divw | Op32Op::Divuw | Op32Op::Remw | Op32Op::Remuw
-        )
-    }
-
     pub(crate) fn mnemonic(self) -> &'static str {
         match self {
             Op32Op::Addw => "addw",

@@ -4,8 +4,10 @@
 //! This crate is the shared vocabulary of the whole evaluation framework —
 //! the assembler emits [`Instr`] values, and the functional ([`riscv-sim`]),
 //! cycle-accurate (`rocket-sim`) and atomic (`atomic-sim`) simulators all
-//! decode through it. The [`rocc`] module implements the custom-instruction
-//! encoding of the paper's Fig. 3 / Table III.
+//! decode through it. The [`alu`] module is the one definition of what each
+//! integer operation computes, which the functional core executes and
+//! `rvlint` folds constants with. The [`rocc`] module implements the
+//! custom-instruction encoding of the paper's Fig. 3 / Table III.
 //!
 //! [`riscv-sim`]: https://www.decimalarith.info
 //!
@@ -27,6 +29,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod alu;
 pub mod csr;
 mod decode;
 mod encode;

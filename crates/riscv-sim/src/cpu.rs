@@ -1,6 +1,6 @@
 //! The functional RV64IM core.
 
-use riscv_isa::instr::{BranchOp, CsrOp, Instr, LoadOp, Op32Op, OpImm32Op, OpImmOp, OpOp, StoreOp};
+use riscv_isa::instr::{CsrOp, Instr, LoadOp, StoreOp};
 use riscv_isa::{csr, Reg};
 
 use crate::coproc::{Coprocessor, NoCoprocessor, RoccCommand, RoccResponse};
@@ -89,106 +89,6 @@ pub struct TrapRecord {
     pub tval: u64,
 }
 
-/// A data-memory effect of one retired instruction, with the transferred
-/// value — unlike [`MemAccess`] (which the cache models consume and which
-/// only carries the address), this is the architectural view the
-/// differential checker compares.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemEffect {
-    /// Effective address.
-    pub addr: u64,
-    /// Access size in bytes.
-    pub size: u64,
-    /// True for stores.
-    pub store: bool,
-    /// The value now held at `addr` (the stored value for stores, the raw
-    /// bytes that were loaded for loads), zero-extended to 64 bits.
-    pub value: u64,
-}
-
-/// The canonical record of one retired instruction: the architectural
-/// effects every simulator must agree on, independent of its timing model.
-///
-/// Records are identical across the functional, Rocket-like and atomic
-/// simulators for the same program, with one documented exception: the
-/// destination value of a `rdcycle`/`rdtime` CSR read reflects each timing
-/// model's own cycle count (lockstep comparators mask it). `rdinstret`
-/// values are identical everywhere.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetirementRecord {
-    /// Retirement sequence number (the value of `instret` after this
-    /// instruction, i.e. 1 for the first retirement).
-    pub seq: u64,
-    /// Address of the retired instruction.
-    pub pc: u64,
-    /// The decoded instruction.
-    pub instr: Instr,
-    /// Address of the next instruction to execute.
-    pub next_pc: u64,
-    /// Destination-register writeback, if any: `(register, value after)`.
-    pub rd_write: Option<(Reg, u64)>,
-    /// Data-memory effect, if any.
-    pub mem: Option<MemEffect>,
-    /// The accelerator's `rd` value, if the instruction was a RoCC command
-    /// with `xd` set. Timing fields of the response (busy cycles, memory
-    /// traffic) are deliberately excluded — they are not architectural.
-    pub rocc_rd: Option<u64>,
-}
-
-impl MemEffect {
-    /// The effect of `access`, read back from `memory` after the access's
-    /// step: the value now held at its address.
-    #[inline]
-    #[must_use]
-    pub fn after(memory: &Memory, access: MemAccess) -> MemEffect {
-        MemEffect {
-            addr: access.addr,
-            size: access.size,
-            store: access.store,
-            value: read_sized(memory, access.addr, access.size),
-        }
-    }
-}
-
-impl RetirementRecord {
-    /// Builds the canonical record for `retired`, reading the post-step
-    /// architectural state out of `cpu`. Must be called after the step that
-    /// produced `retired` and before the next one.
-    #[inline]
-    #[must_use]
-    pub fn capture(cpu: &Cpu, retired: &Retired) -> RetirementRecord {
-        let mem = retired
-            .mem_access
-            .map(|access| MemEffect::after(&cpu.memory, access));
-        RetirementRecord {
-            seq: cpu.instret,
-            pc: retired.pc,
-            instr: retired.instr,
-            next_pc: retired.next_pc,
-            rd_write: retired.instr.dest().map(|reg| (reg, cpu.reg(reg))),
-            mem,
-            rocc_rd: retired.rocc.and_then(|resp| resp.rd_value),
-        }
-    }
-}
-
-impl std::fmt::Display for RetirementRecord {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "#{:<6} {:#010x}  {:<32}", self.seq, self.pc, self.instr)?;
-        if let Some((reg, value)) = self.rd_write {
-            write!(f, "  {reg} <- {value:#x}")?;
-        }
-        if let Some(mem) = self.mem {
-            let dir = if mem.store { "<-" } else { "->" };
-            write!(f, "  [{:#x}] {dir} {:#x}", mem.addr, mem.value)?;
-        }
-        if let Some(rocc_rd) = self.rocc_rd {
-            write!(f, "  rocc {rocc_rd:#x}")?;
-        }
-        Ok(())
-    }
-}
-
 /// Maps a [`CpuError`] to its guest-visible `(mcause, mtval)`, or `None`
 /// for host-level conditions that never trap (unknown syscalls, budget
 /// exhaustion — those are simulation-harness concerns, not architecture).
@@ -209,18 +109,6 @@ pub fn trap_cause(error: &CpuError) -> Option<(u64, u64)> {
         CpuError::RoccTimeout { .. } => Some((cause::ROCC_TIMEOUT, 0)),
         CpuError::UnknownSyscall(_) | CpuError::InstructionLimit(_) => None,
     }
-}
-
-/// Reads `size` bytes at `addr` zero-extended to 64 bits; the access was
-/// just performed by the instruction being recorded, so faults cannot occur.
-fn read_sized(memory: &Memory, addr: u64, size: u64) -> u64 {
-    let value = match size {
-        1 => memory.read_u8(addr).map(u64::from),
-        2 => memory.read_u16(addr).map(u64::from),
-        4 => memory.read_u32(addr).map(u64::from),
-        _ => memory.read_u64(addr),
-    };
-    value.unwrap_or(0)
 }
 
 /// Instruction slots in one 4 KiB page.
@@ -493,16 +381,7 @@ impl Cpu {
                 next_pc = target;
             }
             Instr::Branch { op, rs1, rs2, offset } => {
-                let (a, b) = (self.reg(rs1), self.reg(rs2));
-                let taken = match op {
-                    BranchOp::Beq => a == b,
-                    BranchOp::Bne => a != b,
-                    BranchOp::Blt => (a as i64) < (b as i64),
-                    BranchOp::Bge => (a as i64) >= (b as i64),
-                    BranchOp::Bltu => a < b,
-                    BranchOp::Bgeu => a >= b,
-                };
-                if taken {
+                if op.taken(self.reg(rs1), self.reg(rs2)) {
                     next_pc = pc.wrapping_add(offset as i64 as u64);
                 }
             }
@@ -540,106 +419,16 @@ impl Cpu {
                 });
             }
             Instr::OpImm { op, rd, rs1, imm } => {
-                let a = self.reg(rs1);
-                let imm_u = imm as i64 as u64;
-                let value = match op {
-                    OpImmOp::Addi => a.wrapping_add(imm_u),
-                    OpImmOp::Slti => u64::from((a as i64) < imm as i64),
-                    OpImmOp::Sltiu => u64::from(a < imm_u),
-                    OpImmOp::Xori => a ^ imm_u,
-                    OpImmOp::Ori => a | imm_u,
-                    OpImmOp::Andi => a & imm_u,
-                    OpImmOp::Slli => a << (imm & 0x3F),
-                    OpImmOp::Srli => a >> (imm & 0x3F),
-                    OpImmOp::Srai => ((a as i64) >> (imm & 0x3F)) as u64,
-                };
-                self.set_reg(rd, value);
+                self.set_reg(rd, op.alu_op().eval(self.reg(rs1), imm as i64 as u64));
             }
             Instr::OpImm32 { op, rd, rs1, imm } => {
-                let a = self.reg(rs1) as u32;
-                let value = match op {
-                    OpImm32Op::Addiw => a.wrapping_add(imm as u32) as i32,
-                    OpImm32Op::Slliw => (a << (imm & 0x1F)) as i32,
-                    OpImm32Op::Srliw => (a >> (imm & 0x1F)) as i32,
-                    OpImm32Op::Sraiw => (a as i32) >> (imm & 0x1F),
-                };
-                self.set_reg(rd, value as i64 as u64);
+                self.set_reg(rd, op.alu_op().eval(self.reg(rs1), imm as i64 as u64));
             }
             Instr::Op { op, rd, rs1, rs2 } => {
-                let (a, b) = (self.reg(rs1), self.reg(rs2));
-                let value = match op {
-                    OpOp::Add => a.wrapping_add(b),
-                    OpOp::Sub => a.wrapping_sub(b),
-                    OpOp::Sll => a << (b & 0x3F),
-                    OpOp::Slt => u64::from((a as i64) < (b as i64)),
-                    OpOp::Sltu => u64::from(a < b),
-                    OpOp::Xor => a ^ b,
-                    OpOp::Srl => a >> (b & 0x3F),
-                    OpOp::Sra => ((a as i64) >> (b & 0x3F)) as u64,
-                    OpOp::Or => a | b,
-                    OpOp::And => a & b,
-                    OpOp::Mul => a.wrapping_mul(b),
-                    OpOp::Mulh => (((a as i64 as i128) * (b as i64 as i128)) >> 64) as u64,
-                    OpOp::Mulhsu => (((a as i64 as i128) * (b as u128 as i128)) >> 64) as u64,
-                    OpOp::Mulhu => (((a as u128) * (b as u128)) >> 64) as u64,
-                    OpOp::Div => {
-                        if b == 0 {
-                            u64::MAX
-                        } else {
-                            (a as i64).wrapping_div(b as i64) as u64
-                        }
-                    }
-                    OpOp::Divu => a.checked_div(b).unwrap_or(u64::MAX),
-                    OpOp::Rem => {
-                        if b == 0 {
-                            a
-                        } else {
-                            (a as i64).wrapping_rem(b as i64) as u64
-                        }
-                    }
-                    OpOp::Remu => {
-                        if b == 0 {
-                            a
-                        } else {
-                            a % b
-                        }
-                    }
-                };
-                self.set_reg(rd, value);
+                self.set_reg(rd, op.eval(self.reg(rs1), self.reg(rs2)));
             }
             Instr::Op32 { op, rd, rs1, rs2 } => {
-                let (a, b) = (self.reg(rs1) as u32, self.reg(rs2) as u32);
-                let value: i32 = match op {
-                    Op32Op::Addw => a.wrapping_add(b) as i32,
-                    Op32Op::Subw => a.wrapping_sub(b) as i32,
-                    Op32Op::Sllw => (a << (b & 0x1F)) as i32,
-                    Op32Op::Srlw => (a >> (b & 0x1F)) as i32,
-                    Op32Op::Sraw => (a as i32) >> (b & 0x1F),
-                    Op32Op::Mulw => a.wrapping_mul(b) as i32,
-                    Op32Op::Divw => {
-                        if b == 0 {
-                            -1
-                        } else {
-                            (a as i32).wrapping_div(b as i32)
-                        }
-                    }
-                    Op32Op::Divuw => a.checked_div(b).map_or(-1, |q| q as i32),
-                    Op32Op::Remw => {
-                        if b == 0 {
-                            a as i32
-                        } else {
-                            (a as i32).wrapping_rem(b as i32)
-                        }
-                    }
-                    Op32Op::Remuw => {
-                        if b == 0 {
-                            a as i32
-                        } else {
-                            (a % b) as i32
-                        }
-                    }
-                };
-                self.set_reg(rd, value as i64 as u64);
+                self.set_reg(rd, op.eval(self.reg(rs1), self.reg(rs2)));
             }
             Instr::Fence => {}
             Instr::Ebreak => return Err(CpuError::Breakpoint(pc)),
@@ -835,6 +624,7 @@ impl Simulator for Cpu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use riscv_isa::instr::{BranchOp, OpImm32Op, OpImmOp, OpOp};
 
     fn load(cpu: &mut Cpu, base: u64, prog: &[Instr]) {
         for (i, instr) in prog.iter().enumerate() {
@@ -1065,44 +855,6 @@ mod tests {
             cpu.run(10),
             Err(CpuError::InstructionLimit(10))
         ));
-    }
-
-    #[test]
-    fn captured_records_are_the_canonical_stream() {
-        let mut cpu = Cpu::new();
-        let mut prog = vec![
-            addi(Reg::T0, Reg::ZERO, 7),
-            Instr::Lui { rd: Reg::T1, imm20: 0x2 }, // t1 = 0x2000
-            Instr::Store { op: StoreOp::Sd, rs2: Reg::T0, rs1: Reg::T1, offset: 0 },
-            Instr::Load { op: LoadOp::Ld, rd: Reg::A0, rs1: Reg::T1, offset: 0 },
-        ];
-        prog.extend(exit_seq());
-        load(&mut cpu, 0x1000, &prog);
-        let mut stream = Vec::new();
-        let code = loop {
-            match cpu.step().unwrap() {
-                Event::Retired(retired) => stream.push(RetirementRecord::capture(&cpu, &retired)),
-                Event::Exited { code } => break code,
-                Event::Trapped { .. } => panic!("unexpected trap"),
-            }
-        };
-        assert_eq!(code, 7);
-        // The exiting ecall retires without a record; everything else streams.
-        assert_eq!(stream.len(), prog.len() - 1);
-        assert_eq!(stream[0].seq, 1);
-        assert_eq!(stream[0].pc, 0x1000);
-        assert_eq!(stream[0].rd_write, Some((Reg::T0, 7)));
-        let store = &stream[2];
-        assert_eq!(
-            store.mem,
-            Some(MemEffect { addr: 0x2000, size: 8, store: true, value: 7 })
-        );
-        let load_rec = &stream[3];
-        assert_eq!(load_rec.rd_write, Some((Reg::A0, 7)));
-        assert_eq!(
-            load_rec.mem,
-            Some(MemEffect { addr: 0x2000, size: 8, store: false, value: 7 })
-        );
     }
 
     #[test]

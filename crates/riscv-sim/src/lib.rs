@@ -33,10 +33,7 @@ use std::fmt;
 pub use coproc::{
     CoprocSnapshot, Coprocessor, NoCoprocessor, RoccCommand, RoccResponse, SnapshotError, ROCC_HANG,
 };
-pub use cpu::{
-    syscall, trap_cause, Cpu, Event, Marker, MemAccess, MemEffect, Retired, RetirementRecord,
-    TrapRecord,
-};
+pub use cpu::{syscall, trap_cause, Cpu, Event, Marker, MemAccess, Retired, TrapRecord};
 pub use memory::Memory;
 pub use simulator::Simulator;
 

@@ -1,6 +1,7 @@
 //! The cycle-accurate core model.
 
-use riscv_isa::instr::{Instr, OpOp};
+use riscv_isa::alu::MulDiv;
+use riscv_isa::instr::Instr;
 use riscv_isa::Reg;
 use riscv_sim::{Cpu, CpuError, Event, Retired, Simulator};
 
@@ -82,17 +83,16 @@ pub struct RocketSim {
     config: TimingConfig,
     icache: Cache,
     dcache: Cache,
-    cycle: u64,
     ready_at: [u64; 32],
-    /// Run counters, except the cache counters, which live in the caches.
+    /// Run counters, except the cache counters, which live in the caches,
+    /// and `instret`, which is the core's.
     stats: RunStats,
 }
 
 impl std::fmt::Debug for RocketSim {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RocketSim")
-            .field("cycle", &self.cycle)
-            .field("stats", &self.stats)
+            .field("stats", &self.stats())
             .finish_non_exhaustive()
     }
 }
@@ -112,16 +112,16 @@ impl RocketSim {
             icache: Cache::new(config.seed ^ 0x1CAC4E),
             dcache: Cache::new(config.seed ^ 0xDCAC4E),
             config,
-            cycle: 0,
             ready_at: [0; 32],
             stats: RunStats::default(),
         }
     }
 
-    /// Counters so far, including both caches'.
+    /// Counters so far, including both caches' and the core's `instret`.
     #[must_use]
     pub fn stats(&self) -> RunStats {
         RunStats {
+            instret: self.cpu.instret,
             icache: self.icache.stats(),
             dcache: self.dcache.stats(),
             ..self.stats
@@ -129,6 +129,7 @@ impl RocketSim {
     }
 
     fn charge(&mut self, retired: &Retired) -> Result<Cost, CpuError> {
+        let cycle = self.stats.cycles;
         let mut total: u64 = 1; // issue
         let mut hw: u64 = 0;
 
@@ -136,7 +137,7 @@ impl RocketSim {
         let mut stall = 0;
         for src in retired.instr.sources().into_iter().flatten() {
             if src != Reg::ZERO {
-                stall = stall.max(self.ready_at[src.number() as usize].saturating_sub(self.cycle));
+                stall = stall.max(self.ready_at[src.number() as usize].saturating_sub(cycle));
             }
         }
         total += stall;
@@ -155,48 +156,36 @@ impl RocketSim {
             }
             if !access.store {
                 if let Some(rd) = retired.instr.dest() {
-                    self.ready_at[rd.number() as usize] =
-                        self.cycle + total + LOAD_LATENCY - 1;
+                    self.ready_at[rd.number() as usize] = cycle + total + LOAD_LATENCY - 1;
                 }
             }
         }
 
-        match retired.instr {
-            Instr::Op { op, rd, .. } if op.is_muldiv() => {
-                if matches!(op, OpOp::Div | OpOp::Divu | OpOp::Rem | OpOp::Remu) {
-                    // Iterative, blocking divider.
-                    total += DIV_LATENCY - 1;
-                } else if rd != Reg::ZERO {
-                    self.ready_at[rd.number() as usize] =
-                        self.cycle + total + MUL_LATENCY - 1;
+        match retired.instr.muldiv() {
+            // Iterative, blocking divider.
+            Some(MulDiv::Div) => total += DIV_LATENCY - 1,
+            Some(MulDiv::Mul) => {
+                if let Some(rd) = retired.instr.dest() {
+                    self.ready_at[rd.number() as usize] = cycle + total + MUL_LATENCY - 1;
                 }
             }
-            Instr::Op32 { op, rd, .. } if op.is_muldiv() => {
-                if op == riscv_isa::instr::Op32Op::Mulw {
-                    if rd != Reg::ZERO {
-                        self.ready_at[rd.number() as usize] =
-                            self.cycle + total + MUL_LATENCY - 1;
-                    }
-                } else {
-                    total += DIV_LATENCY - 1;
-                }
+            None => {}
+        }
+
+        if let Instr::Custom(instr) = retired.instr {
+            self.stats.rocc_instructions += 1;
+            let resp = retired
+                .rocc
+                .ok_or(CpuError::RoccProtocol("retired custom carried no response"))?;
+            let mut rocc_cost = u64::from(resp.busy_cycles);
+            rocc_cost += u64::from(resp.mem_accesses); // RoCC mem port occupancy
+            if instr.xd {
+                rocc_cost += u64::from(self.config.rocc_resp_latency);
             }
-            Instr::Custom(instr) => {
-                self.stats.rocc_instructions += 1;
-                let resp = retired
-                    .rocc
-                    .ok_or(CpuError::RoccProtocol("retired custom carried no response"))?;
-                let mut rocc_cost = u64::from(resp.busy_cycles);
-                rocc_cost += u64::from(resp.mem_accesses); // RoCC mem port occupancy
-                if instr.xd {
-                    rocc_cost += u64::from(self.config.rocc_resp_latency);
-                }
-                total += rocc_cost;
-                // The whole instruction — dispatch cycle, operand stalls and
-                // accelerator time — is the co-design's hardware share.
-                hw = total;
-            }
-            _ => {}
+            total += rocc_cost;
+            // The whole instruction — dispatch cycle, operand stalls and
+            // accelerator time — is the co-design's hardware share.
+            hw = total;
         }
 
         // Taken control transfers flush the front end.
@@ -225,33 +214,28 @@ impl Simulator for RocketSim {
     #[inline]
     fn step(&mut self) -> Result<Event, CpuError> {
         // Let guest rdcycle observe modelled time.
-        self.cpu.cycle = self.cycle;
+        self.cpu.cycle = self.stats.cycles;
         // Inspected in place and returned as it is (see `Event`).
         let result = self.cpu.step();
         let retired = match &result {
             Err(_) => return result,
             Ok(Event::Exited { .. }) => {
                 // The exiting ecall costs one software cycle.
-                self.cycle += 1;
-                self.stats.cycles = self.cycle;
-                self.stats.instret += 1;
+                self.stats.cycles += 1;
                 self.stats.sw_cycles += 1;
                 return result;
             }
             Ok(Event::Trapped { .. }) => {
                 // Trap delivery flushes the pipeline but retires nothing.
                 let cost = 1 + TRAP_PENALTY;
-                self.cycle += cost;
-                self.stats.cycles = self.cycle;
+                self.stats.cycles += cost;
                 self.stats.sw_cycles += cost;
                 return result;
             }
             Ok(Event::Retired(retired)) => retired,
         };
         let cost = self.charge(retired)?;
-        self.cycle += cost.total;
-        self.stats.cycles = self.cycle;
-        self.stats.instret += 1;
+        self.stats.cycles += cost.total;
         self.stats.sw_cycles += cost.total - cost.hw;
         self.stats.hw_cycles += cost.hw;
         result
@@ -266,7 +250,7 @@ struct Cost {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use riscv_isa::instr::{OpImmOp};
+    use riscv_isa::instr::{OpImmOp, OpOp};
 
     fn load(sim: &mut RocketSim, base: u64, prog: &[Instr]) {
         for (i, instr) in prog.iter().enumerate() {

@@ -11,17 +11,19 @@
 //! ```
 //!
 //! Constants (immediates, `lui`/`auipc` materializations, link addresses)
-//! are exact; `andi`/`ori`/`xori` and shifts by multiples of four operate
-//! per-nibble, so the standard BCD pack/unpack idioms (`andi x, 15` digit
-//! extraction, shift-and-or packing) stay precise. Loads pull from
-//! per-data-symbol region summaries: each region joins its initial bytes
-//! with every store the program can perform into it, so the DPD↔BCD
-//! lookup tables yield `Digit` nibbles while runtime scratch (e.g. the
-//! multiplicand-multiples table) degrades to `Any`. A store through a
-//! statically-unknown non-stack pointer conservatively clobbers every
-//! *writable* region (zero-initialized scratch or any region already
-//! stored to) — constant tables are assumed not to be overwritten, the
-//! usual const-table assumption for executable-only analysis.
+//! are exact, and operations on constants fold through the core's own ALU
+//! ([`OpOp::eval`] and its word and immediate forms); `andi`/`ori`/`xori`
+//! and shifts by multiples of four operate per-nibble, so the standard BCD
+//! pack/unpack idioms (`andi x, 15` digit extraction, shift-and-or packing)
+//! stay precise. Loads pull from per-data-symbol region summaries: each
+//! region joins its initial bytes with every store the program can perform
+//! into it, so the DPD↔BCD lookup tables yield `Digit` nibbles while
+//! runtime scratch (e.g. the multiplicand-multiples table) degrades to
+//! `Any`. A store through a statically-unknown non-stack pointer
+//! conservatively clobbers every *writable* region (zero-initialized
+//! scratch or any region already stored to) — constant tables are assumed
+//! not to be overwritten, the usual const-table assumption for
+//! executable-only analysis.
 //!
 //! The checker flags only *definitely* invalid operands — a nibble that is
 //! `Known(v)` with `v > 9` on some reaching path — never `Any`.
@@ -29,7 +31,7 @@
 use std::collections::VecDeque;
 
 use riscv_asm::Program;
-use riscv_isa::instr::{LoadOp, Op32Op, OpImm32Op, OpImmOp, OpOp};
+use riscv_isa::instr::{LoadOp, OpImmOp, OpOp};
 use riscv_isa::{Instr, Reg};
 
 use crate::cfg::Cfg;
@@ -410,93 +412,6 @@ fn solve_registers(cfg: &Cfg, regions: &[Region]) -> Vec<Option<RegVals>> {
     states
 }
 
-/// Exact 64-bit constant evaluation of the RV64IM ALU operations.
-fn eval_op(op: OpOp, a: u64, b: u64) -> u64 {
-    let (sa, sb) = (a as i64, b as i64);
-    match op {
-        OpOp::Add => a.wrapping_add(b),
-        OpOp::Sub => a.wrapping_sub(b),
-        OpOp::Sll => a.wrapping_shl(b as u32 & 63),
-        OpOp::Slt => u64::from(sa < sb),
-        OpOp::Sltu => u64::from(a < b),
-        OpOp::Xor => a ^ b,
-        OpOp::Srl => a.wrapping_shr(b as u32 & 63),
-        OpOp::Sra => (sa.wrapping_shr(b as u32 & 63)) as u64,
-        OpOp::Or => a | b,
-        OpOp::And => a & b,
-        OpOp::Mul => a.wrapping_mul(b),
-        OpOp::Mulh => ((i128::from(sa) * i128::from(sb)) >> 64) as u64,
-        OpOp::Mulhsu => ((i128::from(sa) * (u128::from(b) as i128)) >> 64) as u64,
-        OpOp::Mulhu => ((u128::from(a) * u128::from(b)) >> 64) as u64,
-        OpOp::Div => {
-            if b == 0 {
-                u64::MAX
-            } else if sa == i64::MIN && sb == -1 {
-                sa as u64
-            } else {
-                (sa / sb) as u64
-            }
-        }
-        OpOp::Divu => a.checked_div(b).unwrap_or(u64::MAX),
-        OpOp::Rem => {
-            if b == 0 {
-                a
-            } else if sa == i64::MIN && sb == -1 {
-                0
-            } else {
-                (sa % sb) as u64
-            }
-        }
-        OpOp::Remu => {
-            if b == 0 {
-                a
-            } else {
-                a % b
-            }
-        }
-    }
-}
-
-fn eval_op32(op: Op32Op, a: u64, b: u64) -> u64 {
-    let (wa, wb) = (a as u32, b as u32);
-    let (sa, sb) = (wa as i32, wb as i32);
-    let word = match op {
-        Op32Op::Addw => wa.wrapping_add(wb),
-        Op32Op::Subw => wa.wrapping_sub(wb),
-        Op32Op::Sllw => wa.wrapping_shl(wb & 31),
-        Op32Op::Srlw => wa.wrapping_shr(wb & 31),
-        Op32Op::Sraw => (sa.wrapping_shr(wb & 31)) as u32,
-        Op32Op::Mulw => wa.wrapping_mul(wb),
-        Op32Op::Divw => {
-            if wb == 0 {
-                u32::MAX
-            } else if sa == i32::MIN && sb == -1 {
-                sa as u32
-            } else {
-                (sa / sb) as u32
-            }
-        }
-        Op32Op::Divuw => wa.checked_div(wb).unwrap_or(u32::MAX),
-        Op32Op::Remw => {
-            if wb == 0 {
-                wa
-            } else if sa == i32::MIN && sb == -1 {
-                0
-            } else {
-                (sa % sb) as u32
-            }
-        }
-        Op32Op::Remuw => {
-            if wb == 0 {
-                wa
-            } else {
-                wa % wb
-            }
-        }
-    };
-    word as i32 as i64 as u64
-}
-
 #[allow(clippy::too_many_lines)]
 fn apply(instr: &Instr, pc: u64, state: &mut RegVals, regions: &[Region]) {
     let read = |state: &RegVals, reg: Reg| -> AbsVal {
@@ -529,18 +444,7 @@ fn apply(instr: &Instr, pc: u64, state: &mut RegVals, regions: &[Region]) {
             let a = read(state, rs1);
             let imm_val = imm as i64 as u64;
             let result = if let Some(c) = a.as_const() {
-                let op_op = match op {
-                    OpImmOp::Addi => OpOp::Add,
-                    OpImmOp::Slti => OpOp::Slt,
-                    OpImmOp::Sltiu => OpOp::Sltu,
-                    OpImmOp::Xori => OpOp::Xor,
-                    OpImmOp::Ori => OpOp::Or,
-                    OpImmOp::Andi => OpOp::And,
-                    OpImmOp::Slli => OpOp::Sll,
-                    OpImmOp::Srli => OpOp::Srl,
-                    OpImmOp::Srai => OpOp::Sra,
-                };
-                AbsVal::constant(eval_op(op_op, c, imm_val))
+                AbsVal::constant(op.alu_op().eval(c, imm_val))
             } else {
                 let b = AbsVal::constant(imm_val);
                 match op {
@@ -567,15 +471,7 @@ fn apply(instr: &Instr, pc: u64, state: &mut RegVals, regions: &[Region]) {
         Instr::OpImm32 { op, rd, rs1, imm } => {
             let a = read(state, rs1);
             let result = match a.as_const() {
-                Some(c) => {
-                    let op32 = match op {
-                        OpImm32Op::Addiw => Op32Op::Addw,
-                        OpImm32Op::Slliw => Op32Op::Sllw,
-                        OpImm32Op::Srliw => Op32Op::Srlw,
-                        OpImm32Op::Sraiw => Op32Op::Sraw,
-                    };
-                    AbsVal::constant(eval_op32(op32, c, imm as i64 as u64))
-                }
+                Some(c) => AbsVal::constant(op.alu_op().eval(c, imm as i64 as u64)),
                 None => AbsVal::ANY,
             };
             write(state, rd, result);
@@ -584,7 +480,7 @@ fn apply(instr: &Instr, pc: u64, state: &mut RegVals, regions: &[Region]) {
             let a = read(state, rs1);
             let b = read(state, rs2);
             let result = match (a.as_const(), b.as_const()) {
-                (Some(ca), Some(cb)) => AbsVal::constant(eval_op(op, ca, cb)),
+                (Some(ca), Some(cb)) => AbsVal::constant(op.eval(ca, cb)),
                 _ => match op {
                     OpOp::And => a.map2(&b, Nib::and),
                     OpOp::Or => a.map2(&b, Nib::or),
@@ -603,7 +499,7 @@ fn apply(instr: &Instr, pc: u64, state: &mut RegVals, regions: &[Region]) {
             let a = read(state, rs1);
             let b = read(state, rs2);
             let result = match (a.as_const(), b.as_const()) {
-                (Some(ca), Some(cb)) => AbsVal::constant(eval_op32(op, ca, cb)),
+                (Some(ca), Some(cb)) => AbsVal::constant(op.eval(ca, cb)),
                 _ => AbsVal::ANY,
             };
             write(state, rd, result);

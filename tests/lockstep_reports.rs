@@ -8,11 +8,12 @@ use decimalarith::codesign::kernels::KernelKind;
 use decimalarith::lockstep::fuzz::{nth_program_source, FuzzConfig};
 use decimalarith::lockstep::inject::{StuckFsmAccelerator, WrongDigitAccelerator};
 use decimalarith::lockstep::{
-    canonical, run_guest_pair, run_lockstep, Divergence, LockstepOptions, Pair, DEFAULT_CONTEXT,
+    canonical, run_guest_pair, run_lockstep, Divergence, LockstepOptions, Pair, RetirementRecord,
+    DEFAULT_CONTEXT,
 };
 use decimalarith::riscv_asm::{assemble, Program};
 use decimalarith::riscv_isa::instr::Instr;
-use decimalarith::riscv_sim::{Coprocessor, Cpu, CpuError, Event, RetirementRecord, Simulator};
+use decimalarith::riscv_sim::{Coprocessor, Cpu, CpuError, Event, Simulator};
 use decimalarith::rocc::{DecimalAccelerator, DecimalFunct};
 use decimalarith::testgen::{generate, TestConfig};
 use proptest::prelude::*;
@@ -372,7 +373,8 @@ proptest! {
     ) {
         let config = FuzzConfig::default();
         let program = assemble(&nth_program_source(&config, program_index)).unwrap();
-        let stream = reference_stream(&program, config.with_rocc);
+        // Fuzzed programs carry RoCC commands: attach the accelerator.
+        let stream = reference_stream(&program, true);
         let is_store = |record: &RetirementRecord| record.mem.is_some_and(|mem| mem.store);
         let (mutation, eligible): (Mutation, Vec<usize>) = {
             let stores: Vec<usize> = (0..stream.len()).filter(|&i| is_store(&stream[i])).collect();
@@ -386,8 +388,8 @@ proptest! {
         let at = eligible[(pick % eligible.len() as u64) as usize];
 
         let pair = Pair::ALL[pair_index];
-        let mut a = pair.a.build(config.with_rocc);
-        let mut b = pair.b.build(config.with_rocc);
+        let mut a = pair.a.build(true);
+        let mut b = pair.b.build(true);
         load_program(a.cpu_mut(), &program);
         load_program(b.cpu_mut(), &program);
         let options = LockstepOptions::default();

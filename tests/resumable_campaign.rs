@@ -111,7 +111,6 @@ fn fuzz_campaign_resumes_to_identical_counters() {
     let config = FuzzConfig {
         seed: 2019,
         programs: 8,
-        body_items: 20,
         ..FuzzConfig::default()
     };
     let path = temp_path("fuzz-reference");

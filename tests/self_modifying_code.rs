@@ -11,14 +11,13 @@
 use decimalarith::codesign::framework::{load_program, GuestProgram};
 use decimalarith::codesign::kernels::KernelKind;
 use decimalarith::lockstep::{
-    run_guest_pair, LockstepOutcome, Pair, SimKind, Termination, DEFAULT_CONTEXT,
+    run_guest_pair, LockstepOutcome, Pair, RetirementRecord, SimKind, Termination, DEFAULT_CONTEXT,
 };
 use decimalarith::riscv_asm::{assemble, Program};
 use decimalarith::riscv_isa::instr::OpImmOp;
 use decimalarith::riscv_isa::{Instr, Reg};
 use decimalarith::riscv_sim::{
-    Coprocessor, Cpu, CpuError, Event, Memory, RetirementRecord, RoccCommand, RoccResponse,
-    Simulator,
+    Coprocessor, Cpu, CpuError, Event, Memory, RoccCommand, RoccResponse, Simulator,
 };
 use decimalarith::testgen::DriverLayout;
 
