@@ -151,7 +151,7 @@ impl Simulator for AtomicSim {
                 self.stats.cycles += MEM_ACCESS_CYCLES;
                 self.stats.mem_accesses += 1;
             }
-            self.stats.cycles += match retired.instr.muldiv() {
+            self.stats.cycles += match retired.facts.muldiv() {
                 Some(MulDiv::Mul) => self.config.mul_cycles,
                 Some(MulDiv::Div) => self.config.div_cycles,
                 None => 0,

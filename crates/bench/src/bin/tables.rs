@@ -7,12 +7,15 @@
 //!
 //! Defaults: `all`, 8,000 samples (the paper's count), seed 2019.
 //! `ablations` sweeps Rocket timing parameters and the software-baseline
-//! style; `micro` times the decimal substrates on the host.
+//! style; `micro` times the decimal substrates and each simulator's
+//! retire rate on the host.
 
 use std::hint::black_box;
 use std::time::Instant;
 
-use codesign::framework::{time_native, try_run_atomic, NativeMethod};
+use codesign::framework::{
+    time_native, try_run_atomic, try_run_functional, try_run_rocket, NativeMethod, RunError,
+};
 use codesign::kernels::KernelKind;
 use codesign::report;
 use decimal_bench::{
@@ -406,6 +409,56 @@ fn micro() {
     ];
     println!("Host microbenchmarks (wall clock, {MICRO_ITERATIONS} calls each)");
     println!("{:<28} {:>10}", "Operation", "ns/op");
+    for (name, ns) in rows {
+        println!("{name:<28} {ns:>10.1}");
+    }
+    println!();
+    retire_rates();
+}
+
+/// Samples in the guest behind the retire-rate rows.
+const RETIRE_SAMPLES: usize = 200;
+
+/// Runs of that guest per simulator.
+const RETIRE_RUNS: u32 = 5;
+
+/// Host nanoseconds per retired instruction in the fastest of
+/// [`RETIRE_RUNS`] calls of `run`, which runs the guest once and returns
+/// the instructions retired. The fastest run is the one least disturbed by
+/// other load on the host.
+fn ns_per_retired(mut run: impl FnMut() -> u64) -> f64 {
+    (0..RETIRE_RUNS)
+        .map(|_| {
+            let start = Instant::now();
+            let instret = run();
+            start.elapsed().as_secs_f64() * 1e9 / instret as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Each simulator's host cost per retired instruction on one fixed
+/// Method-1 guest (seed 2019), so a change to the simulators' hot path
+/// shows up without the benchmark harness.
+fn retire_rates() {
+    const KIND: KernelKind = KernelKind::Method1;
+    eprintln!("[micro] timing each simulator's retire rate...");
+    let guest = try_guest_for(KIND, &workload(RETIRE_SAMPLES, 2019)).unwrap_or_else(|e| die(&e));
+    fn ran<T>(run: Result<T, RunError>) -> T {
+        run.unwrap_or_else(|error| die(&BenchError::Run { kind: KIND, error }))
+    }
+    let rows = [
+        ("functional", ns_per_retired(|| ran(try_run_functional(&guest)).instret)),
+        (
+            "rocket",
+            ns_per_retired(|| ran(try_run_rocket(&guest, rocket_timing(2019))).stats.instret),
+        ),
+        ("atomic", ns_per_retired(|| ran(try_run_atomic(&guest, atomic_config())).instret)),
+    ];
+    println!(
+        "Simulator retire rate (wall clock, fastest of {RETIRE_RUNS} runs of a \
+         {RETIRE_SAMPLES}-sample seed-2019 {KIND} guest)"
+    );
+    println!("{:<28} {:>10}", "Simulator", "ns/instr");
     for (name, ns) in rows {
         println!("{name:<28} {ns:>10.1}");
     }

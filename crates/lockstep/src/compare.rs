@@ -85,7 +85,7 @@ impl RetirementRecord {
             pc: retired.pc,
             instr: retired.instr,
             next_pc: retired.next_pc,
-            rd_write: retired.instr.dest().map(|reg| (reg, cpu.reg(reg))),
+            rd_write: retired.facts.dest().map(|reg| (reg, cpu.reg(reg))),
             mem,
             rocc_rd: retired.rocc.and_then(|resp| resp.rd_value),
         }

@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use crate::alu::MulDiv;
 use crate::rocc::RoccInstruction;
 use crate::Reg;
 
@@ -472,6 +473,54 @@ impl Instr {
             _ => [None, None],
         }
     }
+
+    /// The operand and latency facts a timing model charges by, derived
+    /// from [`Instr::sources`], [`Instr::dest`] and [`Instr::muldiv`] so a
+    /// core can compute them once per decoded instruction.
+    #[must_use]
+    pub fn operand_facts(&self) -> OperandFacts {
+        OperandFacts {
+            sources: self.sources().map(|src| src.map_or(0, Reg::number)),
+            dest: self.dest().map_or(0, Reg::number),
+            muldiv: self.muldiv(),
+        }
+    }
+}
+
+/// What a timing model needs to know about one instruction, fixed at
+/// decode: see [`Instr::operand_facts`]. Four bytes, so a decoded
+/// instruction and its facts fill 16.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct OperandFacts {
+    sources: [u8; 2],
+    /// The destination's number, 0 for none: no instruction writes `x0`.
+    dest: u8,
+    muldiv: Option<MulDiv>,
+}
+
+impl OperandFacts {
+    /// The register numbers read, with 0 for an absent operand: `x0` is
+    /// never a hazard, so 0 stands for both.
+    #[inline]
+    #[must_use]
+    pub fn sources(self) -> [u8; 2] {
+        self.sources
+    }
+
+    /// The destination register, if the instruction writes one (never
+    /// `x0`).
+    #[inline]
+    #[must_use]
+    pub fn dest(self) -> Option<Reg> {
+        (self.dest != 0).then_some(Reg::from_number(self.dest))
+    }
+
+    /// The M-extension unit the instruction occupies, if any.
+    #[inline]
+    #[must_use]
+    pub fn muldiv(self) -> Option<MulDiv> {
+        self.muldiv
+    }
 }
 
 impl fmt::Display for Instr {
@@ -526,6 +575,22 @@ mod tests {
         assert_eq!(Instr::NOP.dest(), None);
         assert_eq!(Instr::NOP.sources(), [Some(Reg::ZERO), None]);
         assert!(!Instr::NOP.is_control_flow());
+    }
+
+    #[test]
+    fn operand_facts_follow_sources_dest_and_muldiv() {
+        let facts = |instr: Instr| {
+            let facts = instr.operand_facts();
+            (facts.sources(), facts.dest(), facts.muldiv())
+        };
+        let mul = Instr::Op { op: OpOp::Mulhu, rd: Reg::T6, rs1: Reg::A1, rs2: Reg::ZERO };
+        assert_eq!(facts(mul), ([11, 0], Some(Reg::T6), Some(MulDiv::Mul)));
+        let store = Instr::Store { op: StoreOp::Sd, rs2: Reg::T1, rs1: Reg::SP, offset: 8 };
+        assert_eq!(facts(store), ([2, 6], None, None));
+        let rem = Instr::Op32 { op: Op32Op::Remuw, rd: Reg::ZERO, rs1: Reg::T0, rs2: Reg::T1 };
+        assert_eq!(facts(rem), ([5, 6], None, Some(MulDiv::Div)));
+        assert_eq!(facts(Instr::Ecall), ([0, 0], None, None));
+        assert_eq!(std::mem::size_of::<OperandFacts>(), 4);
     }
 
     #[test]

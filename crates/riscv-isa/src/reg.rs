@@ -103,6 +103,12 @@ impl Reg {
         Reg(n)
     }
 
+    /// The register numbered `n`, which the caller took from a `Reg`.
+    pub(crate) const fn from_number(n: u8) -> Reg {
+        debug_assert!(n < 32);
+        Reg(n)
+    }
+
     /// The register number (0..=31).
     #[must_use]
     pub const fn number(self) -> u8 {

@@ -1,6 +1,6 @@
 //! The functional RV64IM core.
 
-use riscv_isa::instr::{CsrOp, Instr, LoadOp, StoreOp};
+use riscv_isa::instr::{CsrOp, Instr, LoadOp, OperandFacts, StoreOp};
 use riscv_isa::{csr, Reg};
 
 use crate::coproc::{Coprocessor, NoCoprocessor, RoccCommand, RoccResponse};
@@ -36,6 +36,8 @@ pub struct Retired {
     pub pc: u64,
     /// The decoded instruction.
     pub instr: Instr,
+    /// `instr`'s operand and latency facts, computed when it was decoded.
+    pub facts: OperandFacts,
     /// Address of the next instruction to execute.
     pub next_pc: u64,
     /// Data-memory access, if any.
@@ -114,8 +116,15 @@ pub fn trap_cause(error: &CpuError) -> Option<(u64, u64)> {
 /// Instruction slots in one 4 KiB page.
 const SLOTS_PER_PAGE: usize = 1 << (PAGE_SHIFT - 2);
 
+/// One decoded instruction with its operand facts.
+#[derive(Clone, Copy)]
+struct Decoded {
+    instr: Instr,
+    facts: OperandFacts,
+}
+
 /// One page's decoded instructions, filled lazily slot by slot.
-type DecodedSlots = [Option<Instr>; SLOTS_PER_PAGE];
+type DecodedSlots = [Option<Decoded>; SLOTS_PER_PAGE];
 
 /// Page index that no address maps to (indices have at most 52 bits).
 const NO_PAGE: u64 = u64::MAX;
@@ -153,12 +162,21 @@ impl DecodedPages {
         self.parked.clear();
     }
 
-    /// Makes `page` the current page.
-    fn select(&mut self, page: u64) {
-        let slots = match self.parked.iter().position(|&(index, _)| index == page) {
-            Some(at) => self.parked.swap_remove(at).1,
-            None => Box::new([None; SLOTS_PER_PAGE]),
-        };
+    /// Makes `page` the current page if it was decoded from before;
+    /// returns false, changing nothing, if it was not.
+    fn select_parked(&mut self, page: u64) -> bool {
+        match self.parked.iter().position(|&(index, _)| index == page) {
+            Some(at) => {
+                let slots = self.parked.swap_remove(at).1;
+                self.install(page, slots);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Makes `page` the current page with `slots`, parking the old one.
+    fn install(&mut self, page: u64, slots: Box<DecodedSlots>) {
         let previous = std::mem::replace(&mut self.current, slots);
         if self.page != NO_PAGE {
             self.parked.push((self.page, previous));
@@ -359,7 +377,7 @@ impl Cpu {
         if !pc.is_multiple_of(4) {
             return Err(CpuError::MisalignedPc(pc));
         }
-        let instr = self.fetch(pc)?;
+        let Decoded { instr, facts } = self.fetch(pc)?;
         let mut next_pc = pc.wrapping_add(4);
         let mut mem_access = None;
         let mut rocc = None;
@@ -514,30 +532,54 @@ impl Cpu {
         Ok(Event::Retired(Retired {
             pc,
             instr,
+            facts,
             next_pc,
             mem_access,
             rocc,
         }))
     }
 
-    /// The decoded instruction at the aligned `pc`: from the decoded-page
-    /// cache, or fetched and decoded into it.
-    fn fetch(&mut self, pc: u64) -> Result<Instr, CpuError> {
+    /// The decoded instruction at the aligned `pc`, from the current
+    /// decoded page once [`Cpu::decode_slot`] has filled its slot.
+    #[inline]
+    fn fetch(&mut self, pc: u64) -> Result<Decoded, CpuError> {
+        loop {
+            let decoded = &self.decoded;
+            if decoded.page == pc >> PAGE_SHIFT && decoded.epoch == self.memory.code_epoch() {
+                if let Some(hit) = decoded.current[(pc as usize >> 2) % SLOTS_PER_PAGE] {
+                    return Ok(hit);
+                }
+            }
+            self.decode_slot(pc)?;
+        }
+    }
+
+    /// Makes `pc`'s page the current decoded page and fills `pc`'s slot:
+    /// adopts the memory's code epoch, then selects a parked page or
+    /// fetches and decodes. A page gets slots only once an instruction on
+    /// it has been fetched and decoded, so fetches that fault allocate
+    /// nothing.
+    #[inline(never)]
+    fn decode_slot(&mut self, pc: u64) -> Result<(), CpuError> {
         let decoded = &mut self.decoded;
         if decoded.epoch != self.memory.code_epoch() {
             decoded.flush(self.memory.code_epoch());
         }
         let page = pc >> PAGE_SHIFT;
-        if decoded.page != page {
-            decoded.select(page);
-        }
-        let slot = &mut decoded.current[(pc as usize >> 2) % SLOTS_PER_PAGE];
-        if let Some(instr) = *slot {
-            return Ok(instr);
+        let at = (pc as usize >> 2) % SLOTS_PER_PAGE;
+        let on_current = decoded.page == page || decoded.select_parked(page);
+        if on_current && decoded.current[at].is_some() {
+            return Ok(());
         }
         let instr = Instr::decode(self.memory.fetch_u32(pc)?).map_err(CpuError::Decode)?;
-        *slot = Some(instr);
-        Ok(instr)
+        if !on_current {
+            decoded.install(page, Box::new([None; SLOTS_PER_PAGE]));
+        }
+        decoded.current[at] = Some(Decoded {
+            instr,
+            facts: instr.operand_facts(),
+        });
+        Ok(())
     }
 
     fn read_csr(&self, number: u16) -> Result<u64, CpuError> {
@@ -1135,6 +1177,49 @@ mod tests {
         assert_eq!(cpu.run(100).unwrap(), 15);
         assert_eq!(cpu.memory.code_epoch(), epoch);
         assert_eq!(cpu.memory.mapped_pages(), 3);
+    }
+
+    #[test]
+    fn faulting_fetches_decode_no_pages() {
+        // Wild jumps to distinct unmapped pages, each followed by a return
+        // to the one code page: only that page is ever decoded.
+        let mut cpu = Cpu::new();
+        let mut prog = vec![Instr::NOP];
+        prog.extend(exit_seq());
+        load(&mut cpu, 0x1000, &prog);
+        for i in 0..64 {
+            let wild = 0x40_0000 + i * 0x1000;
+            cpu.set_pc(wild);
+            assert_eq!(cpu.step(), Err(CpuError::FetchFault(wild)));
+            cpu.set_pc(0x1000);
+            assert!(matches!(cpu.step(), Ok(Event::Retired(_))));
+        }
+        assert_eq!(cpu.memory.mapped_pages(), 1);
+        let decoded_pages = 1 + cpu.decoded.parked.len();
+        assert_eq!(decoded_pages, 1, "only the mapped code page is decoded");
+        assert_eq!(cpu.run(100).unwrap(), 0);
+    }
+
+    #[test]
+    fn retirements_carry_the_decoded_operand_facts() {
+        let mut cpu = Cpu::new();
+        let prog = [
+            Instr::Op { op: OpOp::Mul, rd: Reg::A0, rs1: Reg::A1, rs2: Reg::A2 },
+            Instr::Store { op: StoreOp::Sd, rs2: Reg::A0, rs1: Reg::SP, offset: 0 },
+        ];
+        load(&mut cpu, 0x1000, &prog);
+        cpu.set_reg(Reg::SP, 0x2000);
+        // Twice through each: once decoded, once from the slot.
+        for _ in 0..2 {
+            for instr in prog {
+                let Ok(Event::Retired(retired)) = cpu.step() else {
+                    panic!("{instr} did not retire");
+                };
+                assert_eq!(retired.instr, instr);
+                assert_eq!(retired.facts, instr.operand_facts());
+            }
+            cpu.set_pc(0x1000);
+        }
     }
 
     #[test]

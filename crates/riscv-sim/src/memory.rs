@@ -1,5 +1,6 @@
 //! Sparse, page-granular physical memory.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -36,12 +37,18 @@ impl Page {
     }
 }
 
+/// Page index that no address maps to (indices have at most 52 bits).
+const NO_PAGE: u64 = u64::MAX;
+
 /// Byte-addressable sparse memory backed by 4 KiB pages.
 ///
 /// Reads of unmapped pages are an error (the guest touched memory the
 /// program never initialized or reserved); writes allocate pages on demand.
 /// Every access looks its page up once; an access that straddles a page
-/// boundary looks up each page it touches.
+/// boundary looks up each page it touches. A lookup of the page the
+/// previous successful lookup found is a compare against a one-entry memo
+/// instead of a map search. Pages are never unmapped, so a memoized page
+/// stays valid; a lookup that fails leaves the memo as it was.
 ///
 /// A page becomes a *code page* when the core fetches an instruction from
 /// it. Any write that touches a code page — a guest store, an accelerator
@@ -62,25 +69,34 @@ impl Page {
 /// ```
 #[derive(Debug)]
 pub struct Memory {
-    pages: BTreeMap<u64, Page>,
+    /// The mapped pages, in the order they were mapped.
+    pages: Vec<Page>,
+    /// Page index to position in `pages`.
+    index: BTreeMap<u64, usize>,
+    /// The last page index looked up successfully and its position.
+    memo: Cell<(u64, usize)>,
     code_epoch: u64,
 }
 
 impl Default for Memory {
     fn default() -> Self {
         Memory {
-            pages: BTreeMap::new(),
+            pages: Vec::new(),
+            index: BTreeMap::new(),
+            memo: Cell::new((NO_PAGE, 0)),
             code_epoch: fresh_code_epoch(),
         }
     }
 }
 
 impl Clone for Memory {
-    /// Copies the contents; the clone starts a code epoch of its own.
+    /// Copies the contents; the clone starts a code epoch and a memo of its
+    /// own.
     fn clone(&self) -> Self {
         Memory {
             pages: self.pages.clone(),
-            code_epoch: fresh_code_epoch(),
+            index: self.index.clone(),
+            ..Memory::default()
         }
     }
 }
@@ -103,6 +119,40 @@ impl Memory {
         self.code_epoch
     }
 
+    /// The position in `pages` of the page with index `index`, if mapped.
+    #[inline]
+    fn find(&self, index: u64) -> Option<usize> {
+        let (memo_index, memo_at) = self.memo.get();
+        if memo_index == index {
+            Some(memo_at)
+        } else {
+            self.search(index)
+        }
+    }
+
+    /// [`Memory::find`] past the memo: a map lookup, memoized if it finds
+    /// the page.
+    #[inline(never)]
+    fn search(&self, index: u64) -> Option<usize> {
+        let at = *self.index.get(&index)?;
+        self.memo.set((index, at));
+        Some(at)
+    }
+
+    /// Maps a zeroed page with index `index`; returns its position.
+    #[cold]
+    fn map(&mut self, index: u64) -> usize {
+        self.pages.push(Page::zeroed());
+        self.index.insert(index, self.pages.len() - 1);
+        self.pages.len() - 1
+    }
+
+    /// The page with index `index`, if mapped.
+    #[inline]
+    fn page(&self, index: u64) -> Option<&Page> {
+        self.find(index).map(|at| &self.pages[at])
+    }
+
     /// Fetches the instruction word at the 4-byte-aligned `pc` and marks
     /// its page as a code page. Maps nothing.
     ///
@@ -111,10 +161,10 @@ impl Memory {
     /// Returns [`CpuError::FetchFault`] if the page is unmapped.
     pub(crate) fn fetch_u32(&mut self, pc: u64) -> Result<u32, CpuError> {
         debug_assert!(pc.is_multiple_of(4), "fetch from misaligned pc {pc:#x}");
-        let page = self
-            .pages
-            .get_mut(&(pc >> PAGE_SHIFT))
+        let at = self
+            .find(pc >> PAGE_SHIFT)
             .ok_or(CpuError::FetchFault(pc))?;
+        let page = &mut self.pages[at];
         page.code = true;
         let offset = (pc & (PAGE_SIZE - 1)) as usize;
         let mut word = [0; 4];
@@ -125,7 +175,11 @@ impl Memory {
     /// The page with index `index`, mapping it on demand. A write through
     /// the returned bytes ends the page's code status and the code epoch.
     fn page_for_write(&mut self, index: u64) -> &mut [u8; PAGE_SIZE as usize] {
-        let page = self.pages.entry(index).or_insert_with(Page::zeroed);
+        let at = match self.find(index) {
+            Some(at) => at,
+            None => self.map(index),
+        };
+        let page = &mut self.pages[at];
         if page.code {
             page.code = false;
             self.code_epoch = fresh_code_epoch();
@@ -140,6 +194,7 @@ impl Memory {
     ///
     /// Returns [`CpuError::UnmappedAddress`] carrying the first unmapped
     /// byte's address.
+    #[inline(never)]
     fn read_into(&self, addr: u64, out: &mut [u8]) -> Result<(), CpuError> {
         let mut done = 0;
         while done < out.len() {
@@ -147,8 +202,7 @@ impl Memory {
             let offset = (at & (PAGE_SIZE - 1)) as usize;
             let len = (out.len() - done).min(PAGE_SIZE as usize - offset);
             let page = self
-                .pages
-                .get(&(at >> PAGE_SHIFT))
+                .page(at >> PAGE_SHIFT)
                 .ok_or(CpuError::UnmappedAddress(at))?;
             out[done..done + len].copy_from_slice(&page.bytes[offset..offset + len]);
             done += len;
@@ -157,6 +211,7 @@ impl Memory {
     }
 
     /// Copies `bytes` to `addr`, one page lookup per page touched.
+    #[inline(never)]
     fn write_from(&mut self, addr: u64, bytes: &[u8]) {
         let mut done = 0;
         while done < bytes.len() {
@@ -174,6 +229,7 @@ impl Memory {
     /// # Errors
     ///
     /// Returns [`CpuError::UnmappedAddress`] if the page was never written.
+    #[inline]
     pub fn read_u8(&self, addr: u64) -> Result<u8, CpuError> {
         Ok(self.read_le::<1>(addr)?[0])
     }
@@ -184,16 +240,39 @@ impl Memory {
     ///
     /// Infallible today; kept fallible for symmetry and future protection
     /// bits.
+    #[inline]
     pub fn write_u8(&mut self, addr: u64, value: u8) -> Result<(), CpuError> {
-        self.write_from(addr, &[value]);
+        self.write_le(addr, [value]);
         Ok(())
     }
 
-    /// Reads `N` little-endian bytes.
+    /// Reads `N` little-endian bytes: a fixed-size copy when they lie in
+    /// one page, else page by page.
+    #[inline]
     fn read_le<const N: usize>(&self, addr: u64) -> Result<[u8; N], CpuError> {
         let mut out = [0u8; N];
-        self.read_into(addr, &mut out)?;
+        let offset = (addr & (PAGE_SIZE - 1)) as usize;
+        if offset + N <= PAGE_SIZE as usize {
+            let page = self
+                .page(addr >> PAGE_SHIFT)
+                .ok_or(CpuError::UnmappedAddress(addr))?;
+            out.copy_from_slice(&page.bytes[offset..offset + N]);
+        } else {
+            self.read_into(addr, &mut out)?;
+        }
         Ok(out)
+    }
+
+    /// Writes `N` little-endian bytes: a fixed-size copy when they lie in
+    /// one page, else page by page.
+    #[inline]
+    fn write_le<const N: usize>(&mut self, addr: u64, bytes: [u8; N]) {
+        let offset = (addr & (PAGE_SIZE - 1)) as usize;
+        if offset + N <= PAGE_SIZE as usize {
+            self.page_for_write(addr >> PAGE_SHIFT)[offset..offset + N].copy_from_slice(&bytes);
+        } else {
+            self.write_from(addr, &bytes);
+        }
     }
 
     /// Reads a little-endian u16.
@@ -201,6 +280,7 @@ impl Memory {
     /// # Errors
     ///
     /// Returns [`CpuError::UnmappedAddress`] for unmapped locations.
+    #[inline]
     pub fn read_u16(&self, addr: u64) -> Result<u16, CpuError> {
         Ok(u16::from_le_bytes(self.read_le(addr)?))
     }
@@ -210,6 +290,7 @@ impl Memory {
     /// # Errors
     ///
     /// Returns [`CpuError::UnmappedAddress`] for unmapped locations.
+    #[inline]
     pub fn read_u32(&self, addr: u64) -> Result<u32, CpuError> {
         Ok(u32::from_le_bytes(self.read_le(addr)?))
     }
@@ -219,6 +300,7 @@ impl Memory {
     /// # Errors
     ///
     /// Returns [`CpuError::UnmappedAddress`] for unmapped locations.
+    #[inline]
     pub fn read_u64(&self, addr: u64) -> Result<u64, CpuError> {
         Ok(u64::from_le_bytes(self.read_le(addr)?))
     }
@@ -228,8 +310,9 @@ impl Memory {
     /// # Errors
     ///
     /// See [`Memory::write_u8`].
+    #[inline]
     pub fn write_u16(&mut self, addr: u64, value: u16) -> Result<(), CpuError> {
-        self.write_from(addr, &value.to_le_bytes());
+        self.write_le(addr, value.to_le_bytes());
         Ok(())
     }
 
@@ -238,8 +321,9 @@ impl Memory {
     /// # Errors
     ///
     /// See [`Memory::write_u8`].
+    #[inline]
     pub fn write_u32(&mut self, addr: u64, value: u32) -> Result<(), CpuError> {
-        self.write_from(addr, &value.to_le_bytes());
+        self.write_le(addr, value.to_le_bytes());
         Ok(())
     }
 
@@ -248,8 +332,9 @@ impl Memory {
     /// # Errors
     ///
     /// See [`Memory::write_u8`].
+    #[inline]
     pub fn write_u64(&mut self, addr: u64, value: u64) -> Result<(), CpuError> {
-        self.write_from(addr, &value.to_le_bytes());
+        self.write_le(addr, value.to_le_bytes());
         Ok(())
     }
 
@@ -279,8 +364,7 @@ impl Memory {
             let offset = (at & (PAGE_SIZE - 1)) as usize;
             let chunk = (len - out.len()).min(PAGE_SIZE as usize - offset);
             let page = self
-                .pages
-                .get(&(at >> PAGE_SHIFT))
+                .page(at >> PAGE_SHIFT)
                 .ok_or(CpuError::UnmappedAddress(at))?;
             out.extend_from_slice(&page.bytes[offset..offset + chunk]);
         }
@@ -433,6 +517,54 @@ mod tests {
         // A write straddling into the fetched page counts as well.
         m.write_u64(0xFFC, 0).unwrap();
         assert_ne!(m.code_epoch(), patched);
+    }
+
+    #[test]
+    fn a_failed_lookup_is_not_memoized() {
+        let mut m = Memory::new();
+        m.write_u64(0x1000, 1).unwrap();
+        assert_eq!(m.read_u64(0x1000), Ok(1));
+        assert_eq!(m.read_u64(0x5000), Err(CpuError::UnmappedAddress(0x5000)));
+        m.write_u64(0x5008, 2).unwrap();
+        assert_eq!(m.read_u64(0x5008), Ok(2));
+        assert_eq!(m.read_u64(0x1000), Ok(1));
+        // The same through the fetch path.
+        assert_eq!(m.fetch_u32(0x7000), Err(CpuError::FetchFault(0x7000)));
+        m.write_u32(0x7000, 0x13).unwrap();
+        assert_eq!(m.fetch_u32(0x7000), Ok(0x13));
+    }
+
+    #[test]
+    fn a_clone_keeps_a_memo_of_its_own() {
+        let mut m = Memory::new();
+        m.write_u64(0x1000, 1).unwrap();
+        m.write_u64(0x2000, 2).unwrap();
+        let mut c = m.clone();
+        // Each memoizes a different page, then maps one the other lacks.
+        assert_eq!(c.read_u64(0x1000), Ok(1));
+        assert_eq!(m.read_u64(0x2000), Ok(2));
+        c.write_u64(0x3000, 3).unwrap();
+        m.write_u64(0x4000, 4).unwrap();
+        c.write_u64(0x1000, 10).unwrap();
+        m.write_u64(0x2000, 20).unwrap();
+        assert_eq!([0x1000, 0x2000].map(|a| m.read_u64(a)), [Ok(1), Ok(20)]);
+        assert_eq!([0x1000, 0x2000].map(|a| c.read_u64(a)), [Ok(10), Ok(2)]);
+        assert_eq!(m.read_u64(0x3000), Err(CpuError::UnmappedAddress(0x3000)));
+        assert_eq!(c.read_u64(0x4000), Err(CpuError::UnmappedAddress(0x4000)));
+        assert_eq!((m.read_u64(0x4000), c.read_u64(0x3000)), (Ok(4), Ok(3)));
+    }
+
+    #[test]
+    fn a_store_through_the_memo_to_a_code_page_moves_the_epoch() {
+        let mut m = Memory::new();
+        m.write_u32(0x1000, 0x13).unwrap();
+        m.fetch_u32(0x1000).unwrap();
+        // The fetch memoized the page; the store below finds it there.
+        let epoch = m.code_epoch();
+        assert_eq!(m.read_u32(0x1000), Ok(0x13));
+        assert_eq!(m.code_epoch(), epoch, "reads keep the epoch");
+        m.write_u32(0x1004, 0x13).unwrap();
+        assert_ne!(m.code_epoch(), epoch);
     }
 
     #[test]

@@ -30,13 +30,24 @@ pub struct CacheStats {
     pub misses: u64,
 }
 
+/// Line number that no address maps to (line numbers have at most 58
+/// bits).
+const NO_LINE: u64 = u64::MAX;
+
 /// A tag-only set-associative cache with random replacement.
+///
+/// Every access leaves its line resident, and only accesses change the
+/// tags, so an access to the line of the access before it is a hit. Such
+/// repeats, most fetches and many data accesses, count a hit without
+/// searching the tags.
 #[derive(Debug, Clone)]
 pub struct Cache {
     /// `tags[set * WAYS + way]`.
     tags: Vec<Option<u64>>,
     rng: u64,
     stats: CacheStats,
+    /// The line of the last access.
+    last_line: u64,
 }
 
 impl Cache {
@@ -47,6 +58,7 @@ impl Cache {
             tags: vec![None; SETS as usize * WAYS],
             rng: seed | 1, // xorshift must not start at zero
             stats: CacheStats::default(),
+            last_line: NO_LINE,
         }
     }
 
@@ -63,8 +75,20 @@ impl Cache {
 
     /// Performs one access; returns true on hit. Misses fill the line
     /// (allocate-on-miss for both reads and writes).
+    #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
         let line = addr >> LINE_SHIFT;
+        if line == self.last_line {
+            self.stats.hits += 1;
+            return true;
+        }
+        self.last_line = line;
+        self.search(line)
+    }
+
+    /// Looks `line` up in its set, filling it on a miss; returns true on
+    /// hit.
+    fn search(&mut self, line: u64) -> bool {
         let set = (line & SET_MASK) as usize;
         let tag = line >> SET_MASK.count_ones();
         let base = set * WAYS;
@@ -103,6 +127,52 @@ mod tests {
         assert!(!c.access(0x1040), "next line");
         assert_eq!(c.stats().misses, 2);
         assert_eq!(c.stats().hits, 2);
+    }
+
+    /// An access that always searches the tags: [`Cache::access`] without
+    /// its repeated-line shortcut.
+    fn access_searching(cache: &mut Cache, addr: u64) -> bool {
+        cache.search(addr >> LINE_SHIFT)
+    }
+
+    #[test]
+    fn repeated_line_shortcut_changes_no_outcome() {
+        // Seeded streams of long same-line runs (fetch-like) mixed with
+        // jumps among lines that conflict in a few sets, so random
+        // evictions happen between repeats.
+        for seed in 1..=16u64 {
+            let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut next = move || {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng
+            };
+            let mut memoized = Cache::new(seed);
+            let mut searching = Cache::new(seed);
+            let mut addr = 0x8000_0000u64;
+            for _ in 0..20_000 {
+                let r = next();
+                addr = match r % 8 {
+                    // Run on: the next word, usually on the same line.
+                    0..=4 => addr.wrapping_add(4),
+                    // Another word of the same line.
+                    5 => (addr & !(LINE_BYTES - 1)) | (r >> 8) % LINE_BYTES,
+                    // One of 18 lines sharing 3 sets: forces evictions.
+                    6 => 0x8000_0000 + ((r >> 8) % 3) * LINE_BYTES + ((r >> 16) % 6) * 4096,
+                    // Anywhere in a 64 KiB window.
+                    _ => 0x8000_0000 + (r >> 8) % 0x1_0000,
+                };
+                assert_eq!(
+                    memoized.access(addr),
+                    access_searching(&mut searching, addr),
+                    "seed {seed}, address {addr:#x}"
+                );
+            }
+            assert_eq!(memoized.stats(), searching.stats(), "seed {seed}");
+            assert_eq!(memoized.tags, searching.tags, "seed {seed}");
+            assert_eq!(memoized.rng, searching.rng, "seed {seed}");
+        }
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use riscv_isa::alu::MulDiv;
 use riscv_isa::instr::Instr;
-use riscv_isa::Reg;
 use riscv_sim::{Cpu, CpuError, Event, Retired, Simulator};
 
 use crate::cache::{Cache, CacheStats};
@@ -128,18 +127,18 @@ impl RocketSim {
         }
     }
 
-    fn charge(&mut self, retired: &Retired) -> Result<Cost, CpuError> {
+    /// Adds `retired`'s modelled time to the run counters.
+    fn charge(&mut self, retired: &Retired) -> Result<(), CpuError> {
         let cycle = self.stats.cycles;
+        let facts = retired.facts;
         let mut total: u64 = 1; // issue
         let mut hw: u64 = 0;
 
-        // Operand stalls against the scoreboard.
-        let mut stall = 0;
-        for src in retired.instr.sources().into_iter().flatten() {
-            if src != Reg::ZERO {
-                stall = stall.max(self.ready_at[src.number() as usize].saturating_sub(cycle));
-            }
-        }
+        // Operand stalls against the scoreboard. An absent operand reads
+        // `x0`'s entry, which stays 0: no instruction makes `x0` its
+        // destination.
+        let [a, b] = facts.sources().map(usize::from);
+        let stall = self.ready_at[a].max(self.ready_at[b]).saturating_sub(cycle);
         total += stall;
         self.stats.stall_cycles += stall;
 
@@ -155,17 +154,17 @@ impl RocketSim {
                 total += u64::from(self.config.miss_penalty);
             }
             if !access.store {
-                if let Some(rd) = retired.instr.dest() {
+                if let Some(rd) = facts.dest() {
                     self.ready_at[rd.number() as usize] = cycle + total + LOAD_LATENCY - 1;
                 }
             }
         }
 
-        match retired.instr.muldiv() {
+        match facts.muldiv() {
             // Iterative, blocking divider.
             Some(MulDiv::Div) => total += DIV_LATENCY - 1,
             Some(MulDiv::Mul) => {
-                if let Some(rd) = retired.instr.dest() {
+                if let Some(rd) = facts.dest() {
                     self.ready_at[rd.number() as usize] = cycle + total + MUL_LATENCY - 1;
                 }
             }
@@ -193,7 +192,10 @@ impl RocketSim {
             total += BRANCH_PENALTY;
         }
 
-        Ok(Cost { total, hw })
+        self.stats.cycles = cycle + total;
+        self.stats.sw_cycles += total - hw;
+        self.stats.hw_cycles += hw;
+        Ok(())
     }
 }
 
@@ -234,23 +236,17 @@ impl Simulator for RocketSim {
             }
             Ok(Event::Retired(retired)) => retired,
         };
-        let cost = self.charge(retired)?;
-        self.stats.cycles += cost.total;
-        self.stats.sw_cycles += cost.total - cost.hw;
-        self.stats.hw_cycles += cost.hw;
+        self.charge(retired)?;
         result
     }
 }
 
-struct Cost {
-    total: u64,
-    hw: u64,
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use riscv_isa::instr::{OpImmOp, OpOp};
+    use riscv_isa::Reg;
 
     fn load(sim: &mut RocketSim, base: u64, prog: &[Instr]) {
         for (i, instr) in prog.iter().enumerate() {
@@ -475,7 +471,7 @@ mod tests {
 mod more_tests {
     use super::*;
     use riscv_isa::instr::{LoadOp, OpImmOp, OpOp};
-    use riscv_isa::Instr;
+    use riscv_isa::{Instr, Reg};
 
     fn load(sim: &mut RocketSim, base: u64, prog: &[Instr]) {
         for (i, instr) in prog.iter().enumerate() {
