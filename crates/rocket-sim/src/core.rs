@@ -128,6 +128,7 @@ impl RocketSim {
     }
 
     /// Adds `retired`'s modelled time to the run counters.
+    #[inline]
     fn charge(&mut self, retired: &Retired) -> Result<(), CpuError> {
         let cycle = self.stats.cycles;
         let facts = retired.facts;
