@@ -157,7 +157,7 @@ mod tests {
                     // Run on: the next word, usually on the same line.
                     0..=4 => addr.wrapping_add(4),
                     // Another word of the same line.
-                    5 => (addr & !(LINE_BYTES - 1)) | (r >> 8) % LINE_BYTES,
+                    5 => (addr & !(LINE_BYTES - 1)) | ((r >> 8) % LINE_BYTES),
                     // One of 18 lines sharing 3 sets: forces evictions.
                     6 => 0x8000_0000 + ((r >> 8) % 3) * LINE_BYTES + ((r >> 16) % 6) * 4096,
                     // Anywhere in a 64 KiB window.
