@@ -540,7 +540,8 @@ impl Cpu {
     }
 
     /// The decoded instruction at the aligned `pc`, from the current
-    /// decoded page once [`Cpu::decode_slot`] has filled its slot.
+    /// decoded page once [`Cpu::decode_slot`] has filled its slot (the
+    /// second pass always hits).
     #[inline]
     fn fetch(&mut self, pc: u64) -> Result<Decoded, CpuError> {
         loop {
@@ -559,6 +560,9 @@ impl Cpu {
     /// fetches and decodes. A page gets slots only once an instruction on
     /// it has been fetched and decoded, so fetches that fault allocate
     /// nothing.
+    ///
+    /// Out of line: inlined, the new page's slot array is built in
+    /// `step`'s stack frame, which every step then probes page by page.
     #[inline(never)]
     fn decode_slot(&mut self, pc: u64) -> Result<(), CpuError> {
         let decoded = &mut self.decoded;

@@ -131,7 +131,8 @@ impl Memory {
     }
 
     /// [`Memory::find`] past the memo: a map lookup, memoized if it finds
-    /// the page.
+    /// the page. Out of line, so `find` stays small enough to inline into
+    /// every access.
     #[inline(never)]
     fn search(&self, index: u64) -> Option<usize> {
         let at = *self.index.get(&index)?;
@@ -188,7 +189,8 @@ impl Memory {
     }
 
     /// Fills `out` from the bytes starting at `addr`, one page lookup per
-    /// page touched.
+    /// page touched. Out of line: only bulk reads and reads that straddle
+    /// a page boundary come here.
     ///
     /// # Errors
     ///
@@ -210,7 +212,9 @@ impl Memory {
         Ok(())
     }
 
-    /// Copies `bytes` to `addr`, one page lookup per page touched.
+    /// Copies `bytes` to `addr`, one page lookup per page touched. Out of
+    /// line: only bulk writes and writes that straddle a page boundary
+    /// come here.
     #[inline(never)]
     fn write_from(&mut self, addr: u64, bytes: &[u8]) {
         let mut done = 0;
