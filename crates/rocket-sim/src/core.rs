@@ -242,7 +242,6 @@ impl Simulator for RocketSim {
     }
 }
 
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -93,13 +93,13 @@ fn with_table6_latencies(mut config: AtomicConfig) -> AtomicConfig {
 
 /// Exact simulated numbers for every kernel on a 16-vector, seed-2019
 /// workload. Rocket: `(cycles, hw_cycles, instret, stall_cycles, I$ hits,
-/// I$ misses, D$ hits, D$ misses)` at cache seed 2019. Atomic, with Table VI's functional-unit
-/// latencies (mul 3, div 12): `(instret, measurement-region ticks)` at its
-/// 1 GHz clock. A change to a pipeline latency, the branch or miss penalty,
-/// the cache line size, the atomic access cost or a kernel moves at least
-/// one of these. (These guests never trap and fit the L1s, so the trap
-/// penalty, associativity and set count are pinned by `rocket-sim`'s unit
-/// tests instead.)
+/// I$ misses, D$ hits, D$ misses)` at cache seed 2019. Atomic, with Table
+/// VI's functional-unit latencies (mul 3, div 12): `(instret,
+/// measurement-region ticks)` at its 1 GHz clock. A change to a pipeline
+/// latency, the branch or miss penalty, the cache line size, the atomic
+/// access cost or a kernel moves at least one of these. (These guests
+/// never trap and fit the L1s, so the trap penalty, associativity and set
+/// count are pinned by `rocket-sim`'s unit tests instead.)
 #[test]
 fn simulated_numbers_are_pinned() {
     #[rustfmt::skip]
