@@ -183,6 +183,16 @@ impl DecodedPages {
         }
         self.page = page;
     }
+
+    /// Makes `page` the current page with empty slots. The first page
+    /// decoded takes the empty slots [`DecodedPages::new`] allocated.
+    fn install_empty(&mut self, page: u64) {
+        if self.page == NO_PAGE {
+            self.page = page;
+        } else {
+            self.install(page, Box::new([None; SLOTS_PER_PAGE]));
+        }
+    }
 }
 
 /// A `(marker id, cycle, instret)` triple recorded by the `mark` syscall.
@@ -577,7 +587,7 @@ impl Cpu {
         }
         let instr = Instr::decode(self.memory.fetch_u32(pc)?).map_err(CpuError::Decode)?;
         if !on_current {
-            decoded.install(page, Box::new([None; SLOTS_PER_PAGE]));
+            decoded.install_empty(page);
         }
         decoded.current[at] = Some(Decoded {
             instr,
