@@ -17,8 +17,9 @@ cargo test -q
 
 echo "== workspace tests (every crate's unit and integration tests) =="
 # The root manifest is both a package and the workspace, so plain
-# `cargo test` covers only the root package.
-cargo test -q --workspace
+# `cargo test` covers only the root package; the tier-1 stage above has
+# just run that package's tests, so they are not run again here.
+cargo test -q --workspace --exclude decimalarith
 
 echo "== lint: clippy over the workspace (warnings are errors) =="
 cargo clippy -q --workspace --all-targets -- -D warnings

@@ -22,6 +22,9 @@
 //! file per kernel at `PATH.<kernel-slug>`. Progress lines (cases done /
 //! total / quarantined) go to stderr so stdout stays diffable.
 //!
+//! A zero count, a second subcommand, or both `--journal` and `--resume`
+//! is a usage error (exit 2): a run of zero cases would pass vacuously.
+//!
 //! Exits nonzero on any divergence, printing the full report (pc,
 //! instruction, register/memory delta, retirement context) and the shrunk
 //! reproducing program for fuzz failures. A lockstep run that only ends
@@ -78,7 +81,7 @@ impl Options {
 
 fn parse_args() -> Options {
     let mut options = Options {
-        what: "all".to_string(),
+        what: String::new(),
         samples: 200,
         seed: 2019,
         programs: 200,
@@ -89,31 +92,41 @@ fn parse_args() -> Options {
         resume: false,
         checkpoint_every: 50,
     };
+    let mut what = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--samples" => options.samples = number(&mut args, "--samples"),
+            "--samples" => options.samples = count(&mut args, "--samples"),
             "--seed" => options.seed = number(&mut args, "--seed"),
-            "--programs" => options.programs = number(&mut args, "--programs"),
-            "--commands" => options.commands = number(&mut args, "--commands"),
-            "--faults" => options.faults = number(&mut args, "--faults"),
-            "--fault-samples" => options.fault_samples = number(&mut args, "--fault-samples"),
-            "--journal" => {
-                options.journal =
-                    Some(args.next().unwrap_or_else(|| usage("--journal needs a path")).into());
-            }
-            "--resume" => {
-                options.journal =
-                    Some(args.next().unwrap_or_else(|| usage("--resume needs a path")).into());
-                options.resume = true;
+            "--programs" => options.programs = count(&mut args, "--programs"),
+            "--commands" => options.commands = count(&mut args, "--commands"),
+            "--faults" => options.faults = count(&mut args, "--faults"),
+            "--fault-samples" => options.fault_samples = count(&mut args, "--fault-samples"),
+            flag @ ("--journal" | "--resume") => {
+                if options.journal.is_some() {
+                    usage("give one --journal or --resume path");
+                }
+                let path = args
+                    .next()
+                    .unwrap_or_else(|| usage(&format!("{flag} needs a path")));
+                options.journal = Some(path.into());
+                options.resume = flag == "--resume";
             }
             "--checkpoint-every" => {
                 options.checkpoint_every = number(&mut args, "--checkpoint-every");
             }
-            "conformance" | "fuzz" | "rocc" | "faults" | "all" => options.what = arg,
+            "conformance" | "fuzz" | "rocc" | "faults" | "all" => {
+                if let Some(first) = &what {
+                    usage(&format!(
+                        "one subcommand at a time, got {first:?} and {arg:?}"
+                    ));
+                }
+                what = Some(arg);
+            }
             other => usage(&format!("unknown argument {other:?}")),
         }
     }
+    options.what = what.unwrap_or_else(|| "all".to_string());
     if options.journal.is_some() && !matches!(options.what.as_str(), "conformance" | "fuzz" | "faults")
     {
         usage("--journal/--resume requires a single journaled subcommand: conformance, fuzz, or faults");
@@ -127,6 +140,19 @@ fn number<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, flag: &
     args.next()
         .and_then(|v| v.parse().ok())
         .unwrap_or_else(|| usage(&format!("{flag} needs a number in range")))
+}
+
+/// [`number`] for a count of cases, which must be positive: a run of zero
+/// cases checks nothing and would pass vacuously.
+fn count<T: std::str::FromStr + Default + PartialEq>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+) -> T {
+    let n = number(args, flag);
+    if n == T::default() {
+        usage(&format!("{flag} needs a positive number"));
+    }
+    n
 }
 
 fn usage(msg: &str) -> ! {

@@ -33,11 +33,12 @@ struct Options {
 
 fn parse_args() -> Options {
     let mut options = Options {
-        what: "all".to_string(),
+        what: String::new(),
         samples: decimal_bench::PAPER_SAMPLES,
         seed: 2019,
         reps: 20,
     };
+    let mut what = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -63,11 +64,17 @@ fn parse_args() -> Options {
             }
             "table2" | "table3" | "table4" | "table5" | "table6" | "pareto" | "classes"
             | "seeds" | "ablations" | "micro" | "all" => {
-                options.what = arg;
+                if let Some(first) = &what {
+                    usage(&format!(
+                        "one subcommand at a time, got {first:?} and {arg:?}"
+                    ));
+                }
+                what = Some(arg);
             }
             other => usage(&format!("unknown argument {other:?}")),
         }
     }
+    options.what = what.unwrap_or_else(|| "all".to_string());
     options
 }
 

@@ -3,17 +3,54 @@
 
 use std::process::Command;
 
+/// Runs `binary` with `args` and checks that it exits 2 with a message
+/// and no panic.
+fn assert_usage_error(binary: &str, args: &[&str]) {
+    let output = Command::new(binary)
+        .args(args)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(stderr.contains("error: "), "{args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+}
+
+/// A zero count would check nothing, yet `lockstep` once reported "all
+/// differential checks passed" for zero samples, programs, commands or
+/// faults.
 #[test]
 fn zero_samples_or_repetitions_is_a_usage_error() {
-    for args in [["table4", "--samples", "0"], ["table5", "--reps", "0"]] {
-        let output = Command::new(env!("CARGO_BIN_EXE_tables"))
-            .args(args)
-            .output()
-            .expect("tables runs");
-        let stderr = String::from_utf8_lossy(&output.stderr);
-        assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
-        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    let runs: [(&str, [&str; 3]); 7] = [
+        (env!("CARGO_BIN_EXE_tables"), ["table4", "--samples", "0"]),
+        (env!("CARGO_BIN_EXE_tables"), ["table5", "--reps", "0"]),
+        (
+            env!("CARGO_BIN_EXE_lockstep"),
+            ["conformance", "--samples", "0"],
+        ),
+        (env!("CARGO_BIN_EXE_lockstep"), ["fuzz", "--programs", "0"]),
+        (env!("CARGO_BIN_EXE_lockstep"), ["rocc", "--commands", "0"]),
+        (env!("CARGO_BIN_EXE_lockstep"), ["faults", "--faults", "0"]),
+        (
+            env!("CARGO_BIN_EXE_lockstep"),
+            ["faults", "--fault-samples", "0"],
+        ),
+    ];
+    for (binary, args) in runs {
+        assert_usage_error(binary, &args);
     }
+}
+
+/// Only one subcommand and one journal path run; the rest were once
+/// dropped without a word.
+#[test]
+fn a_second_subcommand_or_journal_is_a_usage_error() {
+    let tables = env!("CARGO_BIN_EXE_tables");
+    let lockstep = env!("CARGO_BIN_EXE_lockstep");
+    assert_usage_error(tables, &["table2", "table3"]);
+    assert_usage_error(lockstep, &["rocc", "fuzz"]);
+    assert_usage_error(lockstep, &["fuzz", "--journal", "a", "--resume", "b"]);
+    assert_usage_error(lockstep, &["fuzz", "--resume", "b", "--journal", "a"]);
 }
 
 /// A count that does not fit the option's type is a usage error, not a
@@ -27,10 +64,7 @@ fn out_of_range_numbers_are_usage_errors() {
         (env!("CARGO_BIN_EXE_rvlint"), ["method1", "--repetitions", "4294967296"]),
     ];
     for (binary, args) in runs {
-        let output = Command::new(binary).args(args).output().expect("binary runs");
-        let stderr = String::from_utf8_lossy(&output.stderr);
-        assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
-        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert_usage_error(binary, &args);
     }
 }
 

@@ -434,7 +434,7 @@ fn fuzz_program(config: &FuzzConfig, options: &LockstepOptions, index: u32) -> P
         .unwrap_or_else(|e| panic!("generated program {index} does not assemble: {e}"));
     for pair in Pair::ALL {
         result.pairs_checked += 1;
-        let outcome = run_program_pair(&program, pair, true, options);
+        let outcome = run_program_pair(&program, pair, options);
         match outcome {
             LockstepOutcome::Agreement { instructions, .. } => {
                 result.instructions_checked += instructions;
@@ -446,13 +446,13 @@ fn fuzz_program(config: &FuzzConfig, options: &LockstepOptions, index: u32) -> P
                         // this candidate is invalid, not minimal.
                         return false;
                     };
-                    !run_program_pair(&program, pair, true, options).is_agreement()
+                    !run_program_pair(&program, pair, options).is_agreement()
                 };
                 let shrunk = shrink_items(items.clone(), &reproduces);
                 let shrunk_source = render(&shrunk);
                 let shrunk_program =
                     assemble(&shrunk_source).expect("shrunk candidate assembled before");
-                let final_outcome = run_program_pair(&shrunk_program, pair, true, options);
+                let final_outcome = run_program_pair(&shrunk_program, pair, options);
                 let divergence = final_outcome
                     .divergence()
                     .expect("shrinker only keeps reproducing candidates")

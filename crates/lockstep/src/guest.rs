@@ -36,10 +36,10 @@ impl SimKind {
         }
     }
 
-    /// Builds a fresh simulator of this kind, with the decimal accelerator
-    /// attached when `with_accelerator` is set.
+    /// Builds a fresh simulator of this kind with the decimal accelerator
+    /// attached (replace it with [`riscv_sim::Cpu::attach_coprocessor`]).
     #[must_use]
-    pub fn build(self, with_accelerator: bool) -> Box<dyn Simulator> {
+    pub fn build(self) -> Box<dyn Simulator> {
         let mut sim: Box<dyn Simulator> = match self {
             SimKind::Functional => Box::new(Cpu::new()),
             SimKind::Rocket => Box::new(rocket_sim::RocketSim::new(
@@ -49,10 +49,8 @@ impl SimKind {
                 atomic_sim::AtomicConfig::default(),
             )),
         };
-        if with_accelerator {
-            sim.cpu_mut()
-                .attach_coprocessor(Box::new(DecimalAccelerator::new()));
-        }
+        sim.cpu_mut()
+            .attach_coprocessor(Box::new(DecimalAccelerator::new()));
         sim
     }
 }
@@ -87,16 +85,16 @@ impl std::fmt::Display for Pair {
     }
 }
 
-/// Runs one assembled program on a pair of fresh simulators in lockstep.
+/// Runs one assembled program on a pair of fresh simulators, each with
+/// the decimal accelerator attached, in lockstep.
 #[must_use]
 pub fn run_program_pair(
     program: &Program,
     pair: Pair,
-    with_accelerator: bool,
     options: &LockstepOptions,
 ) -> LockstepOutcome {
-    let mut a = pair.a.build(with_accelerator);
-    let mut b = pair.b.build(with_accelerator);
+    let mut a = pair.a.build();
+    let mut b = pair.b.build();
     load_program(a.cpu_mut(), program);
     load_program(b.cpu_mut(), program);
     run_lockstep(a.as_mut(), b.as_mut(), options)
@@ -111,7 +109,7 @@ pub fn run_guest_pair(guest: &GuestProgram, pair: Pair, context: usize) -> Locks
         max_instructions: guest_budget(guest),
         context,
     };
-    run_program_pair(&guest.program, pair, true, &options)
+    run_program_pair(&guest.program, pair, &options)
 }
 
 /// Lockstep-checks `guest` on every simulator pair and returns each pair

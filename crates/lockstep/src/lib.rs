@@ -50,7 +50,7 @@
 //!     "start:\n    li a0, 0\n    li a7, 93\n    ecall\n",
 //! ).unwrap();
 //! for pair in Pair::ALL {
-//!     let outcome = run_program_pair(&program, pair, false, &LockstepOptions::default());
+//!     let outcome = run_program_pair(&program, pair, &LockstepOptions::default());
 //!     assert!(outcome.is_agreement(), "{pair}: {:?}", outcome.divergence());
 //! }
 //! ```
@@ -195,7 +195,7 @@ mod tests {
         )
         .unwrap();
         for pair in Pair::ALL {
-            let outcome = run_program_pair(&program, pair, false, &LockstepOptions::default());
+            let outcome = run_program_pair(&program, pair, &LockstepOptions::default());
             assert!(
                 outcome.is_agreement(),
                 "{pair}: {}",
@@ -220,7 +220,6 @@ mod tests {
         let outcome = run_program_pair(
             &program,
             Pair { a: SimKind::Functional, b: SimKind::Rocket },
-            false,
             &LockstepOptions::default(),
         );
         match outcome {

@@ -4,7 +4,7 @@ use riscv_isa::instr::{CsrOp, Instr, LoadOp, OperandFacts, StoreOp};
 use riscv_isa::{csr, Reg};
 
 use crate::coproc::{Coprocessor, NoCoprocessor, RoccCommand, RoccResponse};
-use crate::memory::PAGE_SHIFT;
+use crate::memory::Decoded;
 use crate::{CpuError, Memory, Simulator};
 
 /// Syscall numbers understood by the host interface (`a7` at `ecall`).
@@ -113,88 +113,6 @@ pub fn trap_cause(error: &CpuError) -> Option<(u64, u64)> {
     }
 }
 
-/// Instruction slots in one 4 KiB page.
-const SLOTS_PER_PAGE: usize = 1 << (PAGE_SHIFT - 2);
-
-/// One decoded instruction with its operand facts.
-#[derive(Clone, Copy)]
-struct Decoded {
-    instr: Instr,
-    facts: OperandFacts,
-}
-
-/// One page's decoded instructions, filled lazily slot by slot.
-type DecodedSlots = [Option<Decoded>; SLOTS_PER_PAGE];
-
-/// Page index that no address maps to (indices have at most 52 bits).
-const NO_PAGE: u64 = u64::MAX;
-
-/// The core's decoded-instruction cache: instructions decoded from the
-/// code pages fetched so far, valid while the memory stays at the code
-/// epoch they were decoded under (see [`Memory`]). It is derived state,
-/// rebuilt on demand.
-struct DecodedPages {
-    /// The memory code epoch the cached instructions belong to.
-    epoch: u64,
-    /// Page index of `current`.
-    page: u64,
-    /// The page the pc is on, selected without a lookup while it stays.
-    current: Box<DecodedSlots>,
-    /// The other decoded pages; guests run from a handful of text pages,
-    /// so a linear search on page changes is enough.
-    parked: Vec<(u64, Box<DecodedSlots>)>,
-}
-
-impl DecodedPages {
-    fn new() -> Self {
-        DecodedPages {
-            epoch: 0,
-            page: NO_PAGE,
-            current: Box::new([None; SLOTS_PER_PAGE]),
-            parked: Vec::new(),
-        }
-    }
-
-    /// Drops every decoded instruction and adopts `epoch`.
-    fn flush(&mut self, epoch: u64) {
-        self.epoch = epoch;
-        self.current.fill(None);
-        self.parked.clear();
-    }
-
-    /// Makes `page` the current page if it was decoded from before;
-    /// returns false, changing nothing, if it was not.
-    fn select_parked(&mut self, page: u64) -> bool {
-        match self.parked.iter().position(|&(index, _)| index == page) {
-            Some(at) => {
-                let slots = self.parked.swap_remove(at).1;
-                self.install(page, slots);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Makes `page` the current page with `slots`, parking the old one.
-    fn install(&mut self, page: u64, slots: Box<DecodedSlots>) {
-        let previous = std::mem::replace(&mut self.current, slots);
-        if self.page != NO_PAGE {
-            self.parked.push((self.page, previous));
-        }
-        self.page = page;
-    }
-
-    /// Makes `page` the current page with empty slots. The first page
-    /// decoded takes the empty slots [`DecodedPages::new`] allocated.
-    fn install_empty(&mut self, page: u64) {
-        if self.page == NO_PAGE {
-            self.page = page;
-        } else {
-            self.install(page, Box::new([None; SLOTS_PER_PAGE]));
-        }
-    }
-}
-
 /// A `(marker id, cycle, instret)` triple recorded by the `mark` syscall.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Marker {
@@ -212,10 +130,9 @@ pub struct Marker {
 /// timing model (like `rocket-sim`) drives the field itself so guest
 /// `rdcycle` reads observe modelled time.
 ///
-/// Instructions are decoded once per code page slot and reused until
-/// [`Cpu::memory`] moves to a new code epoch — a write to any page fetched
-/// from, or a different memory installed in the field — so self-modifying
-/// code and harness patches always execute as written.
+/// The core fetches decoded instructions from [`Cpu::memory`], which
+/// decodes each word once and keeps it until that page is written, so
+/// self-modifying code and harness patches always execute as written.
 ///
 /// # Example
 ///
@@ -259,7 +176,6 @@ pub struct Cpu {
     pub trap_log: Vec<TrapRecord>,
     coprocessor: Box<dyn Coprocessor>,
     scratch_csrs: std::collections::BTreeMap<u16, u64>,
-    decoded: DecodedPages,
 }
 
 /// RoCC busy-watchdog bound in cycles: if an accelerator response claims
@@ -300,7 +216,6 @@ impl Cpu {
             trap_log: Vec::new(),
             coprocessor: Box::new(NoCoprocessor),
             scratch_csrs: std::collections::BTreeMap::new(),
-            decoded: DecodedPages::new(),
         }
     }
 
@@ -387,7 +302,7 @@ impl Cpu {
         if !pc.is_multiple_of(4) {
             return Err(CpuError::MisalignedPc(pc));
         }
-        let Decoded { instr, facts } = self.fetch(pc)?;
+        let Decoded { instr, facts } = self.memory.fetch(pc)?;
         let mut next_pc = pc.wrapping_add(4);
         let mut mem_access = None;
         let mut rocc = None;
@@ -547,53 +462,6 @@ impl Cpu {
             mem_access,
             rocc,
         }))
-    }
-
-    /// The decoded instruction at the aligned `pc`, from the current
-    /// decoded page once [`Cpu::decode_slot`] has filled its slot (the
-    /// second pass always hits).
-    #[inline]
-    fn fetch(&mut self, pc: u64) -> Result<Decoded, CpuError> {
-        loop {
-            let decoded = &self.decoded;
-            if decoded.page == pc >> PAGE_SHIFT && decoded.epoch == self.memory.code_epoch() {
-                if let Some(hit) = decoded.current[(pc as usize >> 2) % SLOTS_PER_PAGE] {
-                    return Ok(hit);
-                }
-            }
-            self.decode_slot(pc)?;
-        }
-    }
-
-    /// Makes `pc`'s page the current decoded page and fills `pc`'s slot:
-    /// adopts the memory's code epoch, then selects a parked page or
-    /// fetches and decodes. A page gets slots only once an instruction on
-    /// it has been fetched and decoded, so fetches that fault allocate
-    /// nothing.
-    ///
-    /// Out of line: inlined, the new page's slot array is built in
-    /// `step`'s stack frame, which every step then probes page by page.
-    #[inline(never)]
-    fn decode_slot(&mut self, pc: u64) -> Result<(), CpuError> {
-        let decoded = &mut self.decoded;
-        if decoded.epoch != self.memory.code_epoch() {
-            decoded.flush(self.memory.code_epoch());
-        }
-        let page = pc >> PAGE_SHIFT;
-        let at = (pc as usize >> 2) % SLOTS_PER_PAGE;
-        let on_current = decoded.page == page || decoded.select_parked(page);
-        if on_current && decoded.current[at].is_some() {
-            return Ok(());
-        }
-        let instr = Instr::decode(self.memory.fetch_u32(pc)?).map_err(CpuError::Decode)?;
-        if !on_current {
-            decoded.install_empty(page);
-        }
-        decoded.current[at] = Some(Decoded {
-            instr,
-            facts: instr.operand_facts(),
-        });
-        Ok(())
     }
 
     fn read_csr(&self, number: u16) -> Result<u64, CpuError> {
@@ -1158,7 +1026,7 @@ mod tests {
         let mut cpu = Cpu::new();
         exit_with(&mut cpu, 1);
         // The clone is taken, then patched, before the page is ever
-        // fetched: its own writes cannot move any epoch the core knows.
+        // fetched; the slots the run decodes belong to the original alone.
         let mut clone = cpu.memory.clone();
         clone.write_u32(0x1000, addi(Reg::A0, Reg::ZERO, 2).encode().unwrap()).unwrap();
         assert_eq!(cpu.run(100).unwrap(), 1);
@@ -1187,9 +1055,8 @@ mod tests {
         load(&mut cpu, 0x2000, &callee);
         load(&mut cpu, 0x1000, &main);
         cpu.set_reg(Reg::T0, 0x3000);
-        let epoch = cpu.memory.code_epoch();
         assert_eq!(cpu.run(100).unwrap(), 15);
-        assert_eq!(cpu.memory.code_epoch(), epoch);
+        assert_eq!(cpu.memory.decoded_pages(), [0x1, 0x2]);
         assert_eq!(cpu.memory.mapped_pages(), 3);
     }
 
@@ -1209,8 +1076,7 @@ mod tests {
             assert!(matches!(cpu.step(), Ok(Event::Retired(_))));
         }
         assert_eq!(cpu.memory.mapped_pages(), 1);
-        let decoded_pages = 1 + cpu.decoded.parked.len();
-        assert_eq!(decoded_pages, 1, "only the mapped code page is decoded");
+        assert_eq!(cpu.memory.decoded_pages(), [0x1], "only the mapped code page is decoded");
         assert_eq!(cpu.run(100).unwrap(), 0);
     }
 

@@ -1,40 +1,36 @@
-//! Sparse, page-granular physical memory.
+//! Sparse, page-granular physical memory and the instructions decoded
+//! from it.
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+
+use riscv_isa::instr::{Instr, OperandFacts};
 
 use crate::CpuError;
 
-pub(crate) const PAGE_SHIFT: u64 = 12;
+const PAGE_SHIFT: u64 = 12;
 const PAGE_SIZE: u64 = 1 << PAGE_SHIFT;
 
-/// Source of code epochs. Every value is handed out once per process, so
-/// an epoch names one state of the code pages of one [`Memory`] instance:
-/// a fresh memory or a clone never shares the epoch of another.
-static NEXT_CODE_EPOCH: AtomicU64 = AtomicU64::new(1);
+/// Instruction slots in one 4 KiB page.
+const SLOTS_PER_PAGE: usize = 1 << (PAGE_SHIFT - 2);
 
-fn fresh_code_epoch() -> u64 {
-    // Relaxed: only uniqueness matters; the counter publishes no other data.
-    NEXT_CODE_EPOCH.fetch_add(1, Ordering::Relaxed)
+/// One decoded instruction with its operand facts.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Decoded {
+    pub(crate) instr: Instr,
+    pub(crate) facts: OperandFacts,
 }
+
+/// One page's decoded instructions, filled lazily slot by slot.
+type DecodedSlots = [Option<Decoded>; SLOTS_PER_PAGE];
 
 /// One mapped 4 KiB page.
 #[derive(Debug, Clone)]
 struct Page {
     bytes: Box<[u8; PAGE_SIZE as usize]>,
-    /// Fetched from since its last write, so a core may hold instructions
-    /// decoded from it.
-    code: bool,
-}
-
-impl Page {
-    fn zeroed() -> Page {
-        Page {
-            bytes: Box::new([0; PAGE_SIZE as usize]),
-            code: false,
-        }
-    }
+    /// Instructions decoded from `bytes` since its last write; allocated
+    /// by the first successful decode.
+    decoded: Option<Box<DecodedSlots>>,
 }
 
 /// Page index that no address maps to (indices have at most 52 bits).
@@ -50,12 +46,14 @@ const NO_PAGE: u64 = u64::MAX;
 /// instead of a map search. Pages are never unmapped, so a memoized page
 /// stays valid; a lookup that fails leaves the memo as it was.
 ///
-/// A page becomes a *code page* when the core fetches an instruction from
-/// it. Any write that touches a code page — a guest store, an accelerator
-/// write through the RoCC memory port, a harness write — moves the memory
-/// to a new code epoch. Cores keep their decoded instructions only while
-/// the epoch they were decoded under is current. Epochs are unique across instances and clones, so replacing
-/// a core's memory wholesale invalidates them too.
+/// Each page also holds the instructions decoded from it, one slot per
+/// word, filled when the core first fetches that word. Any write to a
+/// page — a guest store, an accelerator write through the RoCC memory
+/// port, a harness write — drops that page's decoded slots and no other
+/// page's, so patched code always executes as written. Fetches keep a
+/// memo of their own, so they and data accesses do not evict each other.
+/// A clone carries its decoded slots with its bytes, and replacing a
+/// core's memory wholesale replaces them together.
 ///
 /// # Example
 ///
@@ -67,7 +65,7 @@ const NO_PAGE: u64 = u64::MAX;
 /// assert_eq!(mem.read_u64(0x8000_0000).unwrap(), 0xDEAD_BEEF_0BAD_F00D);
 /// assert_eq!(mem.read_u32(0x8000_0004).unwrap(), 0xDEAD_BEEF);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Memory {
     /// The mapped pages, in the order they were mapped.
     pages: Vec<Page>,
@@ -75,7 +73,11 @@ pub struct Memory {
     index: BTreeMap<u64, usize>,
     /// The last page index looked up successfully and its position.
     memo: Cell<(u64, usize)>,
-    code_epoch: u64,
+    /// The index and position of the page the last fetch came from.
+    fetch_at: (u64, usize),
+    /// That page's decoded slots, taken out of it until a fetch from
+    /// another page puts them back.
+    fetch_slots: Option<Box<DecodedSlots>>,
 }
 
 impl Default for Memory {
@@ -84,19 +86,8 @@ impl Default for Memory {
             pages: Vec::new(),
             index: BTreeMap::new(),
             memo: Cell::new((NO_PAGE, 0)),
-            code_epoch: fresh_code_epoch(),
-        }
-    }
-}
-
-impl Clone for Memory {
-    /// Copies the contents; the clone starts a code epoch and a memo of its
-    /// own.
-    fn clone(&self) -> Self {
-        Memory {
-            pages: self.pages.clone(),
-            index: self.index.clone(),
-            ..Memory::default()
+            fetch_at: (NO_PAGE, 0),
+            fetch_slots: None,
         }
     }
 }
@@ -112,11 +103,6 @@ impl Memory {
     #[must_use]
     pub fn mapped_pages(&self) -> usize {
         self.pages.len()
-    }
-
-    /// The current code epoch (see the type-level documentation).
-    pub(crate) fn code_epoch(&self) -> u64 {
-        self.code_epoch
     }
 
     /// The position in `pages` of the page with index `index`, if mapped.
@@ -143,7 +129,10 @@ impl Memory {
     /// Maps a zeroed page with index `index`; returns its position.
     #[cold]
     fn map(&mut self, index: u64) -> usize {
-        self.pages.push(Page::zeroed());
+        self.pages.push(Page {
+            bytes: Box::new([0; PAGE_SIZE as usize]),
+            decoded: None,
+        });
         self.index.insert(index, self.pages.len() - 1);
         self.pages.len() - 1
     }
@@ -154,38 +143,95 @@ impl Memory {
         self.find(index).map(|at| &self.pages[at])
     }
 
-    /// Fetches the instruction word at the 4-byte-aligned `pc` and marks
-    /// its page as a code page. Maps nothing.
+    /// The decoded instruction at the 4-byte-aligned `pc`: a slot read
+    /// while `pc` stays on the page of the last fetch and its slot is
+    /// filled, else a second read once [`Memory::decode`] has filled it.
+    /// Every hit is read from a slot, so the hit path copies no
+    /// instruction through the stack.
     ///
     /// # Errors
     ///
-    /// Returns [`CpuError::FetchFault`] if the page is unmapped.
-    pub(crate) fn fetch_u32(&mut self, pc: u64) -> Result<u32, CpuError> {
+    /// Returns [`CpuError::FetchFault`] if the page is unmapped and
+    /// [`CpuError::Decode`] if the word is not an instruction.
+    #[inline]
+    pub(crate) fn fetch(&mut self, pc: u64) -> Result<Decoded, CpuError> {
         debug_assert!(pc.is_multiple_of(4), "fetch from misaligned pc {pc:#x}");
-        let at = self
-            .find(pc >> PAGE_SHIFT)
-            .ok_or(CpuError::FetchFault(pc))?;
-        let page = &mut self.pages[at];
-        page.code = true;
-        let offset = (pc & (PAGE_SIZE - 1)) as usize;
-        let mut word = [0; 4];
-        word.copy_from_slice(&page.bytes[offset..offset + 4]);
-        Ok(u32::from_le_bytes(word))
+        loop {
+            if self.fetch_at.0 == pc >> PAGE_SHIFT {
+                if let Some(slots) = &self.fetch_slots {
+                    if let Some(hit) = slots[(pc as usize >> 2) % SLOTS_PER_PAGE] {
+                        return Ok(hit);
+                    }
+                }
+            }
+            self.decode(pc)?;
+        }
     }
 
-    /// The page with index `index`, mapping it on demand. A write through
-    /// the returned bytes ends the page's code status and the code epoch.
+    /// [`Memory::fetch`] past the slot read: makes `pc`'s page the fetch
+    /// page, putting the previous one's slots back into it, then decodes
+    /// into `pc`'s slot if it is empty. Maps nothing, and allocates a
+    /// page's slots only once an instruction on it has decoded, so fetches
+    /// that fault allocate nothing. It does not touch the data memo.
+    ///
+    /// Out of line: inlined, the new slot array is built in `step`'s stack
+    /// frame, which every step then probes page by page.
+    #[cold]
+    #[inline(never)]
+    fn decode(&mut self, pc: u64) -> Result<(), CpuError> {
+        let index = pc >> PAGE_SHIFT;
+        if self.fetch_at.0 != index {
+            let at = *self.index.get(&index).ok_or(CpuError::FetchFault(pc))?;
+            if let Some(slots) = self.fetch_slots.take() {
+                self.pages[self.fetch_at.1].decoded = Some(slots);
+            }
+            self.fetch_slots = self.pages[at].decoded.take();
+            self.fetch_at = (index, at);
+        }
+        let slot = (pc as usize >> 2) % SLOTS_PER_PAGE;
+        if self
+            .fetch_slots
+            .as_ref()
+            .is_some_and(|slots| slots[slot].is_some())
+        {
+            return Ok(());
+        }
+        let offset = (pc & (PAGE_SIZE - 1)) as usize;
+        let mut word = [0; 4];
+        word.copy_from_slice(&self.pages[self.fetch_at.1].bytes[offset..offset + 4]);
+        let instr = Instr::decode(u32::from_le_bytes(word)).map_err(CpuError::Decode)?;
+        self.fetch_slots
+            .get_or_insert_with(|| Box::new([None; SLOTS_PER_PAGE]))[slot] = Some(Decoded {
+            instr,
+            facts: instr.operand_facts(),
+        });
+        Ok(())
+    }
+
+    /// The page with index `index`, mapping it on demand. Drops the
+    /// page's decoded slots, since the caller writes through the bytes.
+    #[inline]
     fn page_for_write(&mut self, index: u64) -> &mut [u8; PAGE_SIZE as usize] {
         let at = match self.find(index) {
             Some(at) => at,
             None => self.map(index),
         };
-        let page = &mut self.pages[at];
-        if page.code {
-            page.code = false;
-            self.code_epoch = fresh_code_epoch();
+        if index == self.fetch_at.0 || self.pages[at].decoded.is_some() {
+            self.drop_decoded(index, at);
         }
-        &mut page.bytes
+        &mut self.pages[at].bytes
+    }
+
+    /// Drops the decoded slots of page `index` at position `at`, whether
+    /// they are in the page or held as the fetch page's. Out of line, so
+    /// that stores to data pages stay small enough to inline.
+    #[cold]
+    #[inline(never)]
+    fn drop_decoded(&mut self, index: u64, at: usize) {
+        if index == self.fetch_at.0 {
+            self.fetch_slots = None;
+        }
+        self.pages[at].decoded = None;
     }
 
     /// Fills `out` from the bytes starting at `addr`, one page lookup per
@@ -377,8 +423,25 @@ impl Memory {
 }
 
 #[cfg(test)]
+impl Memory {
+    /// Indices of the pages holding decoded slots, ascending.
+    pub(crate) fn decoded_pages(&self) -> Vec<u64> {
+        self.index
+            .iter()
+            .filter(|&(&index, &at)| {
+                self.pages[at].decoded.is_some()
+                    || (index == self.fetch_at.0 && self.fetch_slots.is_some())
+            })
+            .map(|(&index, _)| index)
+            .collect()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use riscv_isa::instr::OpImmOp;
+    use riscv_isa::Reg;
 
     #[test]
     fn rw_all_widths() {
@@ -476,51 +539,85 @@ mod tests {
         assert_eq!(m.read_bytes(0x9000, 0), Ok(Vec::new()));
     }
 
+    /// The instruction [`Memory::fetch`] decodes at `pc`.
+    fn fetched(m: &mut Memory, pc: u64) -> Result<Instr, CpuError> {
+        m.fetch(pc).map(|decoded| decoded.instr)
+    }
+
+    /// `addi a0, a0, imm`.
+    fn bump_a0(imm: i32) -> Instr {
+        Instr::OpImm {
+            op: OpImmOp::Addi,
+            rd: Reg::A0,
+            rs1: Reg::A0,
+            imm,
+        }
+    }
+
+    fn word(instr: Instr) -> u32 {
+        instr.encode().unwrap()
+    }
+
     #[test]
     fn fetch_miss_reports_a_fetch_fault() {
         let mut m = Memory::new();
-        assert_eq!(m.fetch_u32(0x1000), Err(CpuError::FetchFault(0x1000)));
-        m.write_u32(0x1004, 0x0000_0013).unwrap();
-        assert_eq!(m.fetch_u32(0x1004), Ok(0x0000_0013));
-        assert_eq!(m.fetch_u32(0x2000), Err(CpuError::FetchFault(0x2000)));
+        assert_eq!(fetched(&mut m, 0x1000), Err(CpuError::FetchFault(0x1000)));
+        m.write_u32(0x1004, word(Instr::NOP)).unwrap();
+        assert_eq!(fetched(&mut m, 0x1004), Ok(Instr::NOP));
+        assert_eq!(fetched(&mut m, 0x2000), Err(CpuError::FetchFault(0x2000)));
+        assert_eq!(m.decoded_pages(), [0x1]);
     }
 
     #[test]
     fn fetching_maps_nothing_and_leaves_the_contents_unchanged() {
         let mut m = Memory::new();
-        m.write_u32(0x3000, 0x0000_0013).unwrap();
+        m.write_u32(0x3000, word(Instr::NOP)).unwrap();
+        m.write_u32(0x1004, word(Instr::NOP)).unwrap();
         m.write_u64(0x1008, 0x1122_3344_5566_7788).unwrap();
         let contents = |m: &Memory| {
             [0x1000, 0x3000].map(|base| m.read_bytes(base, PAGE_SIZE as usize).unwrap())
         };
         let before = contents(&m);
-        m.fetch_u32(0x3000).unwrap();
-        m.fetch_u32(0x1004).unwrap();
-        let _ = m.fetch_u32(0x2000);
+        fetched(&mut m, 0x3000).unwrap();
+        fetched(&mut m, 0x1004).unwrap();
+        let _ = fetched(&mut m, 0x2000);
         assert_eq!(m.mapped_pages(), 2);
         assert_eq!(contents(&m), before);
         assert_eq!(m.read_u8(0x2000), Err(CpuError::UnmappedAddress(0x2000)));
     }
 
     #[test]
-    fn writes_to_fetched_pages_start_a_new_code_epoch() {
+    fn a_write_drops_only_the_written_pages_decoded_slots() {
         let mut m = Memory::new();
-        m.write_u32(0x1000, 0x0000_0013).unwrap();
+        m.write_u32(0x1000, word(bump_a0(1))).unwrap();
+        m.write_u32(0x2000, word(bump_a0(2))).unwrap();
         m.write_u64(0x5000, 7).unwrap();
-        let epoch = m.code_epoch();
-        m.fetch_u32(0x1000).unwrap();
-        assert_eq!(m.code_epoch(), epoch, "fetching alone keeps the epoch");
+        assert_eq!(fetched(&mut m, 0x1000), Ok(bump_a0(1)));
+        assert_eq!(fetched(&mut m, 0x2000), Ok(bump_a0(2)));
+        assert_eq!(m.decoded_pages(), [0x1, 0x2]);
         m.write_u64(0x5000, 8).unwrap();
-        assert_eq!(m.code_epoch(), epoch, "data pages never move the epoch");
-        m.write_u8(0x1FFF, 1).unwrap();
-        let patched = m.code_epoch();
-        assert_ne!(patched, epoch, "any byte of a fetched page moves the epoch");
-        m.write_u8(0x1FFE, 1).unwrap();
-        assert_eq!(m.code_epoch(), patched, "until it is fetched from again");
-        m.fetch_u32(0x1000).unwrap();
-        // A write straddling into the fetched page counts as well.
-        m.write_u64(0xFFC, 0).unwrap();
-        assert_ne!(m.code_epoch(), patched);
+        assert_eq!(
+            m.decoded_pages(),
+            [0x1, 0x2],
+            "a data-page write drops nothing"
+        );
+        // The top byte of `addi`'s word holds imm[11:4]: 1 becomes 17.
+        m.write_u8(0x1003, 0x01).unwrap();
+        assert_eq!(m.decoded_pages(), [0x2], "only the written page's slots go");
+        assert_eq!(fetched(&mut m, 0x1000), Ok(bump_a0(17)));
+        // A write to the page fetched from last drops its slots as well.
+        m.write_u32(0x1000, word(bump_a0(5))).unwrap();
+        assert_eq!(m.decoded_pages(), [0x2]);
+        assert_eq!(fetched(&mut m, 0x1000), Ok(bump_a0(5)));
+        // A clone carries the decoded slots; each then patches on its own.
+        let mut c = m.clone();
+        assert_eq!(c.decoded_pages(), [0x1, 0x2]);
+        c.write_u32(0x2000, word(bump_a0(9))).unwrap();
+        assert_eq!(fetched(&mut c, 0x2000), Ok(bump_a0(9)));
+        assert_eq!(fetched(&mut m, 0x2000), Ok(bump_a0(2)));
+        // A write straddling two pages drops both.
+        m.write_u64(0x1FFC, 0).unwrap();
+        assert_eq!(m.decoded_pages(), []);
     }
 
     #[test]
@@ -533,9 +630,9 @@ mod tests {
         assert_eq!(m.read_u64(0x5008), Ok(2));
         assert_eq!(m.read_u64(0x1000), Ok(1));
         // The same through the fetch path.
-        assert_eq!(m.fetch_u32(0x7000), Err(CpuError::FetchFault(0x7000)));
-        m.write_u32(0x7000, 0x13).unwrap();
-        assert_eq!(m.fetch_u32(0x7000), Ok(0x13));
+        assert_eq!(fetched(&mut m, 0x7000), Err(CpuError::FetchFault(0x7000)));
+        m.write_u32(0x7000, word(Instr::NOP)).unwrap();
+        assert_eq!(fetched(&mut m, 0x7000), Ok(Instr::NOP));
     }
 
     #[test]
@@ -556,29 +653,5 @@ mod tests {
         assert_eq!(m.read_u64(0x3000), Err(CpuError::UnmappedAddress(0x3000)));
         assert_eq!(c.read_u64(0x4000), Err(CpuError::UnmappedAddress(0x4000)));
         assert_eq!((m.read_u64(0x4000), c.read_u64(0x3000)), (Ok(4), Ok(3)));
-    }
-
-    #[test]
-    fn a_store_through_the_memo_to_a_code_page_moves_the_epoch() {
-        let mut m = Memory::new();
-        m.write_u32(0x1000, 0x13).unwrap();
-        m.fetch_u32(0x1000).unwrap();
-        // The fetch memoized the page; the store below finds it there.
-        let epoch = m.code_epoch();
-        assert_eq!(m.read_u32(0x1000), Ok(0x13));
-        assert_eq!(m.code_epoch(), epoch, "reads keep the epoch");
-        m.write_u32(0x1004, 0x13).unwrap();
-        assert_ne!(m.code_epoch(), epoch);
-    }
-
-    #[test]
-    fn code_epochs_are_unique_across_instances_and_clones() {
-        let mut m = Memory::new();
-        m.write_u32(0x1000, 0x0000_0013).unwrap();
-        let other = Memory::new();
-        assert_ne!(m.code_epoch(), other.code_epoch());
-        let copy = m.clone();
-        assert_ne!(m.code_epoch(), copy.code_epoch());
-        assert_eq!(copy.read_u32(0x1000), m.read_u32(0x1000));
     }
 }

@@ -388,8 +388,8 @@ proptest! {
         let at = eligible[(pick % eligible.len() as u64) as usize];
 
         let pair = Pair::ALL[pair_index];
-        let mut a = pair.a.build(true);
-        let mut b = pair.b.build(true);
+        let mut a = pair.a.build();
+        let mut b = pair.b.build();
         load_program(a.cpu_mut(), &program);
         load_program(b.cpu_mut(), &program);
         let options = LockstepOptions::default();

@@ -45,7 +45,7 @@ const TWO_TRAP_GUEST: &str = "
 fn trap_delivery_is_lockstep_identical_across_all_simulator_pairs() {
     let program = assemble(TWO_TRAP_GUEST).unwrap();
     for pair in Pair::ALL {
-        let outcome = run_program_pair(&program, pair, false, &LockstepOptions::default());
+        let outcome = run_program_pair(&program, pair, &LockstepOptions::default());
         match outcome {
             LockstepOutcome::Agreement {
                 termination: Termination::Exited(7),
@@ -89,7 +89,7 @@ fn rocc_timeout_trap_is_delivered_identically_on_all_three_sims() {
     let program = wedged_trap_guest();
     let custom0_pc = program.symbol("wedge").unwrap();
     for kind in SimKind::ALL {
-        let mut sim = kind.build(false);
+        let mut sim = kind.build();
         sim.cpu_mut()
             .attach_coprocessor(Box::new(StuckFsmAccelerator::new(0)));
         load_program(sim.cpu_mut(), &program);

@@ -161,7 +161,7 @@ fn agree_on_every_simulator(scenario: impl Fn(&mut dyn Simulator) -> i64) -> i64
     let mut results: Vec<(SimKind, i64, Vec<RetirementRecord>)> = Vec::new();
     for kind in SimKind::ALL {
         let mut recorder = Recorder {
-            sim: kind.build(false),
+            sim: kind.build(),
             stream: Vec::new(),
         };
         let code = scenario(&mut recorder);
