@@ -8,6 +8,7 @@
 //! of the fuzzer seed and program index.
 
 use riscv_asm::assemble;
+use riscv_isa::instr::OpOp;
 
 use crate::compare::{Divergence, LockstepOptions, LockstepOutcome};
 use crate::guest::{run_program_pair, Pair};
@@ -191,10 +192,7 @@ fn item_lines(rng: &mut SplitMix64, index: usize, total: usize) -> Vec<String> {
     };
     match rng.below(100) {
         0..=19 => {
-            let op = rng.pick(&[
-                "add", "sub", "sll", "slt", "sltu", "xor", "srl", "sra", "or", "and", "mul",
-                "mulh", "mulhsu", "mulhu", "div", "divu", "rem", "remu",
-            ]);
+            let op = rng.pick(&OpOp::TABLE).1;
             vec![format!("{op} {}, {}, {}", writable(rng), readable(rng), readable(rng))]
         }
         20..=34 => {

@@ -1068,116 +1068,6 @@ fn csr_number(ctx: &Ctx, i: usize) -> Result<u16, String> {
     }
 }
 
-fn op_for(mnemonic: &str) -> Option<OpOp> {
-    Some(match mnemonic {
-        "add" => OpOp::Add,
-        "sub" => OpOp::Sub,
-        "sll" => OpOp::Sll,
-        "slt" => OpOp::Slt,
-        "sltu" => OpOp::Sltu,
-        "xor" => OpOp::Xor,
-        "srl" => OpOp::Srl,
-        "sra" => OpOp::Sra,
-        "or" => OpOp::Or,
-        "and" => OpOp::And,
-        "mul" => OpOp::Mul,
-        "mulh" => OpOp::Mulh,
-        "mulhsu" => OpOp::Mulhsu,
-        "mulhu" => OpOp::Mulhu,
-        "div" => OpOp::Div,
-        "divu" => OpOp::Divu,
-        "rem" => OpOp::Rem,
-        "remu" => OpOp::Remu,
-        _ => return None,
-    })
-}
-
-fn op32_for(mnemonic: &str) -> Option<Op32Op> {
-    Some(match mnemonic {
-        "addw" => Op32Op::Addw,
-        "subw" => Op32Op::Subw,
-        "sllw" => Op32Op::Sllw,
-        "srlw" => Op32Op::Srlw,
-        "sraw" => Op32Op::Sraw,
-        "mulw" => Op32Op::Mulw,
-        "divw" => Op32Op::Divw,
-        "divuw" => Op32Op::Divuw,
-        "remw" => Op32Op::Remw,
-        "remuw" => Op32Op::Remuw,
-        _ => return None,
-    })
-}
-
-fn opimm_for(mnemonic: &str) -> Option<OpImmOp> {
-    Some(match mnemonic {
-        "addi" => OpImmOp::Addi,
-        "slti" => OpImmOp::Slti,
-        "sltiu" => OpImmOp::Sltiu,
-        "xori" => OpImmOp::Xori,
-        "ori" => OpImmOp::Ori,
-        "andi" => OpImmOp::Andi,
-        "slli" => OpImmOp::Slli,
-        "srli" => OpImmOp::Srli,
-        "srai" => OpImmOp::Srai,
-        _ => return None,
-    })
-}
-
-fn opimm32_for(mnemonic: &str) -> Option<OpImm32Op> {
-    Some(match mnemonic {
-        "addiw" => OpImm32Op::Addiw,
-        "slliw" => OpImm32Op::Slliw,
-        "srliw" => OpImm32Op::Srliw,
-        "sraiw" => OpImm32Op::Sraiw,
-        _ => return None,
-    })
-}
-
-fn load_for(mnemonic: &str) -> Option<LoadOp> {
-    Some(match mnemonic {
-        "lb" => LoadOp::Lb,
-        "lh" => LoadOp::Lh,
-        "lw" => LoadOp::Lw,
-        "ld" => LoadOp::Ld,
-        "lbu" => LoadOp::Lbu,
-        "lhu" => LoadOp::Lhu,
-        "lwu" => LoadOp::Lwu,
-        _ => return None,
-    })
-}
-
-fn store_for(mnemonic: &str) -> Option<StoreOp> {
-    Some(match mnemonic {
-        "sb" => StoreOp::Sb,
-        "sh" => StoreOp::Sh,
-        "sw" => StoreOp::Sw,
-        "sd" => StoreOp::Sd,
-        _ => return None,
-    })
-}
-
-fn branch_for(mnemonic: &str) -> Option<BranchOp> {
-    Some(match mnemonic {
-        "beq" => BranchOp::Beq,
-        "bne" => BranchOp::Bne,
-        "blt" => BranchOp::Blt,
-        "bge" => BranchOp::Bge,
-        "bltu" => BranchOp::Bltu,
-        "bgeu" => BranchOp::Bgeu,
-        _ => return None,
-    })
-}
-
-fn custom_for(mnemonic: &str) -> Option<CustomOpcode> {
-    Some(match mnemonic {
-        "custom0" => CustomOpcode::Custom0,
-        "custom1" => CustomOpcode::Custom1,
-        "custom2" => CustomOpcode::Custom2,
-        "custom3" => CustomOpcode::Custom3,
-        _ => return None,
-    })
-}
-
 fn expand(
     instr: &PendingInstr,
     addr: u64,
@@ -1190,7 +1080,7 @@ fn expand(
     };
     let m = instr.mnemonic.as_str();
 
-    if let Some(op) = op_for(m) {
+    if let Some(&(op, ..)) = OpOp::TABLE.iter().find(|row| row.1 == m) {
         ctx.expect_len(3)?;
         return Ok(vec![Instr::Op {
             op,
@@ -1199,7 +1089,7 @@ fn expand(
             rs2: ctx.reg(2)?,
         }]);
     }
-    if let Some(op) = op32_for(m) {
+    if let Some(&(op, ..)) = Op32Op::TABLE.iter().find(|row| row.1 == m) {
         ctx.expect_len(3)?;
         return Ok(vec![Instr::Op32 {
             op,
@@ -1208,7 +1098,7 @@ fn expand(
             rs2: ctx.reg(2)?,
         }]);
     }
-    if let Some(op) = opimm_for(m) {
+    if let Some(&(op, ..)) = OpImmOp::TABLE.iter().find(|row| row.1 == m) {
         ctx.expect_len(3)?;
         return Ok(vec![Instr::OpImm {
             op,
@@ -1217,7 +1107,7 @@ fn expand(
             imm: ctx.imm32(2)?,
         }]);
     }
-    if let Some(op) = opimm32_for(m) {
+    if let Some(&(op, ..)) = OpImm32Op::TABLE.iter().find(|row| row.1 == m) {
         ctx.expect_len(3)?;
         return Ok(vec![Instr::OpImm32 {
             op,
@@ -1226,7 +1116,7 @@ fn expand(
             imm: ctx.imm32(2)?,
         }]);
     }
-    if let Some(op) = load_for(m) {
+    if let Some(&(op, ..)) = LoadOp::TABLE.iter().find(|row| row.1 == m) {
         ctx.expect_len(2)?;
         let (offset, base) = ctx.mem(1)?;
         return Ok(vec![Instr::Load {
@@ -1236,7 +1126,7 @@ fn expand(
             offset: i32::try_from(offset).map_err(|_| "load offset out of range".to_string())?,
         }]);
     }
-    if let Some(op) = store_for(m) {
+    if let Some(&(op, ..)) = StoreOp::TABLE.iter().find(|row| row.1 == m) {
         ctx.expect_len(2)?;
         let (offset, base) = ctx.mem(1)?;
         return Ok(vec![Instr::Store {
@@ -1246,7 +1136,7 @@ fn expand(
             offset: i32::try_from(offset).map_err(|_| "store offset out of range".to_string())?,
         }]);
     }
-    if let Some(op) = branch_for(m) {
+    if let Some(&(op, ..)) = BranchOp::TABLE.iter().find(|row| row.1 == m) {
         ctx.expect_len(3)?;
         return Ok(vec![Instr::Branch {
             op,
@@ -1255,7 +1145,30 @@ fn expand(
             offset: ctx.target(2)?,
         }]);
     }
-    if let Some(opcode) = custom_for(m) {
+    let csr_op = CsrOp::TABLE.iter().find_map(|&(op, names, _)| {
+        let form = names.iter().position(|&name| name == m)?;
+        Some((op, form == 1))
+    });
+    if let Some((op, imm_form)) = csr_op {
+        ctx.expect_len(3)?;
+        return Ok(vec![if imm_form {
+            let imm = ctx.imm(2)?;
+            Instr::CsrImm {
+                op,
+                rd: ctx.reg(0)?,
+                csr: csr_number(&ctx, 1)?,
+                imm: u8::try_from(imm).map_err(|_| "csr immediate out of range".to_string())?,
+            }
+        } else {
+            Instr::Csr {
+                op,
+                rd: ctx.reg(0)?,
+                csr: csr_number(&ctx, 1)?,
+                rs1: ctx.reg(2)?,
+            }
+        }]);
+    }
+    if let Some(&(opcode, ..)) = CustomOpcode::TABLE.iter().find(|row| row.1 == m) {
         ctx.expect_len(7)?;
         return Ok(vec![Instr::Custom(RoccInstruction {
             opcode,
@@ -1296,20 +1209,13 @@ fn expand(
             n => return Err(format!("jal expects 1 or 2 operands, got {n}")),
         },
         "jalr" => match instr.operands.len() {
-            1 => {
-                let (offset, base) = ctx.mem(0)?;
+            n @ (1 | 2) => {
+                let (offset, base) = ctx.mem(n - 1)?;
                 vec![Instr::Jalr {
-                    rd: Reg::RA,
+                    rd: if n == 1 { Reg::RA } else { ctx.reg(0)? },
                     rs1: base,
-                    offset: offset as i32,
-                }]
-            }
-            2 => {
-                let (offset, base) = ctx.mem(1)?;
-                vec![Instr::Jalr {
-                    rd: ctx.reg(0)?,
-                    rs1: base,
-                    offset: offset as i32,
+                    offset: i32::try_from(offset)
+                        .map_err(|_| "jalr offset out of range".to_string())?,
                 }]
             }
             3 => vec![Instr::Jalr {
@@ -1499,35 +1405,6 @@ fn expand(
             };
             vec![Instr::Branch { op, rs1, rs2, offset }]
         }
-        "csrrw" | "csrrs" | "csrrc" => {
-            ctx.expect_len(3)?;
-            let op = match m {
-                "csrrw" => CsrOp::Csrrw,
-                "csrrs" => CsrOp::Csrrs,
-                _ => CsrOp::Csrrc,
-            };
-            vec![Instr::Csr {
-                op,
-                rd: ctx.reg(0)?,
-                csr: csr_number(&ctx, 1)?,
-                rs1: ctx.reg(2)?,
-            }]
-        }
-        "csrrwi" | "csrrsi" | "csrrci" => {
-            ctx.expect_len(3)?;
-            let op = match m {
-                "csrrwi" => CsrOp::Csrrw,
-                "csrrsi" => CsrOp::Csrrs,
-                _ => CsrOp::Csrrc,
-            };
-            let imm = ctx.imm(2)?;
-            vec![Instr::CsrImm {
-                op,
-                rd: ctx.reg(0)?,
-                csr: csr_number(&ctx, 1)?,
-                imm: u8::try_from(imm).map_err(|_| "csr immediate out of range".to_string())?,
-            }]
-        }
         "rdcycle" => {
             ctx.expect_len(1)?;
             vec![Instr::Csr {
@@ -1670,6 +1547,41 @@ mod tests {
         );
         let err = assemble("csrrw zero, mfoo, t0").unwrap_err();
         assert!(err.message.contains("unknown csr name \"mfoo\""), "{err}");
+    }
+
+    /// Asserts that the one-line `source` fails to assemble with `message`.
+    fn assert_rejected(source: &str, message: &str) {
+        let err = assemble(source).expect_err(source);
+        assert_eq!((err.line, err.message.as_str()), (1, message), "{source}");
+    }
+
+    #[test]
+    fn jalr_memory_offsets_beyond_32_bits_are_rejected() {
+        assert_rejected("jalr ra, 4294967296(t0)", "jalr offset out of range");
+        assert_rejected("jalr 4294967300(t0)", "jalr offset out of range");
+        assert_rejected("jalr ra, 2048(t0)", "jalr immediate 2048 out of range");
+    }
+
+    #[test]
+    fn auipc_immediates_beyond_20_bits_are_rejected() {
+        assert_rejected("auipc a0, 0x100000", "auipc immediate 1048576 out of range");
+        assert_rejected("lui a0, 0x100000", "lui immediate 1048576 out of range");
+        assert!(assemble("auipc a0, 0xfffff").is_ok());
+    }
+
+    #[test]
+    fn csr_numbers_beyond_12_bits_are_rejected() {
+        assert_rejected("csrrw zero, 0x1305, t0", "csr number immediate 4869 out of range");
+        assert_rejected("csrrwi zero, 0x1305, 1", "csr number immediate 4869 out of range");
+    }
+
+    #[test]
+    fn custom_funct7_beyond_7_bits_is_rejected() {
+        let source = "custom0 200, a0, a0, a0, 1, 1, 1";
+        let unit = parse(source).expect("encoding errors are reported by link");
+        assert!(link(&[&unit]).is_err());
+        assert_rejected(source, "funct7 immediate 200 out of range");
+        assert_rejected("custom0 256, a0, a0, a0, 1, 1, 1", "funct7 out of range");
     }
 
     #[test]

@@ -73,6 +73,17 @@ fn imm_j(word: u32) -> i32 {
     sext(imm, 21)
 }
 
+/// The op of the `(op, mnemonic, funct3)` row with funct3 `f3`.
+fn find_op<T: Copy>(table: &[(T, &'static str, u32)], f3: u32) -> Option<T> {
+    table.iter().find_map(|&(op, _, funct3)| (funct3 == f3).then_some(op))
+}
+
+/// The op of the `(op, mnemonic, funct3, funct7)` row with funct3 `f3` and
+/// funct7 `f7`.
+fn find_r_op<T: Copy>(table: &[(T, &'static str, u32, u32)], f3: u32, f7: u32) -> Option<T> {
+    table.iter().find_map(|&(op, _, funct3, funct7)| (funct3 == f3 && funct7 == f7).then_some(op))
+}
+
 impl Instr {
     /// Decodes a 32-bit instruction word.
     ///
@@ -82,7 +93,8 @@ impl Instr {
     /// implemented RV64IM + Zicsr + custom-opcode subset.
     pub fn decode(word: u32) -> Result<Instr, DecodeError> {
         let opcode = word & 0x7F;
-        let err = Err(DecodeError::Unrecognized(word));
+        let f3 = funct3(word);
+        let unrecognized = DecodeError::Unrecognized(word);
         Ok(match opcode {
             0b0110111 => Instr::Lui {
                 rd: rd(word),
@@ -97,8 +109,8 @@ impl Instr {
                 offset: imm_j(word),
             },
             0b1100111 => {
-                if funct3(word) != 0 {
-                    return err;
+                if f3 != 0 {
+                    return Err(unrecognized);
                 }
                 Instr::Jalr {
                     rd: rd(word),
@@ -106,223 +118,79 @@ impl Instr {
                     offset: imm_i(word),
                 }
             }
-            0b1100011 => {
-                let op = match funct3(word) {
-                    0b000 => BranchOp::Beq,
-                    0b001 => BranchOp::Bne,
-                    0b100 => BranchOp::Blt,
-                    0b101 => BranchOp::Bge,
-                    0b110 => BranchOp::Bltu,
-                    0b111 => BranchOp::Bgeu,
-                    _ => return err,
-                };
-                Instr::Branch {
-                    op,
-                    rs1: rs1(word),
-                    rs2: rs2(word),
-                    offset: imm_b(word),
-                }
-            }
-            0b0000011 => {
-                let op = match funct3(word) {
-                    0b000 => LoadOp::Lb,
-                    0b001 => LoadOp::Lh,
-                    0b010 => LoadOp::Lw,
-                    0b011 => LoadOp::Ld,
-                    0b100 => LoadOp::Lbu,
-                    0b101 => LoadOp::Lhu,
-                    0b110 => LoadOp::Lwu,
-                    _ => return err,
-                };
-                Instr::Load {
-                    op,
-                    rd: rd(word),
-                    rs1: rs1(word),
-                    offset: imm_i(word),
-                }
-            }
-            0b0100011 => {
-                let op = match funct3(word) {
-                    0b000 => StoreOp::Sb,
-                    0b001 => StoreOp::Sh,
-                    0b010 => StoreOp::Sw,
-                    0b011 => StoreOp::Sd,
-                    _ => return err,
-                };
-                Instr::Store {
-                    op,
-                    rs2: rs2(word),
-                    rs1: rs1(word),
-                    offset: imm_s(word),
-                }
-            }
-            0b0010011 => {
-                let f3 = funct3(word);
-                let op = match f3 {
-                    0b000 => OpImmOp::Addi,
-                    0b010 => OpImmOp::Slti,
-                    0b011 => OpImmOp::Sltiu,
-                    0b100 => OpImmOp::Xori,
-                    0b110 => OpImmOp::Ori,
-                    0b111 => OpImmOp::Andi,
-                    0b001 => {
-                        if word >> 26 != 0 {
-                            return err;
-                        }
-                        return Ok(Instr::OpImm {
-                            op: OpImmOp::Slli,
-                            rd: rd(word),
-                            rs1: rs1(word),
-                            imm: ((word >> 20) & 0x3F) as i32,
-                        });
-                    }
-                    0b101 => {
-                        let shtop = word >> 26;
-                        let op = match shtop {
-                            0b000000 => OpImmOp::Srli,
-                            0b010000 => OpImmOp::Srai,
-                            _ => return err,
-                        };
-                        return Ok(Instr::OpImm {
-                            op,
-                            rd: rd(word),
-                            rs1: rs1(word),
-                            imm: ((word >> 20) & 0x3F) as i32,
-                        });
-                    }
-                    _ => return err,
-                };
-                Instr::OpImm {
-                    op,
-                    rd: rd(word),
-                    rs1: rs1(word),
-                    imm: imm_i(word),
-                }
-            }
-            0b0011011 => match funct3(word) {
-                0b000 => Instr::OpImm32 {
-                    op: OpImm32Op::Addiw,
-                    rd: rd(word),
-                    rs1: rs1(word),
-                    imm: imm_i(word),
-                },
-                0b001 if funct7(word) == 0 => Instr::OpImm32 {
-                    op: OpImm32Op::Slliw,
-                    rd: rd(word),
-                    rs1: rs1(word),
-                    imm: ((word >> 20) & 0x1F) as i32,
-                },
-                0b101 => {
-                    let op = match funct7(word) {
-                        0b0000000 => OpImm32Op::Srliw,
-                        0b0100000 => OpImm32Op::Sraiw,
-                        _ => return err,
-                    };
-                    Instr::OpImm32 {
-                        op,
-                        rd: rd(word),
-                        rs1: rs1(word),
-                        imm: ((word >> 20) & 0x1F) as i32,
-                    }
-                }
-                _ => return err,
+            0b1100011 => Instr::Branch {
+                op: find_op(&BranchOp::TABLE, f3).ok_or(unrecognized)?,
+                rs1: rs1(word),
+                rs2: rs2(word),
+                offset: imm_b(word),
             },
-            0b0110011 => {
-                let op = match (funct7(word), funct3(word)) {
-                    (0b0000000, 0b000) => OpOp::Add,
-                    (0b0100000, 0b000) => OpOp::Sub,
-                    (0b0000000, 0b001) => OpOp::Sll,
-                    (0b0000000, 0b010) => OpOp::Slt,
-                    (0b0000000, 0b011) => OpOp::Sltu,
-                    (0b0000000, 0b100) => OpOp::Xor,
-                    (0b0000000, 0b101) => OpOp::Srl,
-                    (0b0100000, 0b101) => OpOp::Sra,
-                    (0b0000000, 0b110) => OpOp::Or,
-                    (0b0000000, 0b111) => OpOp::And,
-                    (0b0000001, 0b000) => OpOp::Mul,
-                    (0b0000001, 0b001) => OpOp::Mulh,
-                    (0b0000001, 0b010) => OpOp::Mulhsu,
-                    (0b0000001, 0b011) => OpOp::Mulhu,
-                    (0b0000001, 0b100) => OpOp::Div,
-                    (0b0000001, 0b101) => OpOp::Divu,
-                    (0b0000001, 0b110) => OpOp::Rem,
-                    (0b0000001, 0b111) => OpOp::Remu,
-                    _ => return err,
-                };
-                Instr::Op {
-                    op,
-                    rd: rd(word),
-                    rs1: rs1(word),
-                    rs2: rs2(word),
-                }
+            0b0000011 => Instr::Load {
+                op: find_op(&LoadOp::TABLE, f3).ok_or(unrecognized)?,
+                rd: rd(word),
+                rs1: rs1(word),
+                offset: imm_i(word),
+            },
+            0b0100011 => Instr::Store {
+                op: find_op(&StoreOp::TABLE, f3).ok_or(unrecognized)?,
+                rs2: rs2(word),
+                rs1: rs1(word),
+                offset: imm_s(word),
+            },
+            0b0010011 => {
+                let (op, shift) = OpImmOp::TABLE
+                    .iter()
+                    .find_map(|&(op, _, funct3, top)| {
+                        let hit = funct3 == f3 && top.is_none_or(|top| top == word >> 26);
+                        hit.then_some((op, top.is_some()))
+                    })
+                    .ok_or(unrecognized)?;
+                let imm = if shift { ((word >> 20) & 0x3F) as i32 } else { imm_i(word) };
+                Instr::OpImm { op, rd: rd(word), rs1: rs1(word), imm }
             }
-            0b0111011 => {
-                let op = match (funct7(word), funct3(word)) {
-                    (0b0000000, 0b000) => Op32Op::Addw,
-                    (0b0100000, 0b000) => Op32Op::Subw,
-                    (0b0000000, 0b001) => Op32Op::Sllw,
-                    (0b0000000, 0b101) => Op32Op::Srlw,
-                    (0b0100000, 0b101) => Op32Op::Sraw,
-                    (0b0000001, 0b000) => Op32Op::Mulw,
-                    (0b0000001, 0b100) => Op32Op::Divw,
-                    (0b0000001, 0b101) => Op32Op::Divuw,
-                    (0b0000001, 0b110) => Op32Op::Remw,
-                    (0b0000001, 0b111) => Op32Op::Remuw,
-                    _ => return err,
-                };
-                Instr::Op32 {
-                    op,
-                    rd: rd(word),
-                    rs1: rs1(word),
-                    rs2: rs2(word),
-                }
+            0b0011011 => {
+                let (op, shift) = OpImm32Op::TABLE
+                    .iter()
+                    .find_map(|&(op, _, funct3, f7)| {
+                        let hit = funct3 == f3 && f7.is_none_or(|f7| f7 == funct7(word));
+                        hit.then_some((op, f7.is_some()))
+                    })
+                    .ok_or(unrecognized)?;
+                let imm = if shift { ((word >> 20) & 0x1F) as i32 } else { imm_i(word) };
+                Instr::OpImm32 { op, rd: rd(word), rs1: rs1(word), imm }
             }
+            0b0110011 => Instr::Op {
+                op: find_r_op(&OpOp::TABLE, f3, funct7(word)).ok_or(unrecognized)?,
+                rd: rd(word),
+                rs1: rs1(word),
+                rs2: rs2(word),
+            },
+            0b0111011 => Instr::Op32 {
+                op: find_r_op(&Op32Op::TABLE, f3, funct7(word)).ok_or(unrecognized)?,
+                rd: rd(word),
+                rs1: rs1(word),
+                rs2: rs2(word),
+            },
             0b0001111 => Instr::Fence,
+            0b1110011 if f3 == 0 => match word >> 20 {
+                0 if rd(word) == Reg::ZERO && rs1(word) == Reg::ZERO => Instr::Ecall,
+                1 if rd(word) == Reg::ZERO && rs1(word) == Reg::ZERO => Instr::Ebreak,
+                0x302 if rd(word) == Reg::ZERO && rs1(word) == Reg::ZERO => Instr::Mret,
+                _ => return Err(unrecognized),
+            },
             0b1110011 => {
-                let f3 = funct3(word);
-                match f3 {
-                    0b000 => match word >> 20 {
-                        0 if rd(word) == Reg::ZERO && rs1(word) == Reg::ZERO => Instr::Ecall,
-                        1 if rd(word) == Reg::ZERO && rs1(word) == Reg::ZERO => Instr::Ebreak,
-                        0x302 if rd(word) == Reg::ZERO && rs1(word) == Reg::ZERO => Instr::Mret,
-                        _ => return err,
-                    },
-                    0b001..=0b011 => {
-                        let op = match f3 {
-                            0b001 => CsrOp::Csrrw,
-                            0b010 => CsrOp::Csrrs,
-                            _ => CsrOp::Csrrc,
-                        };
-                        Instr::Csr {
-                            op,
-                            rd: rd(word),
-                            csr: (word >> 20) as u16,
-                            rs1: rs1(word),
-                        }
-                    }
-                    0b101..=0b111 => {
-                        let op = match f3 {
-                            0b101 => CsrOp::Csrrw,
-                            0b110 => CsrOp::Csrrs,
-                            _ => CsrOp::Csrrc,
-                        };
-                        Instr::CsrImm {
-                            op,
-                            rd: rd(word),
-                            csr: (word >> 20) as u16,
-                            imm: ((word >> 15) & 0x1F) as u8,
-                        }
-                    }
-                    _ => return err,
-                }
-            }
-            _ => {
-                if let Ok(rocc) = RoccInstruction::decode(word) {
-                    Instr::Custom(rocc)
+                // funct3 bit 2 selects the immediate form.
+                let op = CsrOp::TABLE
+                    .iter()
+                    .find_map(|&(op, _, funct3)| (funct3 == f3 & 0b011).then_some(op))
+                    .ok_or(unrecognized)?;
+                let (rd, csr) = (rd(word), (word >> 20) as u16);
+                if f3 & 0b100 == 0 {
+                    Instr::Csr { op, rd, csr, rs1: rs1(word) }
                 } else {
-                    return err;
+                    Instr::CsrImm { op, rd, csr, imm: ((word >> 15) & 0x1F) as u8 }
                 }
             }
+            _ => Instr::Custom(RoccInstruction::decode(word)?),
         })
     }
 }

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::instr::{Instr, Op32Op, OpImm32Op, OpImmOp, OpOp};
+use crate::instr::{BranchOp, CsrOp, Instr, LoadOp, Op32Op, OpImm32Op, OpImmOp, OpOp, StoreOp};
 use crate::Reg;
 
 /// Errors produced when an instruction's fields do not fit its encoding.
@@ -30,15 +30,30 @@ impl fmt::Display for EncodeError {
 
 impl std::error::Error for EncodeError {}
 
-fn check_i12(what: &'static str, v: i32) -> Result<u32, EncodeError> {
-    if (-2048..=2047).contains(&v) {
-        Ok((v as u32) & 0xFFF)
+/// Returns `bits` if `ok`, else the out-of-range error for `what`.
+fn fits(ok: bool, what: &'static str, v: impl Into<i64>, bits: u32) -> Result<u32, EncodeError> {
+    if ok {
+        Ok(bits)
     } else {
-        Err(EncodeError::ImmediateOutOfRange {
-            what,
-            value: v.into(),
-        })
+        Err(EncodeError::ImmediateOutOfRange { what, value: v.into() })
     }
+}
+
+fn check_i12(what: &'static str, v: i32) -> Result<u32, EncodeError> {
+    fits((-2048..=2047).contains(&v), what, v, (v as u32) & 0xFFF)
+}
+
+/// A `lui`/`auipc` immediate: 20 bits, signed or unsigned.
+fn check_u20(what: &'static str, v: i32) -> Result<u32, EncodeError> {
+    let ok = (-(1 << 19)..(1 << 19)).contains(&v) || v as u32 <= 0xFFFFF;
+    fits(ok, what, v, ((v as u32) & 0xFFFFF) << 12)
+}
+
+/// An immediate-form shift's low 12 bits: `top` (bits 31:26 or 31:25) over
+/// a shift amount below `limit`.
+fn shift_imm(top: u32, limit: i32, shamt: i32) -> Result<u32, EncodeError> {
+    let width = limit.trailing_zeros();
+    fits((0..limit).contains(&shamt), "shift amount", shamt, (top << width) | shamt as u32)
 }
 
 fn r_type(funct7: u32, rs2: Reg, rs1: Reg, funct3: u32, rd: Reg, opcode: u32) -> u32 {
@@ -60,29 +75,17 @@ impl Instr {
     /// # Errors
     ///
     /// Returns [`EncodeError`] when an immediate does not fit its field
-    /// (e.g. a branch offset beyond ±4 KiB or a misaligned jump target).
+    /// (e.g. a branch offset beyond ±4 KiB, a misaligned jump target, a
+    /// CSR number above `0xFFF` or a RoCC funct7 above 127).
     pub fn encode(&self) -> Result<u32, EncodeError> {
         Ok(match *self {
-            Instr::Lui { rd, imm20 } => {
-                if !(-(1 << 19)..(1 << 19)).contains(&imm20) && imm20 as u32 > 0xFFFFF {
-                    return Err(EncodeError::ImmediateOutOfRange {
-                        what: "lui",
-                        value: imm20.into(),
-                    });
-                }
-                (((imm20 as u32) & 0xFFFFF) << 12) | (u32::from(rd) << 7) | 0b0110111
-            }
+            Instr::Lui { rd, imm20 } => check_u20("lui", imm20)? | (u32::from(rd) << 7) | 0b0110111,
             Instr::Auipc { rd, imm20 } => {
-                (((imm20 as u32) & 0xFFFFF) << 12) | (u32::from(rd) << 7) | 0b0010111
+                check_u20("auipc", imm20)? | (u32::from(rd) << 7) | 0b0010111
             }
             Instr::Jal { rd, offset } => {
-                if offset % 2 != 0 || !(-(1 << 20)..(1 << 20)).contains(&offset) {
-                    return Err(EncodeError::ImmediateOutOfRange {
-                        what: "jal",
-                        value: offset.into(),
-                    });
-                }
-                let imm = offset as u32;
+                let ok = offset % 2 == 0 && (-(1 << 20)..(1 << 20)).contains(&offset);
+                let imm = fits(ok, "jal", offset, offset as u32)?;
                 let bit20 = (imm >> 20) & 1;
                 let bits10_1 = (imm >> 1) & 0x3FF;
                 let bit11 = (imm >> 11) & 1;
@@ -98,13 +101,8 @@ impl Instr {
                 i_type(check_i12("jalr", offset)?, rs1, 0b000, rd, 0b1100111)
             }
             Instr::Branch { op, rs1, rs2, offset } => {
-                if offset % 2 != 0 || !(-(1 << 12)..(1 << 12)).contains(&offset) {
-                    return Err(EncodeError::ImmediateOutOfRange {
-                        what: "branch",
-                        value: offset.into(),
-                    });
-                }
-                let imm = offset as u32;
+                let ok = offset % 2 == 0 && (-(1 << 12)..(1 << 12)).contains(&offset);
+                let imm = fits(ok, "branch", offset, offset as u32)?;
                 let bit12 = (imm >> 12) & 1;
                 let bits10_5 = (imm >> 5) & 0x3F;
                 let bits4_1 = (imm >> 1) & 0xF;
@@ -113,98 +111,46 @@ impl Instr {
                     | (bits10_5 << 25)
                     | (u32::from(rs2) << 20)
                     | (u32::from(rs1) << 15)
-                    | (op.funct3() << 12)
+                    | (BranchOp::TABLE[op as usize].2 << 12)
                     | (bits4_1 << 8)
                     | (bit11 << 7)
                     | 0b1100011
             }
             Instr::Load { op, rd, rs1, offset } => {
-                i_type(check_i12("load", offset)?, rs1, op.funct3(), rd, 0b0000011)
+                let funct3 = LoadOp::TABLE[op as usize].2;
+                i_type(check_i12("load", offset)?, rs1, funct3, rd, 0b0000011)
             }
             Instr::Store { op, rs2, rs1, offset } => {
                 let imm = check_i12("store", offset)?;
                 ((imm >> 5) << 25)
                     | (u32::from(rs2) << 20)
                     | (u32::from(rs1) << 15)
-                    | (op.funct3() << 12)
+                    | (StoreOp::TABLE[op as usize].2 << 12)
                     | ((imm & 0x1F) << 7)
                     | 0b0100011
             }
             Instr::OpImm { op, rd, rs1, imm } => {
-                let (funct3, imm12) = match op {
-                    OpImmOp::Addi => (0b000, check_i12("addi", imm)?),
-                    OpImmOp::Slti => (0b010, check_i12("slti", imm)?),
-                    OpImmOp::Sltiu => (0b011, check_i12("sltiu", imm)?),
-                    OpImmOp::Xori => (0b100, check_i12("xori", imm)?),
-                    OpImmOp::Ori => (0b110, check_i12("ori", imm)?),
-                    OpImmOp::Andi => (0b111, check_i12("andi", imm)?),
-                    OpImmOp::Slli | OpImmOp::Srli | OpImmOp::Srai => {
-                        if !(0..64).contains(&imm) {
-                            return Err(EncodeError::ImmediateOutOfRange {
-                                what: "shift amount",
-                                value: imm.into(),
-                            });
-                        }
-                        let high = if op == OpImmOp::Srai { 0x400 } else { 0 };
-                        let funct3 = if op == OpImmOp::Slli { 0b001 } else { 0b101 };
-                        (funct3, high | imm as u32)
-                    }
+                let (_, name, funct3, top) = OpImmOp::TABLE[op as usize];
+                let imm12 = match top {
+                    Some(top) => shift_imm(top, 64, imm)?,
+                    None => check_i12(name, imm)?,
                 };
                 i_type(imm12, rs1, funct3, rd, 0b0010011)
             }
             Instr::OpImm32 { op, rd, rs1, imm } => {
-                let (funct3, imm12) = match op {
-                    OpImm32Op::Addiw => (0b000, check_i12("addiw", imm)?),
-                    OpImm32Op::Slliw | OpImm32Op::Srliw | OpImm32Op::Sraiw => {
-                        if !(0..32).contains(&imm) {
-                            return Err(EncodeError::ImmediateOutOfRange {
-                                what: "shift amount",
-                                value: imm.into(),
-                            });
-                        }
-                        let high = if op == OpImm32Op::Sraiw { 0x400 } else { 0 };
-                        let funct3 = if op == OpImm32Op::Slliw { 0b001 } else { 0b101 };
-                        (funct3, high | imm as u32)
-                    }
+                let (_, name, funct3, funct7) = OpImm32Op::TABLE[op as usize];
+                let imm12 = match funct7 {
+                    Some(funct7) => shift_imm(funct7, 32, imm)?,
+                    None => check_i12(name, imm)?,
                 };
                 i_type(imm12, rs1, funct3, rd, 0b0011011)
             }
             Instr::Op { op, rd, rs1, rs2 } => {
-                let (funct7, funct3) = match op {
-                    OpOp::Add => (0b0000000, 0b000),
-                    OpOp::Sub => (0b0100000, 0b000),
-                    OpOp::Sll => (0b0000000, 0b001),
-                    OpOp::Slt => (0b0000000, 0b010),
-                    OpOp::Sltu => (0b0000000, 0b011),
-                    OpOp::Xor => (0b0000000, 0b100),
-                    OpOp::Srl => (0b0000000, 0b101),
-                    OpOp::Sra => (0b0100000, 0b101),
-                    OpOp::Or => (0b0000000, 0b110),
-                    OpOp::And => (0b0000000, 0b111),
-                    OpOp::Mul => (0b0000001, 0b000),
-                    OpOp::Mulh => (0b0000001, 0b001),
-                    OpOp::Mulhsu => (0b0000001, 0b010),
-                    OpOp::Mulhu => (0b0000001, 0b011),
-                    OpOp::Div => (0b0000001, 0b100),
-                    OpOp::Divu => (0b0000001, 0b101),
-                    OpOp::Rem => (0b0000001, 0b110),
-                    OpOp::Remu => (0b0000001, 0b111),
-                };
+                let (_, _, funct3, funct7) = OpOp::TABLE[op as usize];
                 r_type(funct7, rs2, rs1, funct3, rd, 0b0110011)
             }
             Instr::Op32 { op, rd, rs1, rs2 } => {
-                let (funct7, funct3) = match op {
-                    Op32Op::Addw => (0b0000000, 0b000),
-                    Op32Op::Subw => (0b0100000, 0b000),
-                    Op32Op::Sllw => (0b0000000, 0b001),
-                    Op32Op::Srlw => (0b0000000, 0b101),
-                    Op32Op::Sraw => (0b0100000, 0b101),
-                    Op32Op::Mulw => (0b0000001, 0b000),
-                    Op32Op::Divw => (0b0000001, 0b100),
-                    Op32Op::Divuw => (0b0000001, 0b101),
-                    Op32Op::Remw => (0b0000001, 0b110),
-                    Op32Op::Remuw => (0b0000001, 0b111),
-                };
+                let (_, _, funct3, funct7) = Op32Op::TABLE[op as usize];
                 r_type(funct7, rs2, rs1, funct3, rd, 0b0111011)
             }
             Instr::Fence => 0x0FF0_000F,
@@ -212,22 +158,22 @@ impl Instr {
             Instr::Ebreak => 0x0010_0073,
             Instr::Mret => 0x3020_0073,
             Instr::Csr { op, rd, csr, rs1 } => {
-                i_type(u32::from(csr), rs1, op.funct3(false), rd, 0b1110011)
+                let csr = fits(csr <= 0xFFF, "csr number", csr, u32::from(csr))?;
+                i_type(csr, rs1, CsrOp::TABLE[op as usize].2, rd, 0b1110011)
             }
             Instr::CsrImm { op, rd, csr, imm } => {
-                if imm >= 32 {
-                    return Err(EncodeError::ImmediateOutOfRange {
-                        what: "csr immediate",
-                        value: imm.into(),
-                    });
-                }
-                (u32::from(csr) << 20)
-                    | (u32::from(imm) << 15)
-                    | (op.funct3(true) << 12)
+                let csr = fits(csr <= 0xFFF, "csr number", csr, u32::from(csr))?;
+                let imm = fits(imm < 32, "csr immediate", imm, u32::from(imm))?;
+                (csr << 20)
+                    | (imm << 15)
+                    | ((CsrOp::TABLE[op as usize].2 | 0b100) << 12)
                     | (u32::from(rd) << 7)
                     | 0b1110011
             }
-            Instr::Custom(rocc) => rocc.encode(),
+            Instr::Custom(rocc) => {
+                fits(rocc.funct7 < 0x80, "funct7", rocc.funct7, 0)?;
+                rocc.encode()
+            }
         })
     }
 }
@@ -235,7 +181,6 @@ impl Instr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instr::{BranchOp, CsrOp, LoadOp, StoreOp};
 
     #[test]
     fn golden_encodings() {
@@ -363,6 +308,41 @@ mod tests {
             imm: -2048,
         };
         assert!(j.encode().is_ok());
+    }
+
+    #[test]
+    fn auipc_immediate_is_range_checked_like_lui() {
+        let edges = [(0x100000, false), (0xFFFFF, true), (-(1 << 19), true), (-(1 << 19) - 1, false)];
+        for (imm20, ok) in edges {
+            assert_eq!(Instr::Auipc { rd: Reg::A0, imm20 }.encode().is_ok(), ok, "{imm20:#x}");
+            assert_eq!(Instr::Lui { rd: Reg::A0, imm20 }.encode().is_ok(), ok, "{imm20:#x}");
+        }
+        let err = Instr::Auipc { rd: Reg::A0, imm20: 0x100000 }.encode();
+        assert_eq!(err, Err(EncodeError::ImmediateOutOfRange { what: "auipc", value: 0x100000 }));
+    }
+
+    #[test]
+    fn csr_number_is_range_checked() {
+        let err = Err(EncodeError::ImmediateOutOfRange { what: "csr number", value: 0x1305 });
+        let (op, rd) = (CsrOp::Csrrw, Reg::ZERO);
+        assert_eq!(Instr::Csr { op, rd, csr: 0x1305, rs1: Reg::T0 }.encode(), err);
+        assert_eq!(Instr::CsrImm { op, rd, csr: 0x1305, imm: 1 }.encode(), err);
+        assert!(Instr::Csr { op, rd, csr: 0xFFF, rs1: Reg::T0 }.encode().is_ok());
+        assert!(Instr::CsrImm { op, rd, csr: 0xFFF, imm: 31 }.encode().is_ok());
+    }
+
+    #[test]
+    fn oversized_rocc_funct7_is_an_error() {
+        use crate::rocc::{CustomOpcode, RoccInstruction};
+        let rocc = |funct7| {
+            let a0 = Reg::A0;
+            Instr::Custom(RoccInstruction::reg_reg(CustomOpcode::Custom0, funct7, a0, a0, a0)).encode()
+        };
+        for funct7 in [0x80, 200] {
+            let err = EncodeError::ImmediateOutOfRange { what: "funct7", value: funct7.into() };
+            assert_eq!(rocc(funct7), Err(err));
+        }
+        assert!(rocc(0x7F).is_ok());
     }
 
     #[test]

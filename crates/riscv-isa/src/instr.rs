@@ -1,4 +1,9 @@
 //! Instruction definitions for RV64IM plus the RoCC custom opcodes.
+//!
+//! Each operation family's `TABLE` is the one place its ops' mnemonics and
+//! funct bits are written: one row per variant, in declaration order, so
+//! `TABLE[op as usize]` is `op`'s row. The encoder, decoder, `Display` and
+//! the assembler all read the rows.
 
 use std::fmt;
 
@@ -24,26 +29,18 @@ pub enum BranchOp {
 }
 
 impl BranchOp {
-    pub(crate) fn funct3(self) -> u32 {
-        match self {
-            BranchOp::Beq => 0b000,
-            BranchOp::Bne => 0b001,
-            BranchOp::Blt => 0b100,
-            BranchOp::Bge => 0b101,
-            BranchOp::Bltu => 0b110,
-            BranchOp::Bgeu => 0b111,
-        }
-    }
+    /// `(op, mnemonic, funct3)` per op, in declaration order.
+    pub const TABLE: [(BranchOp, &'static str, u32); 6] = [
+        (BranchOp::Beq, "beq", 0b000),
+        (BranchOp::Bne, "bne", 0b001),
+        (BranchOp::Blt, "blt", 0b100),
+        (BranchOp::Bge, "bge", 0b101),
+        (BranchOp::Bltu, "bltu", 0b110),
+        (BranchOp::Bgeu, "bgeu", 0b111),
+    ];
 
     pub(crate) fn mnemonic(self) -> &'static str {
-        match self {
-            BranchOp::Beq => "beq",
-            BranchOp::Bne => "bne",
-            BranchOp::Blt => "blt",
-            BranchOp::Bge => "bge",
-            BranchOp::Bltu => "bltu",
-            BranchOp::Bgeu => "bgeu",
-        }
+        Self::TABLE[self as usize].1
     }
 }
 
@@ -67,17 +64,16 @@ pub enum LoadOp {
 }
 
 impl LoadOp {
-    pub(crate) fn funct3(self) -> u32 {
-        match self {
-            LoadOp::Lb => 0b000,
-            LoadOp::Lh => 0b001,
-            LoadOp::Lw => 0b010,
-            LoadOp::Ld => 0b011,
-            LoadOp::Lbu => 0b100,
-            LoadOp::Lhu => 0b101,
-            LoadOp::Lwu => 0b110,
-        }
-    }
+    /// `(op, mnemonic, funct3)` per op, in declaration order.
+    pub const TABLE: [(LoadOp, &'static str, u32); 7] = [
+        (LoadOp::Lb, "lb", 0b000),
+        (LoadOp::Lh, "lh", 0b001),
+        (LoadOp::Lw, "lw", 0b010),
+        (LoadOp::Ld, "ld", 0b011),
+        (LoadOp::Lbu, "lbu", 0b100),
+        (LoadOp::Lhu, "lhu", 0b101),
+        (LoadOp::Lwu, "lwu", 0b110),
+    ];
 
     /// Access size in bytes.
     #[must_use]
@@ -91,15 +87,7 @@ impl LoadOp {
     }
 
     pub(crate) fn mnemonic(self) -> &'static str {
-        match self {
-            LoadOp::Lb => "lb",
-            LoadOp::Lh => "lh",
-            LoadOp::Lw => "lw",
-            LoadOp::Ld => "ld",
-            LoadOp::Lbu => "lbu",
-            LoadOp::Lhu => "lhu",
-            LoadOp::Lwu => "lwu",
-        }
+        Self::TABLE[self as usize].1
     }
 }
 
@@ -117,14 +105,13 @@ pub enum StoreOp {
 }
 
 impl StoreOp {
-    pub(crate) fn funct3(self) -> u32 {
-        match self {
-            StoreOp::Sb => 0b000,
-            StoreOp::Sh => 0b001,
-            StoreOp::Sw => 0b010,
-            StoreOp::Sd => 0b011,
-        }
-    }
+    /// `(op, mnemonic, funct3)` per op, in declaration order.
+    pub const TABLE: [(StoreOp, &'static str, u32); 4] = [
+        (StoreOp::Sb, "sb", 0b000),
+        (StoreOp::Sh, "sh", 0b001),
+        (StoreOp::Sw, "sw", 0b010),
+        (StoreOp::Sd, "sd", 0b011),
+    ];
 
     /// Access size in bytes.
     #[must_use]
@@ -138,12 +125,7 @@ impl StoreOp {
     }
 
     pub(crate) fn mnemonic(self) -> &'static str {
-        match self {
-            StoreOp::Sb => "sb",
-            StoreOp::Sh => "sh",
-            StoreOp::Sw => "sw",
-            StoreOp::Sd => "sd",
-        }
+        Self::TABLE[self as usize].1
     }
 }
 
@@ -171,18 +153,23 @@ pub enum OpImmOp {
 }
 
 impl OpImmOp {
+    /// `(op, mnemonic, funct3, bits 31:26)` per op, in declaration order.
+    /// The shifts fix bits 31:26 and take a 6-bit shamt below them; the
+    /// other ops (`None`) take a 12-bit immediate there.
+    pub const TABLE: [(OpImmOp, &'static str, u32, Option<u32>); 9] = [
+        (OpImmOp::Addi, "addi", 0b000, None),
+        (OpImmOp::Slti, "slti", 0b010, None),
+        (OpImmOp::Sltiu, "sltiu", 0b011, None),
+        (OpImmOp::Xori, "xori", 0b100, None),
+        (OpImmOp::Ori, "ori", 0b110, None),
+        (OpImmOp::Andi, "andi", 0b111, None),
+        (OpImmOp::Slli, "slli", 0b001, Some(0b000000)),
+        (OpImmOp::Srli, "srli", 0b101, Some(0b000000)),
+        (OpImmOp::Srai, "srai", 0b101, Some(0b010000)),
+    ];
+
     pub(crate) fn mnemonic(self) -> &'static str {
-        match self {
-            OpImmOp::Addi => "addi",
-            OpImmOp::Slti => "slti",
-            OpImmOp::Sltiu => "sltiu",
-            OpImmOp::Xori => "xori",
-            OpImmOp::Ori => "ori",
-            OpImmOp::Andi => "andi",
-            OpImmOp::Slli => "slli",
-            OpImmOp::Srli => "srli",
-            OpImmOp::Srai => "srai",
-        }
+        Self::TABLE[self as usize].1
     }
 }
 
@@ -200,13 +187,18 @@ pub enum OpImm32Op {
 }
 
 impl OpImm32Op {
+    /// `(op, mnemonic, funct3, funct7)` per op, in declaration order. The
+    /// shifts fix funct7 and take a 5-bit shamt below it; `addiw` (`None`)
+    /// takes a 12-bit immediate there.
+    pub const TABLE: [(OpImm32Op, &'static str, u32, Option<u32>); 4] = [
+        (OpImm32Op::Addiw, "addiw", 0b000, None),
+        (OpImm32Op::Slliw, "slliw", 0b001, Some(0b0000000)),
+        (OpImm32Op::Srliw, "srliw", 0b101, Some(0b0000000)),
+        (OpImm32Op::Sraiw, "sraiw", 0b101, Some(0b0100000)),
+    ];
+
     pub(crate) fn mnemonic(self) -> &'static str {
-        match self {
-            OpImm32Op::Addiw => "addiw",
-            OpImm32Op::Slliw => "slliw",
-            OpImm32Op::Srliw => "srliw",
-            OpImm32Op::Sraiw => "sraiw",
-        }
+        Self::TABLE[self as usize].1
     }
 }
 
@@ -252,27 +244,30 @@ pub enum OpOp {
 }
 
 impl OpOp {
+    /// `(op, mnemonic, funct3, funct7)` per op, in declaration order.
+    pub const TABLE: [(OpOp, &'static str, u32, u32); 18] = [
+        (OpOp::Add, "add", 0b000, 0b0000000),
+        (OpOp::Sub, "sub", 0b000, 0b0100000),
+        (OpOp::Sll, "sll", 0b001, 0b0000000),
+        (OpOp::Slt, "slt", 0b010, 0b0000000),
+        (OpOp::Sltu, "sltu", 0b011, 0b0000000),
+        (OpOp::Xor, "xor", 0b100, 0b0000000),
+        (OpOp::Srl, "srl", 0b101, 0b0000000),
+        (OpOp::Sra, "sra", 0b101, 0b0100000),
+        (OpOp::Or, "or", 0b110, 0b0000000),
+        (OpOp::And, "and", 0b111, 0b0000000),
+        (OpOp::Mul, "mul", 0b000, 0b0000001),
+        (OpOp::Mulh, "mulh", 0b001, 0b0000001),
+        (OpOp::Mulhsu, "mulhsu", 0b010, 0b0000001),
+        (OpOp::Mulhu, "mulhu", 0b011, 0b0000001),
+        (OpOp::Div, "div", 0b100, 0b0000001),
+        (OpOp::Divu, "divu", 0b101, 0b0000001),
+        (OpOp::Rem, "rem", 0b110, 0b0000001),
+        (OpOp::Remu, "remu", 0b111, 0b0000001),
+    ];
+
     pub(crate) fn mnemonic(self) -> &'static str {
-        match self {
-            OpOp::Add => "add",
-            OpOp::Sub => "sub",
-            OpOp::Sll => "sll",
-            OpOp::Slt => "slt",
-            OpOp::Sltu => "sltu",
-            OpOp::Xor => "xor",
-            OpOp::Srl => "srl",
-            OpOp::Sra => "sra",
-            OpOp::Or => "or",
-            OpOp::And => "and",
-            OpOp::Mul => "mul",
-            OpOp::Mulh => "mulh",
-            OpOp::Mulhsu => "mulhsu",
-            OpOp::Mulhu => "mulhu",
-            OpOp::Div => "div",
-            OpOp::Divu => "divu",
-            OpOp::Rem => "rem",
-            OpOp::Remu => "remu",
-        }
+        Self::TABLE[self as usize].1
     }
 }
 
@@ -302,19 +297,22 @@ pub enum Op32Op {
 }
 
 impl Op32Op {
+    /// `(op, mnemonic, funct3, funct7)` per op, in declaration order.
+    pub const TABLE: [(Op32Op, &'static str, u32, u32); 10] = [
+        (Op32Op::Addw, "addw", 0b000, 0b0000000),
+        (Op32Op::Subw, "subw", 0b000, 0b0100000),
+        (Op32Op::Sllw, "sllw", 0b001, 0b0000000),
+        (Op32Op::Srlw, "srlw", 0b101, 0b0000000),
+        (Op32Op::Sraw, "sraw", 0b101, 0b0100000),
+        (Op32Op::Mulw, "mulw", 0b000, 0b0000001),
+        (Op32Op::Divw, "divw", 0b100, 0b0000001),
+        (Op32Op::Divuw, "divuw", 0b101, 0b0000001),
+        (Op32Op::Remw, "remw", 0b110, 0b0000001),
+        (Op32Op::Remuw, "remuw", 0b111, 0b0000001),
+    ];
+
     pub(crate) fn mnemonic(self) -> &'static str {
-        match self {
-            Op32Op::Addw => "addw",
-            Op32Op::Subw => "subw",
-            Op32Op::Sllw => "sllw",
-            Op32Op::Srlw => "srlw",
-            Op32Op::Sraw => "sraw",
-            Op32Op::Mulw => "mulw",
-            Op32Op::Divw => "divw",
-            Op32Op::Divuw => "divuw",
-            Op32Op::Remw => "remw",
-            Op32Op::Remuw => "remuw",
-        }
+        Self::TABLE[self as usize].1
     }
 }
 
@@ -330,28 +328,16 @@ pub enum CsrOp {
 }
 
 impl CsrOp {
-    pub(crate) fn funct3(self, imm_form: bool) -> u32 {
-        let base = match self {
-            CsrOp::Csrrw => 0b001,
-            CsrOp::Csrrs => 0b010,
-            CsrOp::Csrrc => 0b011,
-        };
-        if imm_form {
-            base | 0b100
-        } else {
-            base
-        }
-    }
+    /// `(op, [register-form, immediate-form mnemonic], funct3)` per op, in
+    /// declaration order. The immediate form sets funct3 bit 2.
+    pub const TABLE: [(CsrOp, [&'static str; 2], u32); 3] = [
+        (CsrOp::Csrrw, ["csrrw", "csrrwi"], 0b001),
+        (CsrOp::Csrrs, ["csrrs", "csrrsi"], 0b010),
+        (CsrOp::Csrrc, ["csrrc", "csrrci"], 0b011),
+    ];
 
     pub(crate) fn mnemonic(self, imm_form: bool) -> &'static str {
-        match (self, imm_form) {
-            (CsrOp::Csrrw, false) => "csrrw",
-            (CsrOp::Csrrs, false) => "csrrs",
-            (CsrOp::Csrrc, false) => "csrrc",
-            (CsrOp::Csrrw, true) => "csrrwi",
-            (CsrOp::Csrrs, true) => "csrrsi",
-            (CsrOp::Csrrc, true) => "csrrci",
-        }
+        Self::TABLE[self as usize].1[usize::from(imm_form)]
     }
 }
 
@@ -640,6 +626,36 @@ mod tests {
         assert!(Instr::Jalr { rd: Reg::ZERO, rs1: Reg::RA, offset: 0 }.is_return());
         assert!(!Instr::Jalr { rd: Reg::ZERO, rs1: Reg::T0, offset: 0 }.is_return());
         assert!(!Instr::Jal { rd: Reg::RA, offset: 16 }.is_return());
+    }
+
+    /// `mnemonic()`, the encoder and the assembler index a family's table
+    /// by `op as usize`, so it needs one row per variant in declaration
+    /// order; each row spells its op as the variant's name in lower case.
+    #[test]
+    fn tables_have_one_row_per_variant_in_declaration_order() {
+        use crate::rocc::CustomOpcode;
+        macro_rules! check {
+            ($family:ident, $last:ident, |$op:ident| $mnemonic:expr) => {
+                assert_eq!($family::TABLE.len(), $family::$last as usize + 1);
+                for (i, row) in $family::TABLE.iter().enumerate() {
+                    let $op = row.0;
+                    assert_eq!($op as usize, i, "{:?} is out of declaration order", $op);
+                    assert_eq!($mnemonic, format!("{:?}", $op).to_lowercase());
+                }
+            };
+        }
+        check!(BranchOp, Bgeu, |op| op.mnemonic());
+        check!(LoadOp, Lwu, |op| op.mnemonic());
+        check!(StoreOp, Sd, |op| op.mnemonic());
+        check!(OpImmOp, Srai, |op| op.mnemonic());
+        check!(OpImm32Op, Sraiw, |op| op.mnemonic());
+        check!(OpOp, Remu, |op| op.mnemonic());
+        check!(Op32Op, Remuw, |op| op.mnemonic());
+        check!(CsrOp, Csrrc, |op| op.mnemonic(false));
+        check!(CustomOpcode, Custom3, |op| op.to_string());
+        for (op, _, _) in CsrOp::TABLE {
+            assert_eq!(op.mnemonic(true), format!("{}i", op.mnemonic(false)));
+        }
     }
 
     #[test]

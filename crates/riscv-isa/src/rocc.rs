@@ -25,39 +25,31 @@ pub enum CustomOpcode {
 }
 
 impl CustomOpcode {
+    /// `(opcode, mnemonic, 7-bit opcode value)` per opcode, in declaration
+    /// order.
+    pub const TABLE: [(CustomOpcode, &'static str, u32); 4] = [
+        (CustomOpcode::Custom0, "custom0", 0b000_1011),
+        (CustomOpcode::Custom1, "custom1", 0b010_1011),
+        (CustomOpcode::Custom2, "custom2", 0b101_1011),
+        (CustomOpcode::Custom3, "custom3", 0b111_1011),
+    ];
+
     /// The 7-bit opcode value.
     #[must_use]
     pub fn bits(self) -> u32 {
-        match self {
-            CustomOpcode::Custom0 => 0b000_1011,
-            CustomOpcode::Custom1 => 0b010_1011,
-            CustomOpcode::Custom2 => 0b101_1011,
-            CustomOpcode::Custom3 => 0b111_1011,
-        }
+        Self::TABLE[self as usize].2
     }
 
     /// Maps a 7-bit opcode back, if it is a custom opcode.
     #[must_use]
     pub fn from_bits(bits: u32) -> Option<CustomOpcode> {
-        match bits {
-            0b000_1011 => Some(CustomOpcode::Custom0),
-            0b010_1011 => Some(CustomOpcode::Custom1),
-            0b101_1011 => Some(CustomOpcode::Custom2),
-            0b111_1011 => Some(CustomOpcode::Custom3),
-            _ => None,
-        }
+        Self::TABLE.iter().find_map(|&(op, _, b)| (b == bits).then_some(op))
     }
 }
 
 impl fmt::Display for CustomOpcode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let n = match self {
-            CustomOpcode::Custom0 => 0,
-            CustomOpcode::Custom1 => 1,
-            CustomOpcode::Custom2 => 2,
-            CustomOpcode::Custom3 => 3,
-        };
-        write!(f, "custom{n}")
+        f.write_str(Self::TABLE[*self as usize].1)
     }
 }
 

@@ -13,84 +13,16 @@ use riscv_isa::instr::{BranchOp, CsrOp, LoadOp, Op32Op, OpImm32Op, OpImmOp, OpOp
 use riscv_isa::rocc::{CustomOpcode, RoccInstruction};
 use riscv_isa::{Instr, Reg};
 
-const BRANCH_OPS: [BranchOp; 6] = [
-    BranchOp::Beq,
-    BranchOp::Bne,
-    BranchOp::Blt,
-    BranchOp::Bge,
-    BranchOp::Bltu,
-    BranchOp::Bgeu,
-];
+/// OP-IMM variants taking a full 12-bit immediate (`full`), or else the
+/// shift forms, which take a 6-bit shamt and are generated separately.
+fn op_imm_ops(full: bool) -> Vec<OpImmOp> {
+    OpImmOp::TABLE.iter().filter(|row| row.3.is_none() == full).map(|row| row.0).collect()
+}
 
-const OP_OPS: [OpOp; 18] = [
-    OpOp::Add,
-    OpOp::Sub,
-    OpOp::Sll,
-    OpOp::Slt,
-    OpOp::Sltu,
-    OpOp::Xor,
-    OpOp::Srl,
-    OpOp::Sra,
-    OpOp::Or,
-    OpOp::And,
-    OpOp::Mul,
-    OpOp::Mulh,
-    OpOp::Mulhsu,
-    OpOp::Mulhu,
-    OpOp::Div,
-    OpOp::Divu,
-    OpOp::Rem,
-    OpOp::Remu,
-];
-
-const OP32_OPS: [Op32Op; 10] = [
-    Op32Op::Addw,
-    Op32Op::Subw,
-    Op32Op::Sllw,
-    Op32Op::Srlw,
-    Op32Op::Sraw,
-    Op32Op::Mulw,
-    Op32Op::Divw,
-    Op32Op::Divuw,
-    Op32Op::Remw,
-    Op32Op::Remuw,
-];
-
-const LOAD_OPS: [LoadOp; 7] = [
-    LoadOp::Lb,
-    LoadOp::Lh,
-    LoadOp::Lw,
-    LoadOp::Ld,
-    LoadOp::Lbu,
-    LoadOp::Lhu,
-    LoadOp::Lwu,
-];
-
-const STORE_OPS: [StoreOp; 4] = [StoreOp::Sb, StoreOp::Sh, StoreOp::Sw, StoreOp::Sd];
-
-/// OP-IMM variants taking a full 12-bit immediate (the shift forms take a
-/// 6-bit shamt instead and are generated separately).
-const OP_IMM_FULL: [OpImmOp; 6] = [
-    OpImmOp::Addi,
-    OpImmOp::Slti,
-    OpImmOp::Sltiu,
-    OpImmOp::Xori,
-    OpImmOp::Ori,
-    OpImmOp::Andi,
-];
-
-const OP_IMM_SHIFTS: [OpImmOp; 3] = [OpImmOp::Slli, OpImmOp::Srli, OpImmOp::Srai];
-
-const OP_IMM32_SHIFTS: [OpImm32Op; 3] = [OpImm32Op::Slliw, OpImm32Op::Srliw, OpImm32Op::Sraiw];
-
-const CSR_OPS: [CsrOp; 3] = [CsrOp::Csrrw, CsrOp::Csrrs, CsrOp::Csrrc];
-
-const CUSTOM_OPCODES: [CustomOpcode; 4] = [
-    CustomOpcode::Custom0,
-    CustomOpcode::Custom1,
-    CustomOpcode::Custom2,
-    CustomOpcode::Custom3,
-];
+/// The OP-IMM-32 shifts (5-bit shamt).
+fn op_imm32_shifts() -> Vec<OpImm32Op> {
+    OpImm32Op::TABLE.iter().filter(|row| row.3.is_some()).map(|row| row.0).collect()
+}
 
 fn reg() -> impl Strategy<Value = Reg> {
     (0u8..32).prop_map(Reg::new)
@@ -108,15 +40,15 @@ fn instr() -> impl Strategy<Value = Instr> {
             .prop_map(|(rd, offset)| Instr::Jal { rd, offset }),
         (reg(), reg(), -2048i32..=2047)
             .prop_map(|(rd, rs1, offset)| Instr::Jalr { rd, rs1, offset }),
-        (pick(&BRANCH_OPS), reg(), reg(), (-2048i32..2048).prop_map(|o| o * 2))
+        (pick(&BranchOp::TABLE.map(|row| row.0)), reg(), reg(), (-2048i32..2048).prop_map(|o| o * 2))
             .prop_map(|(op, rs1, rs2, offset)| Instr::Branch { op, rs1, rs2, offset }),
-        (pick(&LOAD_OPS), reg(), reg(), -2048i32..=2047)
+        (pick(&LoadOp::TABLE.map(|row| row.0)), reg(), reg(), -2048i32..=2047)
             .prop_map(|(op, rd, rs1, offset)| Instr::Load { op, rd, rs1, offset }),
-        (pick(&STORE_OPS), reg(), reg(), -2048i32..=2047)
+        (pick(&StoreOp::TABLE.map(|row| row.0)), reg(), reg(), -2048i32..=2047)
             .prop_map(|(op, rs2, rs1, offset)| Instr::Store { op, rs2, rs1, offset }),
-        (pick(&OP_IMM_FULL), reg(), reg(), -2048i32..=2047)
+        (pick(&op_imm_ops(true)), reg(), reg(), -2048i32..=2047)
             .prop_map(|(op, rd, rs1, imm)| Instr::OpImm { op, rd, rs1, imm }),
-        (pick(&OP_IMM_SHIFTS), reg(), reg(), 0i32..64)
+        (pick(&op_imm_ops(false)), reg(), reg(), 0i32..64)
             .prop_map(|(op, rd, rs1, imm)| Instr::OpImm { op, rd, rs1, imm }),
         (reg(), reg(), -2048i32..=2047).prop_map(|(rd, rs1, imm)| Instr::OpImm32 {
             op: OpImm32Op::Addiw,
@@ -124,22 +56,22 @@ fn instr() -> impl Strategy<Value = Instr> {
             rs1,
             imm
         }),
-        (pick(&OP_IMM32_SHIFTS), reg(), reg(), 0i32..32)
+        (pick(&op_imm32_shifts()), reg(), reg(), 0i32..32)
             .prop_map(|(op, rd, rs1, imm)| Instr::OpImm32 { op, rd, rs1, imm }),
-        (pick(&OP_OPS), reg(), reg(), reg())
+        (pick(&OpOp::TABLE.map(|row| row.0)), reg(), reg(), reg())
             .prop_map(|(op, rd, rs1, rs2)| Instr::Op { op, rd, rs1, rs2 }),
-        (pick(&OP32_OPS), reg(), reg(), reg())
+        (pick(&Op32Op::TABLE.map(|row| row.0)), reg(), reg(), reg())
             .prop_map(|(op, rd, rs1, rs2)| Instr::Op32 { op, rd, rs1, rs2 }),
         Just(Instr::Fence),
         Just(Instr::Ecall),
         Just(Instr::Ebreak),
         Just(Instr::Mret),
-        (pick(&CSR_OPS), reg(), reg(), 0u16..4096)
+        (pick(&CsrOp::TABLE.map(|row| row.0)), reg(), reg(), 0u16..4096)
             .prop_map(|(op, rd, rs1, csr)| Instr::Csr { op, rd, csr, rs1 }),
-        (pick(&CSR_OPS), reg(), 0u16..4096, 0u8..32)
+        (pick(&CsrOp::TABLE.map(|row| row.0)), reg(), 0u16..4096, 0u8..32)
             .prop_map(|(op, rd, csr, imm)| Instr::CsrImm { op, rd, csr, imm }),
         (
-            pick(&CUSTOM_OPCODES),
+            pick(&CustomOpcode::TABLE.map(|row| row.0)),
             reg(),
             reg(),
             reg(),
@@ -216,7 +148,7 @@ fn exhaustive_variant_sweep() {
         }
     }
 
-    for op in BRANCH_OPS {
+    for (op, ..) in BranchOp::TABLE {
         for &rs1 in &regs {
             for &rs2 in &regs {
                 for offset in [-4096i32, -2, 0, 2, 4094] {
@@ -229,13 +161,13 @@ fn exhaustive_variant_sweep() {
     for &rd in &regs {
         for &rs1 in &regs {
             for &offset in &imm12 {
-                for op in LOAD_OPS {
+                for (op, ..) in LoadOp::TABLE {
                     assert_roundtrip(Instr::Load { op, rd, rs1, offset });
                 }
-                for op in STORE_OPS {
+                for (op, ..) in StoreOp::TABLE {
                     assert_roundtrip(Instr::Store { op, rs2: rd, rs1, offset });
                 }
-                for op in OP_IMM_FULL {
+                for op in op_imm_ops(true) {
                     assert_roundtrip(Instr::OpImm { op, rd, rs1, imm: offset });
                 }
                 assert_roundtrip(Instr::OpImm32 {
@@ -245,28 +177,28 @@ fn exhaustive_variant_sweep() {
                     imm: offset,
                 });
             }
-            for op in OP_IMM_SHIFTS {
+            for op in op_imm_ops(false) {
                 for shamt in [0i32, 1, 31, 32, 63] {
                     assert_roundtrip(Instr::OpImm { op, rd, rs1, imm: shamt });
                 }
             }
-            for op in OP_IMM32_SHIFTS {
+            for op in op_imm32_shifts() {
                 for shamt in [0i32, 1, 31] {
                     assert_roundtrip(Instr::OpImm32 { op, rd, rs1, imm: shamt });
                 }
             }
             for &rs2 in &regs {
-                for op in OP_OPS {
+                for (op, ..) in OpOp::TABLE {
                     assert_roundtrip(Instr::Op { op, rd, rs1, rs2 });
                 }
-                for op in OP32_OPS {
+                for (op, ..) in Op32Op::TABLE {
                     assert_roundtrip(Instr::Op32 { op, rd, rs1, rs2 });
                 }
             }
         }
     }
 
-    for op in CSR_OPS {
+    for (op, ..) in CsrOp::TABLE {
         for &rd in &regs {
             for csr in [0u16, 1, 0x305, 0xFFF] {
                 for &rs1 in &regs {
@@ -279,7 +211,7 @@ fn exhaustive_variant_sweep() {
         }
     }
 
-    for opcode in CUSTOM_OPCODES {
+    for (opcode, ..) in CustomOpcode::TABLE {
         for funct7 in [0u8, 1, 12, 63, 127] {
             for &rd in &regs {
                 for (xd, xs1, xs2) in [

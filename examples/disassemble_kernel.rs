@@ -1,9 +1,11 @@
-//! Prints the assembled Method-1 guest kernel as a disassembly listing —
-//! the generated machine code a cross-toolchain would have produced, with
-//! the custom-0 RoCC instructions visible inline.
+//! Prints an assembled guest kernel (Method-1 by default) as a disassembly
+//! listing — the generated machine code a cross-toolchain would have
+//! produced, with the custom-0 RoCC instructions visible inline. The
+//! argument is a kernel's slug (`KernelKind::slug`, as `lockstep` and `rvlint`
+//! print it); an unknown one prints the list and exits 2.
 //!
 //! ```text
-//! cargo run --release --example disassemble_kernel -- method1
+//! cargo run --release --example disassemble_kernel -- method1_ft
 //! ```
 
 use decimalarith::codesign::framework::build_guest;
@@ -12,18 +14,10 @@ use decimalarith::testgen::{generate, TestConfig};
 
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "method1".into());
-    let kind = match which.as_str() {
-        "software" => KernelKind::Software,
-        "bid" => KernelKind::SoftwareBid,
-        "method1" => KernelKind::Method1,
-        "dummy" => KernelKind::Method1Dummy,
-        "method2" => KernelKind::Method2,
-        "method3" => KernelKind::Method3,
-        "method4" => KernelKind::Method4,
-        other => {
-            eprintln!("unknown kernel {other:?}; use software|bid|method1|dummy|method2|method3|method4");
-            std::process::exit(2);
-        }
+    let Some(kind) = KernelKind::from_slug(&which) else {
+        let slugs: Vec<_> = KernelKind::ALL.iter().map(|k| k.slug()).collect();
+        eprintln!("unknown kernel {which:?}; use {}", slugs.join("|"));
+        std::process::exit(2);
     };
     let vectors = generate(&TestConfig {
         count: 1,
