@@ -40,7 +40,7 @@
 
 use riscv_isa::alu::MulDiv;
 use riscv_isa::Instr;
-use riscv_sim::{Cpu, CpuError, Event, Simulator};
+use riscv_sim::{Cpu, CpuError, Event, Retired, Simulator, Timing};
 
 /// Simulated clock frequency in Hz (Gem5's default CPU clock, 1 GHz).
 pub const CLOCK_HZ: f64 = 1.0e9;
@@ -70,11 +70,18 @@ pub struct AtomicStats {
 }
 
 /// The atomic CPU: the shared functional executor plus trivial fixed-cost
-/// timing.
+/// timing. Its `run` executes a block at a time with the same counters as
+/// stepping.
 pub struct AtomicSim {
     /// The wrapped functional core (public for program loading and
     /// coprocessors).
     pub cpu: Cpu,
+    ticks: Ticks,
+}
+
+/// The atomic model's timing state, which charges every step of both
+/// `step` and `run`.
+struct Ticks {
     config: AtomicConfig,
     /// Run counters, except `instret`, which is the core's.
     stats: AtomicStats,
@@ -100,8 +107,10 @@ impl AtomicSim {
     pub fn new(config: AtomicConfig) -> Self {
         AtomicSim {
             cpu: Cpu::new(),
-            config,
-            stats: AtomicStats::default(),
+            ticks: Ticks {
+                config,
+                stats: AtomicStats::default(),
+            },
         }
     }
 
@@ -110,7 +119,7 @@ impl AtomicSim {
     pub fn stats(&self) -> AtomicStats {
         AtomicStats {
             instret: self.cpu.instret,
-            ..self.stats
+            ..self.ticks.stats
         }
     }
 
@@ -118,7 +127,7 @@ impl AtomicSim {
     /// quantity the paper's Table VI reports.
     #[must_use]
     pub fn simulated_seconds(&self) -> f64 {
-        self.stats.cycles as f64 / CLOCK_HZ
+        self.ticks.stats.cycles as f64 / CLOCK_HZ
     }
 }
 
@@ -138,32 +147,52 @@ impl Simulator for AtomicSim {
     /// Executes one instruction, charging one tick plus fixed latencies.
     #[inline]
     fn step(&mut self) -> Result<Event, CpuError> {
-        self.cpu.cycle = self.stats.cycles;
-        // Inspected in place and returned as it is (see `Event`).
-        let result = self.cpu.step();
-        let Ok(event) = &result else {
-            return result;
-        };
-        // Every event, a trap delivery too, consumes one tick.
+        self.cpu.step_with(&mut self.ticks)
+    }
+
+    /// Runs to exit a block at a time, charging the same ticks.
+    fn run(&mut self, max_instructions: u64) -> Result<i64, CpuError> {
+        self.cpu.run_with(max_instructions, &mut self.ticks)
+    }
+}
+
+/// Every step, a trap delivery and the exit too, consumes one tick;
+/// retirements add the fixed latencies.
+impl Timing for Ticks {
+    #[inline]
+    fn cycle(&self) -> Option<u64> {
+        Some(self.stats.cycles)
+    }
+
+    #[inline]
+    fn retired(&mut self, retired: &Retired) -> Result<(), CpuError> {
         self.stats.cycles += 1;
-        if let Event::Retired(retired) = event {
-            if retired.mem_access.is_some() {
-                self.stats.cycles += MEM_ACCESS_CYCLES;
-                self.stats.mem_accesses += 1;
-            }
-            self.stats.cycles += match retired.facts.muldiv() {
-                Some(MulDiv::Mul) => self.config.mul_cycles,
-                Some(MulDiv::Div) => self.config.div_cycles,
-                None => 0,
-            };
-            if let Instr::Custom(_) = retired.instr {
-                if let Some(resp) = retired.rocc {
-                    self.stats.cycles += u64::from(resp.busy_cycles);
-                    self.stats.mem_accesses += u64::from(resp.mem_accesses);
-                }
+        if retired.mem_access.is_some() {
+            self.stats.cycles += MEM_ACCESS_CYCLES;
+            self.stats.mem_accesses += 1;
+        }
+        self.stats.cycles += match retired.facts.muldiv() {
+            Some(MulDiv::Mul) => self.config.mul_cycles,
+            Some(MulDiv::Div) => self.config.div_cycles,
+            None => 0,
+        };
+        if let Instr::Custom(_) = retired.instr {
+            if let Some(resp) = retired.rocc {
+                self.stats.cycles += u64::from(resp.busy_cycles);
+                self.stats.mem_accesses += u64::from(resp.mem_accesses);
             }
         }
-        result
+        Ok(())
+    }
+
+    #[inline]
+    fn trapped(&mut self) {
+        self.stats.cycles += 1;
+    }
+
+    #[inline]
+    fn exited(&mut self) {
+        self.stats.cycles += 1;
     }
 }
 

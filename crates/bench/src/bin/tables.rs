@@ -14,7 +14,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use codesign::framework::{
-    time_native, try_run_atomic, try_run_functional, try_run_rocket, NativeMethod, RunError,
+    time_native, try_run_atomic, try_run_functional, try_run_rocket, NativeMethod,
 };
 use codesign::kernels::KernelKind;
 use codesign::report;
@@ -423,51 +423,57 @@ fn micro() {
     retire_rates();
 }
 
-/// Samples in the guest behind the retire-rate rows.
+/// Samples in the guests behind the retire-rate rows.
 const RETIRE_SAMPLES: usize = 200;
 
-/// Runs of that guest per simulator.
-const RETIRE_RUNS: u32 = 5;
+/// Rounds of the retire-rate measurement. One round runs every guest once
+/// on every simulator, so a slow stretch of the host hits all of them
+/// alike, and each cell reports its fastest round.
+const RETIRE_ROUNDS: u32 = 40;
 
-/// Host nanoseconds per retired instruction in the fastest of
-/// [`RETIRE_RUNS`] calls of `run`, which runs the guest once and returns
-/// the instructions retired. The fastest run is the one least disturbed by
-/// other load on the host.
-fn ns_per_retired(mut run: impl FnMut() -> u64) -> f64 {
-    (0..RETIRE_RUNS)
-        .map(|_| {
-            let start = Instant::now();
-            let instret = run();
-            start.elapsed().as_secs_f64() * 1e9 / instret as f64
-        })
-        .fold(f64::INFINITY, f64::min)
-}
-
-/// Each simulator's host cost per retired instruction on one fixed
-/// Method-1 guest (seed 2019), so a change to the simulators' hot path
-/// shows up without the benchmark harness.
+/// Each simulator's host cost per retired instruction on the fixed
+/// seed-2019 Software and Method-1 guests, so a change to the simulators'
+/// hot path shows up, kernel by kernel, without the benchmark harness.
 fn retire_rates() {
-    const KIND: KernelKind = KernelKind::Method1;
+    const KINDS: [KernelKind; 2] = [KernelKind::Software, KernelKind::Method1];
+    const SIMULATORS: [&str; 3] = ["functional", "rocket", "atomic"];
     eprintln!("[micro] timing each simulator's retire rate...");
-    let guest = try_guest_for(KIND, &workload(RETIRE_SAMPLES, 2019)).unwrap_or_else(|e| die(&e));
-    fn ran<T>(run: Result<T, RunError>) -> T {
-        run.unwrap_or_else(|error| die(&BenchError::Run { kind: KIND, error }))
+    let vectors = workload(RETIRE_SAMPLES, 2019);
+    let guests = KINDS.map(|kind| try_guest_for(kind, &vectors).unwrap_or_else(|e| die(&e)));
+    // Runs `guest` once on simulator `sim`; returns the instructions retired.
+    let run = |kind: KernelKind, guest, sim| {
+        let ran = match sim {
+            0 => try_run_functional(guest).map(|run| run.instret),
+            1 => try_run_rocket(guest, rocket_timing(2019)).map(|run| run.stats.instret),
+            _ => try_run_atomic(guest, atomic_config()).map(|run| run.instret),
+        };
+        ran.unwrap_or_else(|error| die(&BenchError::Run { kind, error }))
+    };
+    let mut fastest = [[f64::INFINITY; SIMULATORS.len()]; KINDS.len()];
+    for _ in 0..RETIRE_ROUNDS {
+        for (k, (kind, guest)) in KINDS.iter().zip(&guests).enumerate() {
+            for (s, cell) in fastest[k].iter_mut().enumerate() {
+                let start = Instant::now();
+                let instret = run(*kind, guest, s);
+                *cell = cell.min(start.elapsed().as_secs_f64() * 1e9 / instret as f64);
+            }
+        }
     }
-    let rows = [
-        ("functional", ns_per_retired(|| ran(try_run_functional(&guest)).instret)),
-        (
-            "rocket",
-            ns_per_retired(|| ran(try_run_rocket(&guest, rocket_timing(2019))).stats.instret),
-        ),
-        ("atomic", ns_per_retired(|| ran(try_run_atomic(&guest, atomic_config())).instret)),
-    ];
     println!(
-        "Simulator retire rate (wall clock, fastest of {RETIRE_RUNS} runs of a \
-         {RETIRE_SAMPLES}-sample seed-2019 {KIND} guest)"
+        "Simulator retire rate (wall clock, ns/instr, fastest of {RETIRE_ROUNDS} interleaved \
+         rounds over {RETIRE_SAMPLES}-sample seed-2019 guests)"
     );
-    println!("{:<28} {:>10}", "Simulator", "ns/instr");
-    for (name, ns) in rows {
-        println!("{name:<28} {ns:>10.1}");
+    print!("{:<28}", "Kernel");
+    for name in SIMULATORS {
+        print!(" {name:>10}");
+    }
+    println!();
+    for (kind, row) in KINDS.iter().zip(fastest) {
+        print!("{:<28}", kind.to_string());
+        for ns in row {
+            print!(" {ns:>10.1}");
+        }
+        println!();
     }
     println!();
 }

@@ -1157,7 +1157,7 @@ fn expand(
                 op,
                 rd: ctx.reg(0)?,
                 csr: csr_number(&ctx, 1)?,
-                imm: u8::try_from(imm).map_err(|_| "csr immediate out of range".to_string())?,
+                imm: u8::try_from(imm).map_err(|_| format!("csr immediate {imm} out of range"))?,
             }
         } else {
             Instr::Csr {
@@ -1170,9 +1170,10 @@ fn expand(
     }
     if let Some(&(opcode, ..)) = CustomOpcode::TABLE.iter().find(|row| row.1 == m) {
         ctx.expect_len(7)?;
+        let funct7 = ctx.imm(0)?;
         return Ok(vec![Instr::Custom(RoccInstruction {
             opcode,
-            funct7: u8::try_from(ctx.imm(0)?).map_err(|_| "funct7 out of range".to_string())?,
+            funct7: u8::try_from(funct7).map_err(|_| format!("funct7 {funct7} out of range"))?,
             rd: ctx.reg(1)?,
             rs1: ctx.reg(2)?,
             rs2: ctx.reg(3)?,
@@ -1571,8 +1572,15 @@ mod tests {
 
     #[test]
     fn csr_numbers_beyond_12_bits_are_rejected() {
-        assert_rejected("csrrw zero, 0x1305, t0", "csr number immediate 4869 out of range");
-        assert_rejected("csrrwi zero, 0x1305, 1", "csr number immediate 4869 out of range");
+        assert_rejected("csrrw zero, 0x1305, t0", "csr number 4869 out of range");
+        assert_rejected("csrrwi zero, 0x1305, 1", "csr number 4869 out of range");
+    }
+
+    #[test]
+    fn csr_immediates_beyond_5_bits_name_the_field_once() {
+        assert_rejected("csrrsi a0, mepc, 32", "csr immediate 32 out of range");
+        assert_rejected("csrrsi a0, mepc, 300", "csr immediate 300 out of range");
+        assert_rejected("slli a0, a0, 64", "shift amount 64 out of range");
     }
 
     #[test]
@@ -1580,8 +1588,8 @@ mod tests {
         let source = "custom0 200, a0, a0, a0, 1, 1, 1";
         let unit = parse(source).expect("encoding errors are reported by link");
         assert!(link(&[&unit]).is_err());
-        assert_rejected(source, "funct7 immediate 200 out of range");
-        assert_rejected("custom0 256, a0, a0, a0, 1, 1, 1", "funct7 out of range");
+        assert_rejected(source, "funct7 200 out of range");
+        assert_rejected("custom0 256, a0, a0, a0, 1, 1, 1", "funct7 256 out of range");
     }
 
     #[test]

@@ -11,8 +11,16 @@ use crate::Reg;
 pub enum EncodeError {
     /// An immediate does not fit the field width or alignment.
     ImmediateOutOfRange {
-        /// Which instruction field.
+        /// The instruction whose immediate it is (`"lui"`, `"branch"`).
         what: &'static str,
+        /// The offending value.
+        value: i64,
+    },
+    /// A named field does not fit: a shift amount, a CSR number or
+    /// immediate, or a RoCC funct7.
+    FieldOutOfRange {
+        /// The field, as the message names it (`"csr number"`).
+        field: &'static str,
         /// The offending value.
         value: i64,
     },
@@ -23,6 +31,9 @@ impl fmt::Display for EncodeError {
         match *self {
             EncodeError::ImmediateOutOfRange { what, value } => {
                 write!(f, "{what} immediate {value} out of range")
+            }
+            EncodeError::FieldOutOfRange { field, value } => {
+                write!(f, "{field} {value} out of range")
             }
         }
     }
@@ -36,6 +47,20 @@ fn fits(ok: bool, what: &'static str, v: impl Into<i64>, bits: u32) -> Result<u3
         Ok(bits)
     } else {
         Err(EncodeError::ImmediateOutOfRange { what, value: v.into() })
+    }
+}
+
+/// Returns `bits` if `ok`, else the out-of-range error for `field`.
+fn field_fits(
+    ok: bool,
+    field: &'static str,
+    v: impl Into<i64>,
+    bits: u32,
+) -> Result<u32, EncodeError> {
+    if ok {
+        Ok(bits)
+    } else {
+        Err(EncodeError::FieldOutOfRange { field, value: v.into() })
     }
 }
 
@@ -53,7 +78,8 @@ fn check_u20(what: &'static str, v: i32) -> Result<u32, EncodeError> {
 /// a shift amount below `limit`.
 fn shift_imm(top: u32, limit: i32, shamt: i32) -> Result<u32, EncodeError> {
     let width = limit.trailing_zeros();
-    fits((0..limit).contains(&shamt), "shift amount", shamt, (top << width) | shamt as u32)
+    let bits = (top << width) | shamt as u32;
+    field_fits((0..limit).contains(&shamt), "shift amount", shamt, bits)
 }
 
 fn r_type(funct7: u32, rs2: Reg, rs1: Reg, funct3: u32, rd: Reg, opcode: u32) -> u32 {
@@ -79,7 +105,9 @@ impl Instr {
     /// CSR number above `0xFFF` or a RoCC funct7 above 127).
     pub fn encode(&self) -> Result<u32, EncodeError> {
         Ok(match *self {
-            Instr::Lui { rd, imm20 } => check_u20("lui", imm20)? | (u32::from(rd) << 7) | 0b0110111,
+            Instr::Lui { rd, imm20 } => {
+                check_u20("lui", imm20)? | (u32::from(rd) << 7) | 0b0110111
+            }
             Instr::Auipc { rd, imm20 } => {
                 check_u20("auipc", imm20)? | (u32::from(rd) << 7) | 0b0010111
             }
@@ -158,12 +186,12 @@ impl Instr {
             Instr::Ebreak => 0x0010_0073,
             Instr::Mret => 0x3020_0073,
             Instr::Csr { op, rd, csr, rs1 } => {
-                let csr = fits(csr <= 0xFFF, "csr number", csr, u32::from(csr))?;
+                let csr = field_fits(csr <= 0xFFF, "csr number", csr, u32::from(csr))?;
                 i_type(csr, rs1, CsrOp::TABLE[op as usize].2, rd, 0b1110011)
             }
             Instr::CsrImm { op, rd, csr, imm } => {
-                let csr = fits(csr <= 0xFFF, "csr number", csr, u32::from(csr))?;
-                let imm = fits(imm < 32, "csr immediate", imm, u32::from(imm))?;
+                let csr = field_fits(csr <= 0xFFF, "csr number", csr, u32::from(csr))?;
+                let imm = field_fits(imm < 32, "csr immediate", imm, u32::from(imm))?;
                 (csr << 20)
                     | (imm << 15)
                     | ((CsrOp::TABLE[op as usize].2 | 0b100) << 12)
@@ -171,7 +199,7 @@ impl Instr {
                     | 0b1110011
             }
             Instr::Custom(rocc) => {
-                fits(rocc.funct7 < 0x80, "funct7", rocc.funct7, 0)?;
+                field_fits(rocc.funct7 < 0x80, "funct7", rocc.funct7, 0)?;
                 rocc.encode()
             }
         })
@@ -323,7 +351,7 @@ mod tests {
 
     #[test]
     fn csr_number_is_range_checked() {
-        let err = Err(EncodeError::ImmediateOutOfRange { what: "csr number", value: 0x1305 });
+        let err = Err(EncodeError::FieldOutOfRange { field: "csr number", value: 0x1305 });
         let (op, rd) = (CsrOp::Csrrw, Reg::ZERO);
         assert_eq!(Instr::Csr { op, rd, csr: 0x1305, rs1: Reg::T0 }.encode(), err);
         assert_eq!(Instr::CsrImm { op, rd, csr: 0x1305, imm: 1 }.encode(), err);
@@ -339,7 +367,7 @@ mod tests {
             Instr::Custom(RoccInstruction::reg_reg(CustomOpcode::Custom0, funct7, a0, a0, a0)).encode()
         };
         for funct7 in [0x80, 200] {
-            let err = EncodeError::ImmediateOutOfRange { what: "funct7", value: funct7.into() };
+            let err = EncodeError::FieldOutOfRange { field: "funct7", value: funct7.into() };
             assert_eq!(rocc(funct7), Err(err));
         }
         assert!(rocc(0x7F).is_ok());

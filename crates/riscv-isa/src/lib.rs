@@ -6,7 +6,8 @@
 //! cycle-accurate (`rocket-sim`) and atomic (`atomic-sim`) simulators all
 //! decode through it. The [`alu`] module is the one definition of what each
 //! integer operation computes, which the functional core executes and
-//! `rvlint` folds constants with. The [`rocc`] module implements the
+//! `rvlint` folds constants with; the core executes the flat [`Op`] form
+//! of each decoded instruction. The [`rocc`] module implements the
 //! custom-instruction encoding of the paper's Fig. 3 / Table III.
 //!
 //! [`riscv-sim`]: https://www.decimalarith.info
@@ -34,10 +35,12 @@ pub mod csr;
 mod decode;
 mod encode;
 pub mod instr;
+pub mod op;
 mod reg;
 pub mod rocc;
 
 pub use decode::DecodeError;
 pub use encode::EncodeError;
 pub use instr::Instr;
+pub use op::Op;
 pub use reg::{ParseRegError, Reg};

@@ -1,11 +1,14 @@
 //! The functional RV64IM core.
 
-use riscv_isa::instr::{CsrOp, Instr, LoadOp, OperandFacts, StoreOp};
-use riscv_isa::{csr, Reg};
+use riscv_isa::instr::{
+    BranchOp, CsrOp, Instr, LoadOp, Op32Op, OpImm32Op, OpImmOp, OpOp, OperandFacts, StoreOp,
+};
+use riscv_isa::rocc::RoccInstruction;
+use riscv_isa::{csr, Op, Reg};
 
 use crate::coproc::{Coprocessor, NoCoprocessor, RoccCommand, RoccResponse};
-use crate::memory::Decoded;
-use crate::{CpuError, Memory, Simulator};
+use crate::memory::Slot;
+use crate::{CpuError, Memory, Simulator, Timing};
 
 /// Syscall numbers understood by the host interface (`a7` at `ecall`).
 pub mod syscall {
@@ -272,121 +275,369 @@ impl Cpu {
     /// when trap delivery is unarmed or the fault is host-level
     /// (unknown syscalls never trap).
     pub fn step(&mut self) -> Result<Event, CpuError> {
+        self.step_with(&mut Untimed)
+    }
+
+    /// [`Cpu::step`], charging the step to `timing`: the step of a timing
+    /// model.
+    ///
+    /// # Errors
+    ///
+    /// See [`Cpu::step`]; also any error of [`Timing::retired`].
+    #[inline]
+    pub fn step_with<T: Timing>(&mut self, timing: &mut T) -> Result<Event, CpuError> {
+        self.sync(timing);
         let pc = self.pc;
-        match self.step_inner() {
-            Ok(event) => Ok(event),
-            Err(error) => {
-                let mtvec = self.scratch_csrs.get(&csr::MTVEC).copied().unwrap_or(0);
-                let Some((cause, tval)) = trap_cause(&error) else {
-                    return Err(error);
-                };
-                if mtvec == 0 {
-                    return Err(error);
-                }
-                // Precise trap: step_inner leaves no partial architectural
-                // state on any error path, so mepc points at an instruction
-                // that can be re-executed or skipped by the handler.
-                self.scratch_csrs.insert(csr::MEPC, pc);
-                self.scratch_csrs.insert(csr::MCAUSE, cause);
-                self.scratch_csrs.insert(csr::MTVAL, tval);
-                self.pc = mtvec & !0x3;
-                self.cycle += 1;
-                self.trap_log.push(TrapRecord { cause, epc: pc, tval });
-                Ok(Event::Trapped { cause, epc: pc })
+        let event = match self.fetch(pc).and_then(|slot| self.exec(&slot, pc)) {
+            Ok(Executed::Retired(retired)) => {
+                timing.retired(&retired)?;
+                Event::Retired(retired)
             }
+            Ok(Executed::Exited(code)) => {
+                timing.exited();
+                Event::Exited { code }
+            }
+            Err(error) => {
+                let event = self.trap(pc, error)?;
+                timing.trapped();
+                event
+            }
+        };
+        self.tick(timing);
+        self.sync(timing);
+        Ok(event)
+    }
+
+    /// [`Simulator::run`] a block at a time, charging every step to
+    /// `timing`: the run of a timing model.
+    ///
+    /// Each fetch starts a block (see [`Memory`]) and the core executes
+    /// its ops from their decoded slots without fetching again. A block
+    /// stops early after a store or RoCC command that wrote its own page,
+    /// whose slots that write dropped, after a delivered trap, and where
+    /// the budget runs out. Every step is the one [`Cpu::step_with`]
+    /// would take, charged by the same `timing` calls, so the result, the
+    /// architectural state and the model's counters equal stepping's.
+    /// A timing model's cycle count is copied to [`Cpu::cycle`] as each
+    /// block starts, which is where every instruction that reads it
+    /// stands, and when the run ends.
+    ///
+    /// # Errors
+    ///
+    /// See [`Simulator::run`]; also any error of [`Timing::retired`].
+    pub fn run_with<T: Timing>(
+        &mut self,
+        max_instructions: u64,
+        timing: &mut T,
+    ) -> Result<i64, CpuError> {
+        let result = self.run_blocks(max_instructions, timing);
+        self.sync(timing);
+        result
+    }
+
+    /// [`Cpu::run_with`] but for the final cycle copy.
+    #[inline(always)]
+    fn run_blocks<T: Timing>(
+        &mut self,
+        max_instructions: u64,
+        timing: &mut T,
+    ) -> Result<i64, CpuError> {
+        let mut left = max_instructions;
+        while left > 0 {
+            self.sync(timing);
+            let entry = self.pc;
+            let mut slot = match self.fetch(entry) {
+                Ok(slot) => slot,
+                Err(error) => {
+                    left -= 1;
+                    self.trap(entry, error)?;
+                    timing.trapped();
+                    self.tick(timing);
+                    continue;
+                }
+            };
+            let end = left - u64::from(slot.block).min(left);
+            loop {
+                let pc = self.pc;
+                left -= 1;
+                match self.exec(&slot, pc) {
+                    Ok(Executed::Retired(retired)) => timing.retired(&retired)?,
+                    Ok(Executed::Exited(code)) => {
+                        timing.exited();
+                        self.tick(timing);
+                        return Ok(code);
+                    }
+                    Err(error) => {
+                        self.trap(pc, error)?;
+                        timing.trapped();
+                        self.tick(timing);
+                        break;
+                    }
+                }
+                self.tick(timing);
+                if left == end {
+                    break;
+                }
+                match self.memory.next_in_block(self.pc) {
+                    Some(next) => slot = next,
+                    None => break,
+                }
+            }
+        }
+        Err(CpuError::InstructionLimit(max_instructions))
+    }
+
+    /// Copies a timing model's cycle count to [`Cpu::cycle`].
+    #[inline(always)]
+    fn sync<T: Timing>(&mut self, timing: &T) {
+        if let Some(cycle) = timing.cycle() {
+            self.cycle = cycle;
         }
     }
 
-    fn step_inner(&mut self) -> Result<Event, CpuError> {
-        let pc = self.pc;
+    /// Counts a step on the functional core's own clock, one cycle per
+    /// step, unless a timing model keeps the count.
+    #[inline(always)]
+    fn tick<T: Timing>(&mut self, timing: &T) {
+        if timing.cycle().is_none() {
+            self.cycle += 1;
+        }
+    }
+
+    /// The decoded slot at `pc`.
+    #[inline]
+    fn fetch(&mut self, pc: u64) -> Result<Slot, CpuError> {
         if !pc.is_multiple_of(4) {
             return Err(CpuError::MisalignedPc(pc));
         }
-        let Decoded { instr, facts } = self.memory.fetch(pc)?;
-        let mut next_pc = pc.wrapping_add(4);
-        let mut mem_access = None;
-        let mut rocc = None;
+        self.memory.fetch(pc)
+    }
 
-        match instr {
-            Instr::Lui { rd, imm20 } => {
-                self.set_reg(rd, ((imm20 as i64) << 12) as u64);
+    /// Delivers `error`, raised by the instruction at `pc`, to the guest's
+    /// trap handler if one is armed and the error is architectural; else
+    /// returns it.
+    fn trap(&mut self, pc: u64, error: CpuError) -> Result<Event, CpuError> {
+        let mtvec = self.scratch_csrs.get(&csr::MTVEC).copied().unwrap_or(0);
+        let Some((cause, tval)) = trap_cause(&error) else {
+            return Err(error);
+        };
+        if mtvec == 0 {
+            return Err(error);
+        }
+        // Precise trap: `exec` leaves no partial architectural state on
+        // any error path, so mepc points at an instruction that can be
+        // re-executed or skipped by the handler.
+        self.scratch_csrs.insert(csr::MEPC, pc);
+        self.scratch_csrs.insert(csr::MCAUSE, cause);
+        self.scratch_csrs.insert(csr::MTVAL, tval);
+        self.pc = mtvec & !0x3;
+        self.trap_log.push(TrapRecord { cause, epc: pc, tval });
+        Ok(Event::Trapped { cause, epc: pc })
+    }
+
+    /// Register `r`'s value (`r` is below 32; `x0` reads 0).
+    #[inline(always)]
+    fn x(&self, r: u8) -> u64 {
+        self.regs[usize::from(r & 31)]
+    }
+
+    /// Writes register `rd` (`rd` is below 32), discarding writes to `x0`.
+    #[inline(always)]
+    fn write(&mut self, rd: u8, value: u64) {
+        if rd != 0 {
+            self.regs[usize::from(rd & 31)] = value;
+        }
+    }
+
+    /// `rd = op(rs1, rs2)`.
+    #[inline(always)]
+    fn alu(&mut self, op: OpOp, rd: u8, rs1: u8, rs2: u8) {
+        self.write(rd, op.eval(self.x(rs1), self.x(rs2)));
+    }
+
+    /// `rd = op(rs1, rs2)` on words.
+    #[inline(always)]
+    fn alu32(&mut self, op: Op32Op, rd: u8, rs1: u8, rs2: u8) {
+        self.write(rd, op.eval(self.x(rs1), self.x(rs2)));
+    }
+
+    /// `rd = op(rs1, imm)`.
+    #[inline(always)]
+    fn alu_imm(&mut self, op: OpOp, rd: u8, rs1: u8, imm: i32) {
+        self.write(rd, op.eval(self.x(rs1), imm as i64 as u64));
+    }
+
+    /// `rd = op(rs1, imm)` on words.
+    #[inline(always)]
+    fn alu_imm32(&mut self, op: Op32Op, rd: u8, rs1: u8, imm: i32) {
+        self.write(rd, op.eval(self.x(rs1), imm as i64 as u64));
+    }
+
+    /// The pc after branch `op` at `pc`.
+    #[inline(always)]
+    fn branch(&self, op: BranchOp, rs1: u8, rs2: u8, pc: u64, offset: i32) -> u64 {
+        if op.taken(self.x(rs1), self.x(rs2)) {
+            pc.wrapping_add(offset as i64 as u64)
+        } else {
+            pc.wrapping_add(4)
+        }
+    }
+
+    /// Load `op` into `rd` from `rs1 + offset`.
+    #[inline(always)]
+    fn load(&mut self, op: LoadOp, rd: u8, rs1: u8, offset: i32) -> Result<MemAccess, CpuError> {
+        let addr = self.x(rs1).wrapping_add(offset as i64 as u64);
+        let value = match op {
+            LoadOp::Lb => self.memory.read_u8(addr)? as i8 as i64 as u64,
+            LoadOp::Lbu => self.memory.read_u8(addr)?.into(),
+            LoadOp::Lh => self.memory.read_u16(addr)? as i16 as i64 as u64,
+            LoadOp::Lhu => self.memory.read_u16(addr)?.into(),
+            LoadOp::Lw => self.memory.read_u32(addr)? as i32 as i64 as u64,
+            LoadOp::Lwu => self.memory.read_u32(addr)?.into(),
+            LoadOp::Ld => self.memory.read_u64(addr)?,
+        };
+        self.write(rd, value);
+        Ok(MemAccess {
+            addr,
+            size: op.size(),
+            store: false,
+        })
+    }
+
+    /// Store `op` of `rs2` to `rs1 + offset`.
+    #[inline(always)]
+    fn store(
+        &mut self,
+        op: StoreOp,
+        rs1: u8,
+        rs2: u8,
+        offset: i32,
+    ) -> Result<MemAccess, CpuError> {
+        let addr = self.x(rs1).wrapping_add(offset as i64 as u64);
+        let value = self.x(rs2);
+        match op {
+            StoreOp::Sb => self.memory.write_u8(addr, value as u8)?,
+            StoreOp::Sh => self.memory.write_u16(addr, value as u16)?,
+            StoreOp::Sw => self.memory.write_u32(addr, value as u32)?,
+            StoreOp::Sd => self.memory.write_u64(addr, value)?,
+        }
+        Ok(MemAccess {
+            addr,
+            size: op.size(),
+            store: true,
+        })
+    }
+
+    /// CSR `op` on CSR `number`, reading the old value into `rd`; `writes`
+    /// is false for the forms that leave the CSR alone.
+    fn csr(
+        &mut self,
+        op: CsrOp,
+        rd: u8,
+        number: u16,
+        src: u64,
+        writes: bool,
+    ) -> Result<(), CpuError> {
+        let old = self.read_csr(number)?;
+        self.write_csr_op(op, number, old, src, writes)?;
+        self.write(rd, old);
+        Ok(())
+    }
+
+    /// Executes `slot`'s op, the instruction at `pc`: the one executor
+    /// behind both [`Cpu::step_with`] and [`Cpu::run_with`]. What each
+    /// integer op computes is [`riscv_isa::alu`]'s, called with the op
+    /// fixed per arm. On an error no architectural state has changed.
+    #[inline(always)]
+    fn exec(&mut self, slot: &Slot, pc: u64) -> Result<Executed, CpuError> {
+        let mut next = pc.wrapping_add(4);
+        let mut mem = None;
+        let mut rocc = None;
+        match slot.op {
+            Op::Lui { rd, imm } => self.write(rd, imm as i64 as u64),
+            Op::Auipc { rd, imm } => self.write(rd, pc.wrapping_add(imm as i64 as u64)),
+            Op::Jal { rd, offset } => {
+                self.write(rd, next);
+                next = pc.wrapping_add(offset as i64 as u64);
             }
-            Instr::Auipc { rd, imm20 } => {
-                self.set_reg(rd, pc.wrapping_add(((imm20 as i64) << 12) as u64));
+            Op::Jalr { rd, rs1, offset } => {
+                let target = self.x(rs1).wrapping_add(offset as i64 as u64) & !1;
+                self.write(rd, next);
+                next = target;
             }
-            Instr::Jal { rd, offset } => {
-                self.set_reg(rd, next_pc);
-                next_pc = pc.wrapping_add(offset as i64 as u64);
+            Op::Beq { rs1, rs2, offset } => next = self.branch(BranchOp::Beq, rs1, rs2, pc, offset),
+            Op::Bne { rs1, rs2, offset } => next = self.branch(BranchOp::Bne, rs1, rs2, pc, offset),
+            Op::Blt { rs1, rs2, offset } => next = self.branch(BranchOp::Blt, rs1, rs2, pc, offset),
+            Op::Bge { rs1, rs2, offset } => next = self.branch(BranchOp::Bge, rs1, rs2, pc, offset),
+            Op::Bltu { rs1, rs2, offset } => {
+                next = self.branch(BranchOp::Bltu, rs1, rs2, pc, offset);
             }
-            Instr::Jalr { rd, rs1, offset } => {
-                let target = self.reg(rs1).wrapping_add(offset as i64 as u64) & !1;
-                self.set_reg(rd, next_pc);
-                next_pc = target;
+            Op::Bgeu { rs1, rs2, offset } => {
+                next = self.branch(BranchOp::Bgeu, rs1, rs2, pc, offset);
             }
-            Instr::Branch { op, rs1, rs2, offset } => {
-                if op.taken(self.reg(rs1), self.reg(rs2)) {
-                    next_pc = pc.wrapping_add(offset as i64 as u64);
-                }
+            Op::Lb { rd, rs1, offset } => mem = Some(self.load(LoadOp::Lb, rd, rs1, offset)?),
+            Op::Lh { rd, rs1, offset } => mem = Some(self.load(LoadOp::Lh, rd, rs1, offset)?),
+            Op::Lw { rd, rs1, offset } => mem = Some(self.load(LoadOp::Lw, rd, rs1, offset)?),
+            Op::Ld { rd, rs1, offset } => mem = Some(self.load(LoadOp::Ld, rd, rs1, offset)?),
+            Op::Lbu { rd, rs1, offset } => mem = Some(self.load(LoadOp::Lbu, rd, rs1, offset)?),
+            Op::Lhu { rd, rs1, offset } => mem = Some(self.load(LoadOp::Lhu, rd, rs1, offset)?),
+            Op::Lwu { rd, rs1, offset } => mem = Some(self.load(LoadOp::Lwu, rd, rs1, offset)?),
+            Op::Sb { rs1, rs2, offset } => mem = Some(self.store(StoreOp::Sb, rs1, rs2, offset)?),
+            Op::Sh { rs1, rs2, offset } => mem = Some(self.store(StoreOp::Sh, rs1, rs2, offset)?),
+            Op::Sw { rs1, rs2, offset } => mem = Some(self.store(StoreOp::Sw, rs1, rs2, offset)?),
+            Op::Sd { rs1, rs2, offset } => mem = Some(self.store(StoreOp::Sd, rs1, rs2, offset)?),
+            Op::Addi { rd, rs1, imm } => self.alu_imm(OpImmOp::Addi.alu_op(), rd, rs1, imm),
+            Op::Slti { rd, rs1, imm } => self.alu_imm(OpImmOp::Slti.alu_op(), rd, rs1, imm),
+            Op::Sltiu { rd, rs1, imm } => self.alu_imm(OpImmOp::Sltiu.alu_op(), rd, rs1, imm),
+            Op::Xori { rd, rs1, imm } => self.alu_imm(OpImmOp::Xori.alu_op(), rd, rs1, imm),
+            Op::Ori { rd, rs1, imm } => self.alu_imm(OpImmOp::Ori.alu_op(), rd, rs1, imm),
+            Op::Andi { rd, rs1, imm } => self.alu_imm(OpImmOp::Andi.alu_op(), rd, rs1, imm),
+            Op::Slli { rd, rs1, imm } => self.alu_imm(OpImmOp::Slli.alu_op(), rd, rs1, imm),
+            Op::Srli { rd, rs1, imm } => self.alu_imm(OpImmOp::Srli.alu_op(), rd, rs1, imm),
+            Op::Srai { rd, rs1, imm } => self.alu_imm(OpImmOp::Srai.alu_op(), rd, rs1, imm),
+            Op::Addiw { rd, rs1, imm } => self.alu_imm32(OpImm32Op::Addiw.alu_op(), rd, rs1, imm),
+            Op::Slliw { rd, rs1, imm } => self.alu_imm32(OpImm32Op::Slliw.alu_op(), rd, rs1, imm),
+            Op::Srliw { rd, rs1, imm } => self.alu_imm32(OpImm32Op::Srliw.alu_op(), rd, rs1, imm),
+            Op::Sraiw { rd, rs1, imm } => self.alu_imm32(OpImm32Op::Sraiw.alu_op(), rd, rs1, imm),
+            Op::Add { rd, rs1, rs2 } => self.alu(OpOp::Add, rd, rs1, rs2),
+            Op::Sub { rd, rs1, rs2 } => self.alu(OpOp::Sub, rd, rs1, rs2),
+            Op::Sll { rd, rs1, rs2 } => self.alu(OpOp::Sll, rd, rs1, rs2),
+            Op::Slt { rd, rs1, rs2 } => self.alu(OpOp::Slt, rd, rs1, rs2),
+            Op::Sltu { rd, rs1, rs2 } => self.alu(OpOp::Sltu, rd, rs1, rs2),
+            Op::Xor { rd, rs1, rs2 } => self.alu(OpOp::Xor, rd, rs1, rs2),
+            Op::Srl { rd, rs1, rs2 } => self.alu(OpOp::Srl, rd, rs1, rs2),
+            Op::Sra { rd, rs1, rs2 } => self.alu(OpOp::Sra, rd, rs1, rs2),
+            Op::Or { rd, rs1, rs2 } => self.alu(OpOp::Or, rd, rs1, rs2),
+            Op::And { rd, rs1, rs2 } => self.alu(OpOp::And, rd, rs1, rs2),
+            Op::Mul { rd, rs1, rs2 } => self.alu(OpOp::Mul, rd, rs1, rs2),
+            Op::Mulh { rd, rs1, rs2 } => self.alu(OpOp::Mulh, rd, rs1, rs2),
+            Op::Mulhsu { rd, rs1, rs2 } => self.alu(OpOp::Mulhsu, rd, rs1, rs2),
+            Op::Mulhu { rd, rs1, rs2 } => self.alu(OpOp::Mulhu, rd, rs1, rs2),
+            Op::Div { rd, rs1, rs2 } => self.alu(OpOp::Div, rd, rs1, rs2),
+            Op::Divu { rd, rs1, rs2 } => self.alu(OpOp::Divu, rd, rs1, rs2),
+            Op::Rem { rd, rs1, rs2 } => self.alu(OpOp::Rem, rd, rs1, rs2),
+            Op::Remu { rd, rs1, rs2 } => self.alu(OpOp::Remu, rd, rs1, rs2),
+            Op::Addw { rd, rs1, rs2 } => self.alu32(Op32Op::Addw, rd, rs1, rs2),
+            Op::Subw { rd, rs1, rs2 } => self.alu32(Op32Op::Subw, rd, rs1, rs2),
+            Op::Sllw { rd, rs1, rs2 } => self.alu32(Op32Op::Sllw, rd, rs1, rs2),
+            Op::Srlw { rd, rs1, rs2 } => self.alu32(Op32Op::Srlw, rd, rs1, rs2),
+            Op::Sraw { rd, rs1, rs2 } => self.alu32(Op32Op::Sraw, rd, rs1, rs2),
+            Op::Mulw { rd, rs1, rs2 } => self.alu32(Op32Op::Mulw, rd, rs1, rs2),
+            Op::Divw { rd, rs1, rs2 } => self.alu32(Op32Op::Divw, rd, rs1, rs2),
+            Op::Divuw { rd, rs1, rs2 } => self.alu32(Op32Op::Divuw, rd, rs1, rs2),
+            Op::Remw { rd, rs1, rs2 } => self.alu32(Op32Op::Remw, rd, rs1, rs2),
+            Op::Remuw { rd, rs1, rs2 } => self.alu32(Op32Op::Remuw, rd, rs1, rs2),
+            Op::Fence => {}
+            Op::Ebreak => return Err(CpuError::Breakpoint(pc)),
+            Op::Mret => {
+                next = self.scratch_csrs.get(&csr::MEPC).copied().unwrap_or(0);
             }
-            Instr::Load { op, rd, rs1, offset } => {
-                let addr = self.reg(rs1).wrapping_add(offset as i64 as u64);
-                let value = match op {
-                    LoadOp::Lb => self.memory.read_u8(addr)? as i8 as i64 as u64,
-                    LoadOp::Lbu => self.memory.read_u8(addr)?.into(),
-                    LoadOp::Lh => self.memory.read_u16(addr)? as i16 as i64 as u64,
-                    LoadOp::Lhu => self.memory.read_u16(addr)?.into(),
-                    LoadOp::Lw => self.memory.read_u32(addr)? as i32 as i64 as u64,
-                    LoadOp::Lwu => self.memory.read_u32(addr)?.into(),
-                    LoadOp::Ld => self.memory.read_u64(addr)?,
-                };
-                self.set_reg(rd, value);
-                mem_access = Some(MemAccess {
-                    addr,
-                    size: op.size(),
-                    store: false,
-                });
-            }
-            Instr::Store { op, rs2, rs1, offset } => {
-                let addr = self.reg(rs1).wrapping_add(offset as i64 as u64);
-                let value = self.reg(rs2);
-                match op {
-                    StoreOp::Sb => self.memory.write_u8(addr, value as u8)?,
-                    StoreOp::Sh => self.memory.write_u16(addr, value as u16)?,
-                    StoreOp::Sw => self.memory.write_u32(addr, value as u32)?,
-                    StoreOp::Sd => self.memory.write_u64(addr, value)?,
-                }
-                mem_access = Some(MemAccess {
-                    addr,
-                    size: op.size(),
-                    store: true,
-                });
-            }
-            Instr::OpImm { op, rd, rs1, imm } => {
-                self.set_reg(rd, op.alu_op().eval(self.reg(rs1), imm as i64 as u64));
-            }
-            Instr::OpImm32 { op, rd, rs1, imm } => {
-                self.set_reg(rd, op.alu_op().eval(self.reg(rs1), imm as i64 as u64));
-            }
-            Instr::Op { op, rd, rs1, rs2 } => {
-                self.set_reg(rd, op.eval(self.reg(rs1), self.reg(rs2)));
-            }
-            Instr::Op32 { op, rd, rs1, rs2 } => {
-                self.set_reg(rd, op.eval(self.reg(rs1), self.reg(rs2)));
-            }
-            Instr::Fence => {}
-            Instr::Ebreak => return Err(CpuError::Breakpoint(pc)),
-            Instr::Mret => {
-                next_pc = self.scratch_csrs.get(&csr::MEPC).copied().unwrap_or(0);
-            }
-            Instr::Ecall => {
+            Op::Ecall => {
                 let nr = self.reg(Reg::A7);
                 match nr {
                     syscall::EXIT => {
                         self.instret += 1;
-                        self.cycle += 1;
-                        return Ok(Event::Exited {
-                            code: self.reg(Reg::A0) as i64,
-                        });
+                        return Ok(Executed::Exited(self.reg(Reg::A0) as i64));
                     }
                     syscall::WRITE => {
                         let buf = self.reg(Reg::A1);
@@ -405,63 +656,64 @@ impl Cpu {
                     _ => return Err(CpuError::UnknownSyscall(nr)),
                 }
             }
-            Instr::Csr { op, rd, csr, rs1 } => {
-                let old = self.read_csr(csr)?;
-                let src = self.reg(rs1);
-                self.write_csr_op(op, csr, old, src, rs1 != Reg::ZERO)?;
-                self.set_reg(rd, old);
-            }
-            Instr::CsrImm { op, rd, csr, imm } => {
-                let old = self.read_csr(csr)?;
-                self.write_csr_op(op, csr, old, u64::from(imm), imm != 0)?;
-                self.set_reg(rd, old);
-            }
-            Instr::Custom(rocc_instr) => {
-                let cmd = RoccCommand {
-                    instruction: rocc_instr,
-                    rs1_value: if rocc_instr.xs1 {
-                        self.reg(rocc_instr.rs1)
-                    } else {
-                        0
-                    },
-                    rs2_value: if rocc_instr.xs2 {
-                        self.reg(rocc_instr.rs2)
-                    } else {
-                        0
-                    },
-                };
-                let resp = self.coprocessor.execute(&cmd, &mut self.memory)?;
-                if resp.busy_cycles >= ROCC_WATCHDOG {
-                    // The response will never arrive (or not within the
-                    // bound): abort the handshake instead of hanging the
-                    // core, and tell the accelerator so it can recover.
-                    self.coprocessor.watchdog_abort();
-                    return Err(CpuError::RoccTimeout {
-                        funct7: rocc_instr.funct7,
-                        watchdog: ROCC_WATCHDOG,
-                    });
-                }
-                if rocc_instr.xd {
-                    let value = resp.rd_value.ok_or(CpuError::MissingRoccResponse {
-                        funct7: rocc_instr.funct7,
-                    })?;
-                    self.set_reg(rocc_instr.rd, value);
-                }
-                rocc = Some(resp);
-            }
+            Op::Csrrw { rd, rs1, csr } => self.csr(CsrOp::Csrrw, rd, csr, self.x(rs1), rs1 != 0)?,
+            Op::Csrrs { rd, rs1, csr } => self.csr(CsrOp::Csrrs, rd, csr, self.x(rs1), rs1 != 0)?,
+            Op::Csrrc { rd, rs1, csr } => self.csr(CsrOp::Csrrc, rd, csr, self.x(rs1), rs1 != 0)?,
+            Op::Csrrwi { rd, imm, csr } => self.csr(CsrOp::Csrrw, rd, csr, imm.into(), imm != 0)?,
+            Op::Csrrsi { rd, imm, csr } => self.csr(CsrOp::Csrrs, rd, csr, imm.into(), imm != 0)?,
+            Op::Csrrci { rd, imm, csr } => self.csr(CsrOp::Csrrc, rd, csr, imm.into(), imm != 0)?,
+            Op::Custom(rocc_instr) => rocc = Some(self.rocc(rocc_instr)?),
         }
 
-        self.pc = next_pc;
+        self.pc = next;
         self.instret += 1;
-        self.cycle += 1;
-        Ok(Event::Retired(Retired {
+        Ok(Executed::Retired(Retired {
             pc,
-            instr,
-            facts,
-            next_pc,
-            mem_access,
+            instr: slot.instr,
+            facts: slot.facts,
+            next_pc: next,
+            mem_access: mem,
             rocc,
         }))
+    }
+
+    /// Sends custom instruction `rocc_instr` to the coprocessor and writes
+    /// its response to `rd` if `xd` is set. Out of line: one in thirteen
+    /// of the busiest guest's instructions is a command, and the
+    /// accelerator's own work dwarfs a call.
+    #[inline(never)]
+    fn rocc(&mut self, rocc_instr: RoccInstruction) -> Result<RoccResponse, CpuError> {
+        let cmd = RoccCommand {
+            instruction: rocc_instr,
+            rs1_value: if rocc_instr.xs1 {
+                self.reg(rocc_instr.rs1)
+            } else {
+                0
+            },
+            rs2_value: if rocc_instr.xs2 {
+                self.reg(rocc_instr.rs2)
+            } else {
+                0
+            },
+        };
+        let resp = self.coprocessor.execute(&cmd, &mut self.memory)?;
+        if resp.busy_cycles >= ROCC_WATCHDOG {
+            // The response will never arrive (or not within the bound):
+            // abort the handshake instead of hanging the core, and tell
+            // the accelerator so it can recover.
+            self.coprocessor.watchdog_abort();
+            return Err(CpuError::RoccTimeout {
+                funct7: rocc_instr.funct7,
+                watchdog: ROCC_WATCHDOG,
+            });
+        }
+        if rocc_instr.xd {
+            let value = resp.rd_value.ok_or(CpuError::MissingRoccResponse {
+                funct7: rocc_instr.funct7,
+            })?;
+            self.set_reg(rocc_instr.rd, value);
+        }
+        Ok(resp)
     }
 
     fn read_csr(&self, number: u16) -> Result<u64, CpuError> {
@@ -501,8 +753,8 @@ impl Cpu {
         }
     }
 
-    /// Runs until exit or `max_instructions` steps; [`Simulator::run`]
-    /// without the trait in scope.
+    /// Runs until exit or `max_instructions` steps, a block at a time;
+    /// [`Simulator::run`] without the trait in scope.
     ///
     /// # Errors
     ///
@@ -543,6 +795,38 @@ impl Simulator for Cpu {
     fn step(&mut self) -> Result<Event, CpuError> {
         Cpu::step(self)
     }
+
+    fn run(&mut self, max_instructions: u64) -> Result<i64, CpuError> {
+        self.run_with(max_instructions, &mut Untimed)
+    }
+}
+
+/// What executing one op did, besides its register and memory writes.
+enum Executed {
+    Retired(Retired),
+    Exited(i64),
+}
+
+/// The functional core's timing: one cycle per step, which the executor
+/// and trap delivery count themselves.
+struct Untimed;
+
+impl Timing for Untimed {
+    #[inline(always)]
+    fn cycle(&self) -> Option<u64> {
+        None
+    }
+
+    #[inline(always)]
+    fn retired(&mut self, _: &Retired) -> Result<(), CpuError> {
+        Ok(())
+    }
+
+    #[inline(always)]
+    fn trapped(&mut self) {}
+
+    #[inline(always)]
+    fn exited(&mut self) {}
 }
 
 #[cfg(test)]
@@ -1100,6 +1384,217 @@ mod tests {
             }
             cpu.set_pc(0x1000);
         }
+    }
+
+    /// Every flat op does what its family op computes in `riscv_isa::alu`,
+    /// with the operands, immediates and widths of its `Instr`.
+    #[test]
+    fn every_op_computes_what_its_family_op_does() {
+        use riscv_isa::instr::Op32Op;
+        let (rd, rs1, rs2) = (Reg::A0, Reg::A1, Reg::A2);
+        let one = |instr: Instr, a: u64, b: u64| {
+            let mut cpu = Cpu::new();
+            cpu.set_reg(rs1, a);
+            cpu.set_reg(rs2, b);
+            cpu.memory.write_u64(0x2000, 0x8081_8283_8485_8687).unwrap();
+            load(&mut cpu, 0x1000, &[instr]);
+            cpu.step().unwrap();
+            cpu
+        };
+        let operands = [
+            (0, 0),
+            (5, 3),
+            (u64::MAX, 1),
+            (i64::MIN as u64, u64::MAX),
+            (0x1234_5678_9ABC_DEF0, 0xFEDC_BA98_7654_3210),
+            (7, 64 + 3),
+        ];
+        for (a, b) in operands {
+            for (op, ..) in OpOp::TABLE {
+                let cpu = one(Instr::Op { op, rd, rs1, rs2 }, a, b);
+                assert_eq!(cpu.reg(rd), op.eval(a, b), "{op:?}({a:#x}, {b:#x})");
+            }
+            for (op, ..) in Op32Op::TABLE {
+                let cpu = one(Instr::Op32 { op, rd, rs1, rs2 }, a, b);
+                assert_eq!(cpu.reg(rd), op.eval(a, b), "{op:?}({a:#x}, {b:#x})");
+            }
+            for (op, ..) in BranchOp::TABLE {
+                let cpu = one(Instr::Branch { op, rs1, rs2, offset: -16 }, a, b);
+                let next = if op.taken(a, b) { 0x0FF0 } else { 0x1004 };
+                assert_eq!(cpu.pc(), next, "{op:?}({a:#x}, {b:#x})");
+            }
+            for (op, _, _, shift) in OpImmOp::TABLE {
+                let imms: &[i32] = match shift {
+                    Some(_) => &[0, 1, 31, 63],
+                    None => &[-2048, -1, 0, 7, 2047],
+                };
+                for &imm in imms {
+                    let cpu = one(Instr::OpImm { op, rd, rs1, imm }, a, b);
+                    let expected = op.alu_op().eval(a, imm as i64 as u64);
+                    assert_eq!(cpu.reg(rd), expected, "{op:?}({a:#x}, {imm})");
+                }
+            }
+            for (op, _, _, shift) in OpImm32Op::TABLE {
+                let imms: &[i32] = match shift {
+                    Some(_) => &[0, 1, 31],
+                    None => &[-2048, -1, 0, 7, 2047],
+                };
+                for &imm in imms {
+                    let cpu = one(Instr::OpImm32 { op, rd, rs1, imm }, a, b);
+                    let expected = op.alu_op().eval(a, imm as i64 as u64);
+                    assert_eq!(cpu.reg(rd), expected, "{op:?}({a:#x}, {imm})");
+                }
+            }
+            for (op, ..) in StoreOp::TABLE {
+                let cpu = one(Instr::Store { op, rs2, rs1, offset: 8 }, 0x3000, b);
+                let mask = u64::MAX >> (64 - 8 * op.size());
+                assert_eq!(cpu.memory.read_u64(0x3008), Ok(b & mask), "{op:?}({b:#x})");
+            }
+        }
+        for (op, expected) in [
+            (LoadOp::Lb, 0xFFFF_FFFF_FFFF_FF87),
+            (LoadOp::Lh, 0xFFFF_FFFF_FFFF_8687),
+            (LoadOp::Lw, 0xFFFF_FFFF_8485_8687),
+            (LoadOp::Ld, 0x8081_8283_8485_8687),
+            (LoadOp::Lbu, 0x87),
+            (LoadOp::Lhu, 0x8687),
+            (LoadOp::Lwu, 0x8485_8687),
+        ] {
+            let cpu = one(Instr::Load { op, rd, rs1, offset: -8 }, 0x2008, 0);
+            assert_eq!(cpu.reg(rd), expected, "{op:?}");
+        }
+        let lui = one(Instr::Lui { rd, imm20: -1 }, 0, 0);
+        assert_eq!(lui.reg(rd), (-4096i64) as u64);
+        let auipc = one(Instr::Auipc { rd, imm20: 0x80000 }, 0, 0);
+        assert_eq!(auipc.reg(rd), 0x1000u64.wrapping_add(0xFFFF_FFFF_8000_0000));
+        let jal = one(Instr::Jal { rd, offset: -0x1000 }, 0, 0);
+        assert_eq!((jal.pc(), jal.reg(rd)), (0, 0x1004));
+        let jalr = one(Instr::Jalr { rd, rs1, offset: -3 }, 0x2005, 0);
+        assert_eq!((jalr.pc(), jalr.reg(rd)), (0x2002, 0x1004));
+    }
+
+    /// A timing model that logs every charge and keeps a cycle count of
+    /// its own, so two runs can be compared charge by charge.
+    #[derive(Debug, Default, PartialEq)]
+    struct ChargeLog {
+        cycles: u64,
+        charges: Vec<(char, u64)>,
+    }
+
+    impl Timing for ChargeLog {
+        fn cycle(&self) -> Option<u64> {
+            Some(self.cycles)
+        }
+        fn retired(&mut self, retired: &Retired) -> Result<(), CpuError> {
+            self.cycles += 3;
+            self.charges.push(('r', retired.pc));
+            Ok(())
+        }
+        fn trapped(&mut self) {
+            self.cycles += 5;
+            self.charges.push(('t', 0));
+        }
+        fn exited(&mut self) {
+            self.cycles += 1;
+            self.charges.push(('x', 0));
+        }
+    }
+
+    /// Everything a run leaves in the core.
+    fn state(cpu: &Cpu) -> (u64, [u64; 32], u64, u64, Vec<TrapRecord>, Vec<Marker>) {
+        (
+            cpu.pc(),
+            cpu.registers(),
+            cpu.cycle,
+            cpu.instret,
+            cpu.trap_log.clone(),
+            cpu.markers.clone(),
+        )
+    }
+
+    /// `k` calls of `step`, as [`Simulator::run`]'s result.
+    fn step_k(cpu: &mut Cpu, timing: &mut impl Timing, k: u64) -> Result<i64, CpuError> {
+        for _ in 0..k {
+            if let Event::Exited { code } = cpu.step_with(timing)? {
+                return Ok(code);
+            }
+        }
+        Err(CpuError::InstructionLimit(k))
+    }
+
+    /// A block that faults on a load in its middle, then a word that does
+    /// not decode, then a cycle-count read; with `armed` the handler skips
+    /// each faulting instruction and returns.
+    fn faulting_block(armed: bool) -> Cpu {
+        let mut cpu = Cpu::new();
+        let main = [
+            Instr::Csr { op: CsrOp::Csrrw, rd: Reg::ZERO, csr: csr::MTVEC, rs1: Reg::T0 },
+            addi(Reg::A0, Reg::ZERO, 1),
+            addi(Reg::A1, Reg::ZERO, 2),
+            Instr::Load { op: LoadOp::Ld, rd: Reg::A2, rs1: Reg::T1, offset: 8 },
+            addi(Reg::A0, Reg::A0, 3),
+            Instr::NOP, // overwritten with a word that does not decode
+            Instr::Csr { op: CsrOp::Csrrs, rd: Reg::A4, csr: csr::CYCLE, rs1: Reg::ZERO },
+            addi(Reg::A0, Reg::A0, 0),
+            addi(Reg::A7, Reg::ZERO, 93),
+            Instr::Ecall,
+        ];
+        let handler = [
+            addi(Reg::A3, Reg::ZERO, 7),
+            Instr::Csr { op: CsrOp::Csrrs, rd: Reg::T2, csr: csr::MEPC, rs1: Reg::ZERO },
+            addi(Reg::T2, Reg::T2, 4),
+            Instr::Csr { op: CsrOp::Csrrw, rd: Reg::ZERO, csr: csr::MEPC, rs1: Reg::T2 },
+            Instr::Mret,
+        ];
+        load(&mut cpu, 0x2000, &handler);
+        load(&mut cpu, 0x1000, &main);
+        cpu.memory.write_u32(0x1014, 0xFFFF_FFFF).unwrap();
+        cpu.set_reg(Reg::T0, if armed { 0x2000 } else { 0 });
+        cpu.set_reg(Reg::T1, 0x9000);
+        cpu
+    }
+
+    #[test]
+    fn every_budget_stops_run_where_stepping_stops() {
+        for armed in [false, true] {
+            let full = if armed { 20 } else { 4 };
+            for k in 0..=full + 2 {
+                // The functional core's own clock.
+                let mut ran = faulting_block(armed);
+                let mut stepped = faulting_block(armed);
+                let result = ran.run(k);
+                assert_eq!(result, step_k(&mut stepped, &mut Untimed, k), "armed {armed}, k {k}");
+                assert_eq!(state(&ran), state(&stepped), "armed {armed}, k {k}");
+                // A timing model's clock, charge by charge.
+                let (mut ran, mut ran_log) = (faulting_block(armed), ChargeLog::default());
+                let (mut stepped, mut stepped_log) = (faulting_block(armed), ChargeLog::default());
+                let timed = ran.run_with(k, &mut ran_log);
+                assert_eq!(timed, result, "armed {armed}, k {k}");
+                assert_eq!(timed, step_k(&mut stepped, &mut stepped_log, k));
+                assert_eq!(state(&ran), state(&stepped), "armed {armed}, k {k}");
+                assert_eq!(ran_log, stepped_log, "armed {armed}, k {k}");
+                let expected = match (armed, k) {
+                    (false, 4..) => Err(CpuError::UnmappedAddress(0x9008)),
+                    (true, 20..) => Ok(4),
+                    _ => Err(CpuError::InstructionLimit(k)),
+                };
+                assert_eq!(result, expected, "armed {armed}, k {k}");
+            }
+        }
+        // Armed, the load and the word each trap once, and `rdcycle` reads
+        // the model's count at the start of its own block: 14 retirements
+        // and the two traps.
+        let mut cpu = faulting_block(true);
+        let mut log = ChargeLog::default();
+        assert_eq!(cpu.run_with(100, &mut log), Ok(4));
+        let causes = cpu.trap_log.iter().map(|trap| (trap.cause, trap.epc));
+        let expected = [
+            (riscv_isa::csr::cause::LOAD_FAULT, 0x100C),
+            (riscv_isa::csr::cause::ILLEGAL_INSTRUCTION, 0x1014),
+        ];
+        assert!(causes.eq(expected), "{:?}", cpu.trap_log);
+        assert_eq!(cpu.reg(Reg::A3), 7);
+        assert_eq!(cpu.reg(Reg::A4), 3 * 14 + 5 * 2);
     }
 
     #[test]

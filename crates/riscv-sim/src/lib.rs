@@ -35,7 +35,7 @@ pub use coproc::{
 };
 pub use cpu::{syscall, trap_cause, Cpu, Event, Marker, MemAccess, Retired, TrapRecord};
 pub use memory::Memory;
-pub use simulator::Simulator;
+pub use simulator::{Simulator, Timing};
 
 /// Faults and limits surfaced by the simulators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -5,6 +5,7 @@ use std::cell::Cell;
 use std::collections::BTreeMap;
 
 use riscv_isa::instr::{Instr, OperandFacts};
+use riscv_isa::Op;
 
 use crate::CpuError;
 
@@ -14,15 +15,44 @@ const PAGE_SIZE: u64 = 1 << PAGE_SHIFT;
 /// Instruction slots in one 4 KiB page.
 const SLOTS_PER_PAGE: usize = 1 << (PAGE_SHIFT - 2);
 
-/// One decoded instruction with its operand facts.
+/// One decoded instruction: the flat op the core executes, the instruction
+/// it came from (which retirements report), its operand facts, and the
+/// length of the block that starts at it.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Decoded {
+#[repr(C)]
+pub(crate) struct Slot {
     pub(crate) instr: Instr,
     pub(crate) facts: OperandFacts,
+    pub(crate) op: Op,
+    /// Ops from this one to the end of its block, this one included.
+    pub(crate) block: u16,
 }
 
-/// One page's decoded instructions, filled lazily slot by slot.
-type DecodedSlots = [Option<Decoded>; SLOTS_PER_PAGE];
+/// Where an instruction sits in a block: see [`Memory::fetch`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Role {
+    /// Falls through to the next word within its block.
+    Inner,
+    /// Ends its block: a jump, a branch or a RoCC command.
+    Last,
+    /// A block of its own: a CSR access, `ecall`, `ebreak` or `mret`.
+    Alone,
+}
+
+fn role(instr: &Instr) -> Role {
+    match instr {
+        Instr::Jal { .. } | Instr::Jalr { .. } | Instr::Branch { .. } | Instr::Custom(_) => {
+            Role::Last
+        }
+        Instr::Csr { .. } | Instr::CsrImm { .. } | Instr::Ecall | Instr::Ebreak | Instr::Mret => {
+            Role::Alone
+        }
+        _ => Role::Inner,
+    }
+}
+
+/// One page's decoded instructions, filled lazily block by block.
+type DecodedSlots = [Option<Slot>; SLOTS_PER_PAGE];
 
 /// One mapped 4 KiB page.
 #[derive(Debug, Clone)]
@@ -47,7 +77,8 @@ const NO_PAGE: u64 = u64::MAX;
 /// stays valid; a lookup that fails leaves the memo as it was.
 ///
 /// Each page also holds the instructions decoded from it, one slot per
-/// word, filled when the core first fetches that word. Any write to a
+/// word, filled a block at a time when the core first fetches from that
+/// block. Any write to a
 /// page — a guest store, an accelerator write through the RoCC memory
 /// port, a harness write — drops that page's decoded slots and no other
 /// page's, so patched code always executes as written. Fetches keep a
@@ -105,8 +136,16 @@ impl Memory {
         self.pages.len()
     }
 
+    /// The mapped pages in address order, each as its base address and its
+    /// bytes, for harnesses that compare or digest whole memories.
+    pub fn pages(&self) -> impl Iterator<Item = (u64, &[u8])> {
+        self.index
+            .iter()
+            .map(|(&index, &at)| (index << PAGE_SHIFT, &self.pages[at].bytes[..]))
+    }
+
     /// The position in `pages` of the page with index `index`, if mapped.
-    #[inline]
+    #[inline(always)]
     fn find(&self, index: u64) -> Option<usize> {
         let (memo_index, memo_at) = self.memo.get();
         if memo_index == index {
@@ -138,7 +177,7 @@ impl Memory {
     }
 
     /// The page with index `index`, if mapped.
-    #[inline]
+    #[inline(always)]
     fn page(&self, index: u64) -> Option<&Page> {
         self.find(index).map(|at| &self.pages[at])
     }
@@ -146,15 +185,22 @@ impl Memory {
     /// The decoded instruction at the 4-byte-aligned `pc`: a slot read
     /// while `pc` stays on the page of the last fetch and its slot is
     /// filled, else a second read once [`Memory::decode`] has filled it.
-    /// Every hit is read from a slot, so the hit path copies no
-    /// instruction through the stack.
+    ///
+    /// A slot's `block` counts the ops from it to the end of its block, a
+    /// straight run of words on one page that the core may execute
+    /// without fetching again: it ends after the first jump, branch or
+    /// RoCC command, before the first word that does not decode, and at
+    /// the page end. A CSR access, `ecall`, `ebreak` or `mret` is a block
+    /// of its own, so a timing model has charged everything before it when
+    /// it reads the cycle count. The length depends only on the page's
+    /// bytes, which is why a write drops the page's slots together.
     ///
     /// # Errors
     ///
     /// Returns [`CpuError::FetchFault`] if the page is unmapped and
     /// [`CpuError::Decode`] if the word is not an instruction.
     #[inline]
-    pub(crate) fn fetch(&mut self, pc: u64) -> Result<Decoded, CpuError> {
+    pub(crate) fn fetch(&mut self, pc: u64) -> Result<Slot, CpuError> {
         debug_assert!(pc.is_multiple_of(4), "fetch from misaligned pc {pc:#x}");
         loop {
             if self.fetch_at.0 == pc >> PAGE_SHIFT {
@@ -168,11 +214,20 @@ impl Memory {
         }
     }
 
+    /// The slot at `pc` within the block the last [`Memory::fetch`]
+    /// started, or `None` once a write has dropped that page's slots.
+    #[inline]
+    pub(crate) fn next_in_block(&self, pc: u64) -> Option<Slot> {
+        debug_assert_eq!(self.fetch_at.0, pc >> PAGE_SHIFT, "block left its page");
+        self.fetch_slots.as_ref()?[(pc as usize >> 2) % SLOTS_PER_PAGE]
+    }
+
     /// [`Memory::fetch`] past the slot read: makes `pc`'s page the fetch
     /// page, putting the previous one's slots back into it, then decodes
-    /// into `pc`'s slot if it is empty. Maps nothing, and allocates a
-    /// page's slots only once an instruction on it has decoded, so fetches
-    /// that fault allocate nothing. It does not touch the data memo.
+    /// the block at `pc` if its slot is empty. Maps nothing, and allocates
+    /// a page's slots only once an instruction on it has decoded, so
+    /// fetches that fault allocate nothing. It does not touch the data
+    /// memo.
     ///
     /// Out of line: inlined, the new slot array is built in `step`'s stack
     /// frame, which every step then probes page by page.
@@ -188,29 +243,67 @@ impl Memory {
             self.fetch_slots = self.pages[at].decoded.take();
             self.fetch_at = (index, at);
         }
-        let slot = (pc as usize >> 2) % SLOTS_PER_PAGE;
+        let first = (pc as usize >> 2) % SLOTS_PER_PAGE;
         if self
             .fetch_slots
             .as_ref()
-            .is_some_and(|slots| slots[slot].is_some())
+            .is_some_and(|slots| slots[first].is_some())
         {
             return Ok(());
         }
-        let offset = (pc & (PAGE_SIZE - 1)) as usize;
-        let mut word = [0; 4];
-        word.copy_from_slice(&self.pages[self.fetch_at.1].bytes[offset..offset + 4]);
-        let instr = Instr::decode(u32::from_le_bytes(word)).map_err(CpuError::Decode)?;
-        self.fetch_slots
-            .get_or_insert_with(|| Box::new([None; SLOTS_PER_PAGE]))[slot] = Some(Decoded {
-            instr,
-            facts: instr.operand_facts(),
-        });
+        let bytes = &self.pages[self.fetch_at.1].bytes;
+        let decode = |slot: usize| {
+            let mut word = [0; 4];
+            word.copy_from_slice(&bytes[4 * slot..4 * slot + 4]);
+            Instr::decode(u32::from_le_bytes(word))
+        };
+        let filled = |instr: Instr| {
+            Some(Slot {
+                instr,
+                facts: instr.operand_facts(),
+                op: Op::from(instr),
+                block: 0,
+            })
+        };
+        let instr = decode(first).map_err(CpuError::Decode)?;
+        let slots = self
+            .fetch_slots
+            .get_or_insert_with(|| Box::new([None; SLOTS_PER_PAGE]));
+        slots[first] = filled(instr);
+        // Decode on to the block's end, or to a decoded slot whose block
+        // this one's joins.
+        let mut end = first + 1;
+        if role(&instr) == Role::Inner {
+            while end < SLOTS_PER_PAGE {
+                if let Some(slot) = slots[end] {
+                    if role(&slot.instr) != Role::Alone {
+                        end += usize::from(slot.block);
+                    }
+                    break;
+                }
+                let Ok(instr) = decode(end) else { break };
+                let role = role(&instr);
+                if role == Role::Alone {
+                    break;
+                }
+                slots[end] = filled(instr);
+                end += 1;
+                if role == Role::Last {
+                    break;
+                }
+            }
+        }
+        for (slot, block) in slots[first..end].iter_mut().zip((1..=end - first).rev()) {
+            if let Some(slot) = slot {
+                slot.block = block as u16;
+            }
+        }
         Ok(())
     }
 
     /// The page with index `index`, mapping it on demand. Drops the
     /// page's decoded slots, since the caller writes through the bytes.
-    #[inline]
+    #[inline(always)]
     fn page_for_write(&mut self, index: u64) -> &mut [u8; PAGE_SIZE as usize] {
         let at = match self.find(index) {
             Some(at) => at,
@@ -279,7 +372,7 @@ impl Memory {
     /// # Errors
     ///
     /// Returns [`CpuError::UnmappedAddress`] if the page was never written.
-    #[inline]
+    #[inline(always)]
     pub fn read_u8(&self, addr: u64) -> Result<u8, CpuError> {
         Ok(self.read_le::<1>(addr)?[0])
     }
@@ -290,7 +383,7 @@ impl Memory {
     ///
     /// Infallible today; kept fallible for symmetry and future protection
     /// bits.
-    #[inline]
+    #[inline(always)]
     pub fn write_u8(&mut self, addr: u64, value: u8) -> Result<(), CpuError> {
         self.write_le(addr, [value]);
         Ok(())
@@ -298,7 +391,7 @@ impl Memory {
 
     /// Reads `N` little-endian bytes: a fixed-size copy when they lie in
     /// one page, else page by page.
-    #[inline]
+    #[inline(always)]
     fn read_le<const N: usize>(&self, addr: u64) -> Result<[u8; N], CpuError> {
         let mut out = [0u8; N];
         let offset = (addr & (PAGE_SIZE - 1)) as usize;
@@ -315,7 +408,7 @@ impl Memory {
 
     /// Writes `N` little-endian bytes: a fixed-size copy when they lie in
     /// one page, else page by page.
-    #[inline]
+    #[inline(always)]
     fn write_le<const N: usize>(&mut self, addr: u64, bytes: [u8; N]) {
         let offset = (addr & (PAGE_SIZE - 1)) as usize;
         if offset + N <= PAGE_SIZE as usize {
@@ -330,7 +423,7 @@ impl Memory {
     /// # Errors
     ///
     /// Returns [`CpuError::UnmappedAddress`] for unmapped locations.
-    #[inline]
+    #[inline(always)]
     pub fn read_u16(&self, addr: u64) -> Result<u16, CpuError> {
         Ok(u16::from_le_bytes(self.read_le(addr)?))
     }
@@ -340,7 +433,7 @@ impl Memory {
     /// # Errors
     ///
     /// Returns [`CpuError::UnmappedAddress`] for unmapped locations.
-    #[inline]
+    #[inline(always)]
     pub fn read_u32(&self, addr: u64) -> Result<u32, CpuError> {
         Ok(u32::from_le_bytes(self.read_le(addr)?))
     }
@@ -350,7 +443,7 @@ impl Memory {
     /// # Errors
     ///
     /// Returns [`CpuError::UnmappedAddress`] for unmapped locations.
-    #[inline]
+    #[inline(always)]
     pub fn read_u64(&self, addr: u64) -> Result<u64, CpuError> {
         Ok(u64::from_le_bytes(self.read_le(addr)?))
     }
@@ -360,7 +453,7 @@ impl Memory {
     /// # Errors
     ///
     /// See [`Memory::write_u8`].
-    #[inline]
+    #[inline(always)]
     pub fn write_u16(&mut self, addr: u64, value: u16) -> Result<(), CpuError> {
         self.write_le(addr, value.to_le_bytes());
         Ok(())
@@ -371,7 +464,7 @@ impl Memory {
     /// # Errors
     ///
     /// See [`Memory::write_u8`].
-    #[inline]
+    #[inline(always)]
     pub fn write_u32(&mut self, addr: u64, value: u32) -> Result<(), CpuError> {
         self.write_le(addr, value.to_le_bytes());
         Ok(())
@@ -382,7 +475,7 @@ impl Memory {
     /// # Errors
     ///
     /// See [`Memory::write_u8`].
-    #[inline]
+    #[inline(always)]
     pub fn write_u64(&mut self, addr: u64, value: u64) -> Result<(), CpuError> {
         self.write_le(addr, value.to_le_bytes());
         Ok(())
@@ -541,7 +634,7 @@ mod tests {
 
     /// The instruction [`Memory::fetch`] decodes at `pc`.
     fn fetched(m: &mut Memory, pc: u64) -> Result<Instr, CpuError> {
-        m.fetch(pc).map(|decoded| decoded.instr)
+        m.fetch(pc).map(|slot| slot.instr)
     }
 
     /// `addi a0, a0, imm`.

@@ -1,6 +1,7 @@
-//! The one interface every evaluation platform implements.
+//! The one interface every evaluation platform implements, and the charge
+//! routine a timing model plugs into the core.
 
-use crate::{Cpu, CpuError, Event};
+use crate::{Cpu, CpuError, Event, Retired};
 
 /// A simulator that executes guest code through a wrapped functional
 /// [`Cpu`]: the functional core itself, or a timing model around one
@@ -8,9 +9,16 @@ use crate::{Cpu, CpuError, Event};
 ///
 /// Loading, coprocessors and architectural state all live on the
 /// [`Cpu`] reached through [`Simulator::cpu_mut`]; a simulator only adds
-/// how one step is charged. Harnesses (the evaluation framework, the
+/// how an instruction is charged. Harnesses (the evaluation framework, the
 /// lockstep comparator, campaigns) drive any platform through this trait,
 /// statically or as `dyn Simulator`.
+///
+/// `step` executes one instruction; lockstep and the fault campaign's
+/// replays drive it. `Cpu`, `RocketSim` and `AtomicSim` override `run` to
+/// execute whole blocks through [`Cpu::run_with`], with the same results
+/// as stepping, counters and cycles included. A wrapper that implements
+/// only `step` (a lockstep mutant, a test recorder) gets the provided
+/// `run`, which steps.
 pub trait Simulator {
     /// Short name used in reports (e.g. `"rocket"`).
     fn label(&self) -> &'static str;
@@ -23,16 +31,16 @@ pub trait Simulator {
 
     /// Executes one instruction, charging the platform's modelled time.
     ///
-    /// Implementations are `#[inline]`: [`Simulator::run`] is instantiated
-    /// in the calling crate, and the step must be inlinable there for the
-    /// loop to compile as it would inside the simulator's own crate.
-    ///
     /// # Errors
     ///
     /// Propagates the functional core's [`CpuError`].
     fn step(&mut self) -> Result<Event, CpuError>;
 
-    /// Steps until the guest exits, returning its exit code.
+    /// Runs until the guest exits, returning its exit code. Every step
+    /// counts against `max_instructions`: a retirement, the exiting
+    /// `ecall` and a delivered trap.
+    ///
+    /// The provided method calls [`Simulator::step`] in a loop.
     ///
     /// # Errors
     ///
@@ -47,4 +55,28 @@ pub trait Simulator {
         }
         Err(CpuError::InstructionLimit(max_instructions))
     }
+}
+
+/// How a timing model charges what the core executes: the one charge
+/// routine behind both its `step` ([`Cpu::step_with`]) and its `run`
+/// ([`Cpu::run_with`]).
+pub trait Timing {
+    /// The cycle count guest `rdcycle` and `mark` should read during the
+    /// next instruction, or `None` to keep the core's own count (one per
+    /// step). Asked before every instruction.
+    fn cycle(&self) -> Option<u64>;
+
+    /// Charges one retired instruction.
+    ///
+    /// # Errors
+    ///
+    /// A [`CpuError`] the model cannot charge through, which the run
+    /// returns as it is.
+    fn retired(&mut self, retired: &Retired) -> Result<(), CpuError>;
+
+    /// Charges a trap delivered to the guest's handler.
+    fn trapped(&mut self);
+
+    /// Charges the exiting `ecall`.
+    fn exited(&mut self);
 }

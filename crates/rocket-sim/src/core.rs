@@ -2,7 +2,7 @@
 
 use riscv_isa::alu::MulDiv;
 use riscv_isa::instr::Instr;
-use riscv_sim::{Cpu, CpuError, Event, Retired, Simulator};
+use riscv_sim::{Cpu, CpuError, Event, Retired, Simulator, Timing};
 
 use crate::cache::{Cache, CacheStats};
 
@@ -73,18 +73,26 @@ pub struct RunStats {
 /// D-cache miss penalties, a flush penalty for taken control transfers, and
 /// the RoCC handshake + accelerator busy time for custom instructions.
 /// RoCC-attributed cycles accumulate separately so Table IV's SW/HW split
-/// falls directly out of a run. Runs go through [`Simulator`]; guest
+/// falls directly out of a run. Runs go through [`Simulator`], whose `run`
+/// executes a block at a time with the same counters as stepping; guest
 /// markers carry modelled cycles.
 pub struct RocketSim {
     /// The wrapped functional core (public for program loading, register
     /// setup and coprocessors).
     pub cpu: Cpu,
+    pipeline: Pipeline,
+}
+
+/// The pipeline's timing state, which charges every step of both `step`
+/// and `run`.
+struct Pipeline {
     config: TimingConfig,
     icache: Cache,
     dcache: Cache,
     ready_at: [u64; 32],
     /// Run counters, except the cache counters, which live in the caches,
-    /// and `instret`, which is the core's.
+    /// `instret`, which is the core's, and `sw_cycles`, which is the
+    /// cycles not charged to the accelerator.
     stats: RunStats,
 }
 
@@ -108,28 +116,40 @@ impl RocketSim {
     pub fn new(config: TimingConfig) -> Self {
         RocketSim {
             cpu: Cpu::new(),
-            icache: Cache::new(config.seed ^ 0x1CAC4E),
-            dcache: Cache::new(config.seed ^ 0xDCAC4E),
-            config,
-            ready_at: [0; 32],
-            stats: RunStats::default(),
+            pipeline: Pipeline {
+                icache: Cache::new(config.seed ^ 0x1CAC4E),
+                dcache: Cache::new(config.seed ^ 0xDCAC4E),
+                config,
+                ready_at: [0; 32],
+                stats: RunStats::default(),
+            },
         }
     }
 
     /// Counters so far, including both caches' and the core's `instret`.
     #[must_use]
     pub fn stats(&self) -> RunStats {
+        let pipeline = &self.pipeline;
         RunStats {
             instret: self.cpu.instret,
-            icache: self.icache.stats(),
-            dcache: self.dcache.stats(),
-            ..self.stats
+            sw_cycles: pipeline.stats.cycles - pipeline.stats.hw_cycles,
+            icache: pipeline.icache.stats(),
+            dcache: pipeline.dcache.stats(),
+            ..pipeline.stats
         }
+    }
+}
+
+impl Timing for Pipeline {
+    /// Guest `rdcycle` reads modelled time.
+    #[inline]
+    fn cycle(&self) -> Option<u64> {
+        Some(self.stats.cycles)
     }
 
     /// Adds `retired`'s modelled time to the run counters.
     #[inline]
-    fn charge(&mut self, retired: &Retired) -> Result<(), CpuError> {
+    fn retired(&mut self, retired: &Retired) -> Result<(), CpuError> {
         let cycle = self.stats.cycles;
         let facts = retired.facts;
         let mut total: u64 = 1; // issue
@@ -138,7 +158,7 @@ impl RocketSim {
         // Operand stalls against the scoreboard. An absent operand reads
         // `x0`'s entry, which stays 0: no instruction makes `x0` its
         // destination.
-        let [a, b] = facts.sources().map(usize::from);
+        let [a, b] = facts.sources().map(|r| usize::from(r & 31));
         let stall = self.ready_at[a].max(self.ready_at[b]).saturating_sub(cycle);
         total += stall;
         self.stats.stall_cycles += stall;
@@ -156,7 +176,7 @@ impl RocketSim {
             }
             if !access.store {
                 if let Some(rd) = facts.dest() {
-                    self.ready_at[rd.number() as usize] = cycle + total + LOAD_LATENCY - 1;
+                    self.ready_at[usize::from(rd.number() & 31)] = cycle + total + LOAD_LATENCY - 1;
                 }
             }
         }
@@ -166,7 +186,7 @@ impl RocketSim {
             Some(MulDiv::Div) => total += DIV_LATENCY - 1,
             Some(MulDiv::Mul) => {
                 if let Some(rd) = facts.dest() {
-                    self.ready_at[rd.number() as usize] = cycle + total + MUL_LATENCY - 1;
+                    self.ready_at[usize::from(rd.number() & 31)] = cycle + total + MUL_LATENCY - 1;
                 }
             }
             None => {}
@@ -194,9 +214,20 @@ impl RocketSim {
         }
 
         self.stats.cycles = cycle + total;
-        self.stats.sw_cycles += total - hw;
         self.stats.hw_cycles += hw;
         Ok(())
+    }
+
+    /// Trap delivery flushes the pipeline but retires nothing.
+    #[inline]
+    fn trapped(&mut self) {
+        self.stats.cycles += 1 + TRAP_PENALTY;
+    }
+
+    /// The exiting `ecall` costs one software cycle.
+    #[inline]
+    fn exited(&mut self) {
+        self.stats.cycles += 1;
     }
 }
 
@@ -216,29 +247,12 @@ impl Simulator for RocketSim {
     /// Executes one instruction, charging modelled time.
     #[inline]
     fn step(&mut self) -> Result<Event, CpuError> {
-        // Let guest rdcycle observe modelled time.
-        self.cpu.cycle = self.stats.cycles;
-        // Inspected in place and returned as it is (see `Event`).
-        let result = self.cpu.step();
-        let retired = match &result {
-            Err(_) => return result,
-            Ok(Event::Exited { .. }) => {
-                // The exiting ecall costs one software cycle.
-                self.stats.cycles += 1;
-                self.stats.sw_cycles += 1;
-                return result;
-            }
-            Ok(Event::Trapped { .. }) => {
-                // Trap delivery flushes the pipeline but retires nothing.
-                let cost = 1 + TRAP_PENALTY;
-                self.stats.cycles += cost;
-                self.stats.sw_cycles += cost;
-                return result;
-            }
-            Ok(Event::Retired(retired)) => retired,
-        };
-        self.charge(retired)?;
-        result
+        self.cpu.step_with(&mut self.pipeline)
+    }
+
+    /// Runs to exit a block at a time, charging modelled time.
+    fn run(&mut self, max_instructions: u64) -> Result<i64, CpuError> {
+        self.cpu.run_with(max_instructions, &mut self.pipeline)
     }
 }
 

@@ -1,12 +1,14 @@
 //! Self-modifying code and out-of-band text writes on every simulator.
 //!
 //! The functional core reuses decoded instructions until a write touches a
-//! page it has fetched from or its memory is replaced. Each case below
-//! rewrites an instruction that has already been decoded — from the guest,
-//! from the harness, from an accelerator, or by swapping in a different
-//! memory — and checks that the rewritten instruction is what retires: the
-//! exit code proves it ran, and all three simulators must retire identical
-//! canonical streams.
+//! page it has fetched from or its memory is replaced, and `run` executes
+//! whole decoded blocks without fetching again. Each case below rewrites an
+//! instruction that has already been decoded — from the guest, from the
+//! harness, from an accelerator, or by swapping in a different memory,
+//! including the next instruction of the block that is running — and
+//! checks that the rewritten instruction is what retires: the exit code
+//! proves it ran, and all three simulators must retire identical canonical
+//! streams when stepped and end alike through `Simulator::run`.
 
 use decimalarith::codesign::framework::{load_program, GuestProgram};
 use decimalarith::codesign::kernels::KernelKind;
@@ -42,7 +44,8 @@ fn program(source: &str) -> Program {
 }
 
 /// Runs `program` in lockstep on every simulator pair through the
-/// framework's guest runner and returns the agreed exit code.
+/// framework's guest runner, and through `Simulator::run` on every
+/// simulator, and returns the agreed exit code.
 fn exit_code_on_every_pair(program: Program) -> i64 {
     let guest = GuestProgram {
         program,
@@ -62,6 +65,11 @@ fn exit_code_on_every_pair(program: Program) -> i64 {
             } => codes.push(code),
             other => panic!("{pair}: {other:?}"),
         }
+    }
+    for kind in SimKind::ALL {
+        let mut sim = kind.build();
+        load_program(sim.cpu_mut(), &guest.program);
+        codes.push(sim.run(BUDGET).unwrap_or_else(|e| panic!("{kind}: {e}")));
     }
     assert!(codes.windows(2).all(|w| w[0] == w[1]), "{codes:?}");
     codes[0]
@@ -91,6 +99,27 @@ fn guest_store_patches_an_executed_instruction_later_on_the_same_page() {
         patch = patched_word()
     );
     assert_eq!(exit_code_on_every_pair(program(&source)), 101);
+}
+
+#[test]
+fn guest_store_patches_the_next_instruction_of_its_own_block() {
+    // No control transfer separates the store from `target`, so the block
+    // being run holds both: it must end after the store and fetch anew.
+    let source = format!(
+        "
+        .text
+        _start:
+            la   t0, target
+            li   t1, {patch}
+            sw   t1, 0(t0)
+        target:
+            addi a0, a0, 1
+            li   a7, 93
+            ecall
+        ",
+        patch = patched_word()
+    );
+    assert_eq!(exit_code_on_every_pair(program(&source)), 100);
 }
 
 #[test]
@@ -156,7 +185,10 @@ impl Simulator for Recorder {
 
 /// Runs `scenario` on a fresh simulator of every kind, recording every
 /// retirement, checks that all three return the same exit code and retire
-/// identical streams, and returns the exit code.
+/// identical streams, and returns the exit code. Then runs it once more on
+/// each kind unwrapped, so that the scenario's `run` calls execute whole
+/// blocks, and checks that each ends with the same code, registers and
+/// retirement count.
 fn agree_on_every_simulator(scenario: impl Fn(&mut dyn Simulator) -> i64) -> i64 {
     let mut results: Vec<(SimKind, i64, Vec<RetirementRecord>)> = Vec::new();
     for kind in SimKind::ALL {
@@ -165,6 +197,16 @@ fn agree_on_every_simulator(scenario: impl Fn(&mut dyn Simulator) -> i64) -> i64
             stream: Vec::new(),
         };
         let code = scenario(&mut recorder);
+        let cpu = recorder.cpu();
+        let ending = (code, cpu.registers(), cpu.instret);
+        let mut sim = kind.build();
+        let code = scenario(sim.as_mut());
+        let cpu = sim.cpu();
+        assert_eq!(
+            (code, cpu.registers(), cpu.instret),
+            ending,
+            "{kind}: run vs stepping"
+        );
         results.push((kind, code, recorder.stream));
     }
     let (first_kind, first_code, first_stream) = &results[0];
@@ -248,6 +290,32 @@ fn coprocessor_write_into_text_takes_effect() {
         sim.run(BUDGET).expect("exits without faults")
     });
     assert_eq!(code, 101);
+}
+
+#[test]
+fn coprocessor_write_patches_the_next_instruction_of_its_block() {
+    // The command ends its block; the word it patches is the next one.
+    let source = format!(
+        "
+        .text
+        _start:
+            la   t0, target
+            li   t1, {patch}
+            custom0 1, zero, t0, t1, 0, 1, 1
+        target:
+            addi a0, a0, 1
+            li   a7, 93
+            ecall
+        ",
+        patch = patched_word()
+    );
+    let program = program(&source);
+    let code = agree_on_every_simulator(|sim| {
+        sim.cpu_mut().attach_coprocessor(Box::new(TextPatcher));
+        load_program(sim.cpu_mut(), &program);
+        sim.run(BUDGET).expect("exits without faults")
+    });
+    assert_eq!(code, 100);
 }
 
 /// `a0 = value; exit` — the same length for every value, so two of these
