@@ -58,10 +58,6 @@ impl Retired {
 }
 
 /// One step's outcome.
-///
-/// A wrapper around [`Cpu::step`] (the timing models) inspects the returned
-/// `Result` by reference and returns it unchanged rather than moving the
-/// event out and re-wrapping it in `Ok`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Event {
     /// An instruction retired.
@@ -129,13 +125,15 @@ pub struct Marker {
 
 /// The functional RV64IM core with host interface and RoCC port.
 ///
-/// The functional core advances [`Cpu::cycle`] by one per instruction; a
-/// timing model (like `rocket-sim`) drives the field itself so guest
-/// `rdcycle` reads observe modelled time.
+/// The functional core advances [`Cpu::cycle`] by one per step; a timing
+/// model (like `rocket-sim`) copies its own count there through its
+/// [`Timing`] so guest `rdcycle` reads observe modelled time.
 ///
 /// The core fetches decoded instructions from [`Cpu::memory`], which
 /// decodes each word once and keeps it until that page is written, so
 /// self-modifying code and harness patches always execute as written.
+/// [`Cpu::step`] executes one instruction and [`Cpu::run`] a decoded block
+/// at a time, through the same executor.
 ///
 /// # Example
 ///
@@ -165,7 +163,7 @@ pub struct Cpu {
     regs: [u64; 32],
     pc: u64,
     /// The cycle counter backing `rdcycle`. The functional core increments
-    /// it once per instruction; timing models overwrite it.
+    /// it once per step; timing models overwrite it.
     pub cycle: u64,
     /// Instructions retired (backs `rdinstret`).
     pub instret: u64,

@@ -78,13 +78,12 @@ const NO_PAGE: u64 = u64::MAX;
 ///
 /// Each page also holds the instructions decoded from it, one slot per
 /// word, filled a block at a time when the core first fetches from that
-/// block. Any write to a
-/// page — a guest store, an accelerator write through the RoCC memory
-/// port, a harness write — drops that page's decoded slots and no other
-/// page's, so patched code always executes as written. Fetches keep a
-/// memo of their own, so they and data accesses do not evict each other.
-/// A clone carries its decoded slots with its bytes, and replacing a
-/// core's memory wholesale replaces them together.
+/// block. Any write to a page — a guest store, an accelerator write
+/// through the RoCC memory port, a harness write — drops that page's
+/// decoded slots and no other page's, so patched code always executes as
+/// written. Fetches keep a memo of their own, so they and data accesses do
+/// not evict each other. A clone carries its decoded slots with its bytes,
+/// and replacing a core's memory wholesale replaces them together.
 ///
 /// # Example
 ///
@@ -145,6 +144,10 @@ impl Memory {
     }
 
     /// The position in `pages` of the page with index `index`, if mapped.
+    ///
+    /// This and the accessors below are `#[inline(always)]`: the executor
+    /// is compiled into each timing model's crate, and with `#[inline]` the
+    /// compiler kept the page lookup of loads out of line in some of them.
     #[inline(always)]
     fn find(&self, index: u64) -> Option<usize> {
         let (memo_index, memo_at) = self.memo.get();
