@@ -18,8 +18,12 @@ const SLOTS_PER_PAGE: usize = 1 << (PAGE_SHIFT - 2);
 /// One decoded instruction: the flat op the core executes, the instruction
 /// it came from (which retirements report), its operand facts, and the
 /// length of the block that starts at it.
+///
+/// Thirty-two bytes, aligned to 32 so that no slot straddles two cache
+/// lines: unaligned, every other slot did, which cost runs that step fresh
+/// cores, such as lockstep's and the fault campaign's, about 7%.
 #[derive(Debug, Clone, Copy)]
-#[repr(C)]
+#[repr(C, align(32))]
 pub(crate) struct Slot {
     pub(crate) instr: Instr,
     pub(crate) facts: OperandFacts,
@@ -714,6 +718,13 @@ mod tests {
         // A write straddling two pages drops both.
         m.write_u64(0x1FFC, 0).unwrap();
         assert_eq!(m.decoded_pages(), []);
+    }
+
+    #[test]
+    fn a_slot_fills_one_aligned_half_cache_line() {
+        assert_eq!(std::mem::size_of::<Slot>(), 32);
+        assert_eq!(std::mem::size_of::<Option<Slot>>(), 32);
+        assert_eq!(std::mem::align_of::<Slot>(), 32);
     }
 
     #[test]
