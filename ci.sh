@@ -3,7 +3,8 @@
 # clippy, rustdoc, the benchmark's contract tests, a short run of every
 # benchmark workload, a run of every example, every table at CI scale,
 # bounded fixed-seed differential, fault-campaign and crash-resume passes,
-# and lockstep conformance over the paper's full 8,000-sample database.
+# and lockstep conformance over the paper's full 8,000-sample database;
+# deterministic outputs are diffed against tests/golden/.
 # Everything here is deterministic; a red run reproduces locally with the
 # same commands.
 set -euo pipefail
@@ -67,10 +68,33 @@ echo "== static analysis: rvlint over every kernel guest =="
 # broken-fixture suite (tests/rvlint_fixtures.rs) already ran in tier-1.
 cargo run --release -p decimal-bench --bin rvlint -- --seed 2019
 
+# Deterministic outputs are diffed against the goldens in tests/golden/:
+# a change that moves a simulated number, a report line or a table cell
+# fails here. A change that means to move one regenerates its golden with
+# the same command and says why.
+CI_TMP="$(mktemp -d)"
+trap 'rm -rf "$CI_TMP"' EXIT
+# Runs a command, prints its stdout and diffs it against golden file $1.
+check_golden() {
+    local golden=$1
+    shift
+    "$@" | tee "$CI_TMP/golden.out"
+    diff -u "tests/golden/$golden" "$CI_TMP/golden.out"
+}
+
+echo "== tables: deterministic outputs against their goldens =="
+# Every subcommand but `table5`, `micro` and `all`, which print host times.
+for table in table2 table3 table4 table6 pareto classes seeds ablations; do
+    echo "-- $table"
+    check_golden "tables_$table.txt" \
+        cargo run -q --release -p decimal-bench --bin tables -- "$table" --samples 120 --seed 2019
+done
+
 echo "== differential verification (bounded) =="
 # Conformance on a CI-sized database slice, a 200-program fuzz run, and
 # the RoCC command differential — all on the paper's seed.
-cargo run --release -p decimal-bench --bin lockstep -- all \
+check_golden lockstep_all.txt \
+    cargo run --release -p decimal-bench --bin lockstep -- all \
     --seed 2019 --samples 200 --programs 200 --commands 10000
 
 echo "== differential verification (paper scale) =="
@@ -84,7 +108,8 @@ echo "== fault-injection campaign (bounded, fixed seed) =="
 # Method-1 guests. Fails on any replay outside the four outcome classes,
 # and on any silent data corruption slipping past the fault-tolerant
 # kernel's detection net.
-cargo run --release -p decimal-bench --bin lockstep -- faults \
+check_golden lockstep_faults.txt \
+    cargo run --release -p decimal-bench --bin lockstep -- faults \
     --seed 2019 --faults 500 --fault-samples 6
 
 echo "== crash-safe resume (kill -9 mid-campaign, resume, diff) =="
@@ -94,8 +119,7 @@ echo "== crash-safe resume (kill -9 mid-campaign, resume, diff) =="
 # in the (timing-dependent) case where the kill lands after completion —
 # resume then degrades to a pure journal replay.
 LOCKSTEP=target/release/lockstep
-RESUME_DIR="$(mktemp -d)"
-trap 'rm -rf "$RESUME_DIR"' EXIT
+RESUME_DIR="$CI_TMP"
 "$LOCKSTEP" faults --seed 2019 --faults 300 --fault-samples 6 \
     --journal "$RESUME_DIR/full.journal" --checkpoint-every 25 \
     > "$RESUME_DIR/full.out"
