@@ -39,7 +39,6 @@
 #![warn(missing_docs)]
 
 use riscv_isa::alu::MulDiv;
-use riscv_isa::Instr;
 use riscv_sim::{Cpu, CpuError, Event, Retired, Simulator, Timing};
 
 /// Simulated clock frequency in Hz (Gem5's default CPU clock, 1 GHz).
@@ -160,8 +159,8 @@ impl Simulator for AtomicSim {
 /// retirements add the fixed latencies.
 impl Timing for Ticks {
     #[inline]
-    fn cycle(&self) -> Option<u64> {
-        Some(self.stats.cycles)
+    fn cycle(&self) -> u64 {
+        self.stats.cycles
     }
 
     #[inline]
@@ -176,11 +175,10 @@ impl Timing for Ticks {
             Some(MulDiv::Div) => self.config.div_cycles,
             None => 0,
         };
-        if let Instr::Custom(_) = retired.instr {
-            if let Some(resp) = retired.rocc {
-                self.stats.cycles += u64::from(resp.busy_cycles);
-                self.stats.mem_accesses += u64::from(resp.mem_accesses);
-            }
+        // A response is present exactly for a RoCC command.
+        if let Some(resp) = retired.rocc {
+            self.stats.cycles += u64::from(resp.busy_cycles);
+            self.stats.mem_accesses += u64::from(resp.mem_accesses);
         }
         Ok(())
     }
@@ -200,6 +198,7 @@ impl Timing for Ticks {
 mod tests {
     use super::*;
     use riscv_isa::instr::{Op32Op, OpImmOp, OpOp};
+    use riscv_isa::Instr;
     use riscv_isa::Reg;
 
     fn load(sim: &mut AtomicSim, prog: &[Instr]) {

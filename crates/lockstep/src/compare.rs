@@ -4,7 +4,7 @@
 //! full context.
 
 use riscv_isa::instr::Instr;
-use riscv_isa::{csr, Reg};
+use riscv_isa::{csr, Op, Reg};
 use riscv_sim::{Cpu, CpuError, Event, MemAccess, Memory, Retired, Simulator};
 
 /// Default number of pre-divergence retirements kept as context.
@@ -42,8 +42,8 @@ pub struct RetirementRecord {
     pub seq: u64,
     /// Address of the retired instruction.
     pub pc: u64,
-    /// The decoded instruction.
-    pub instr: Instr,
+    /// The decoded instruction, in the flat form the simulators execute.
+    pub op: Op,
     /// Address of the next instruction to execute.
     pub next_pc: u64,
     /// Destination-register writeback, if any: `(register, value after)`.
@@ -83,7 +83,7 @@ impl RetirementRecord {
         RetirementRecord {
             seq: cpu.instret,
             pc: retired.pc,
-            instr: retired.instr,
+            op: retired.op,
             next_pc: retired.next_pc,
             rd_write: retired.facts.dest().map(|reg| (reg, cpu.reg(reg))),
             mem,
@@ -94,7 +94,7 @@ impl RetirementRecord {
 
 impl std::fmt::Display for RetirementRecord {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "#{:<6} {:#010x}  {:<32}", self.seq, self.pc, self.instr)?;
+        write!(f, "#{:<6} {:#010x}  {}", self.seq, self.pc, Instr::from(self.op))?;
         if let Some((reg, value)) = self.rd_write {
             write!(f, "  {reg} <- {value:#x}")?;
         }
@@ -295,24 +295,23 @@ impl Default for LockstepOptions {
     }
 }
 
-/// The CSR number an instruction reads, if it is a CSR instruction.
-fn csr_number(instr: &Instr) -> Option<u16> {
-    match *instr {
-        Instr::Csr { csr, .. } | Instr::CsrImm { csr, .. } => Some(csr),
-        _ => None,
+/// True if `op` reads the cycle/time counter — the one value that
+/// legitimately differs across timing models.
+fn is_cycle_read(op: &Op) -> bool {
+    use Op::*;
+    match *op {
+        Csrrw { csr: n, .. } | Csrrs { csr: n, .. } | Csrrc { csr: n, .. }
+        | Csrrwi { csr: n, .. } | Csrrsi { csr: n, .. } | Csrrci { csr: n, .. } => {
+            matches!(n, csr::CYCLE | csr::TIME)
+        }
+        _ => false,
     }
 }
 
-/// True if the instruction reads the cycle/time counter — the one value
-/// that legitimately differs across timing models.
-fn is_cycle_read(instr: &Instr) -> bool {
-    matches!(csr_number(instr), Some(number) if matches!(number, csr::CYCLE | csr::TIME))
-}
-
-/// The comparable value of a destination write by `instr`: zero for a
+/// The comparable value of a destination write by `op`: zero for a
 /// cycle/time read, `value` for everything else.
-fn masked_rd_value(instr: &Instr, value: u64) -> u64 {
-    if is_cycle_read(instr) {
+fn masked_rd_value(op: &Op, value: u64) -> u64 {
+    if is_cycle_read(op) {
         0
     } else {
         value
@@ -332,7 +331,7 @@ fn masked_rd_value(instr: &Instr, value: u64) -> u64 {
 #[must_use]
 pub fn canonical(mut record: RetirementRecord) -> RetirementRecord {
     if let Some((reg, value)) = record.rd_write {
-        record.rd_write = Some((reg, masked_rd_value(&record.instr, value)));
+        record.rd_write = Some((reg, masked_rd_value(&record.op, value)));
     }
     record
 }
@@ -349,7 +348,7 @@ fn agrees(record: &RetirementRecord, cpu: &Cpu, retired: &Retired) -> bool {
     let RetirementRecord {
         seq,
         pc,
-        instr,
+        op,
         next_pc,
         rd_write,
         mem,
@@ -358,9 +357,9 @@ fn agrees(record: &RetirementRecord, cpu: &Cpu, retired: &Retired) -> bool {
     seq == cpu.instret
         && pc == retired.pc
         && next_pc == retired.next_pc
-        && instr == retired.instr
-        // Equal instructions write the same destination register, if any.
-        && rd_write.is_none_or(|(reg, value)| masked_rd_value(&instr, cpu.reg(reg)) == value)
+        && op == retired.op
+        // Equal ops write the same destination register, if any.
+        && rd_write.is_none_or(|(reg, value)| masked_rd_value(&op, cpu.reg(reg)) == value)
         && mem == retired.mem_access.map(|access| MemEffect::after(&cpu.memory, access))
         && rocc_rd == retired.rocc.and_then(|response| response.rd_value)
 }
@@ -466,7 +465,7 @@ pub fn run_lockstep(
             let record = canonical(RetirementRecord::capture(a.cpu(), retired_a));
             if agrees(&record, b.cpu(), retired_b) {
                 if let Some((reg, _)) = record.rd_write {
-                    cycle_tainted[reg.number() as usize] = is_cycle_read(&record.instr);
+                    cycle_tainted[reg.number() as usize] = is_cycle_read(&record.op);
                 }
                 context.push(record);
                 continue;

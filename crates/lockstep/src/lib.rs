@@ -120,7 +120,7 @@ mod tests {
             if let Event::Retired(retired) = &event {
                 if retired.pc == self.mutate_at && !self.fired {
                     self.fired = true;
-                    if let Some(rd) = retired.instr.dest() {
+                    if let Some(rd) = retired.facts.dest() {
                         let value = self.cpu.reg(rd);
                         self.cpu.set_reg(rd, value ^ 1);
                     }

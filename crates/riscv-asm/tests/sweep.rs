@@ -4,7 +4,7 @@
 //! and checks that the assembler reads back what the disassembler prints.
 
 use riscv_asm::assemble;
-use riscv_isa::Instr;
+use riscv_isa::{Instr, Op};
 
 /// `(rd, rs1, rs2)` field patterns. The three zero-`rd`/`rs1` rows with
 /// `rs2` 0, 1 and 2 reach `ecall`, `ebreak` and (with funct7 `0x18`)
@@ -54,6 +54,20 @@ fn decode_display_and_reencode_of_the_sweep_are_pinned() {
     }
     assert_eq!((words, decoded), (655_360, 60_988));
     assert_eq!(digest, 0xBCEF_75A9_2709_565E, "{digest:#018x}");
+}
+
+/// Every decodable word's flat op maps back to the instruction it was
+/// built from, so a retirement printed from the `Op` the simulators carry
+/// prints what was decoded.
+#[test]
+fn every_decoded_instruction_maps_to_its_op_and_back() {
+    let mut checked = 0;
+    for word in sweep() {
+        let Ok(instr) = Instr::decode(word) else { continue };
+        assert_eq!(Instr::from(Op::from(instr)), instr, "{word:#010x}");
+        checked += 1;
+    }
+    assert_eq!(checked, 60_988);
 }
 
 /// Every decodable non-custom word's disassembly assembles back to a word

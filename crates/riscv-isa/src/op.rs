@@ -9,22 +9,63 @@
 //! family op to the variant of the same name (`OpOp::Add` to `Op::Add`,
 //! `LoadOp::Lwu` to `Op::Lwu`), so the variants are the families' `TABLE`
 //! rows; what each op computes stays in [`crate::alu`], which an executor
-//! calls with the family op fixed per arm.
+//! calls with the family op fixed per arm. The simulators carry only the
+//! `Op`; [`Instr::from`] maps one back where it is printed.
 
 use crate::instr::{BranchOp, CsrOp, Instr, LoadOp, Op32Op, OpImm32Op, OpImmOp, OpOp, StoreOp};
 use crate::rocc::RoccInstruction;
+use crate::Reg;
 
-/// Defines [`Op`] and its conversion from [`Instr`]. Each family line names
-/// the `Instr` variant and its fields, the family enum, the flat variants'
-/// fields and how they are built from the `Instr` fields, and the family's
-/// ops; each op becomes a flat variant of the same name. The conversion
-/// matches each family exhaustively, so a family op without a flat variant
-/// does not compile.
+/// One operand field's conversion between its [`Instr`] type and its
+/// [`Op`] type: a register to or from its number, anything else as it is.
+trait Operand<T> {
+    fn convert(self) -> T;
+}
+
+impl<T> Operand<T> for T {
+    fn convert(self) -> T {
+        self
+    }
+}
+
+impl Operand<u8> for Reg {
+    fn convert(self) -> u8 {
+        self.number()
+    }
+}
+
+impl Operand<Reg> for u8 {
+    fn convert(self) -> Reg {
+        Reg::new(self)
+    }
+}
+
+/// `$path { $extra field: convert(field), .. }` over a row's fields.
+macro_rules! converted {
+    ($($path:ident)::+ { $($field:ident: $ty:ty),* } $($extra:tt)*) => {
+        $($path)::+ { $($extra)* $($field: Operand::convert($field)),* }
+    };
+}
+
+/// The pattern `$path { $extra field, .. }` over a row's fields.
+macro_rules! bound {
+    ($($path:ident)::+ { $($field:ident: $ty:ty),* } $($extra:tt)*) => {
+        $($path)::+ { $($extra)* $($field),* }
+    };
+}
+
+/// Defines [`Op`] and its conversions from and to [`Instr`], both
+/// generated from the rows. A `same` row names an `Instr` variant whose
+/// flat variant has its name. Each family row names the `Instr` variant,
+/// the family enum and the family's ops, each of which becomes a flat
+/// variant of the same name. A row's fields are the `Instr` variant's,
+/// `u8` where it has a [`Reg`]. The conversions match each family
+/// exhaustively, so a family op without a flat variant does not compile.
 macro_rules! flat_ops {
-    ($(
-        $instr:ident { $($bind:ident),* } as $family:ident
-            $fields:tt = $build:tt [$($variant:ident),+ $(,)?];
-    )*) => {
+    (
+        same [$($same:ident $same_fields:tt),+];
+        $($instr:ident as $family:ident $fields:tt [$($variant:ident),+ $(,)?];)*
+    ) => {
         /// One RV64IM (plus RoCC custom) operation, flat and pre-decoded.
         ///
         /// Register fields are register numbers (`x0` is 0). Immediates
@@ -46,16 +87,12 @@ macro_rules! flat_ops {
         pub enum Op {
             Lui { rd: u8, imm: i32 },
             Auipc { rd: u8, imm: i32 },
-            Jal { rd: u8, offset: i32 },
-            Jalr { rd: u8, rs1: u8, offset: i32 },
+            $($same $same_fields,)+
             $($($variant $fields,)+)*
             Fence,
             Ecall,
             Ebreak,
             Mret,
-            Csrrw { rd: u8, rs1: u8, csr: u16 },
-            Csrrs { rd: u8, rs1: u8, csr: u16 },
-            Csrrc { rd: u8, rs1: u8, csr: u16 },
             Csrrwi { rd: u8, imm: u8, csr: u16 },
             Csrrsi { rd: u8, imm: u8, csr: u16 },
             Csrrci { rd: u8, imm: u8, csr: u16 },
@@ -65,38 +102,16 @@ macro_rules! flat_ops {
         impl From<Instr> for Op {
             fn from(instr: Instr) -> Op {
                 match instr {
-                    Instr::Lui { rd, imm20 } => Op::Lui {
-                        rd: rd.number(),
-                        imm: imm20 << 12,
-                    },
-                    Instr::Auipc { rd, imm20 } => Op::Auipc {
-                        rd: rd.number(),
-                        imm: imm20 << 12,
-                    },
-                    Instr::Jal { rd, offset } => Op::Jal {
-                        rd: rd.number(),
-                        offset,
-                    },
-                    Instr::Jalr { rd, rs1, offset } => Op::Jalr {
-                        rd: rd.number(),
-                        rs1: rs1.number(),
-                        offset,
-                    },
-                    $(Instr::$instr { op, $($bind),* } => match op {
-                        $($family::$variant => Op::$variant $build,)+
+                    Instr::Lui { rd, imm20 } => Op::Lui { rd: rd.number(), imm: imm20 << 12 },
+                    Instr::Auipc { rd, imm20 } => Op::Auipc { rd: rd.number(), imm: imm20 << 12 },
+                    $(bound!(Instr::$same $same_fields) => converted!(Op::$same $same_fields),)+
+                    $(bound!(Instr::$instr $fields op,) => match op {
+                        $($family::$variant => converted!(Op::$variant $fields),)+
                     },)*
                     Instr::Fence => Op::Fence,
                     Instr::Ecall => Op::Ecall,
                     Instr::Ebreak => Op::Ebreak,
                     Instr::Mret => Op::Mret,
-                    Instr::Csr { op, rd, csr, rs1 } => {
-                        let (rd, rs1) = (rd.number(), rs1.number());
-                        match op {
-                            CsrOp::Csrrw => Op::Csrrw { rd, rs1, csr },
-                            CsrOp::Csrrs => Op::Csrrs { rd, rs1, csr },
-                            CsrOp::Csrrc => Op::Csrrc { rd, rs1, csr },
-                        }
-                    }
                     Instr::CsrImm { op, rd, csr, imm } => {
                         let rd = rd.number();
                         match op {
@@ -109,39 +124,57 @@ macro_rules! flat_ops {
                 }
             }
         }
+
+        /// The two-level form of an op, for printing it.
+        ///
+        /// # Panics
+        ///
+        /// Panics if a register field is above 31, which no op built from
+        /// an [`Instr`] has.
+        impl From<Op> for Instr {
+            fn from(op: Op) -> Instr {
+                let reg = Reg::new;
+                let csr_imm = |op, rd, csr, imm| Instr::CsrImm { op, rd: reg(rd), csr, imm };
+                match op {
+                    Op::Lui { rd, imm } => Instr::Lui { rd: reg(rd), imm20: imm >> 12 },
+                    Op::Auipc { rd, imm } => Instr::Auipc { rd: reg(rd), imm20: imm >> 12 },
+                    $(bound!(Op::$same $same_fields) => converted!(Instr::$same $same_fields),)+
+                    $($(bound!(Op::$variant $fields) => {
+                        converted!(Instr::$instr $fields op: $family::$variant,)
+                    })+)*
+                    Op::Fence => Instr::Fence,
+                    Op::Ecall => Instr::Ecall,
+                    Op::Ebreak => Instr::Ebreak,
+                    Op::Mret => Instr::Mret,
+                    Op::Csrrwi { rd, imm, csr } => csr_imm(CsrOp::Csrrw, rd, csr, imm),
+                    Op::Csrrsi { rd, imm, csr } => csr_imm(CsrOp::Csrrs, rd, csr, imm),
+                    Op::Csrrci { rd, imm, csr } => csr_imm(CsrOp::Csrrc, rd, csr, imm),
+                    Op::Custom(rocc) => Instr::Custom(rocc),
+                }
+            }
+        }
     };
 }
 
 flat_ops! {
-    Branch { rs1, rs2, offset } as BranchOp
-        { rs1: u8, rs2: u8, offset: i32 }
-        = { rs1: rs1.number(), rs2: rs2.number(), offset }
+    same [Jal { rd: u8, offset: i32 }, Jalr { rd: u8, rs1: u8, offset: i32 }];
+    Branch as BranchOp { rs1: u8, rs2: u8, offset: i32 }
         [Beq, Bne, Blt, Bge, Bltu, Bgeu];
-    Load { rd, rs1, offset } as LoadOp
-        { rd: u8, rs1: u8, offset: i32 }
-        = { rd: rd.number(), rs1: rs1.number(), offset }
+    Load as LoadOp { rd: u8, rs1: u8, offset: i32 }
         [Lb, Lh, Lw, Ld, Lbu, Lhu, Lwu];
-    Store { rs2, rs1, offset } as StoreOp
-        { rs1: u8, rs2: u8, offset: i32 }
-        = { rs1: rs1.number(), rs2: rs2.number(), offset }
+    Store as StoreOp { rs1: u8, rs2: u8, offset: i32 }
         [Sb, Sh, Sw, Sd];
-    OpImm { rd, rs1, imm } as OpImmOp
-        { rd: u8, rs1: u8, imm: i32 }
-        = { rd: rd.number(), rs1: rs1.number(), imm }
+    OpImm as OpImmOp { rd: u8, rs1: u8, imm: i32 }
         [Addi, Slti, Sltiu, Xori, Ori, Andi, Slli, Srli, Srai];
-    OpImm32 { rd, rs1, imm } as OpImm32Op
-        { rd: u8, rs1: u8, imm: i32 }
-        = { rd: rd.number(), rs1: rs1.number(), imm }
+    OpImm32 as OpImm32Op { rd: u8, rs1: u8, imm: i32 }
         [Addiw, Slliw, Srliw, Sraiw];
-    Op { rd, rs1, rs2 } as OpOp
-        { rd: u8, rs1: u8, rs2: u8 }
-        = { rd: rd.number(), rs1: rs1.number(), rs2: rs2.number() }
+    Op as OpOp { rd: u8, rs1: u8, rs2: u8 }
         [Add, Sub, Sll, Slt, Sltu, Xor, Srl, Sra, Or, And,
          Mul, Mulh, Mulhsu, Mulhu, Div, Divu, Rem, Remu];
-    Op32 { rd, rs1, rs2 } as Op32Op
-        { rd: u8, rs1: u8, rs2: u8 }
-        = { rd: rd.number(), rs1: rs1.number(), rs2: rs2.number() }
+    Op32 as Op32Op { rd: u8, rs1: u8, rs2: u8 }
         [Addw, Subw, Sllw, Srlw, Sraw, Mulw, Divw, Divuw, Remw, Remuw];
+    Csr as CsrOp { rd: u8, rs1: u8, csr: u16 }
+        [Csrrw, Csrrs, Csrrc];
 }
 
 #[cfg(test)]

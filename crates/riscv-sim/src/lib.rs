@@ -15,10 +15,11 @@
 //!   [`Cpu`]).
 //!
 //! Timing models (the Rocket-like pipeline in `rocket-sim`, the Gem5-like
-//! atomic CPU in `atomic-sim`) wrap [`Cpu`] for semantics and drive
-//! [`Cpu::cycle`] themselves, so one executor is shared by every evaluation
-//! platform — the same property the paper gets from reusing one RISC-V
-//! binary everywhere.
+//! atomic CPU in `atomic-sim`) wrap [`Cpu`] for semantics and plug their
+//! clock into it as a [`Timing`], as the functional core's own
+//! one-cycle-per-step clock is, so one executor is shared by every
+//! evaluation platform — the same property the paper gets from reusing
+//! one RISC-V binary everywhere.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,7 +34,7 @@ use std::fmt;
 pub use coproc::{
     CoprocSnapshot, Coprocessor, NoCoprocessor, RoccCommand, RoccResponse, SnapshotError, ROCC_HANG,
 };
-pub use cpu::{syscall, trap_cause, Cpu, Event, Marker, MemAccess, Retired, TrapRecord};
+pub use cpu::{syscall, Cpu, Event, Marker, MemAccess, Retired, TrapRecord};
 pub use memory::Memory;
 pub use simulator::{Simulator, Timing};
 

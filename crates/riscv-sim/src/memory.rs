@@ -15,9 +15,9 @@ const PAGE_SIZE: u64 = 1 << PAGE_SHIFT;
 /// Instruction slots in one 4 KiB page.
 const SLOTS_PER_PAGE: usize = 1 << (PAGE_SHIFT - 2);
 
-/// One decoded instruction: the flat op the core executes, the instruction
-/// it came from (which retirements report), its operand facts, and the
-/// length of the block that starts at it.
+/// One decoded instruction: the flat op the core executes and
+/// retirements report, its operand facts, and the length of the block
+/// that starts at it.
 ///
 /// Thirty-two bytes, aligned to 32 so that no slot straddles two cache
 /// lines: unaligned, every other slot did, which cost runs that step fresh
@@ -25,9 +25,8 @@ const SLOTS_PER_PAGE: usize = 1 << (PAGE_SHIFT - 2);
 #[derive(Debug, Clone, Copy)]
 #[repr(C, align(32))]
 pub(crate) struct Slot {
-    pub(crate) instr: Instr,
-    pub(crate) facts: OperandFacts,
     pub(crate) op: Op,
+    pub(crate) facts: OperandFacts,
     /// Ops from this one to the end of its block, this one included.
     pub(crate) block: u16,
 }
@@ -43,14 +42,13 @@ enum Role {
     Alone,
 }
 
-fn role(instr: &Instr) -> Role {
-    match instr {
-        Instr::Jal { .. } | Instr::Jalr { .. } | Instr::Branch { .. } | Instr::Custom(_) => {
-            Role::Last
-        }
-        Instr::Csr { .. } | Instr::CsrImm { .. } | Instr::Ecall | Instr::Ebreak | Instr::Mret => {
-            Role::Alone
-        }
+fn role(op: &Op) -> Role {
+    use Op::*;
+    match op {
+        Jal { .. } | Jalr { .. } | Beq { .. } | Bne { .. } | Blt { .. } | Bge { .. }
+        | Bltu { .. } | Bgeu { .. } | Custom(_) => Role::Last,
+        Csrrw { .. } | Csrrs { .. } | Csrrc { .. } | Csrrwi { .. } | Csrrsi { .. }
+        | Csrrci { .. } | Ecall | Ebreak | Mret => Role::Alone,
         _ => Role::Inner,
     }
 }
@@ -262,38 +260,34 @@ impl Memory {
         let decode = |slot: usize| {
             let mut word = [0; 4];
             word.copy_from_slice(&bytes[4 * slot..4 * slot + 4]);
-            Instr::decode(u32::from_le_bytes(word))
-        };
-        let filled = |instr: Instr| {
-            Some(Slot {
-                instr,
-                facts: instr.operand_facts(),
+            Instr::decode(u32::from_le_bytes(word)).map(|instr| Slot {
                 op: Op::from(instr),
+                facts: instr.operand_facts(),
                 block: 0,
             })
         };
-        let instr = decode(first).map_err(CpuError::Decode)?;
+        let slot = decode(first).map_err(CpuError::Decode)?;
         let slots = self
             .fetch_slots
             .get_or_insert_with(|| Box::new([None; SLOTS_PER_PAGE]));
-        slots[first] = filled(instr);
+        slots[first] = Some(slot);
         // Decode on to the block's end, or to a decoded slot whose block
         // this one's joins.
         let mut end = first + 1;
-        if role(&instr) == Role::Inner {
+        if role(&slot.op) == Role::Inner {
             while end < SLOTS_PER_PAGE {
                 if let Some(slot) = slots[end] {
-                    if role(&slot.instr) != Role::Alone {
+                    if role(&slot.op) != Role::Alone {
                         end += usize::from(slot.block);
                     }
                     break;
                 }
-                let Ok(instr) = decode(end) else { break };
-                let role = role(&instr);
+                let Ok(slot) = decode(end) else { break };
+                let role = role(&slot.op);
                 if role == Role::Alone {
                     break;
                 }
-                slots[end] = filled(instr);
+                slots[end] = Some(slot);
                 end += 1;
                 if role == Role::Last {
                     break;
@@ -641,7 +635,7 @@ mod tests {
 
     /// The instruction [`Memory::fetch`] decodes at `pc`.
     fn fetched(m: &mut Memory, pc: u64) -> Result<Instr, CpuError> {
-        m.fetch(pc).map(|slot| slot.instr)
+        m.fetch(pc).map(|slot| Instr::from(slot.op))
     }
 
     /// `addi a0, a0, imm`.

@@ -57,14 +57,19 @@ pub trait Simulator {
     }
 }
 
-/// How a timing model charges what the core executes: the one charge
-/// routine behind both its `step` ([`Cpu::step_with`]) and its `run`
-/// ([`Cpu::run_with`]).
+/// A clock: how a timing model charges what the core executes, behind
+/// both its `step` ([`Cpu::step_with`]) and its `run` ([`Cpu::run_with`]).
+///
+/// Every platform's clock is one, the functional core's included: its
+/// `Cpu::step` and `Cpu::run` charge one cycle per step to a clock seeded
+/// from [`Cpu::cycle`]. Each step is charged by exactly one call: a
+/// retirement, a trap delivered to the guest's handler, or the exiting
+/// `ecall`. A step that returns an error instead is not charged.
 pub trait Timing {
-    /// The cycle count guest `rdcycle` and `mark` should read during the
-    /// next instruction, or `None` to keep the core's own count (one per
-    /// step). Asked before every instruction.
-    fn cycle(&self) -> Option<u64>;
+    /// The cycle count so far, which guest `rdcycle` and `mark` read: the
+    /// core copies it to [`Cpu::cycle`] before and after each step, and as
+    /// each block of a run starts.
+    fn cycle(&self) -> u64;
 
     /// Charges one retired instruction.
     ///

@@ -65,7 +65,7 @@ impl Simulator for Mutant {
             if cpu.instret == self.at + 1 {
                 match self.mutation {
                     Mutation::Register => {
-                        let rd = retired.instr.dest().expect("mutated retirement writes rd");
+                        let rd = retired.facts.dest().expect("mutated retirement writes rd");
                         let value = cpu.reg(rd);
                         cpu.set_reg(rd, value ^ 1);
                     }
@@ -118,7 +118,8 @@ fn reference_stream(program: &Program, rocc: bool) -> Vec<RetirementRecord> {
 /// must see: a CSR read's value may be masked (`rdcycle`), so those are
 /// left out.
 fn writes_rd(record: &RetirementRecord) -> bool {
-    record.rd_write.is_some() && !matches!(record.instr, Instr::Csr { .. } | Instr::CsrImm { .. })
+    record.rd_write.is_some()
+        && !matches!(Instr::from(record.op), Instr::Csr { .. } | Instr::CsrImm { .. })
 }
 
 /// Runs `program` on a mutant functional core against a clean one and
