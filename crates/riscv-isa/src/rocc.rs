@@ -176,11 +176,13 @@ impl RoccInstruction {
     }
 }
 
+/// The assembler's syntax, `custom0 4, a2, a1, a0, 1, 1, 1`: the opcode,
+/// then funct7, `rd`, `rs1`, `rs2`, `xd`, `xs1` and `xs2`.
 impl fmt::Display for RoccInstruction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}.f{} {}, {}, {} [xd={} xs1={} xs2={}]",
+            "{} {}, {}, {}, {}, {}, {}, {}",
             self.opcode,
             self.funct7,
             self.rd,

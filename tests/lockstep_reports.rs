@@ -242,8 +242,8 @@ const STORE_MUTANT_REPORT: &str = r#"lockstep divergence at retirement #6 (pc 0x
 "#;
 
 const WRONG_DIGIT_REPORT: &str = r#"lockstep divergence at retirement #2 (pc 0x80000008) between `functional` and `functional`:
-  functional   #3      0x80000008  custom0.f4 t2, t0, t1 [xd=1 xs1=1 xs2=1]  t2 <- 0x42  rocc 0x42
-  functional   #3      0x80000008  custom0.f4 t2, t0, t1 [xd=1 xs1=1 xs2=1]  t2 <- 0x43  rocc 0x43
+  functional   #3      0x80000008  custom0 4, t2, t0, t1, 1, 1, 1  t2 <- 0x42  rocc 0x42
+  functional   #3      0x80000008  custom0 4, t2, t0, t1, 1, 1, 1  t2 <- 0x43  rocc 0x43
   register delta:
     t2    functional 0x42 | functional 0x43
   last 2 retirements before divergence:
@@ -252,13 +252,13 @@ const WRONG_DIGIT_REPORT: &str = r#"lockstep divergence at retirement #2 (pc 0x8
 "#;
 
 const STUCK_FSM_REPORT: &str = r#"lockstep divergence at retirement #4 (pc 0x80000010) between `functional` and `functional`:
-  functional   #5      0x80000010  custom0.f4 t3, t0, t1 [xd=1 xs1=1 xs2=1]  t3 <- 0x42  rocc 0x42
+  functional   #5      0x80000010  custom0 4, t3, t0, t1, 1, 1, 1  t3 <- 0x42  rocc 0x42
   functional   fault: accelerator did not respond to funct7=4 within 10000 cycles
   register delta:
     t3    functional 0x42 | functional 0x0
   last 4 retirements before divergence:
     #1      0x80000000  addi t0, zero, 17  t0 <- 0x11
-    #2      0x80000004  custom0.f4 t2, t0, t0 [xd=1 xs1=1 xs2=1]  t2 <- 0x22  rocc 0x22
+    #2      0x80000004  custom0 4, t2, t0, t0, 1, 1, 1  t2 <- 0x22  rocc 0x22
     #3      0x80000008  addi t0, zero, 21  t0 <- 0x15
     #4      0x8000000c  addi t1, zero, 39  t1 <- 0x27
 "#;
