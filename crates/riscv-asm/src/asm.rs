@@ -6,7 +6,7 @@ use std::fmt;
 
 use riscv_isa::instr::{BranchOp, CsrOp, Instr, LoadOp, Op32Op, OpImm32Op, OpImmOp, OpOp, StoreOp};
 use riscv_isa::rocc::{CustomOpcode, RoccInstruction};
-use riscv_isa::{csr, Reg};
+use riscv_isa::{csr, EncodeError, Reg};
 
 use crate::{DATA_BASE, TEXT_BASE};
 
@@ -988,6 +988,17 @@ impl Ctx<'_> {
         i32::try_from(v).map_err(|_| format!("immediate {v} out of 32-bit range"))
     }
 
+    /// Operand `i` as `offset(base)`, for the `what` instruction (`"load"`,
+    /// `"store"`, `"jalr"`). An offset beyond 32 bits cannot be held by an
+    /// [`Instr`] and is reported as the encoder reports one beyond 12:
+    /// as [`EncodeError::ImmediateOutOfRange`], with the value.
+    fn mem_offset(&self, i: usize, what: &'static str) -> Result<(i32, Reg), String> {
+        let (offset, base) = self.mem(i)?;
+        let offset = i32::try_from(offset)
+            .map_err(|_| EncodeError::ImmediateOutOfRange { what, value: offset }.to_string())?;
+        Ok((offset, base))
+    }
+
     fn mem(&self, i: usize) -> Result<(i64, Reg), String> {
         match self.operand(i)? {
             Operand::Mem { offset, base } => Ok((*offset, *base)),
@@ -1118,22 +1129,22 @@ fn expand(
     }
     if let Some(&(op, ..)) = LoadOp::TABLE.iter().find(|row| row.1 == m) {
         ctx.expect_len(2)?;
-        let (offset, base) = ctx.mem(1)?;
+        let (offset, base) = ctx.mem_offset(1, "load")?;
         return Ok(vec![Instr::Load {
             op,
             rd: ctx.reg(0)?,
             rs1: base,
-            offset: i32::try_from(offset).map_err(|_| "load offset out of range".to_string())?,
+            offset,
         }]);
     }
     if let Some(&(op, ..)) = StoreOp::TABLE.iter().find(|row| row.1 == m) {
         ctx.expect_len(2)?;
-        let (offset, base) = ctx.mem(1)?;
+        let (offset, base) = ctx.mem_offset(1, "store")?;
         return Ok(vec![Instr::Store {
             op,
             rs2: ctx.reg(0)?,
             rs1: base,
-            offset: i32::try_from(offset).map_err(|_| "store offset out of range".to_string())?,
+            offset,
         }]);
     }
     if let Some(&(op, ..)) = BranchOp::TABLE.iter().find(|row| row.1 == m) {
@@ -1211,12 +1222,11 @@ fn expand(
         },
         "jalr" => match instr.operands.len() {
             n @ (1 | 2) => {
-                let (offset, base) = ctx.mem(n - 1)?;
+                let (offset, base) = ctx.mem_offset(n - 1, "jalr")?;
                 vec![Instr::Jalr {
                     rd: if n == 1 { Reg::RA } else { ctx.reg(0)? },
                     rs1: base,
-                    offset: i32::try_from(offset)
-                        .map_err(|_| "jalr offset out of range".to_string())?,
+                    offset,
                 }]
             }
             3 => vec![Instr::Jalr {
@@ -1558,9 +1568,14 @@ mod tests {
 
     #[test]
     fn jalr_memory_offsets_beyond_32_bits_are_rejected() {
-        assert_rejected("jalr ra, 4294967296(t0)", "jalr offset out of range");
-        assert_rejected("jalr 4294967300(t0)", "jalr offset out of range");
+        // One message, with the value, whether or not an offset fits 32 bits.
+        assert_rejected("jalr ra, 4294967296(t0)", "jalr immediate 4294967296 out of range");
+        assert_rejected("jalr 4294967300(t0)", "jalr immediate 4294967300 out of range");
         assert_rejected("jalr ra, 2048(t0)", "jalr immediate 2048 out of range");
+        assert_rejected("ld a0, -4294967296(sp)", "load immediate -4294967296 out of range");
+        assert_rejected("ld a0, 5000(sp)", "load immediate 5000 out of range");
+        assert_rejected("sd a0, 4294967296(sp)", "store immediate 4294967296 out of range");
+        assert_rejected("sd a0, -2049(sp)", "store immediate -2049 out of range");
     }
 
     #[test]
