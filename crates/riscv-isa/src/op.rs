@@ -80,22 +80,26 @@ macro_rules! flat_ops {
         /// an op from its decoded slot in one piece and reads each field
         /// from that copy. A wider op makes every decoded page larger, which
         /// short runs, such as lockstep's, pay for in allocation and
-        /// decoding.
+        /// decoding. The ops that end a block (jumps and branches, then
+        /// `Custom` last) and those that form one alone (CSR accesses,
+        /// `ecall`, `ebreak`, `mret`) are declared in runs, so that telling
+        /// them apart at decode is a few range compares: scattered, it was
+        /// an indirect jump per decoded word.
         #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
         #[allow(missing_docs)] // each variant is the same-named operation
         #[repr(C, u8)]
         pub enum Op {
             Lui { rd: u8, imm: i32 },
             Auipc { rd: u8, imm: i32 },
+            Fence,
             $($same $same_fields,)+
             $($($variant $fields,)+)*
-            Fence,
-            Ecall,
-            Ebreak,
-            Mret,
             Csrrwi { rd: u8, imm: u8, csr: u16 },
             Csrrsi { rd: u8, imm: u8, csr: u16 },
             Csrrci { rd: u8, imm: u8, csr: u16 },
+            Ecall,
+            Ebreak,
+            Mret,
             Custom(RoccInstruction),
         }
 

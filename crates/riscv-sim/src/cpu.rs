@@ -386,9 +386,12 @@ impl Cpu {
     /// delivered to the guest's handler and charged as a trap if it can
     /// be (see [`Cpu::step`]), else returned uncharged.
     ///
-    /// `then` runs in each arm, where the event's kind is known, so the run
-    /// loop's branch on it costs nothing; matching the returned event
-    /// again instead cost the run path about 10%.
+    /// The shape is for the run loop's speed, measured in-process against
+    /// the loop that matched each case itself. A retirement is charged and
+    /// returned on its own path, and `then` runs where the event's kind is
+    /// known, so the loop's branch on it folds away; a three-way match
+    /// here cost the run path about 5%, and matching the returned event
+    /// again about 8% more.
     #[inline(always)]
     fn charge<T: Timing, R>(
         &mut self,
@@ -397,25 +400,20 @@ impl Cpu {
         timing: &mut T,
         then: impl FnOnce(Event) -> R,
     ) -> Result<R, CpuError> {
-        Ok(match executed {
+        let event = match executed {
             Ok(Event::Retired(retired)) => {
                 timing.retired(&retired)?;
-                then(Event::Retired(retired))
+                return Ok(then(Event::Retired(retired)));
             }
-            Ok(event @ Event::Exited { .. }) => {
-                timing.exited();
-                then(event)
-            }
-            Ok(event @ Event::Trapped { .. }) => {
-                timing.trapped();
-                then(event)
-            }
-            Err(error) => {
-                let event = self.trap(pc, error)?;
-                timing.trapped();
-                then(event)
-            }
-        })
+            Ok(event) => event,
+            Err(error) => self.trap(pc, error)?,
+        };
+        if let Event::Exited { .. } = event {
+            timing.exited();
+        } else {
+            timing.trapped();
+        }
+        Ok(then(event))
     }
 
     /// The decoded slot at `pc`.

@@ -260,13 +260,14 @@ impl Memory {
         let decode = |slot: usize| {
             let mut word = [0; 4];
             word.copy_from_slice(&bytes[4 * slot..4 * slot + 4]);
-            Instr::decode(u32::from_le_bytes(word)).map(|instr| Slot {
-                op: Op::from(instr),
-                facts: instr.operand_facts(),
-                block: 0,
-            })
+            Instr::decode(u32::from_le_bytes(word))
         };
-        let slot = decode(first).map_err(CpuError::Decode)?;
+        let filled = |instr: Instr| Slot {
+            op: Op::from(instr),
+            facts: instr.operand_facts(),
+            block: 0,
+        };
+        let slot = filled(decode(first).map_err(CpuError::Decode)?);
         let slots = self
             .fetch_slots
             .get_or_insert_with(|| Box::new([None; SLOTS_PER_PAGE]));
@@ -282,7 +283,8 @@ impl Memory {
                     }
                     break;
                 }
-                let Ok(slot) = decode(end) else { break };
+                let Ok(instr) = decode(end) else { break };
+                let slot = filled(instr);
                 let role = role(&slot.op);
                 if role == Role::Alone {
                     break;
