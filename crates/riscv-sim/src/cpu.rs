@@ -1,12 +1,12 @@
 //! The functional RV64IM core.
 
+use std::ops::ControlFlow;
+
 use riscv_isa::instr::{
     BranchOp, CsrOp, LoadOp, Op32Op, OpImm32Op, OpImmOp, OpOp, OperandFacts, StoreOp,
 };
 use riscv_isa::rocc::RoccInstruction;
 use riscv_isa::{csr, Op, Reg};
-
-use std::ops::ControlFlow;
 
 use crate::coproc::{Coprocessor, NoCoprocessor, RoccCommand, RoccResponse};
 use crate::memory::Slot;
@@ -278,8 +278,8 @@ impl Cpu {
     /// (unknown syscalls never trap).
     ///
     /// `#[inline]` so that it compiles into its caller, as a timing
-    /// model's `step` does: out of line, stepping the functional core cost
-    /// twice as much per instruction as stepping Rocket.
+    /// model's `step` does: out of line, a functional step cost more than
+    /// a Rocket step, and twice what it costs inlined.
     #[inline]
     pub fn step(&mut self) -> Result<Event, CpuError> {
         self.step_with(&mut StepClock { cycle: self.cycle })
@@ -388,10 +388,10 @@ impl Cpu {
     ///
     /// The shape is for the run loop's speed, measured in-process against
     /// the loop that matched each case itself. A retirement is charged and
-    /// returned on its own path, and `then` runs where the event's kind is
-    /// known, so the loop's branch on it folds away; a three-way match
-    /// here cost the run path about 5%, and matching the returned event
-    /// again about 8% more.
+    /// handed to `then` on a path of its own, where its kind is known, so
+    /// the loop's branch on it folds away; a three-way match here cost the
+    /// run path about 5%, and matching the returned event again about 8%
+    /// more.
     #[inline(always)]
     fn charge<T: Timing, R>(
         &mut self,
