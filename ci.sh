@@ -113,25 +113,33 @@ check_golden lockstep_faults.txt \
     --seed 2019 --faults 500 --fault-samples 6
 
 echo "== crash-safe resume (kill -9 mid-campaign, resume, diff) =="
-# A journaled campaign is started, killed mid-run, and resumed from its
-# journal; the resumed stdout must be byte-identical to an uninterrupted
-# run's. Campaigns are deterministic in the seed, so the diff also passes
-# in the (timing-dependent) case where the kill lands after completion —
-# resume then degrades to a pure journal replay.
+# A journaled campaign is started, killed with -9 once its first kernel's
+# journal holds a few dozen cases (seconds before the campaign would end),
+# and resumed from its journals; the resumed stdout must be byte-identical
+# to an uninterrupted run's. If the last kernel's journal turns out
+# complete, the kill landed after the campaign finished and the resume
+# would only replay the journal, so the stage fails.
 LOCKSTEP=target/release/lockstep
 RESUME_DIR="$CI_TMP"
-"$LOCKSTEP" faults --seed 2019 --faults 300 --fault-samples 6 \
-    --journal "$RESUME_DIR/full.journal" --checkpoint-every 25 \
-    > "$RESUME_DIR/full.out"
-"$LOCKSTEP" faults --seed 2019 --faults 300 --fault-samples 6 \
-    --journal "$RESUME_DIR/killed.journal" --checkpoint-every 25 \
+KILL_FAULTS=20000
+CAMPAIGN=(faults --seed 2019 --faults "$KILL_FAULTS" --fault-samples 6 --checkpoint-every 500)
+"$LOCKSTEP" "${CAMPAIGN[@]}" --journal "$RESUME_DIR/full.journal" \
+    > "$RESUME_DIR/full.out" 2>/dev/null
+"$LOCKSTEP" "${CAMPAIGN[@]}" --journal "$RESUME_DIR/killed.journal" \
     > "$RESUME_DIR/killed.out" 2>/dev/null &
 KILLED_PID=$!
-sleep 2
+while kill -0 "$KILLED_PID" 2>/dev/null \
+    && [ "$(cat "$RESUME_DIR/killed.journal.method1" 2>/dev/null | wc -l)" -lt 40 ]; do
+    sleep 0.01
+done
 kill -9 "$KILLED_PID" 2>/dev/null || true
 wait "$KILLED_PID" 2>/dev/null || true
-"$LOCKSTEP" faults --seed 2019 --faults 300 --fault-samples 6 \
-    --resume "$RESUME_DIR/killed.journal" --checkpoint-every 25 \
+if grep -q "^case $((KILL_FAULTS - 1)) " "$RESUME_DIR/killed.journal.method1_ft" 2>/dev/null; then
+    echo "ci: the kill landed after the campaign completed; nothing was resumed" >&2
+    exit 1
+fi
+echo "killed after $(cat "$RESUME_DIR"/killed.journal.* | grep -c '^case ') journaled cases"
+"$LOCKSTEP" "${CAMPAIGN[@]}" --resume "$RESUME_DIR/killed.journal" \
     > "$RESUME_DIR/resumed.out" 2>/dev/null
 diff "$RESUME_DIR/full.out" "$RESUME_DIR/resumed.out"
 echo "resumed campaign output is byte-identical"

@@ -117,7 +117,8 @@ fn kernel_unit(kind: KernelKind) -> Result<&'static Unit, AsmError> {
 ///
 /// # Panics
 ///
-/// Panics if a segment does not fit in guest memory (a malformed program).
+/// Panics if the segments need more than [`Memory::MAX_PAGES`] pages of
+/// guest memory (a malformed program).
 pub fn load_program(cpu: &mut Cpu, program: &Program) {
     for segment in program.segments() {
         if !segment.data.is_empty() {

@@ -25,21 +25,22 @@
 //! The plan is drawn deterministically from a [`SplitMix64`] seed, so a
 //! campaign is exactly reproducible from `(program, seed, faults)`.
 //!
-//! Every replay is bounded by the instruction budget and by a cap of 4,096
-//! mapped guest pages (16 MiB; a fault can turn a store loop into a memory
-//! hog). A replay that exhausts either, dies on a fault its guest does not
-//! handle, or livelocks on a wedged accelerator is *quarantined*: logged
-//! and skipped, so the campaign still classifies the rest. A replay is a
-//! fresh core and accelerator running the same program, so it is
-//! deterministic; a quarantined case would end the same way again and is
-//! never retried.
+//! Every replay runs a block at a time ([`Cpu::run`]), bounded by the
+//! instruction budget and by guest memory's own bound of
+//! [`riscv_sim::Memory::MAX_PAGES`] pages (16 MiB; a fault can turn a
+//! store loop into a memory hog). A replay that exhausts either, dies on a
+//! fault its guest does not handle, or livelocks on a wedged accelerator
+//! is *quarantined*: logged and skipped, so the campaign still classifies
+//! the rest. A replay is a fresh core and accelerator running the same
+//! program, so it is deterministic; a quarantined case would end the same
+//! way again and is never retried.
 
 use std::cell::Cell;
 use std::rc::Rc;
 
 use riscv_asm::Program;
 use riscv_isa::csr::cause;
-use riscv_sim::{Coprocessor, Cpu, CpuError, Event, Memory, RoccCommand, RoccResponse};
+use riscv_sim::{Coprocessor, Cpu, CpuError, Memory, RoccCommand, RoccResponse};
 use rocc::{DecimalAccelerator, DecimalFunct};
 
 use crate::fuzz::SplitMix64;
@@ -125,12 +126,6 @@ impl FaultProbe {
     #[must_use]
     pub fn commands_seen(&self) -> u64 {
         self.0.commands_seen.get()
-    }
-
-    /// True once the planned fault has been injected.
-    #[must_use]
-    pub fn fired(&self) -> bool {
-        self.0.fired.get()
     }
 
     /// True if the guest read a nonzero `STAT` word after the injection —
@@ -399,20 +394,6 @@ fn sample_target(rng: &mut SplitMix64) -> FaultTarget {
     }
 }
 
-/// Mapped 4 KiB guest pages a replay may hold (16 MiB of guest memory).
-const MEMORY_PAGE_CAP: usize = 4096;
-
-/// Why a replay counts as wedged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WedgeReason {
-    /// The core's RoCC busy-watchdog aborted a hung accelerator handshake
-    /// and no trap vector was armed ([`CpuError::RoccTimeout`]).
-    WatchdogAbort,
-    /// Fuel ran out while the trap log shows the guest spinning on
-    /// watchdog traps — it is retrying a permanently wedged accelerator.
-    Livelock,
-}
-
 /// Every way a replay can end. Exactly one variant per run — the taxonomy
 /// is total, so campaign code never needs a catch-all panic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -421,12 +402,15 @@ enum RunOutcome {
     Completed { exit_code: i64 },
     /// The instruction fuel ran out with no sign of an accelerator wedge.
     FuelExhausted { fuel: u64 },
-    /// The guest mapped more pages than [`MEMORY_PAGE_CAP`].
-    MemCapExceeded { pages: usize },
-    /// The guest died on an architectural fault it did not handle.
+    /// The guest died on an architectural fault it did not handle, or its
+    /// memory reached its bound ([`CpuError::MemoryLimit`]).
     Trapped { error: CpuError },
-    /// The replay is wedged.
-    Wedged { reason: WedgeReason },
+    /// Wedged: the core's RoCC busy-watchdog aborted a hung accelerator
+    /// handshake and no trap vector was armed ([`CpuError::RoccTimeout`]).
+    WatchdogAbort,
+    /// Wedged: fuel ran out while the trap log shows the guest spinning on
+    /// watchdog traps — it is retrying a permanently wedged accelerator.
+    Livelock,
 }
 
 impl RunOutcome {
@@ -435,17 +419,13 @@ impl RunOutcome {
         match self {
             RunOutcome::Completed { exit_code } => format!("completed:{exit_code}"),
             RunOutcome::FuelExhausted { fuel } => format!("fuel-exhausted:{fuel}"),
-            RunOutcome::MemCapExceeded { pages } => {
-                format!("mem-cap:{pages}/{MEMORY_PAGE_CAP}")
-            }
+            // The memory bound is the host's limit, not a guest fault.
+            RunOutcome::Trapped {
+                error: error @ CpuError::MemoryLimit(_),
+            } => error_token(error),
             RunOutcome::Trapped { error } => format!("fault:{}", error_token(error)),
-            RunOutcome::Wedged { reason } => format!(
-                "wedged:{}",
-                match reason {
-                    WedgeReason::WatchdogAbort => "watchdog",
-                    WedgeReason::Livelock => "livelock",
-                }
-            ),
+            RunOutcome::WatchdogAbort => "wedged:watchdog".to_string(),
+            RunOutcome::Livelock => "wedged:livelock".to_string(),
         }
     }
 }
@@ -466,41 +446,32 @@ fn error_token(error: &CpuError) -> String {
         CpuError::MissingRoccResponse { funct7 } => format!("missing-rocc-resp:{funct7}"),
         CpuError::RoccTimeout { funct7, .. } => format!("rocc-timeout:{funct7}"),
         CpuError::InstructionLimit(n) => format!("instruction-limit:{n}"),
+        CpuError::MemoryLimit(_) => {
+            format!("mem-cap:{}/{}", Memory::MAX_PAGES + 1, Memory::MAX_PAGES)
+        }
         _ => "other".to_string(),
     }
 }
 
-/// Steps `cpu` for at most `fuel` instructions until it exits, faults,
-/// wedges, or maps more than [`MEMORY_PAGE_CAP`] pages, and classifies the
-/// ending. Never panics, never loops forever: every path out is a
-/// [`RunOutcome`].
+/// Runs `cpu` for at most `fuel` instructions until it exits, faults,
+/// wedges, or reaches its memory bound, and classifies the ending. Never
+/// panics, never loops forever: every path out is a [`RunOutcome`].
 fn run_case(cpu: &mut Cpu, fuel: u64) -> RunOutcome {
-    for _ in 0..fuel {
-        match cpu.step() {
-            Ok(Event::Exited { code }) => return RunOutcome::Completed { exit_code: code },
-            Ok(_) => {}
-            Err(CpuError::RoccTimeout { .. }) => {
-                return RunOutcome::Wedged {
-                    reason: WedgeReason::WatchdogAbort,
-                }
-            }
-            Err(error) => return RunOutcome::Trapped { error },
+    match cpu.run(fuel) {
+        Ok(exit_code) => RunOutcome::Completed { exit_code },
+        Err(CpuError::RoccTimeout { .. }) => RunOutcome::WatchdogAbort,
+        // Fuel is gone. If the trap log shows the watchdog fired, the
+        // guest was spinning on a permanently wedged accelerator (each
+        // retry gets a benign response from the sticky Error state, so it
+        // never converges); that is a wedge, not an honest long
+        // computation.
+        Err(CpuError::InstructionLimit(_))
+            if cpu.trap_log.iter().any(|t| t.cause == cause::ROCC_TIMEOUT) =>
+        {
+            RunOutcome::Livelock
         }
-        let pages = cpu.memory.mapped_pages();
-        if pages > MEMORY_PAGE_CAP {
-            return RunOutcome::MemCapExceeded { pages };
-        }
-    }
-    // Fuel is gone. If the trap log shows the watchdog fired, the guest
-    // was spinning on a permanently wedged accelerator (each retry gets a
-    // benign response from the sticky Error state, so it never converges);
-    // that is a wedge, not an honest long computation.
-    if cpu.trap_log.iter().any(|t| t.cause == cause::ROCC_TIMEOUT) {
-        RunOutcome::Wedged {
-            reason: WedgeReason::Livelock,
-        }
-    } else {
-        RunOutcome::FuelExhausted { fuel }
+        Err(CpuError::InstructionLimit(_)) => RunOutcome::FuelExhausted { fuel },
+        Err(error) => RunOutcome::Trapped { error },
     }
 }
 
@@ -552,9 +523,7 @@ fn replay_case(
         }
         // Watchdog surfaced as a hard fault: no trap vector was armed.
         // Bounded in time, so it is a classification, not a skip.
-        RunOutcome::Wedged {
-            reason: WedgeReason::WatchdogAbort,
-        } => CaseResult::Classified(FaultOutcome::CaughtByWatchdog),
+        RunOutcome::WatchdogAbort => CaseResult::Classified(FaultOutcome::CaughtByWatchdog),
         outcome => CaseResult::Quarantined(outcome.token()),
     }
 }
@@ -954,13 +923,65 @@ mod tests {
             ",
             100_000,
         );
-        assert_eq!(
-            outcome,
-            RunOutcome::MemCapExceeded {
-                pages: MEMORY_PAGE_CAP + 1
-            }
+        assert!(
+            matches!(
+                outcome,
+                RunOutcome::Trapped {
+                    error: CpuError::MemoryLimit(_)
+                }
+            ),
+            "{outcome:?}"
         );
-        assert_eq!(outcome.token(), format!("mem-cap:{}/4096", MEMORY_PAGE_CAP + 1));
+        assert_eq!(outcome.token(), "mem-cap:4097/4096");
+    }
+
+    #[test]
+    fn a_memory_hog_is_quarantined_without_reaching_its_trap_handler() {
+        // A wrong sum sends the guest storing to a fresh page each
+        // iteration; its handler would exit with 3.
+        let program = assemble(
+            "
+            start:
+                la   t0, handler
+                csrrw zero, 0x305, t0
+                li   t0, 0x15
+                li   t1, 0x27
+                custom0 4, t2, t0, t1, 1, 1, 1
+                li   t3, 0x42
+                bne  t2, t3, hog
+                li   a0, 0
+                li   a7, 93
+                ecall
+            hog:
+                li   t0, 0x100000
+                li   t1, 4096
+            loop:
+                sd   zero, 0(t0)
+                add  t0, t0, t1
+                j    loop
+            handler:
+                li   a0, 3
+                li   a7, 93
+                ecall
+            ",
+        )
+        .unwrap();
+        let golden = GoldenBaseline {
+            exit: 0,
+            results: None,
+            degraded: None,
+        };
+        let config = CampaignConfig::default();
+        // In the Error state the accelerator answers with a benign zero.
+        match replay_case(&program, &config, &golden, 0, FaultTarget::FsmError) {
+            CaseResult::Quarantined(token) => assert_eq!(token, "mem-cap:4097/4096"),
+            CaseResult::Classified(outcome) => panic!("classified as {outcome}"),
+        }
+        // A wedge traps to the handler, which exits.
+        assert!(matches!(
+            replay_case(&program, &config, &golden, 0, FaultTarget::FsmWedge),
+            CaseResult::Classified(FaultOutcome::CaughtByWatchdog)
+        ));
     }
 
     #[test]
@@ -968,16 +989,14 @@ mod tests {
         let outcomes = [
             RunOutcome::Completed { exit_code: -1 },
             RunOutcome::FuelExhausted { fuel: 10 },
-            RunOutcome::MemCapExceeded { pages: 20 },
+            RunOutcome::Trapped {
+                error: CpuError::MemoryLimit(0x1000),
+            },
             RunOutcome::Trapped {
                 error: CpuError::RoccProtocol("x"),
             },
-            RunOutcome::Wedged {
-                reason: WedgeReason::WatchdogAbort,
-            },
-            RunOutcome::Wedged {
-                reason: WedgeReason::Livelock,
-            },
+            RunOutcome::WatchdogAbort,
+            RunOutcome::Livelock,
         ];
         for outcome in outcomes {
             assert!(!outcome.token().contains(' '), "{}", outcome.token());

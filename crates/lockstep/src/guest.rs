@@ -158,6 +158,13 @@ mod tests {
     use testgen::DriverLayout;
 
     #[test]
+    fn each_kind_builds_a_simulator_with_its_label() {
+        for kind in SimKind::ALL {
+            assert_eq!(kind.build().label(), kind.label());
+        }
+    }
+
+    #[test]
     fn a_guest_that_never_exits_fails_on_every_pair() {
         let guest = GuestProgram {
             program: assemble("start:\n    j start\n").unwrap(),

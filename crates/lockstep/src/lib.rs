@@ -27,9 +27,10 @@
 //! * the [`campaign`] module runs seeded single-bit fault-injection
 //!   campaigns over the accelerator's architectural state, classifying
 //!   every fault as masked, detected in-band, caught by the watchdog, or
-//!   silent data corruption; each replay is bounded by instruction fuel
-//!   and a fixed memory-page cap, and a replay that ends any other way is
-//!   quarantined (it is deterministic, so it is never retried);
+//!   silent data corruption; each replay runs a block at a time, bounded
+//!   by instruction fuel and guest memory's page bound, and a replay that
+//!   ends any other way is quarantined (it is deterministic, so it is
+//!   never retried);
 //! * the [`journal`] module provides the append-only, checksummed
 //!   write-ahead journal and [`journal::CaseLog`], the one case loop that
 //!   makes campaign, fuzz and conformance runs resumable: a killed run

@@ -93,8 +93,9 @@ pub struct TrapRecord {
 }
 
 /// Maps a [`CpuError`] to its guest-visible `(mcause, mtval)`, or `None`
-/// for host-level conditions that never trap (unknown syscalls, budget
-/// exhaustion — those are simulation-harness concerns, not architecture).
+/// for host-level conditions that never trap (unknown syscalls, the
+/// instruction budget and the memory bound — those are simulation-harness
+/// concerns, not architecture).
 fn trap_cause(error: &CpuError) -> Option<(u64, u64)> {
     use riscv_isa::csr::cause;
     match *error {
@@ -109,7 +110,9 @@ fn trap_cause(error: &CpuError) -> Option<(u64, u64)> {
         | CpuError::RoccProtocol(_)
         | CpuError::MissingRoccResponse { .. } => Some((cause::ILLEGAL_INSTRUCTION, 0)),
         CpuError::RoccTimeout { .. } => Some((cause::ROCC_TIMEOUT, 0)),
-        CpuError::UnknownSyscall(_) | CpuError::InstructionLimit(_) => None,
+        CpuError::UnknownSyscall(_)
+        | CpuError::InstructionLimit(_)
+        | CpuError::MemoryLimit(_) => None,
     }
 }
 
@@ -1390,7 +1393,7 @@ mod tests {
         cpu.set_reg(Reg::T0, 0x3000);
         assert_eq!(cpu.run(100).unwrap(), 15);
         assert_eq!(cpu.memory.decoded_pages(), [0x1, 0x2]);
-        assert_eq!(cpu.memory.mapped_pages(), 3);
+        assert_eq!(cpu.memory.pages().count(), 3);
     }
 
     #[test]
@@ -1408,7 +1411,7 @@ mod tests {
             cpu.set_pc(0x1000);
             assert!(matches!(cpu.step(), Ok(Event::Retired(_))));
         }
-        assert_eq!(cpu.memory.mapped_pages(), 1);
+        assert_eq!(cpu.memory.pages().count(), 1);
         assert_eq!(cpu.memory.decoded_pages(), [0x1], "only the mapped code page is decoded");
         assert_eq!(cpu.run(100).unwrap(), 0);
     }

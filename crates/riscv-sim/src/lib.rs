@@ -4,7 +4,8 @@
 //!
 //! The crate provides:
 //!
-//! * [`Memory`] — sparse byte-addressable guest memory;
+//! * [`Memory`] — sparse byte-addressable guest memory, bounded at
+//!   [`Memory::MAX_PAGES`] pages;
 //! * [`Cpu`] — an instruction-accurate RV64IM core with a syscall-style host
 //!   interface (`exit`, `write`, and a `mark` extension for delimiting
 //!   measurement regions) and user counters (`rdcycle`, `rdinstret`);
@@ -84,6 +85,9 @@ pub enum CpuError {
     /// [`Simulator::run`] exhausted its instruction budget without the
     /// program exiting.
     InstructionLimit(u64),
+    /// A write to this address would have mapped more than
+    /// [`Memory::MAX_PAGES`] pages; it changed nothing.
+    MemoryLimit(u64),
 }
 
 impl fmt::Display for CpuError {
@@ -115,6 +119,7 @@ impl fmt::Display for CpuError {
             CpuError::InstructionLimit(n) => {
                 write!(f, "program did not exit within {n} instructions")
             }
+            CpuError::MemoryLimit(a) => write!(f, "write to {a:#x} passes the memory bound"),
         }
     }
 }

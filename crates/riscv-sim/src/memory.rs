@@ -3,6 +3,7 @@
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use riscv_isa::instr::{Instr, OperandFacts};
 use riscv_isa::Op;
@@ -21,7 +22,7 @@ const SLOTS_PER_PAGE: usize = 1 << (PAGE_SHIFT - 2);
 ///
 /// Thirty-two bytes, aligned to 32 so that no slot straddles two cache
 /// lines: unaligned, every other slot did, which cost runs that step fresh
-/// cores, such as lockstep's and the fault campaign's, about 7%.
+/// cores, such as lockstep's, about 7%.
 #[derive(Debug, Clone, Copy)]
 #[repr(C, align(32))]
 pub(crate) struct Slot {
@@ -71,7 +72,11 @@ const NO_PAGE: u64 = u64::MAX;
 /// Byte-addressable sparse memory backed by 4 KiB pages.
 ///
 /// Reads of unmapped pages are an error (the guest touched memory the
-/// program never initialized or reserved); writes allocate pages on demand.
+/// program never initialized or reserved); writes map pages on demand, up
+/// to [`Memory::MAX_PAGES`]. A write that would map one more fails with
+/// [`CpuError::MemoryLimit`] and changes nothing, so under every harness a
+/// runaway store loop stops at 16 MiB; only mapping a page checks this.
+///
 /// Every access looks its page up once; an access that straddles a page
 /// boundary looks up each page it touches. A lookup of the page the
 /// previous successful lookup found is a compare against a one-entry memo
@@ -124,17 +129,30 @@ impl Default for Memory {
     }
 }
 
+/// Splits the `len` bytes at `addr` at page boundaries: for each piece, in
+/// address order, its address, its byte range within its page and its
+/// range within the `len` bytes.
+fn pieces(addr: u64, len: usize) -> impl Iterator<Item = (u64, Range<usize>, Range<usize>)> {
+    let mut done = 0;
+    std::iter::from_fn(move || {
+        (done < len).then(|| {
+            let at = addr.wrapping_add(done as u64);
+            let offset = (at & (PAGE_SIZE - 1)) as usize;
+            let n = (len - done).min(PAGE_SIZE as usize - offset);
+            done += n;
+            (at, offset..offset + n, done - n..done)
+        })
+    })
+}
+
 impl Memory {
+    /// The most 4 KiB pages a memory maps: 16 MiB of guest memory.
+    pub const MAX_PAGES: usize = 4096;
+
     /// An empty memory.
     #[must_use]
     pub fn new() -> Self {
         Memory::default()
-    }
-
-    /// Number of mapped pages (for footprint diagnostics).
-    #[must_use]
-    pub fn mapped_pages(&self) -> usize {
-        self.pages.len()
     }
 
     /// The mapped pages in address order, each as its base address and its
@@ -170,15 +188,19 @@ impl Memory {
         Some(at)
     }
 
-    /// Maps a zeroed page with index `index`; returns its position.
+    /// Maps a zeroed page for a write to `addr`; returns its position, or
+    /// [`CpuError::MemoryLimit`] if [`Memory::MAX_PAGES`] pages are mapped.
     #[cold]
-    fn map(&mut self, index: u64) -> usize {
+    fn map(&mut self, addr: u64) -> Result<usize, CpuError> {
+        if self.pages.len() == Self::MAX_PAGES {
+            return Err(CpuError::MemoryLimit(addr));
+        }
         self.pages.push(Page {
             bytes: Box::new([0; PAGE_SIZE as usize]),
             decoded: None,
         });
-        self.index.insert(index, self.pages.len() - 1);
-        self.pages.len() - 1
+        self.index.insert(addr >> PAGE_SHIFT, self.pages.len() - 1);
+        Ok(self.pages.len() - 1)
     }
 
     /// The page with index `index`, if mapped.
@@ -304,18 +326,20 @@ impl Memory {
         Ok(())
     }
 
-    /// The page with index `index`, mapping it on demand. Drops the
-    /// page's decoded slots, since the caller writes through the bytes.
+    /// The page holding `addr`, mapping it on demand (see [`Memory::map`]).
+    /// Drops the page's decoded slots, since the caller writes through the
+    /// bytes.
     #[inline(always)]
-    fn page_for_write(&mut self, index: u64) -> &mut [u8; PAGE_SIZE as usize] {
+    fn page_for_write(&mut self, addr: u64) -> Result<&mut [u8; PAGE_SIZE as usize], CpuError> {
+        let index = addr >> PAGE_SHIFT;
         let at = match self.find(index) {
             Some(at) => at,
-            None => self.map(index),
+            None => self.map(addr)?,
         };
         if index == self.fetch_at.0 || self.pages[at].decoded.is_some() {
             self.drop_decoded(index, at);
         }
-        &mut self.pages[at].bytes
+        Ok(&mut self.pages[at].bytes)
     }
 
     /// Drops the decoded slots of page `index` at position `at`, whether
@@ -340,34 +364,32 @@ impl Memory {
     /// byte's address.
     #[inline(never)]
     fn read_into(&self, addr: u64, out: &mut [u8]) -> Result<(), CpuError> {
-        let mut done = 0;
-        while done < out.len() {
-            let at = addr.wrapping_add(done as u64);
-            let offset = (at & (PAGE_SIZE - 1)) as usize;
-            let len = (out.len() - done).min(PAGE_SIZE as usize - offset);
+        for (at, in_page, in_out) in pieces(addr, out.len()) {
             let page = self
                 .page(at >> PAGE_SHIFT)
                 .ok_or(CpuError::UnmappedAddress(at))?;
-            out[done..done + len].copy_from_slice(&page.bytes[offset..offset + len]);
-            done += len;
+            out[in_out].copy_from_slice(&page.bytes[in_page]);
         }
         Ok(())
     }
 
     /// Copies `bytes` to `addr`, one page lookup per page touched. Out of
     /// line: only bulk writes and writes that straddle a page boundary
-    /// come here.
+    /// come here. It checks the page bound before writing anything, and
+    /// fails at the first byte whose page would pass it.
     #[inline(never)]
-    fn write_from(&mut self, addr: u64, bytes: &[u8]) {
-        let mut done = 0;
-        while done < bytes.len() {
-            let at = addr.wrapping_add(done as u64);
-            let offset = (at & (PAGE_SIZE - 1)) as usize;
-            let len = (bytes.len() - done).min(PAGE_SIZE as usize - offset);
-            self.page_for_write(at >> PAGE_SHIFT)[offset..offset + len]
-                .copy_from_slice(&bytes[done..done + len]);
-            done += len;
+    fn write_from(&mut self, addr: u64, bytes: &[u8]) -> Result<(), CpuError> {
+        let free = Self::MAX_PAGES - self.pages.len();
+        if let Some((at, ..)) = pieces(addr, bytes.len())
+            .filter(|(at, ..)| self.find(at >> PAGE_SHIFT).is_none())
+            .nth(free)
+        {
+            return Err(CpuError::MemoryLimit(at));
         }
+        for (at, in_page, in_bytes) in pieces(addr, bytes.len()) {
+            self.page_for_write(at)?[in_page].copy_from_slice(&bytes[in_bytes]);
+        }
+        Ok(())
     }
 
     /// Reads one byte.
@@ -384,12 +406,11 @@ impl Memory {
     ///
     /// # Errors
     ///
-    /// Infallible today; kept fallible for symmetry and future protection
-    /// bits.
+    /// Returns [`CpuError::MemoryLimit`] if the write would map a page past
+    /// [`Memory::MAX_PAGES`]; it then changes nothing.
     #[inline(always)]
     pub fn write_u8(&mut self, addr: u64, value: u8) -> Result<(), CpuError> {
-        self.write_le(addr, [value]);
-        Ok(())
+        self.write_le(addr, [value])
     }
 
     /// Reads `N` little-endian bytes: a fixed-size copy when they lie in
@@ -412,12 +433,13 @@ impl Memory {
     /// Writes `N` little-endian bytes: a fixed-size copy when they lie in
     /// one page, else page by page.
     #[inline(always)]
-    fn write_le<const N: usize>(&mut self, addr: u64, bytes: [u8; N]) {
+    fn write_le<const N: usize>(&mut self, addr: u64, bytes: [u8; N]) -> Result<(), CpuError> {
         let offset = (addr & (PAGE_SIZE - 1)) as usize;
         if offset + N <= PAGE_SIZE as usize {
-            self.page_for_write(addr >> PAGE_SHIFT)[offset..offset + N].copy_from_slice(&bytes);
+            self.page_for_write(addr)?[offset..offset + N].copy_from_slice(&bytes);
+            Ok(())
         } else {
-            self.write_from(addr, &bytes);
+            self.write_from(addr, &bytes)
         }
     }
 
@@ -458,8 +480,7 @@ impl Memory {
     /// See [`Memory::write_u8`].
     #[inline(always)]
     pub fn write_u16(&mut self, addr: u64, value: u16) -> Result<(), CpuError> {
-        self.write_le(addr, value.to_le_bytes());
-        Ok(())
+        self.write_le(addr, value.to_le_bytes())
     }
 
     /// Writes a little-endian u32.
@@ -469,8 +490,7 @@ impl Memory {
     /// See [`Memory::write_u8`].
     #[inline(always)]
     pub fn write_u32(&mut self, addr: u64, value: u32) -> Result<(), CpuError> {
-        self.write_le(addr, value.to_le_bytes());
-        Ok(())
+        self.write_le(addr, value.to_le_bytes())
     }
 
     /// Writes a little-endian u64.
@@ -480,18 +500,17 @@ impl Memory {
     /// See [`Memory::write_u8`].
     #[inline(always)]
     pub fn write_u64(&mut self, addr: u64, value: u64) -> Result<(), CpuError> {
-        self.write_le(addr, value.to_le_bytes());
-        Ok(())
+        self.write_le(addr, value.to_le_bytes())
     }
 
     /// Copies a byte slice into memory at `addr`.
     ///
     /// # Errors
     ///
-    /// See [`Memory::write_u8`].
+    /// See [`Memory::write_u8`]: if the bytes would need more pages than
+    /// the bound leaves, none of them is written.
     pub fn load_bytes(&mut self, addr: u64, bytes: &[u8]) -> Result<(), CpuError> {
-        self.write_from(addr, bytes);
-        Ok(())
+        self.write_from(addr, bytes)
     }
 
     /// Reads `len` bytes starting at `addr`.
@@ -505,14 +524,11 @@ impl Memory {
         // bogus length faults at the first unmapped byte instead of
         // exhausting host memory.
         let mut out = Vec::with_capacity(len.min(PAGE_SIZE as usize));
-        while out.len() < len {
-            let at = addr.wrapping_add(out.len() as u64);
-            let offset = (at & (PAGE_SIZE - 1)) as usize;
-            let chunk = (len - out.len()).min(PAGE_SIZE as usize - offset);
+        for (at, in_page, _) in pieces(addr, len) {
             let page = self
                 .page(at >> PAGE_SHIFT)
                 .ok_or(CpuError::UnmappedAddress(at))?;
-            out.extend_from_slice(&page.bytes[offset..offset + chunk]);
+            out.extend_from_slice(&page.bytes[in_page]);
         }
         Ok(out)
     }
@@ -564,7 +580,7 @@ mod tests {
         let addr = 0x1FFC; // straddles a 4 KiB boundary for u64
         m.write_u64(addr, 0x0102_0304_0506_0708).unwrap();
         assert_eq!(m.read_u64(addr).unwrap(), 0x0102_0304_0506_0708);
-        assert_eq!(m.mapped_pages(), 2);
+        assert_eq!(m.pages().count(), 2);
     }
 
     #[test]
@@ -579,9 +595,37 @@ mod tests {
         let mut m = Memory::new();
         let bytes: Vec<u8> = (0..9000u32).map(|i| (i % 251) as u8).collect();
         m.load_bytes(0x1F00, &bytes).unwrap(); // 0x1F00..0x4228
-        assert_eq!(m.mapped_pages(), 4);
+        assert_eq!(m.pages().count(), 4);
         assert_eq!(m.read_bytes(0x1F00, bytes.len()).unwrap(), bytes);
         assert_eq!(m.read_u8(0x1F00 + 8999).unwrap(), bytes[8999]);
+    }
+
+    #[test]
+    fn a_write_past_the_page_bound_changes_nothing() {
+        let mut m = Memory::new();
+        for page in 0..Memory::MAX_PAGES as u64 {
+            m.write_u8(page << PAGE_SHIFT, page as u8).unwrap();
+        }
+        let last = (Memory::MAX_PAGES as u64 - 1) << PAGE_SHIFT;
+        let contents = |m: &Memory| {
+            m.pages()
+                .map(|(base, bytes)| (base, bytes.to_vec()))
+                .collect::<Vec<_>>()
+        };
+        let full = contents(&m);
+        // A new page, a store straddling a mapped page and an unmapped
+        // one, and a bulk write past the bound: each fails whole.
+        let next = last + PAGE_SIZE;
+        assert_eq!(m.write_u64(next, 1), Err(CpuError::MemoryLimit(next)));
+        assert_eq!(m.write_u64(next - 4, 1), Err(CpuError::MemoryLimit(next)));
+        assert_eq!(
+            m.load_bytes(last, &[7; 2 * PAGE_SIZE as usize]),
+            Err(CpuError::MemoryLimit(next))
+        );
+        assert_eq!(contents(&m), full);
+        // Mapped pages still take writes.
+        m.write_u64(last + 8, 2).unwrap();
+        assert_eq!(m.read_u64(last + 8), Ok(2));
     }
 
     #[test]
@@ -677,7 +721,7 @@ mod tests {
         fetched(&mut m, 0x3000).unwrap();
         fetched(&mut m, 0x1004).unwrap();
         let _ = fetched(&mut m, 0x2000);
-        assert_eq!(m.mapped_pages(), 2);
+        assert_eq!(m.pages().count(), 2);
         assert_eq!(contents(&m), before);
         assert_eq!(m.read_u8(0x2000), Err(CpuError::UnmappedAddress(0x2000)));
     }

@@ -13,10 +13,10 @@ use crate::{Cpu, CpuError, Event, Retired};
 /// lockstep comparator, campaigns) drive any platform through this trait,
 /// statically or as `dyn Simulator`.
 ///
-/// `step` executes one instruction; lockstep and the fault campaign's
-/// replays drive it. `Cpu`, `RocketSim` and `AtomicSim` override `run` to
-/// execute whole blocks through [`Cpu::run_with`], with the same results
-/// as stepping, counters and cycles included. Each of the three charges
+/// `step` executes one instruction; lockstep drives it. `Cpu`,
+/// `RocketSim` and `AtomicSim` override `run` to execute whole blocks
+/// through [`Cpu::run_with`], with the same results as stepping, counters
+/// and cycles included. Each of the three charges
 /// both paths to its one [`Timing`], the functional core's clock of one
 /// cycle per step included. A wrapper that implements only `step` (a
 /// lockstep mutant, a test recorder) gets the provided `run`, which steps.

@@ -3,8 +3,9 @@
 //! time is the reference: a wrapper that implements only `step` gets the
 //! trait's provided `run`, which steps. Both must end every run in the same
 //! place — result, architectural state, memory and every timing counter —
-//! on every kernel's guest and on seeded fuzz programs, run to exit and cut
-//! short by the instruction budget.
+//! on every kernel's guest, on seeded fuzz programs and on a store loop
+//! that guest memory's page bound stops, run to exit and cut short by the
+//! instruction budget.
 
 use std::fmt::Debug;
 
@@ -113,8 +114,9 @@ fn assert_run_equals_stepping<S: Simulator, T: PartialEq + Debug>(
 }
 
 /// Checks `program` on all three simulators: to exit with `budget`, and
-/// cut short at a few budgets below the run's length.
-fn check_every_simulator(what: &str, program: &Program, budget: u64) {
+/// cut short at a few budgets below the run's length. Returns how the
+/// functional core's full run ended.
+fn check_every_simulator(what: &str, program: &Program, budget: u64) -> Ending {
     let atomic_config = AtomicConfig {
         mul_cycles: 3,
         div_cycles: 12,
@@ -153,6 +155,7 @@ fn check_every_simulator(what: &str, program: &Program, budget: u64) {
             cut,
         );
     }
+    full
 }
 
 #[test]
@@ -190,4 +193,25 @@ fn run_equals_stepping_on_seeded_fuzz_programs() {
             config.max_instructions,
         );
     }
+}
+
+#[test]
+fn run_equals_stepping_on_a_memory_hog() {
+    // Stores to a fresh page each iteration until no page is left.
+    let source = "
+        start:
+            li t0, 0x100000
+            li t1, 4096
+        loop:
+            sd zero, 0(t0)
+            add t0, t0, t1
+            j loop
+    ";
+    let program = assemble(source).unwrap();
+    let ending = check_every_simulator("memory hog", &program, 100_000);
+    assert!(
+        matches!(ending.result, Err(CpuError::MemoryLimit(_))),
+        "{:?}",
+        ending.result
+    );
 }
