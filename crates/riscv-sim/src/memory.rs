@@ -373,10 +373,10 @@ impl Memory {
         Ok(())
     }
 
-    /// Copies `bytes` to `addr`, one page lookup per page touched. Out of
-    /// line: only bulk writes and writes that straddle a page boundary
-    /// come here. It checks the page bound before writing anything, and
-    /// fails at the first byte whose page would pass it.
+    /// Copies `bytes` to `addr` page by page, once a first lookup of each
+    /// page has shown that the pages to map fit the bound; else fails at
+    /// the first byte whose page would pass it. Out of line: only bulk
+    /// writes and writes that straddle a page boundary come here.
     #[inline(never)]
     fn write_from(&mut self, addr: u64, bytes: &[u8]) -> Result<(), CpuError> {
         let free = Self::MAX_PAGES - self.pages.len();
