@@ -110,9 +110,9 @@ fn trap_cause(error: &CpuError) -> Option<(u64, u64)> {
         | CpuError::RoccProtocol(_)
         | CpuError::MissingRoccResponse { .. } => Some((cause::ILLEGAL_INSTRUCTION, 0)),
         CpuError::RoccTimeout { .. } => Some((cause::ROCC_TIMEOUT, 0)),
-        CpuError::UnknownSyscall(_)
-        | CpuError::InstructionLimit(_)
-        | CpuError::MemoryLimit(_) => None,
+        CpuError::UnknownSyscall(_) | CpuError::InstructionLimit(_) | CpuError::MemoryLimit(_) => {
+            None
+        }
     }
 }
 
@@ -278,7 +278,7 @@ impl Cpu {
     /// Returns [`CpuError`] on fetch/load/store faults, undecodable
     /// instructions, unknown syscalls, `ebreak`, or coprocessor faults,
     /// when trap delivery is unarmed or the fault is host-level
-    /// (unknown syscalls never trap).
+    /// (unknown syscalls and [`CpuError::MemoryLimit`] never trap).
     ///
     /// `#[inline]` so that it compiles into its caller, as a timing
     /// model's `step` does: out of line, a functional step cost more than
