@@ -61,13 +61,6 @@ echo "== tables: regenerate every table, ablation and microbenchmark =="
 # CI. Standard output is dropped: host timings differ run to run.
 cargo run -q --release -p decimal-bench --bin tables -- all --samples 120 --reps 1 > /dev/null
 
-echo "== static analysis: rvlint over every kernel guest =="
-# Lints every co-design kernel guest (CFG/dataflow + RoCC-protocol
-# typestate + BCD operand checks) across generated vector databases of
-# increasing size. Exits nonzero on any Error-severity finding. The
-# broken-fixture suite (tests/rvlint_fixtures.rs) already ran in tier-1.
-cargo run --release -p decimal-bench --bin rvlint -- --seed 2019
-
 # Deterministic outputs are diffed against the goldens in tests/golden/:
 # a change that moves a simulated number, a report line or a table cell
 # fails here. A change that means to move one regenerates its golden with
@@ -81,6 +74,16 @@ check_golden() {
     "$@" | tee "$CI_TMP/golden.out"
     diff -u "tests/golden/$golden" "$CI_TMP/golden.out"
 }
+
+echo "== static analysis: rvlint over every kernel guest =="
+# Lints every co-design kernel guest (CFG/dataflow + RoCC-protocol
+# typestate + BCD operand checks) across generated vector databases of
+# increasing size. Exits nonzero on any Error-severity finding; the
+# verbose report (kernel statistics and notes) is diffed against its
+# golden. The broken-fixture suite (tests/rvlint_fixtures.rs) already ran
+# in tier-1.
+check_golden rvlint.txt \
+    cargo run -q --release -p decimal-bench --bin rvlint -- --seed 2019 --verbose
 
 echo "== tables: deterministic outputs against their goldens =="
 # Every subcommand but `table5`, `micro` and `all`, which print host times.

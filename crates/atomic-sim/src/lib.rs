@@ -164,7 +164,7 @@ impl Timing for Ticks {
     }
 
     #[inline]
-    fn retired(&mut self, retired: &Retired) -> Result<(), CpuError> {
+    fn retired(&mut self, retired: &Retired) {
         self.stats.cycles += 1;
         if retired.mem_access.is_some() {
             self.stats.cycles += MEM_ACCESS_CYCLES;
@@ -180,7 +180,6 @@ impl Timing for Ticks {
             self.stats.cycles += u64::from(resp.busy_cycles);
             self.stats.mem_accesses += u64::from(resp.mem_accesses);
         }
-        Ok(())
     }
 
     #[inline]

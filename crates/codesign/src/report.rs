@@ -19,10 +19,10 @@ pub fn table2() -> String {
         let _ = writeln!(
             out,
             "{:<11} {:07b}   {:<7} {}",
-            funct.name(),
+            funct.spec().name,
             funct.funct7(),
             if funct.in_paper_table2() { "yes" } else { "ext" },
-            funct.description(),
+            funct.spec().description,
         );
     }
     out
@@ -254,7 +254,7 @@ mod tests {
     fn table2_lists_all_functions() {
         let t = table2();
         for funct in DecimalFunct::ALL {
-            assert!(t.contains(funct.name()), "{}", funct.name());
+            assert!(t.contains(funct.spec().name), "{}", funct.spec().name);
         }
     }
 

@@ -18,7 +18,6 @@
 //! journal faults v1 4f1c0e... #a1b2c3d4e5f60718   <- header: kind + config fingerprint
 //! case 0 3 reg:7:101 masked                       <- one line per completed case
 //! case 1 5 wedge quarantined:wedged:livelock
-//! ckpt 2                                          <- periodic checkpoint marker
 //! ```
 //!
 //! The header binds the journal to a *fingerprint* of the campaign
@@ -27,7 +26,8 @@
 //! A case line is `case <key> <fields...>`; the key names the case and the
 //! fields are opaque to this module — campaign, fuzz and conformance code
 //! define their own, with the rule that fields are space-separated and
-//! space-free.
+//! space-free. Recovery skips any other sealed line, such as the
+//! `ckpt <done>` markers older builds wrote, so their journals still resume.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -46,8 +46,8 @@ pub struct JournalSpec {
     /// Resume from an existing journal at `path` (a missing file is a
     /// fresh start) instead of truncating it.
     pub resume: bool,
-    /// Append a checkpoint marker and report progress every this many
-    /// completed cases (0 disables periodic checkpoints).
+    /// Report progress every this many completed cases (0: only the
+    /// final report).
     pub checkpoint_every: usize,
 }
 
@@ -226,7 +226,7 @@ impl Journal {
             } else if let Some(case) = payload.strip_prefix("case ") {
                 cases.push(case.to_string());
             }
-            // `ckpt` lines carry no state beyond durability pacing.
+            // Other lines (older builds' `ckpt` markers) carry no state.
             valid_len += line.len() as u64;
         }
         if !saw_header {
@@ -288,11 +288,6 @@ impl Journal {
     fn append_case(&mut self, key: &str, fields: &[&str]) -> Result<(), JournalError> {
         self.append_raw(&format!("case {key} {}", fields.join(" ")))
     }
-
-    /// Appends a checkpoint marker recording `done` completed cases.
-    fn checkpoint(&mut self, done: usize) -> Result<(), JournalError> {
-        self.append_raw(&format!("ckpt {done}"))
-    }
 }
 
 /// The one journaled case loop: a run walks its cases in plan order and
@@ -305,8 +300,7 @@ impl Journal {
 /// * [`CaseLog::close_case`] appends the cases that actually ran, never
 ///   the ones credited from the journal.
 /// * Every [`JournalSpec::checkpoint_every`] closed cases it reports
-///   [`Progress`] and, if that case ran, appends a `ckpt` line;
-///   [`CaseLog::finish`] reports the final [`Progress`]. A run without a
+///   [`Progress`]; [`CaseLog::finish`] reports the final one. A run without a
 ///   journal reports only the final one.
 pub struct CaseLog<'p> {
     journal: Option<Journal>,
@@ -380,9 +374,6 @@ impl<'p> CaseLog<'p> {
             journal.append_case(key, fields)?;
         }
         if self.checkpoint_every > 0 && self.done.is_multiple_of(self.checkpoint_every) {
-            if let (Some(journal), Some(_)) = (self.journal.as_mut(), ran) {
-                journal.checkpoint(self.done)?;
-            }
             self.report(quarantined);
         }
         Ok(())
@@ -502,7 +493,8 @@ mod tests {
         let mut journal = Journal::create(&path, "faults", 0xABCD).unwrap();
         journal.append_case("0", &["reg:7:3", "masked"]).unwrap();
         journal.append_case("1", &["wedge", "caught-by-watchdog"]).unwrap();
-        journal.checkpoint(2).unwrap();
+        // Older builds wrote `ckpt` markers; recovery skips them.
+        journal.append_raw("ckpt 2").unwrap();
         drop(journal);
         let recovered = Journal::recover(&path, "faults", 0xABCD).unwrap();
         assert_eq!(
@@ -571,7 +563,7 @@ mod tests {
         assert_eq!(reports, vec![1, 2, 3, 3]);
         let text = std::fs::read_to_string(&path).unwrap();
         let tags: Vec<&str> = text.lines().skip(1).map(|l| l.rsplit_once(" #").unwrap().0).collect();
-        assert_eq!(tags, vec!["case 0 stale", "ckpt 1", "case 0 fresh", "ckpt 3"]);
+        assert_eq!(tags, vec!["case 0 stale", "case 0 fresh"]);
         let mut ignore = |_| {};
         let log = CaseLog::open(Some(&spec(true)), "fuzz", 5, 3, &mut ignore).unwrap();
         assert_eq!(log.recovered("0"), Some("fresh"));

@@ -109,8 +109,9 @@ pub trait Coprocessor {
 
     /// Called by the core when its busy-watchdog expires on this
     /// accelerator's response (it returned a [`RoccResponse::hung`] or
-    /// exceeded the configured busy bound). The accelerator should force
-    /// itself into a recoverable state; the default does nothing.
+    /// claimed at least the core's fixed bound of 10,000 busy cycles,
+    /// `ROCC_WATCHDOG`). The accelerator should force itself into a
+    /// recoverable state; the default does nothing.
     fn watchdog_abort(&mut self) {}
 
     /// Resets all architectural accelerator state.

@@ -293,7 +293,7 @@ impl Cpu {
     ///
     /// # Errors
     ///
-    /// See [`Cpu::step`]; also any error of [`Timing::retired`].
+    /// See [`Cpu::step`].
     #[inline]
     pub fn step_with<T: Timing>(&mut self, timing: &mut T) -> Result<Event, CpuError> {
         self.sync(timing);
@@ -320,7 +320,7 @@ impl Cpu {
     ///
     /// # Errors
     ///
-    /// See [`Simulator::run`]; also any error of [`Timing::retired`].
+    /// See [`Simulator::run`].
     pub fn run_with<T: Timing>(
         &mut self,
         max_instructions: u64,
@@ -405,7 +405,7 @@ impl Cpu {
     ) -> Result<R, CpuError> {
         let event = match executed {
             Ok(Event::Retired(retired)) => {
-                timing.retired(&retired)?;
+                timing.retired(&retired);
                 return Ok(then(Event::Retired(retired)));
             }
             Ok(event) => event,
@@ -850,9 +850,8 @@ impl Timing for StepClock {
     }
 
     #[inline(always)]
-    fn retired(&mut self, _: &Retired) -> Result<(), CpuError> {
+    fn retired(&mut self, _: &Retired) {
         self.cycle += 1;
-        Ok(())
     }
 
     #[inline(always)]
@@ -1537,10 +1536,9 @@ mod tests {
         fn cycle(&self) -> u64 {
             self.cycles
         }
-        fn retired(&mut self, retired: &Retired) -> Result<(), CpuError> {
+        fn retired(&mut self, retired: &Retired) {
             self.cycles += 3;
             self.charges.push(('r', retired.pc));
-            Ok(())
         }
         fn trapped(&mut self) {
             self.cycles += 5;

@@ -73,12 +73,7 @@ pub trait Timing {
     fn cycle(&self) -> u64;
 
     /// Charges one retired instruction.
-    ///
-    /// # Errors
-    ///
-    /// A [`CpuError`] the model cannot charge through, which the run
-    /// returns as it is.
-    fn retired(&mut self, retired: &Retired) -> Result<(), CpuError>;
+    fn retired(&mut self, retired: &Retired);
 
     /// Charges a trap delivered to the guest's handler.
     fn trapped(&mut self);

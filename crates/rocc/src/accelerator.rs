@@ -14,32 +14,6 @@ use crate::status::{AccelCause, AccelStatus};
 /// Register-file index that serves as the wide accumulator (`ACC`).
 pub const ACC_INDEX: usize = 15;
 
-/// Per-function execution-unit busy cycles (excluding the core-side
-/// dispatch/response handshake, which the pipeline model charges).
-#[must_use]
-pub fn busy_cycles(funct: DecimalFunct, operand: u64) -> u32 {
-    match funct {
-        DecimalFunct::Wr
-        | DecimalFunct::Rd
-        | DecimalFunct::Accum
-        | DecimalFunct::ClrAll
-        | DecimalFunct::Stat => 1,
-        DecimalFunct::Ld => 2,
-        // One pass through the BCD-CLA.
-        DecimalFunct::DecAdd | DecimalFunct::DecAdc => 1,
-        // Two chained CLA passes over the 128-bit width.
-        DecimalFunct::DecAccum | DecimalFunct::DecAddR => 2,
-        // Digit multiply-accumulate: the parallel 2X/4X/8X generators (paid
-        // for in area) compose the multiple in one pass, then the wide
-        // accumulate takes the second cycle.
-        DecimalFunct::DecMulD => 2,
-        // Iterative over sixteen multiplier digits plus setup/drain.
-        DecimalFunct::DecMul => 18,
-        // Shift-and-add-3: one cycle per significant input bit.
-        DecimalFunct::DecCnv => double_dabble(operand).cycles,
-    }
-}
-
 /// The decimal accelerator. Implements [`Coprocessor`] so it can be attached
 /// to any of the simulated cores, and can also be driven directly (the
 /// native Method-1 implementation does) via [`DecimalAccelerator::command`].
@@ -266,48 +240,37 @@ impl DecimalAccelerator {
         rs2_field: u8,
         mem: Option<&mut Memory>,
     ) -> RoccResponse {
-        match self.fsm.state() {
-            FsmState::Idle => {}
+        let spec = funct.spec();
+        let in_error = match self.fsm.state() {
+            FsmState::Idle => false,
+            // Sticky error: only the `serviced_in_error` commands (STAT,
+            // CLR_ALL) are serviced; every other command is ignored with a
+            // benign response so the core's handshake still completes.
+            FsmState::Error if spec.serviced_in_error => true,
             FsmState::Error => {
-                // Sticky error: only STAT and CLR_ALL are serviced; every
-                // other command is ignored with a benign response so the
-                // core's handshake still completes.
-                return match funct {
-                    DecimalFunct::Stat => {
-                        self.account(1);
-                        RoccResponse {
-                            rd_value: Some(self.status().word()),
-                            busy_cycles: 1,
-                            mem_accesses: 0,
-                        }
-                    }
-                    DecimalFunct::ClrAll => {
-                        self.clear_state();
-                        self.fsm.clear_error();
-                        self.account(1);
-                        RoccResponse {
-                            rd_value: None,
-                            busy_cycles: 1,
-                            mem_accesses: 0,
-                        }
-                    }
-                    _ => RoccResponse {
-                        rd_value: Some(0),
-                        busy_cycles: 1,
-                        mem_accesses: 0,
-                    },
-                };
+                return RoccResponse {
+                    rd_value: Some(0),
+                    busy_cycles: 1,
+                    mem_accesses: 0,
+                }
             }
             // Wedged mid-command (reachable only through fault injection):
             // the response never arrives; the core's watchdog must act.
             _ => return RoccResponse::hung(),
-        }
+        };
 
         match self.execute_unit(funct, rs1_value, rs2_value, rd_field, rs1_field, rs2_field, mem) {
             Ok((rd_value, mem_accesses)) => {
-                let busy = busy_cycles(funct, rs1_value);
+                let busy = spec
+                    .busy_cycles
+                    .unwrap_or_else(|| double_dabble(rs1_value).cycles);
                 self.account(busy);
-                self.fsm.run_command(funct, rd_value.is_some());
+                if !in_error {
+                    self.fsm.run_command(funct, rd_value.is_some());
+                } else if spec.serve_state == FsmState::Clear {
+                    // Error is left only through Clear; STAT reads it in place.
+                    self.fsm.clear_error();
+                }
                 RoccResponse {
                     rd_value,
                     busy_cycles: busy,
@@ -678,6 +641,108 @@ mod tests {
         // acc = 0*10 + 123*9 = 1107
         a.command(DecimalFunct::DecMulD, 9, 0, 0, 0, 0).unwrap();
         assert_eq!(a.acc(), 0x1107);
+    }
+
+    /// An accelerator holding BCD in registers 1 and 2, its carry latch
+    /// set to `carry`, tracing the FSM from here on.
+    fn prepared(carry: bool) -> DecimalAccelerator {
+        let mut a = acc();
+        a.command(DecimalFunct::Wr, 0x12, 0, 0, 0, 1).unwrap();
+        a.command(DecimalFunct::Wr, 0x34, 0, 0, 0, 2).unwrap();
+        if carry {
+            a.inject_carry_flip();
+        }
+        a.set_fsm_tracing(true);
+        a
+    }
+
+    /// Issues `funct` with `rs1_value`, 3 in `rs2` and register fields
+    /// rd = 3, rs1 = 1, rs2 = 2: valid operands of every function when
+    /// `rs1_value` is a digit. None of them carries out.
+    fn issue(a: &mut DecimalAccelerator, funct: DecimalFunct, rs1_value: u64) -> RoccResponse {
+        a.command(funct, rs1_value, 3, 3, 1, 2).unwrap()
+    }
+
+    /// Every function `command` accepts (`LD` needs the memory interface).
+    fn all_but_ld() -> impl Iterator<Item = DecimalFunct> {
+        DecimalFunct::ALL
+            .into_iter()
+            .filter(|&f| f != DecimalFunct::Ld)
+    }
+
+    fn registers(a: &DecimalAccelerator) -> Vec<u128> {
+        (0..16).map(|i| a.register(i)).collect()
+    }
+
+    #[test]
+    fn rows_match_busy_cycles_and_serve_states() {
+        let mut seen = Vec::new();
+        for funct in all_but_ld() {
+            let spec = funct.spec();
+            let mut a = prepared(false);
+            let resp = issue(&mut a, funct, 2);
+            if let Some(busy) = spec.busy_cycles {
+                assert_eq!(resp.busy_cycles, busy, "{funct}");
+            }
+            let served = a.fsm().trace()[0].to;
+            assert_eq!(served, spec.serve_state, "{funct}");
+            seen.push(format!("{funct}:{}:{served}", resp.busy_cycles));
+        }
+        assert_eq!(
+            seen.join(" "),
+            "WR:1:Write RD:1:Read ACCUM:1:Accum DEC_ADD:1:Execute(DEC_ADD) \
+             CLR_ALL:1:Clear DEC_CNV:2:Execute(DEC_CNV) DEC_MUL:18:Execute(DEC_MUL) \
+             DEC_ACCUM:2:Execute(DEC_ACCUM) DEC_ADC:1:Execute(DEC_ADC) \
+             DEC_ADD_R:2:Execute(DEC_ADD_R) DEC_MULD:2:Execute(DEC_MULD) STAT:1:Read"
+        );
+        // DEC_CNV's shift-and-add-3 takes one cycle per significant bit.
+        for (operand, cycles) in [(0, 1), (1, 1), (9024, 14), (u64::MAX, 64)] {
+            let busy = issue(&mut acc(), DecimalFunct::DecCnv, operand).busy_cycles;
+            assert_eq!(busy, cycles, "{operand}");
+        }
+    }
+
+    #[test]
+    fn rows_match_carry_behaviour() {
+        for funct in all_but_ld() {
+            let spec = funct.spec();
+            let mut clear = prepared(false);
+            let mut set = prepared(true);
+            let without = issue(&mut clear, funct, 2);
+            let with = issue(&mut set, funct, 2);
+            // No operand carries out, so defining the latch clears it.
+            assert_eq!(set.carry(), !spec.defines_carry, "{funct}");
+            let read = with.rd_value != without.rd_value || registers(&set) != registers(&clear);
+            assert_eq!(read, spec.reads_carry, "{funct}");
+        }
+    }
+
+    #[test]
+    fn rows_match_digit_operands() {
+        for funct in all_but_ld() {
+            let mut a = prepared(false);
+            issue(&mut a, funct, 10);
+            let digit_fault = a.status().cause == Some(AccelCause::DigitRange);
+            assert_eq!(digit_fault, funct.spec().digit_operand, "{funct}");
+        }
+    }
+
+    #[test]
+    fn error_state_services_exactly_the_rows_that_say_so() {
+        for funct in all_but_ld() {
+            let mut a = prepared(false);
+            a.inject_fsm_error();
+            let before = registers(&a);
+            let busy = a.total_busy_cycles();
+            let resp = issue(&mut a, funct, 2);
+            let took_effect = a.total_busy_cycles() != busy;
+            assert_eq!(took_effect, funct.spec().serviced_in_error, "{funct}");
+            if !took_effect {
+                assert_eq!(resp.rd_value, Some(0), "{funct}");
+                assert_eq!(a.fsm().state(), FsmState::Error, "{funct}");
+                assert_eq!(registers(&a), before, "{funct}");
+            }
+        }
     }
 
     #[test]

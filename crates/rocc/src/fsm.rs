@@ -121,14 +121,7 @@ impl InterfaceFsm {
     /// (`xd` set).
     pub fn run_command(&mut self, funct: DecimalFunct, responds: bool) {
         debug_assert_eq!(self.state, FsmState::Idle, "command while busy");
-        let busy = match funct {
-            DecimalFunct::Rd | DecimalFunct::Stat => FsmState::Read,
-            DecimalFunct::Wr | DecimalFunct::Ld => FsmState::Write,
-            DecimalFunct::ClrAll => FsmState::Clear,
-            DecimalFunct::Accum => FsmState::Accum,
-            compute => FsmState::Execute(compute),
-        };
-        self.goto(busy, "cmd.fire");
+        self.goto(funct.spec().serve_state, "cmd.fire");
         if responds {
             self.goto(FsmState::RespondRead, "ready");
             self.goto(FsmState::Idle, "resp.fire");

@@ -1,82 +1,209 @@
 //! The decimal accelerator's instruction set (paper Table II, plus the
 //! extension functions the deeper-offload methods use).
+//!
+//! Each function is declared once, as one row of the table below: its
+//! funct7 code, name, description, execution-unit busy cycles, interface-FSM
+//! serve state and protocol facts ([`FunctSpec`]). The enum,
+//! [`DecimalFunct::ALL`] and [`DecimalFunct::spec`] are generated from the
+//! rows. What a function computes is the accelerator's execution unit, and
+//! `lockstep`'s software model re-states it independently.
 
 use std::fmt;
 
 use crate::accelerator::ACC_INDEX;
+use crate::fsm::FsmState;
 
-/// The accelerator functions selected by `funct7` of a custom-0 instruction.
+/// One accelerator function's facts, apart from what it computes: its row
+/// of the function table, read through [`DecimalFunct::spec`].
 ///
-/// Values 0–8 are the paper's Table II codes verbatim (`CLR_ALL`'s code
-/// appears in its Table III). Values 9–11 are this framework's extensions,
-/// used by the Method-2/3/4 design points; the paper's framework explicitly
-/// invites adding such instructions ("any such hardware component can be
-/// integrated into the design").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[repr(u8)]
-pub enum DecimalFunct {
+/// The protocol facts describe `DecimalAccelerator`'s architectural
+/// contract; static checkers (`rvlint`) derive their typestate automaton
+/// from them instead of re-transcribing the accelerator.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FunctSpec {
+    /// The instruction's name as the paper spells it.
+    pub name: &'static str,
+    /// One-line description (Table II wording where applicable).
+    pub description: &'static str,
+    /// Execution-unit busy cycles, excluding the core-side
+    /// dispatch/response handshake the pipeline model charges. `None` for
+    /// `DEC_CNV`, whose shift-and-add-3 takes one cycle per significant
+    /// input bit (`bcd::convert::double_dabble`).
+    pub busy_cycles: Option<u32>,
+    /// The interface-FSM state that serves the command (Fig. 5).
+    pub serve_state: FsmState,
+    /// The sticky Error state still services the command (everything else
+    /// answers benignly and stays latched).
+    pub serviced_in_error: bool,
+    /// The command leaves the carry latch defined (writes it, or clears it
+    /// as part of `CLR_ALL`).
+    pub defines_carry: bool,
+    /// The command consumes the latched carry.
+    pub reads_carry: bool,
+    /// The command mutates accelerator-internal state (register file,
+    /// accumulator, carry latch or binary scratch), breaking the "freshly
+    /// cleared, untouched" condition a redundant-`CLR_ALL` check relies on.
+    pub mutates_state: bool,
+    /// Core-register operands (`rs1`, `rs2`) that must hold packed BCD.
+    pub bcd_operands: (bool, bool),
+    /// `rs1` carries a single decimal digit (0–9), checked as a digit
+    /// rather than as 16 nibbles.
+    pub digit_operand: bool,
+    /// The internal registers the command reads, apart from the
+    /// accumulator, must hold deposited data (a write or a result since
+    /// the last `CLR_ALL`), not merely cleared registers: multiplying a
+    /// cleared register is almost certainly a protocol bug.
+    pub consumes_deposited: bool,
+}
+
+impl FunctSpec {
+    /// A row with the given name, description, busy cycles and serve
+    /// state that mutates state and has no other fact; rows override the
+    /// facts that differ.
+    const fn row(
+        name: &'static str,
+        description: &'static str,
+        busy_cycles: Option<u32>,
+        serve_state: FsmState,
+    ) -> FunctSpec {
+        FunctSpec {
+            name,
+            description,
+            busy_cycles,
+            serve_state,
+            serviced_in_error: false,
+            defines_carry: false,
+            reads_carry: false,
+            mutates_state: true,
+            bcd_operands: (false, false),
+            digit_operand: false,
+            consumes_deposited: false,
+        }
+    }
+}
+
+/// The FSM state a row names: `Execute` carries the row's own function.
+macro_rules! serve_state {
+    (Execute, $variant:ident) => {
+        FsmState::Execute(DecimalFunct::$variant)
+    };
+    ($state:ident, $variant:ident) => {
+        FsmState::$state
+    };
+}
+
+/// Generates [`DecimalFunct`], [`DecimalFunct::ALL`] and the spec table
+/// from one row per function: `Variant = funct7, name, description, busy
+/// cycles, serve state { facts that differ from FunctSpec::row }`.
+macro_rules! decimal_functs {
+    ($(
+        $(#[doc = $doc:literal])*
+        $variant:ident = $code:literal, $name:literal, $description:literal,
+        $busy:expr, $serve:ident { $($fact:ident: $value:tt),* $(,)? };
+    )*) => {
+        /// The accelerator functions selected by `funct7` of a custom-0
+        /// instruction.
+        ///
+        /// Values 0–8 are the paper's Table II codes verbatim (`CLR_ALL`'s
+        /// code appears in its Table III). Values 9–12 are this framework's
+        /// extensions: `DEC_ADC` serves Method-1 and Method-1-FT, `DEC_ADD_R`
+        /// Method-2, `DEC_MULD` Method-3 and `STAT` Method-1-FT. The paper's
+        /// framework explicitly invites adding such instructions ("any such
+        /// hardware component can be integrated into the design").
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        #[repr(u8)]
+        pub enum DecimalFunct {
+            $($(#[doc = $doc])* $variant = $code,)*
+        }
+
+        impl DecimalFunct {
+            /// All functions, in funct7 order.
+            pub const ALL: [DecimalFunct; [$($code),*].len()] = [$(DecimalFunct::$variant),*];
+
+            const SPECS: &'static [FunctSpec] = &[$(FunctSpec {
+                $($fact: $value,)*
+                ..FunctSpec::row($name, $description, $busy, serve_state!($serve, $variant))
+            }),*];
+        }
+    };
+}
+
+decimal_functs! {
     /// Write a 64-bit half of an accelerator register from a core register.
     /// `rs2` field addresses the target: low 4 bits select the register,
     /// bit 4 selects the half.
-    Wr = 0b000_0000,
+    Wr = 0b000_0000, "WR", "Write a value to a register in Rocket core",
+        Some(1), Write { bcd_operands: (true, false) };
     /// Read a 64-bit half of an accelerator register into a core register.
     /// `rs1` field addresses the source like [`DecimalFunct::Wr`].
-    Rd = 0b000_0001,
+    Rd = 0b000_0001, "RD", "Read a value from a register in Rocket core",
+        Some(1), Read { mutates_state: false };
     /// Load a 64-bit value from memory (address in core `rs1`) into an
     /// accelerator register half addressed by the `rs2` field, over the RoCC
     /// memory interface.
-    Ld = 0b000_0010,
+    Ld = 0b000_0010, "LD", "Load a value from a memory",
+        Some(2), Write {};
     /// Binary accumulate (the classic Rocket tutorial accumulator): adds the
     /// core `rs1` value into a binary scratch register and returns the new
     /// value.
-    Accum = 0b000_0011,
+    Accum = 0b000_0011, "ACCUM", "Accumulate a value into a register in Rocket core",
+        Some(1), Accum {};
     /// BCD addition of two core register values through the BCD-CLA;
     /// the result goes to the core `rd` and the carry-out is latched.
-    DecAdd = 0b000_0100,
+    DecAdd = 0b000_0100, "DEC_ADD", "Add two BCD numbers",
+        // One pass through the BCD-CLA.
+        Some(1), Execute { defines_carry: true, bcd_operands: (true, true) };
     /// Clear all accelerator state.
-    ClrAll = 0b000_0101,
+    ClrAll = 0b000_0101, "CLR_ALL", "Clear all accelerator state",
+        Some(1), Clear { serviced_in_error: true, defines_carry: true, mutates_state: false };
     /// Convert a binary number in core `rs1` to BCD (low 16 digits to `rd`),
     /// modelling a shift-and-add-3 sequential circuit.
-    DecCnv = 0b000_0110,
+    DecCnv = 0b000_0110, "DEC_CNV", "Convert binary number to corresponding BCD",
+        // Shift-and-add-3: one cycle per significant input bit.
+        None, Execute {};
     /// Full BCD coefficient multiply: `acc = reg[rs1 field] × reg[rs2
     /// field]` (up to 32 digits). The Method-4 design point.
-    DecMul = 0b000_0111,
+    DecMul = 0b000_0111, "DEC_MUL", "Multiply two BCD numbers",
+        // Iterative over sixteen multiplier digits plus setup/drain.
+        Some(18), Execute { consumes_deposited: true };
     /// Decimal accumulate step: `acc = acc × 10 + reg[digit]` where the
     /// digit (0–9) arrives in core `rs1`. The Method-2 inner loop.
-    DecAccum = 0b000_1000,
+    DecAccum = 0b000_1000, "DEC_ACCUM", "Accumulate BCD numbers stored in internal registers",
+        // Two chained CLA passes over the 128-bit width.
+        Some(2), Execute { defines_carry: true, digit_operand: true };
     /// BCD addition with the latched carry as carry-in, for chaining 64-bit
     /// halves of wide values (extension).
-    DecAdc = 0b000_1001,
+    DecAdc = 0b000_1001, "DEC_ADC", "Add two BCD numbers with the latched carry-in",
+        Some(1), Execute { defines_carry: true, reads_carry: true, bcd_operands: (true, true) };
     /// Register-file-addressed wide BCD add: `reg[rd field] = reg[rs1 field]
     /// + reg[rs2 field]` at full 128-bit width (extension).
-    DecAddR = 0b000_1010,
+    DecAddR = 0b000_1010, "DEC_ADD_R", "Wide BCD add of two internal registers",
+        // Two chained CLA passes over the 128-bit width.
+        Some(2), Execute { defines_carry: true, consumes_deposited: true };
     /// Digit multiply-accumulate: `acc = acc × 10 + reg[1] × digit` with the
     /// digit in core `rs1`. The Method-3 inner loop (extension).
-    DecMulD = 0b000_1011,
+    DecMulD = 0b000_1011, "DEC_MULD", "Multiply internal register by a digit and accumulate",
+        // The parallel 2X/4X/8X generators (paid for in area) compose the
+        // multiple in one pass, then the wide accumulate takes the second
+        // cycle.
+        Some(2), Execute { defines_carry: true, digit_operand: true, consumes_deposited: true };
     /// Read the accelerator's status/cause word into the core `rd`
     /// (extension; serviced even in the sticky `Error` state — see
     /// [`crate::AccelStatus`] for the wire format).
-    Stat = 0b000_1100,
+    Stat = 0b000_1100, "STAT", "Read the accelerator status/cause word",
+        Some(1), Read { serviced_in_error: true, mutates_state: false };
 }
 
-impl DecimalFunct {
-    /// All functions, in funct7 order.
-    pub const ALL: [DecimalFunct; 13] = [
-        DecimalFunct::Wr,
-        DecimalFunct::Rd,
-        DecimalFunct::Ld,
-        DecimalFunct::Accum,
-        DecimalFunct::DecAdd,
-        DecimalFunct::ClrAll,
-        DecimalFunct::DecCnv,
-        DecimalFunct::DecMul,
-        DecimalFunct::DecAccum,
-        DecimalFunct::DecAdc,
-        DecimalFunct::DecAddR,
-        DecimalFunct::DecMulD,
-        DecimalFunct::Stat,
-    ];
+// `from_funct7` and `spec` index by funct7: the rows count up from 0.
+const _: () = {
+    let mut i = 0;
+    while i < DecimalFunct::ALL.len() {
+        assert!(DecimalFunct::ALL[i] as usize == i, "funct7 order");
+        i += 1;
+    }
+};
 
+impl DecimalFunct {
     /// The funct7 encoding.
     #[must_use]
     pub fn funct7(self) -> u8 {
@@ -86,49 +213,14 @@ impl DecimalFunct {
     /// Decodes a funct7 value.
     #[must_use]
     pub fn from_funct7(funct7: u8) -> Option<DecimalFunct> {
-        DecimalFunct::ALL
-            .into_iter()
-            .find(|f| f.funct7() == funct7)
+        DecimalFunct::ALL.get(usize::from(funct7)).copied()
     }
 
-    /// The instruction's name as the paper spells it.
+    /// The function's row: name, description, busy cycles, serve state and
+    /// protocol facts.
     #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            DecimalFunct::Wr => "WR",
-            DecimalFunct::Rd => "RD",
-            DecimalFunct::Ld => "LD",
-            DecimalFunct::Accum => "ACCUM",
-            DecimalFunct::DecAdd => "DEC_ADD",
-            DecimalFunct::ClrAll => "CLR_ALL",
-            DecimalFunct::DecCnv => "DEC_CNV",
-            DecimalFunct::DecMul => "DEC_MUL",
-            DecimalFunct::DecAccum => "DEC_ACCUM",
-            DecimalFunct::DecAdc => "DEC_ADC",
-            DecimalFunct::DecAddR => "DEC_ADD_R",
-            DecimalFunct::DecMulD => "DEC_MULD",
-            DecimalFunct::Stat => "STAT",
-        }
-    }
-
-    /// One-line description (Table II wording where applicable).
-    #[must_use]
-    pub fn description(self) -> &'static str {
-        match self {
-            DecimalFunct::Wr => "Write a value to a register in Rocket core",
-            DecimalFunct::Rd => "Read a value from a register in Rocket core",
-            DecimalFunct::Ld => "Load a value from a memory",
-            DecimalFunct::Accum => "Accumulate a value into a register in Rocket core",
-            DecimalFunct::DecAdd => "Add two BCD numbers",
-            DecimalFunct::ClrAll => "Clear all accelerator state",
-            DecimalFunct::DecCnv => "Convert binary number to corresponding BCD",
-            DecimalFunct::DecMul => "Multiply two BCD numbers",
-            DecimalFunct::DecAccum => "Accumulate BCD numbers stored in internal registers",
-            DecimalFunct::DecAdc => "Add two BCD numbers with the latched carry-in",
-            DecimalFunct::DecAddR => "Wide BCD add of two internal registers",
-            DecimalFunct::DecMulD => "Multiply internal register by a digit and accumulate",
-            DecimalFunct::Stat => "Read the accelerator status/cause word",
-        }
+    pub fn spec(self) -> &'static FunctSpec {
+        &DecimalFunct::SPECS[self as usize]
     }
 
     /// True for functions the paper's Table II lists (as opposed to this
@@ -136,54 +228,6 @@ impl DecimalFunct {
     #[must_use]
     pub fn in_paper_table2(self) -> bool {
         self.funct7() <= DecimalFunct::DecAccum.funct7()
-    }
-
-    // ---- protocol/typestate metadata (consumed by `rvlint`) ------------
-    //
-    // These describe the architectural contract of `DecimalAccelerator`:
-    // which commands the sticky Error state still services, which touch
-    // the carry latch, and which internal registers each command reads
-    // and writes. Static checkers derive their typestate automaton from
-    // these instead of duplicating the `accelerator.rs` match.
-
-    /// True if the sticky Error state still services this command
-    /// (everything else answers benignly and stays latched).
-    #[must_use]
-    pub fn serviced_in_error(self) -> bool {
-        matches!(self, DecimalFunct::Stat | DecimalFunct::ClrAll)
-    }
-
-    /// True if the command leaves the carry latch in a defined state
-    /// (writes it, or clears it as part of `CLR_ALL`).
-    #[must_use]
-    pub fn defines_carry(self) -> bool {
-        matches!(
-            self,
-            DecimalFunct::DecAdd
-                | DecimalFunct::DecAdc
-                | DecimalFunct::DecAccum
-                | DecimalFunct::DecAddR
-                | DecimalFunct::DecMulD
-                | DecimalFunct::ClrAll
-        )
-    }
-
-    /// True if the command consumes the latched carry (`DEC_ADC` only).
-    #[must_use]
-    pub fn reads_carry(self) -> bool {
-        self == DecimalFunct::DecAdc
-    }
-
-    /// True if the command mutates accelerator-internal state (register
-    /// file, accumulator, carry latch, or binary scratch) — i.e. breaks
-    /// the "freshly cleared, untouched" condition a redundant `CLR_ALL`
-    /// check relies on.
-    #[must_use]
-    pub fn mutates_state(self) -> bool {
-        !matches!(
-            self,
-            DecimalFunct::Rd | DecimalFunct::Stat | DecimalFunct::ClrAll
-        )
     }
 
     /// Internal register-file registers the command reads, as a 16-bit
@@ -225,29 +269,11 @@ impl DecimalFunct {
             _ => 0,
         }
     }
-
-    /// Core-register operands (`rs1`, `rs2`) that must hold packed-BCD
-    /// data, as a pair of booleans. `DEC_ACCUM`/`DEC_MULD` take a single
-    /// digit in `rs1` (checked separately as a digit, not 16 nibbles).
-    #[must_use]
-    pub fn bcd_operands(self) -> (bool, bool) {
-        match self {
-            DecimalFunct::DecAdd | DecimalFunct::DecAdc => (true, true),
-            DecimalFunct::Wr => (true, false),
-            _ => (false, false),
-        }
-    }
-
-    /// True if `rs1` carries a single decimal digit (0–9).
-    #[must_use]
-    pub fn digit_operand(self) -> bool {
-        matches!(self, DecimalFunct::DecAccum | DecimalFunct::DecMulD)
-    }
 }
 
 impl fmt::Display for DecimalFunct {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.name())
+        f.write_str(self.spec().name)
     }
 }
 
@@ -293,7 +319,10 @@ mod tests {
         for f in DecimalFunct::ALL {
             assert_eq!(DecimalFunct::from_funct7(f.funct7()), Some(f));
         }
-        assert_eq!(DecimalFunct::from_funct7(0x7F), None);
+        for code in 0..=u8::MAX {
+            let searched = DecimalFunct::ALL.into_iter().find(|f| f.funct7() == code);
+            assert_eq!(DecimalFunct::from_funct7(code), searched, "{code}");
+        }
     }
 
     #[test]
@@ -310,16 +339,16 @@ mod tests {
         // Error-state servicing mirrors `DecimalAccelerator::command`.
         for f in F::ALL {
             assert_eq!(
-                f.serviced_in_error(),
+                f.spec().serviced_in_error,
                 matches!(f, F::Stat | F::ClrAll),
                 "{f}"
             );
         }
         // Only DEC_ADC consumes the latch; every carry consumer's
         // producers are the BCD adders plus CLR_ALL's clear.
-        assert!(F::DecAdc.reads_carry());
-        assert!(F::DecAdd.defines_carry() && F::ClrAll.defines_carry());
-        assert!(!F::Wr.defines_carry() && !F::Stat.reads_carry());
+        assert!(F::DecAdc.spec().reads_carry);
+        assert!(F::DecAdd.spec().defines_carry && F::ClrAll.spec().defines_carry);
+        assert!(!F::Wr.spec().defines_carry && !F::Stat.spec().reads_carry);
         // Register-file dataflow for the concrete kernel encodings.
         let acc = 1u16 << ACC_INDEX;
         assert_eq!(F::Wr.regs_written((0, 0, 1)), 1 << 1);
@@ -333,13 +362,19 @@ mod tests {
         // Half-addressed fields land on the same register index.
         assert_eq!(F::Rd.regs_read((0, 0x1F, 0)), acc);
         // Operand classes.
-        assert_eq!(F::DecAdd.bcd_operands(), (true, true));
-        assert_eq!(F::Wr.bcd_operands(), (true, false));
-        assert!(F::DecAccum.digit_operand() && F::DecMulD.digit_operand());
-        assert!(!F::DecAdd.digit_operand());
+        assert_eq!(F::DecAdd.spec().bcd_operands, (true, true));
+        assert_eq!(F::Wr.spec().bcd_operands, (true, false));
+        assert!(F::DecAccum.spec().digit_operand && F::DecMulD.spec().digit_operand);
+        assert!(!F::DecAdd.spec().digit_operand);
         // State mutation: reads don't dirty, writes do.
-        assert!(!F::Rd.mutates_state() && !F::Stat.mutates_state());
-        assert!(F::Wr.mutates_state() && F::Accum.mutates_state());
+        assert!(!F::Rd.spec().mutates_state && !F::Stat.spec().mutates_state);
+        assert!(F::Wr.spec().mutates_state && F::Accum.spec().mutates_state);
+        // Deposited operands: the explicitly addressed multiplicands.
+        let deposited: Vec<F> = F::ALL
+            .into_iter()
+            .filter(|f| f.spec().consumes_deposited)
+            .collect();
+        assert_eq!(deposited, [F::DecMul, F::DecAddR, F::DecMulD]);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! carry-lookahead adder. It provides:
 //!
 //! * [`DecimalFunct`] — the instruction set (paper Table II plus the
-//!   Method-2/3/4 extension functions);
+//!   extension functions), one [`FunctSpec`] row per function;
 //! * [`fsm::InterfaceFsm`] — the decode/interface FSM of Fig. 5, with an
 //!   inspectable transition trace;
 //! * [`DecimalAccelerator`] — the register set + execution unit of Fig. 4,
@@ -40,7 +40,7 @@ pub mod fsm;
 mod isa;
 mod status;
 
-pub use accelerator::{busy_cycles, DecimalAccelerator, ACC_INDEX};
+pub use accelerator::{DecimalAccelerator, ACC_INDEX};
 pub use cost::AcceleratorConfig;
-pub use isa::{decode_reg_address, encode_reg_address, DecimalFunct};
+pub use isa::{decode_reg_address, encode_reg_address, DecimalFunct, FunctSpec};
 pub use status::{AccelCause, AccelStatus, STATUS_ERROR_BIT};

@@ -10,43 +10,59 @@
 
 use std::fmt;
 
-/// Why the accelerator latched its `Error` state.
-///
-/// The discriminants are the architectural cause codes reported in the low
-/// bits of the [`AccelStatus`] word — stable, guest-visible values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u8)]
-pub enum AccelCause {
-    /// A `DEC_ADD`/`DEC_ADC`/`DEC_MUL` operand contained a nibble > 9.
-    InvalidBcdOperand = 1,
-    /// An internal register read by `DEC_ACCUM`/`DEC_ADD_R`/`DEC_MULD`
-    /// contained a nibble > 9.
-    InvalidBcdRegister = 2,
-    /// A digit operand exceeded 9.
-    DigitRange = 3,
-    /// The funct7 field selected no implemented function.
-    UnknownFunction = 4,
-    /// The RoCC memory interface faulted (unmapped or misaligned address).
-    MemoryFault = 5,
-    /// The command needed a resource this invocation lacked (e.g. `LD`
-    /// without the memory interface, or an `xd`/response mismatch).
-    ProtocolViolation = 6,
-    /// The core's busy-watchdog fired and forcibly aborted the command.
-    WatchdogAbort = 7,
+/// Generates [`AccelCause`] and [`AccelCause::ALL`] from one row per
+/// cause: `Variant = code, name`, in code order from 1.
+macro_rules! accel_causes {
+    ($($(#[doc = $doc:literal])* $variant:ident = $code:literal, $name:literal;)*) => {
+        /// Why the accelerator latched its `Error` state.
+        ///
+        /// The discriminants are the architectural cause codes reported in
+        /// the low bits of the [`AccelStatus`] word — stable, guest-visible
+        /// values.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        #[repr(u8)]
+        pub enum AccelCause {
+            $($(#[doc = $doc])* $variant = $code,)*
+        }
+
+        impl AccelCause {
+            /// All causes, in code order.
+            pub const ALL: [AccelCause; [$($code),*].len()] = [$(AccelCause::$variant),*];
+
+            const NAMES: [&'static str; [$($code),*].len()] = [$($name),*];
+        }
+    };
 }
 
-impl AccelCause {
-    /// All causes, in code order.
-    pub const ALL: [AccelCause; 7] = [
-        AccelCause::InvalidBcdOperand,
-        AccelCause::InvalidBcdRegister,
-        AccelCause::DigitRange,
-        AccelCause::UnknownFunction,
-        AccelCause::MemoryFault,
-        AccelCause::ProtocolViolation,
-        AccelCause::WatchdogAbort,
-    ];
+accel_causes! {
+    /// A `DEC_ADD`/`DEC_ADC` core-register operand contained a nibble > 9.
+    InvalidBcdOperand = 1, "invalid-bcd-operand";
+    /// An internal register read by `DEC_MUL`/`DEC_ACCUM`/`DEC_ADD_R`/
+    /// `DEC_MULD` contained a nibble > 9.
+    InvalidBcdRegister = 2, "invalid-bcd-register";
+    /// A digit operand exceeded 9.
+    DigitRange = 3, "digit-range";
+    /// The funct7 field selected no implemented function.
+    UnknownFunction = 4, "unknown-function";
+    /// The RoCC memory interface faulted (unmapped or misaligned address).
+    MemoryFault = 5, "memory-fault";
+    /// The command needed a resource this invocation lacked (e.g. `LD`
+    /// without the memory interface, or an `xd`/response mismatch).
+    ProtocolViolation = 6, "protocol-violation";
+    /// The core's busy-watchdog fired and forcibly aborted the command.
+    WatchdogAbort = 7, "watchdog-abort";
+}
 
+// `from_code` and `name` index by code: the rows count up from 1.
+const _: () = {
+    let mut i = 0;
+    while i < AccelCause::ALL.len() {
+        assert!(AccelCause::ALL[i] as usize == i + 1, "code order");
+        i += 1;
+    }
+};
+
+impl AccelCause {
     /// The architectural cause code.
     #[must_use]
     pub fn code(self) -> u8 {
@@ -56,21 +72,15 @@ impl AccelCause {
     /// Decodes a cause code.
     #[must_use]
     pub fn from_code(code: u8) -> Option<AccelCause> {
-        AccelCause::ALL.into_iter().find(|c| c.code() == code)
+        AccelCause::ALL
+            .get(usize::from(code).wrapping_sub(1))
+            .copied()
     }
 
     /// A short name for reports.
     #[must_use]
     pub fn name(self) -> &'static str {
-        match self {
-            AccelCause::InvalidBcdOperand => "invalid-bcd-operand",
-            AccelCause::InvalidBcdRegister => "invalid-bcd-register",
-            AccelCause::DigitRange => "digit-range",
-            AccelCause::UnknownFunction => "unknown-function",
-            AccelCause::MemoryFault => "memory-fault",
-            AccelCause::ProtocolViolation => "protocol-violation",
-            AccelCause::WatchdogAbort => "watchdog-abort",
-        }
+        AccelCause::NAMES[self as usize - 1]
     }
 }
 
@@ -153,8 +163,11 @@ mod tests {
         for cause in AccelCause::ALL {
             assert_eq!(AccelCause::from_code(cause.code()), Some(cause));
         }
-        assert_eq!(AccelCause::from_code(0), None);
-        assert_eq!(AccelCause::from_code(0x7F), None);
+        for code in 0..=u8::MAX {
+            let searched = AccelCause::ALL.into_iter().find(|c| c.code() == code);
+            assert_eq!(AccelCause::from_code(code), searched, "{code}");
+        }
+        assert_eq!(AccelCause::WatchdogAbort.to_string(), "watchdog-abort");
     }
 
     #[test]

@@ -152,7 +152,7 @@ impl Timing for Pipeline {
     /// Always inlined: out of line, every op's retirement is written to
     /// memory for the call, which made Rocket's run up to 40% slower.
     #[inline(always)]
-    fn retired(&mut self, retired: &Retired) -> Result<(), CpuError> {
+    fn retired(&mut self, retired: &Retired) {
         let cycle = self.stats.cycles;
         let facts = retired.facts;
         let mut total: u64 = 1; // issue
@@ -195,14 +195,12 @@ impl Timing for Pipeline {
             None => {}
         }
 
-        if let Op::Custom(instr) = retired.op {
+        // A response is present exactly for a RoCC command.
+        if let Some(resp) = retired.rocc {
             self.stats.rocc_instructions += 1;
-            let resp = retired
-                .rocc
-                .ok_or(CpuError::RoccProtocol("retired custom carried no response"))?;
             let mut rocc_cost = u64::from(resp.busy_cycles);
             rocc_cost += u64::from(resp.mem_accesses); // RoCC mem port occupancy
-            if instr.xd {
+            if matches!(retired.op, Op::Custom(instr) if instr.xd) {
                 rocc_cost += u64::from(self.config.rocc_resp_latency);
             }
             total += rocc_cost;
@@ -218,7 +216,6 @@ impl Timing for Pipeline {
 
         self.stats.cycles = cycle + total;
         self.stats.hw_cycles += hw;
-        Ok(())
     }
 
     /// Trap delivery flushes the pipeline but retires nothing.

@@ -428,7 +428,7 @@ pub fn analyze(program: &Program) -> Report {
         };
         let fields = rocc_fields(rocc);
 
-        if state.error && !funct.serviced_in_error() {
+        if state.error && !funct.spec().serviced_in_error {
             let avoid_clr = |k: u32| {
                 cfg.instrs[k as usize]
                     .as_ref()
@@ -444,7 +444,7 @@ pub fn analyze(program: &Program) -> Report {
                     "{} is issued on a path that observed a nonzero STAT \
                      (accelerator error) without an intervening CLR_ALL; \
                      the sticky Error state will not service it",
-                    funct.name()
+                    funct
                 ),
                 witness_to(&cfg, program, idx, &avoid_clr),
             );
@@ -470,7 +470,7 @@ pub fn analyze(program: &Program) -> Report {
                 format!(
                     "{} reads internal register(s) {} that no path has initialized \
                      (no CLR_ALL or write reaches this command)",
-                    funct.name(),
+                    funct,
                     internal_reg_list(missing_init)
                 ),
                 witness_to(&cfg, program, idx, &avoid),
@@ -498,20 +498,20 @@ pub fn analyze(program: &Program) -> Report {
                 format!(
                     "{} consumes operand register(s) {} that hold no deposited data \
                      since the last CLR_ALL (missing WR/LD setup)",
-                    funct.name(),
+                    funct,
                     internal_reg_list(missing_written)
                 ),
                 witness_to(&cfg, program, idx, &avoid),
             );
         }
 
-        if funct.reads_carry() && !state.carry {
+        if funct.spec().reads_carry && !state.carry {
             let avoid = |k: u32| {
                 cfg.instrs[k as usize]
                     .as_ref()
                     .and_then(accel_command)
                     .and_then(|r| {
-                        DecimalFunct::from_funct7(r.funct7).map(DecimalFunct::defines_carry)
+                        DecimalFunct::from_funct7(r.funct7).map(|f| f.spec().defines_carry)
                     })
                     .unwrap_or(false)
             };
@@ -522,7 +522,7 @@ pub fn analyze(program: &Program) -> Report {
                 format!(
                     "{} consumes the carry latch, but a path reaches it on which \
                      no command has defined the carry",
-                    funct.name()
+                    funct
                 ),
                 witness_to(&cfg, program, idx, &avoid),
             );
@@ -559,7 +559,7 @@ pub fn analyze(program: &Program) -> Report {
         }
 
         // BCD operand classification.
-        let (bcd_rs1, bcd_rs2) = funct.bcd_operands();
+        let (bcd_rs1, bcd_rs2) = funct.spec().bcd_operands;
         for (wanted, present, reg) in [
             (bcd_rs1, rocc.xs1, rocc.rs1),
             (bcd_rs2, rocc.xs2, rocc.rs2),
@@ -587,12 +587,12 @@ pub fn analyze(program: &Program) -> Report {
                 format!(
                     "{} requires packed BCD in {reg}{shown}, but nibble(s) {bad:?} \
                      can never hold a decimal digit{origin}",
-                    funct.name()
+                    funct
                 ),
                 witness_to(&cfg, program, idx, &|_| false),
             );
         }
-        if funct.digit_operand() && rocc.xs1 {
+        if funct.spec().digit_operand && rocc.xs1 {
             let value = values.value_at(idx, rocc.rs1);
             let nonzero_upper = value.nibs[1..]
                 .iter()
@@ -608,8 +608,7 @@ pub fn analyze(program: &Program) -> Report {
                     format!(
                         "{} takes a single decimal digit in {}{shown}, \
                          which is statically not 0–9",
-                        funct.name(),
-                        rocc.rs1
+                        funct, rocc.rs1
                     ),
                     witness_to(&cfg, program, idx, &|_| false),
                 );

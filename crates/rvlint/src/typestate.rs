@@ -22,8 +22,9 @@
 //!   result, feeding both the `error` refinement and the dead-`STAT`
 //!   (result never consumed) check via liveness.
 //!
-//! Commands' register effects come from [`DecimalFunct`]'s typestate
-//! metadata, not a re-transcription of the accelerator match.
+//! Commands' register effects and protocol facts come from
+//! [`DecimalFunct`]'s row ([`rocc::FunctSpec`]), not a re-transcription of
+//! the accelerator match.
 
 use std::collections::VecDeque;
 
@@ -106,17 +107,16 @@ pub fn accel_command(instr: &Instr) -> Option<&RoccInstruction> {
 }
 
 /// Internal registers a command must hold *deposited* data in (beyond
-/// mere initialization): the explicitly-addressed multiplicand/multiple
-/// operands of the deeper-offload compute commands. The accumulator and
-/// `DEC_ACCUM`'s digit-indexed addends are legitimately consumed in their
-/// cleared state, so they only require `init`.
+/// mere initialization): the registers other than the accumulator that a
+/// [`rocc::FunctSpec::consumes_deposited`] command reads. The accumulator
+/// and `DEC_ACCUM`'s digit-indexed addends are legitimately consumed in
+/// their cleared state, so they only require `init`.
 #[must_use]
 pub fn required_written(funct: DecimalFunct, fields: (u8, u8, u8)) -> u16 {
-    match funct {
-        DecimalFunct::DecMul | DecimalFunct::DecAddR | DecimalFunct::DecMulD => {
-            funct.regs_read(fields) & !(1u16 << ACC_INDEX)
-        }
-        _ => 0,
+    if funct.spec().consumes_deposited {
+        funct.regs_read(fields) & !(1u16 << ACC_INDEX)
+    } else {
+        0
     }
 }
 
@@ -228,10 +228,10 @@ fn transfer(instr: &Instr, mut s: AccelState) -> AccelState {
                 let written = funct.regs_written(fields);
                 s.init |= written;
                 s.written |= written;
-                if funct.defines_carry() {
+                if funct.spec().defines_carry {
                     s.carry = true;
                 }
-                if funct.mutates_state() {
+                if funct.spec().mutates_state {
                     s.clean = false;
                 }
             }
