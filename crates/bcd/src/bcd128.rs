@@ -1,7 +1,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use crate::{Bcd64, BcdError, BCD128_DIGITS};
+use crate::{is_valid_packed64, Bcd64, BcdError, BCD128_DIGITS};
 
 /// Thirty-two packed BCD-8421 digits in a `u128`.
 ///
@@ -39,13 +39,17 @@ impl Bcd128 {
     ///
     /// Returns [`BcdError::InvalidNibble`] if any nibble is `0xA..=0xF`.
     pub fn new(raw: u128) -> Result<Self, BcdError> {
-        for i in 0..32 {
-            let nibble = ((raw >> (4 * i)) & 0xF) as u8;
-            if nibble > 9 {
-                return Err(BcdError::InvalidNibble { position: i, nibble });
-            }
+        if is_valid_packed64(raw as u64) && is_valid_packed64((raw >> 64) as u64) {
+            Ok(Bcd128(raw))
+        } else {
+            let position = (0..32)
+                .find(|&i| (raw >> (4 * i)) & 0xF > 9)
+                .expect("invalid word must contain an invalid nibble");
+            Err(BcdError::InvalidNibble {
+                position,
+                nibble: ((raw >> (4 * position)) & 0xF) as u8,
+            })
         }
-        Ok(Bcd128(raw))
     }
 
     /// Wraps a raw packed word the caller already knows is valid.

@@ -3,7 +3,7 @@
 
 use bcd::cla::BcdCla;
 use bcd::convert::{double_dabble, reverse_double_dabble};
-use bcd::{Bcd128, Bcd64};
+use bcd::{Bcd128, Bcd64, BcdError};
 use proptest::prelude::*;
 
 const MAX16: u64 = 9_999_999_999_999_999;
@@ -79,6 +79,26 @@ proptest! {
             prop_assert!(!carry);
             prop_assert_eq!(s.to_value(), a + b);
         }
+    }
+
+    #[test]
+    fn wide_new_matches_the_nibble_loop(
+        raw in any::<u128>(),
+        bad in proptest::collection::vec((0u32..32, 10u8..=15), 0..=3usize),
+    ) {
+        // A valid word (each nibble taken mod 10), then up to three bad
+        // nibbles written over it.
+        let mut word = (0..32).fold(0u128, |w, i| w | ((((raw >> (4 * i)) & 0xF) % 10) << (4 * i)));
+        for (position, nibble) in bad {
+            word = (word & !(0xF << (4 * position))) | (u128::from(nibble) << (4 * position));
+        }
+        let reference = (0..32)
+            .map(|position| (position, ((word >> (4 * position)) & 0xF) as u8))
+            .find(|&(_, nibble)| nibble > 9)
+            .map_or(Ok(word), |(position, nibble)| {
+                Err(BcdError::InvalidNibble { position, nibble })
+            });
+        prop_assert_eq!(Bcd128::new(word).map(Bcd128::raw), reference);
     }
 
     #[test]

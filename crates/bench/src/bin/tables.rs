@@ -7,8 +7,8 @@
 //!
 //! Defaults: `all`, 8,000 samples (the paper's count), seed 2019.
 //! `ablations` sweeps Rocket timing parameters and the software-baseline
-//! style; `micro` times the decimal substrates and each simulator's
-//! retire rate on the host.
+//! style; `micro` times the decimal substrates, guest construction and
+//! each simulator's retire rate on the host.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -420,7 +420,46 @@ fn micro() {
         println!("{name:<28} {ns:>10.1}");
     }
     println!();
+    build_rates();
     retire_rates();
+}
+
+/// Item counts of the guest-construction rows: one ledger request, a
+/// typical and the largest ledger batch, and one paper-scale table.
+const BUILD_COUNTS: [usize; 4] = [1, 16, 64, 8_000];
+
+/// Rounds of the guest-construction measurement; each builds every size.
+const BUILD_ROUNDS: u32 = 40;
+
+/// Host microseconds per Method-1 guest build at each of [`BUILD_COUNTS`],
+/// the fastest of [`BUILD_ROUNDS`] interleaved rounds, so the request
+/// path's guest construction can be compared between builds in one process.
+fn build_rates() {
+    eprintln!("[micro] timing guest construction...");
+    let vectors = workload(BUILD_COUNTS[BUILD_COUNTS.len() - 1], 2019);
+    let mut fastest = [f64::INFINITY; BUILD_COUNTS.len()];
+    for _ in 0..BUILD_ROUNDS {
+        for (cell, count) in fastest.iter_mut().zip(BUILD_COUNTS) {
+            // A hundred builds per round of a small guest, one of a paper-scale one.
+            let builds = (6_400 / count).clamp(1, 100);
+            let start = Instant::now();
+            for _ in 0..builds {
+                black_box(try_guest_for(KernelKind::Method1, &vectors[..count]))
+                    .unwrap_or_else(|e| die(&e));
+            }
+            *cell = cell.min(start.elapsed().as_secs_f64() * 1e6 / builds as f64);
+        }
+    }
+    println!(
+        "Guest construction (wall clock, us/guest, {}, fastest of {BUILD_ROUNDS} interleaved \
+         rounds over seed-2019 vectors)",
+        KernelKind::Method1
+    );
+    println!("{:<28} {:>10}", "Operation", "us/op");
+    for (count, us) in BUILD_COUNTS.iter().zip(fastest) {
+        println!("{:<28} {us:>10.1}", format!("build_guest_{count}"));
+    }
+    println!();
 }
 
 /// Samples in the guests behind the retire-rate rows.

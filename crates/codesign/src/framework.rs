@@ -29,7 +29,7 @@ use riscv_isa::Reg;
 use riscv_sim::{Cpu, Marker, Memory, Simulator};
 use rocc::DecimalAccelerator;
 use rocket_sim::{RocketSim, RunStats, TimingConfig};
-use testgen::{driver_source, operand_data_section, DriverLayout, TestVector};
+use testgen::{driver_unit, operand_unit, DriverLayout, TestVector};
 
 use crate::kernels::{kernel_source, KernelKind};
 use crate::native;
@@ -76,23 +76,24 @@ pub fn build_guest(
 /// Builds the guest program with an explicit driver layout (e.g. with
 /// per-sample markers for per-class cycle attribution).
 ///
-/// The driver and operand table are parsed on each call and linked with
-/// the kernel's cached [`Unit`]; the program is the one that assembling
+/// The driver and operand table are built as [`Unit`]s from their
+/// instructions and words ([`testgen::driver_unit`],
+/// [`testgen::operand_unit`]), with no text, and linked with the kernel's
+/// cached `Unit`; the program is the one that assembling
 /// `driver_source + kernel_source + operand_data_section` gives.
 ///
 /// # Errors
 ///
-/// See [`build_guest`]. A parse error's line counts within the piece that
-/// failed (driver, kernel or operand table); a link error's line counts
-/// across all three.
+/// See [`build_guest`]. A kernel parse error's line counts within the
+/// kernel; a link error's line counts across all three pieces.
 pub fn build_guest_with(
     kind: KernelKind,
     vectors: &[TestVector],
     layout: DriverLayout,
 ) -> Result<GuestProgram, AsmError> {
-    let driver = parse(&driver_source(layout))?;
+    let driver = driver_unit(layout)?;
     let kernel = kernel_unit(kind)?;
-    let operands = parse(&operand_data_section(vectors))?;
+    let operands = operand_unit(vectors)?;
     Ok(GuestProgram {
         program: link(&[&driver, kernel, &operands])?,
         layout,
@@ -469,7 +470,7 @@ pub fn time_native(method: NativeMethod, vectors: &[TestVector], repetitions: u3
 #[cfg(test)]
 mod tests {
     use super::*;
-    use testgen::TestConfig;
+    use testgen::{driver_source, operand_data_section, TestConfig};
 
     #[test]
     fn build_guest_assembles_for_all_kernels() {
@@ -485,29 +486,44 @@ mod tests {
     #[test]
     fn linked_guests_equal_the_assembled_concatenation() {
         let vectors = testgen::generate(&TestConfig {
-            count: 2049,
+            count: 8000,
             ..TestConfig::default()
         });
+        let check = |kind, count, repetitions, per_sample_marks| {
+            let layout = DriverLayout {
+                count,
+                repetitions,
+                per_sample_marks,
+            };
+            let guest = build_guest_with(kind, &vectors[..count], layout).unwrap();
+            let source = driver_source(layout)
+                + &kernel_source(kind)
+                + &operand_data_section(&vectors[..count]);
+            let oracle = riscv_asm::assemble(&source).unwrap();
+            assert_eq!(guest.program, oracle, "{kind} {layout:?}");
+        };
         // 2047/2048/2049 straddle the one-instruction `li` limit, which
         // moves the kernel and its `.align`s.
         for kind in KernelKind::ALL {
             for count in [0, 1, 25, 2047, 2048, 2049] {
                 for repetitions in [0, 1, 5000] {
                     for per_sample_marks in [false, true] {
-                        let layout = DriverLayout {
-                            count,
-                            repetitions,
-                            per_sample_marks,
-                        };
-                        let guest = build_guest_with(kind, &vectors[..count], layout).unwrap();
-                        let source = driver_source(layout)
-                            + &kernel_source(kind)
-                            + &operand_data_section(&vectors[..count]);
-                        let oracle = riscv_asm::assemble(&source).unwrap();
-                        assert_eq!(guest.program, oracle, "{kind} {layout:?}");
+                        check(kind, count, repetitions, per_sample_marks);
                     }
                 }
             }
+        }
+        // The ledger's batches: every size, both kernels, unmarked.
+        for kind in [KernelKind::Method1, KernelKind::Software] {
+            for count in 2..=64 {
+                for repetitions in [1, 3] {
+                    check(kind, count, repetitions, false);
+                }
+            }
+        }
+        // The paper's 8,000-sample tables.
+        for kind in KernelKind::ALL {
+            check(kind, vectors.len(), 1, false);
         }
     }
 

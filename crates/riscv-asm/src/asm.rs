@@ -1,8 +1,10 @@
 //! The assembler core: [`parse`] a source text into a [`Unit`], then
 //! [`link`] units into a [`Program`].
 
-use std::collections::{BTreeMap, HashSet};
+use std::borrow::Cow;
+use std::collections::HashSet;
 use std::fmt;
+use std::sync::Arc;
 
 use riscv_isa::instr::{BranchOp, CsrOp, Instr, LoadOp, Op32Op, OpImm32Op, OpImmOp, OpOp, StoreOp};
 use riscv_isa::rocc::{CustomOpcode, RoccInstruction};
@@ -83,7 +85,7 @@ pub struct Program {
     /// The `.data` segment.
     pub data: Segment,
     /// All defined symbols.
-    pub symbols: BTreeMap<String, u64>,
+    pub symbols: SymbolTable,
     /// 1-based source line per text word: `line_map[i]` is the line that
     /// produced the word at `text.base + 4*i` (an `.align`'s line for its
     /// NOP padding).
@@ -110,9 +112,9 @@ impl Program {
         }
         self.symbols
             .iter()
-            .filter(|&(_, &addr)| addr >= self.text.base && addr < text_end && addr <= pc)
-            .max_by_key(|&(_, &addr)| addr)
-            .map(|(name, &addr)| (name.as_str(), pc - addr))
+            .filter(|&(_, addr)| addr >= self.text.base && addr < text_end && addr <= pc)
+            .max_by_key(|&(_, addr)| addr)
+            .map(|(name, addr)| (name, pc - addr))
     }
 
     /// A human-readable location for `pc`: symbol+offset and source line
@@ -141,7 +143,7 @@ impl Program {
     /// Looks up a symbol's address.
     #[must_use]
     pub fn symbol(&self, name: &str) -> Option<u64> {
-        self.symbols.get(name).copied()
+        self.symbols.get(name)
     }
 
     /// Total size in bytes across segments.
@@ -159,7 +161,7 @@ impl Program {
         use std::collections::BTreeMap;
         let labels: BTreeMap<u64, Vec<&str>> = {
             let mut m: BTreeMap<u64, Vec<&str>> = BTreeMap::new();
-            for (name, &addr) in &self.symbols {
+            for (name, addr) in self.symbols.iter() {
                 m.entry(addr).or_default().push(name);
             }
             m
@@ -184,8 +186,32 @@ impl Program {
     }
 }
 
+/// A program's symbols and their addresses (or `.equ` values), sorted by
+/// name. Names are shared with the [`Unit`]s that define them, so linking
+/// a cached unit into many programs copies no string.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SymbolTable {
+    entries: Vec<(Arc<str>, u64)>,
+}
+
+impl SymbolTable {
+    /// The value of symbol `name`.
+    #[must_use]
+    pub fn get(&self, name: &str) -> Option<u64> {
+        self.entries
+            .binary_search_by(|(entry, _)| (**entry).cmp(name))
+            .ok()
+            .map(|i| self.entries[i].1)
+    }
+
+    /// Every symbol with its value, in name order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&str, u64)> + '_ {
+        self.entries.iter().map(|(name, value)| (&**name, *value))
+    }
+}
+
 #[derive(Debug, Clone, PartialEq, Eq)]
-enum Operand {
+pub(crate) enum Operand {
     Reg(Reg),
     Imm(i64),
     Sym(String),
@@ -204,22 +230,22 @@ impl Operand {
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Section {
+pub(crate) enum Section {
     Text,
     Data,
 }
 
 /// An instruction as written: its mnemonic, operands and encoded size.
 #[derive(Debug, Clone)]
-struct PendingInstr {
-    mnemonic: String,
-    operands: Vec<Operand>,
-    size: u64,
+pub(crate) struct PendingInstr {
+    pub(crate) mnemonic: Cow<'static, str>,
+    pub(crate) operands: Vec<Operand>,
+    pub(crate) size: u64,
 }
 
 /// A `.word`/`.dword` whose value is a symbol's address.
 #[derive(Debug, Clone)]
-struct SymbolWord {
+pub(crate) struct SymbolWord {
     size: u8,
     sym: String,
 }
@@ -237,11 +263,11 @@ struct Fixup<T> {
 /// A run of one section's bytes with no `.align` inside it, so everything
 /// in it sits at a fixed offset from its start; [`link`] places the start.
 #[derive(Debug, Clone)]
-struct Fragment<T> {
+pub(crate) struct Fragment<T> {
     /// The `.align` that opens the fragment, as (log2 alignment, line).
     /// Each section of a unit starts with one fragment that has none.
     align: Option<(u32, usize)>,
-    bytes: Vec<u8>,
+    pub(crate) bytes: Vec<u8>,
     /// Text only: the unit line of each word.
     lines: Vec<u32>,
     fixups: Vec<Fixup<T>>,
@@ -259,7 +285,7 @@ impl<T> Fragment<T> {
 }
 
 #[derive(Debug, Clone, Copy)]
-enum SymbolValue {
+pub(crate) enum SymbolValue {
     /// A label: byte `offset` into fragment `fragment` of `section`.
     Label {
         section: Section,
@@ -272,7 +298,7 @@ enum SymbolValue {
 
 #[derive(Debug, Clone)]
 struct SymbolDef {
-    name: String,
+    name: Arc<str>,
     /// 1-based line inside the unit.
     line: usize,
     value: SymbolValue,
@@ -288,10 +314,13 @@ struct SymbolDef {
 #[derive(Debug, Clone)]
 pub struct Unit {
     /// Source lines: how far the lines of the next linked unit are offset.
-    lines: usize,
+    pub(crate) lines: usize,
     text: Vec<Fragment<PendingInstr>>,
     data: Vec<Fragment<SymbolWord>>,
+    /// In definition order.
     symbols: Vec<SymbolDef>,
+    /// Indices into `symbols`, in name order.
+    by_name: Vec<u32>,
 }
 
 /// Assembles `source`: a one-unit [`link`], with errors quoting the
@@ -317,12 +346,7 @@ pub fn assemble(source: &str) -> Result<Program, AsmError> {
 /// [`link`] in source order, as [`assemble`] reports them.
 pub fn parse(source: &str) -> Result<Unit, AsmError> {
     let mut parser = Parser {
-        unit: Unit {
-            lines: 0,
-            text: vec![Fragment::new(None)],
-            data: vec![Fragment::new(None)],
-            symbols: Vec::new(),
-        },
+        unit: Unit::empty(),
         section: Section::Text,
         defined: HashSet::new(),
     };
@@ -330,7 +354,215 @@ pub fn parse(source: &str) -> Result<Unit, AsmError> {
         parser.line(raw_line, idx + 1)?;
         parser.unit.lines = idx + 1;
     }
+    parser.unit.seal()?;
+    parser.unit.shrink_to_fit();
     Ok(parser.unit)
+}
+
+impl Unit {
+    /// An empty unit: no lines, one empty fragment per section.
+    pub(crate) fn empty() -> Unit {
+        Unit {
+            lines: 0,
+            text: vec![Fragment::new(None)],
+            data: vec![Fragment::new(None)],
+            symbols: Vec::new(),
+            by_name: Vec::new(),
+        }
+    }
+
+    /// Drops the capacity the unit grew into: a parsed unit is typically
+    /// kept (the co-design framework caches one per kernel).
+    fn shrink_to_fit(&mut self) {
+        fn shrink<T>(fragments: &mut Vec<Fragment<T>>) {
+            for fragment in fragments.iter_mut() {
+                fragment.bytes.shrink_to_fit();
+                fragment.lines.shrink_to_fit();
+                fragment.fixups.shrink_to_fit();
+            }
+            fragments.shrink_to_fit();
+        }
+        shrink(&mut self.text);
+        shrink(&mut self.data);
+        self.symbols.shrink_to_fit();
+    }
+
+    /// The end of `section` so far, as a label there records it.
+    pub(crate) fn here(&self, section: Section) -> SymbolValue {
+        fn end<T>(fragments: &[Fragment<T>]) -> (usize, u64) {
+            let last = fragments.len() - 1;
+            (last, fragments[last].bytes.len() as u64)
+        }
+        let (fragment, offset) = match section {
+            Section::Text => end(&self.text),
+            Section::Data => end(&self.data),
+        };
+        SymbolValue::Label {
+            section,
+            fragment,
+            offset,
+        }
+    }
+
+    /// Records symbol `name`, defined on `line` (duplicates are rejected
+    /// by [`Unit::seal`]).
+    pub(crate) fn define(&mut self, name: &str, line: usize, value: SymbolValue) {
+        self.symbols.push(SymbolDef {
+            name: Arc::from(name),
+            line,
+            value,
+        });
+    }
+
+    /// Opens a fragment of `section` aligned to `2^log2` bytes by the
+    /// `.align` on `line`.
+    pub(crate) fn align(&mut self, section: Section, log2: u32, line: usize) {
+        let align = Some((log2, line));
+        match section {
+            Section::Text => self.text.push(Fragment::new(align)),
+            Section::Data => self.data.push(Fragment::new(align)),
+        }
+    }
+
+    /// Appends machine `words`, written on `line`, to the text.
+    pub(crate) fn push_words(&mut self, words: impl IntoIterator<Item = u32>, line: usize) {
+        let fragment = self.text_fragment();
+        for word in words {
+            fragment.bytes.extend_from_slice(&word.to_le_bytes());
+            fragment.lines.push(line as u32);
+        }
+    }
+
+    /// Appends `instr`, written on `line`, to the text: its words if it
+    /// names no symbol (they do not depend on placement), else a fixup. One
+    /// that fails to encode is left to `link`, which reports it in order.
+    pub(crate) fn push_instr(&mut self, instr: PendingInstr, line: usize) {
+        let fragment = self.text_fragment();
+        let offset = fragment.bytes.len();
+        fragment.bytes.resize(offset + instr.size as usize, 0);
+        fragment.lines.resize(fragment.lines.len() + (instr.size / 4) as usize, line as u32);
+        let symbolic = instr.operands.iter().any(|o| matches!(o, Operand::Sym(_)));
+        let image = &mut fragment.bytes[offset..];
+        if symbolic || encode(&instr, 0, &SymbolTable::default(), image).is_err() {
+            fragment.fixups.push(Fixup {
+                offset: offset as u64,
+                line,
+                item: instr,
+            });
+        }
+    }
+
+    fn text_fragment(&mut self) -> &mut Fragment<PendingInstr> {
+        self.text.last_mut().expect("every section has a fragment")
+    }
+
+    /// The data fragment that bytes are appended to.
+    pub(crate) fn data_fragment(&mut self) -> &mut Fragment<SymbolWord> {
+        self.data.last_mut().expect("every section has a fragment")
+    }
+
+    /// Completes a unit whose lines are all in: rejects a symbol defined
+    /// twice, indexes the symbols by name for [`link`], and encodes every
+    /// text fixup that placement cannot change — a pc-relative reference to
+    /// a label of its own text fragment, or a use of the unit's own `.equ`
+    /// values — so `link` only copies its words. A fixup that needs any
+    /// other symbol, or fails to encode, is left for `link`, which reports
+    /// errors in source order.
+    pub(crate) fn seal(&mut self) -> Result<(), AsmError> {
+        let Unit {
+            text,
+            symbols,
+            by_name,
+            ..
+        } = self;
+        *by_name = (0..symbols.len() as u32).collect();
+        by_name.sort_unstable_by(|&a, &b| {
+            (&symbols[a as usize].name, a).cmp(&(&symbols[b as usize].name, b))
+        });
+        // Each name's second definition, in definition order: the first one
+        // a line-by-line reader rejects.
+        let duplicate = by_name
+            .windows(2)
+            .filter(|pair| symbols[pair[0] as usize].name == symbols[pair[1] as usize].name)
+            .map(|pair| pair[1])
+            .min();
+        if let Some(index) = duplicate {
+            let def = &symbols[index as usize];
+            return Err(AsmError::new(
+                def.line,
+                format!("duplicate symbol {:?}", def.name),
+            ));
+        }
+        for (index, fragment) in text.iter_mut().enumerate() {
+            let Fragment { bytes, fixups, .. } = fragment;
+            let local = Local {
+                symbols,
+                by_name,
+                fragment: index,
+            };
+            fixups.retain(|fixup| {
+                let image = &mut bytes[fixup.offset as usize..];
+                encode(&fixup.item, fixup.offset, &local, image).is_err()
+            });
+        }
+        Ok(())
+    }
+}
+
+/// Where [`expand`] reads the symbols an instruction names.
+trait Symbols {
+    /// `name` as an immediate: its address, or its `.equ` value.
+    fn value(&self, name: &str) -> Option<u64>;
+    /// `name`'s address minus `pc`, the referencing instruction's address.
+    fn offset(&self, name: &str, pc: u64) -> Option<i64>;
+}
+
+/// A linked program's symbols, at their final addresses.
+impl Symbols for SymbolTable {
+    fn value(&self, name: &str) -> Option<u64> {
+        self.get(name)
+    }
+
+    fn offset(&self, name: &str, pc: u64) -> Option<i64> {
+        self.value(name).map(|addr| addr.wrapping_sub(pc) as i64)
+    }
+}
+
+/// What one unit knows before placement: its `.equ` values, and the
+/// distance between two points of one text fragment (addresses are offsets
+/// into fragment `fragment`).
+struct Local<'a> {
+    symbols: &'a [SymbolDef],
+    by_name: &'a [u32],
+    fragment: usize,
+}
+
+impl Local<'_> {
+    fn get(&self, name: &str) -> Option<SymbolValue> {
+        let at = |i: &u32| &*self.symbols[*i as usize].name;
+        let i = self.by_name.binary_search_by(|i| at(i).cmp(name)).ok()?;
+        Some(self.symbols[self.by_name[i] as usize].value)
+    }
+}
+
+impl Symbols for Local<'_> {
+    fn value(&self, name: &str) -> Option<u64> {
+        match self.get(name)? {
+            SymbolValue::Absolute(value) => Some(value),
+            SymbolValue::Label { .. } => None,
+        }
+    }
+
+    fn offset(&self, name: &str, pc: u64) -> Option<i64> {
+        match self.get(name)? {
+            SymbolValue::Label {
+                section: Section::Text,
+                fragment,
+                offset,
+            } if fragment == self.fragment => Some(offset.wrapping_sub(pc) as i64),
+            _ => None,
+        }
+    }
 }
 
 /// Links `units` into one program with `.text` at [`TEXT_BASE`] and `.data`
@@ -347,160 +579,229 @@ pub fn parse(source: &str) -> Result<Unit, AsmError> {
 /// A symbol defined in two units, an undefined symbol, or an instruction
 /// that does not encode, with its line counted across all of `units`.
 pub fn link(units: &[&Unit]) -> Result<Program, AsmError> {
-    let mut text = Vec::new();
-    let mut line_map = Vec::new();
-    let mut data = Vec::new();
-    let mut symbols = BTreeMap::new();
-    // Per unit: its first line, and where each of its fragments landed.
+    // Lay out every fragment first, so each image is allocated once, at
+    // its exact size (callers keep programs: a set-up may build hundreds).
+    let mut text = Layout::new(TEXT_BASE);
+    let mut data = Layout::new(DATA_BASE);
+    // Per unit: its first line and the index of its first fragment's start.
     let mut placed = Vec::with_capacity(units.len());
     let mut first_line = 0;
     for unit in units {
-        let text_starts = place(
-            &unit.text,
-            Section::Text,
-            TEXT_BASE,
-            first_line,
-            &mut text,
-            &mut line_map,
-        )?;
-        let data_starts = place(
-            &unit.data,
-            Section::Data,
-            DATA_BASE,
-            first_line,
-            &mut data,
-            &mut Vec::new(),
-        )?;
-        for def in &unit.symbols {
-            let addr = match def.value {
-                SymbolValue::Label {
-                    section,
-                    fragment,
-                    offset,
-                } => {
-                    let starts = match section {
-                        Section::Text => &text_starts,
-                        Section::Data => &data_starts,
-                    };
-                    starts[fragment] + offset
-                }
-                SymbolValue::Absolute(value) => value,
-            };
-            if symbols.insert(def.name.clone(), addr).is_some() {
-                return Err(AsmError::new(
-                    first_line + def.line,
-                    format!("duplicate symbol {:?}", def.name),
-                ));
-            }
-        }
-        placed.push((first_line, text_starts, data_starts));
+        placed.push((first_line, text.starts.len(), data.starts.len()));
+        text.place(&unit.text, Section::Text, first_line)?;
+        data.place(&unit.data, Section::Data, first_line)?;
         first_line += unit.lines;
     }
+    let symbols = link_symbols(units, &placed, &text, &data)?;
 
-    for (unit, (first_line, text_starts, _)) in units.iter().zip(&placed) {
-        for (fragment, start) in unit.text.iter().zip(text_starts) {
+    let mut text_image = Vec::with_capacity(text.len());
+    let mut line_map = Vec::with_capacity(text.len() / 4);
+    let mut data_image = Vec::with_capacity(data.len());
+    let nop = Instr::NOP.encode().expect("nop encodes").to_le_bytes();
+    for (unit, &(first_line, first_text, first_data)) in units.iter().zip(&placed) {
+        for (fragment, &start) in unit.text.iter().zip(&text.starts[first_text..]) {
+            // Pad with NOPs so the gap stays executable.
+            let pad_words = (start - TEXT_BASE) as usize / 4 - line_map.len();
+            if pad_words > 0 {
+                let (_, line) = fragment.align.expect("only an .align pads");
+                for _ in 0..pad_words {
+                    text_image.extend_from_slice(&nop);
+                }
+                line_map.resize(line_map.len() + pad_words, (first_line + line) as u32);
+            }
+            text_image.extend_from_slice(&fragment.bytes);
+            line_map.extend(fragment.lines.iter().map(|&line| line + first_line as u32));
+        }
+        for (fragment, &start) in unit.data.iter().zip(&data.starts[first_data..]) {
+            data_image.resize((start - DATA_BASE) as usize, 0);
+            data_image.extend_from_slice(&fragment.bytes);
+        }
+    }
+    debug_assert_eq!(text_image.len(), text.len());
+    debug_assert_eq!(data_image.len(), data.len());
+
+    for (unit, &(first_line, first_text, _)) in units.iter().zip(&placed) {
+        for (fragment, &start) in unit.text.iter().zip(&text.starts[first_text..]) {
             for fixup in &fragment.fixups {
                 let addr = start + fixup.offset;
-                let words = encode(&fixup.item, addr, &symbols)
+                let image = &mut text_image[(addr - TEXT_BASE) as usize..];
+                encode(&fixup.item, addr, &symbols, image)
                     .map_err(|message| AsmError::new(first_line + fixup.line, message))?;
-                let off = (addr - TEXT_BASE) as usize;
-                for (slot, word) in text[off..].chunks_exact_mut(4).zip(words) {
-                    slot.copy_from_slice(&word.to_le_bytes());
-                }
             }
         }
     }
-    for (unit, (first_line, _, data_starts)) in units.iter().zip(&placed) {
-        for (fragment, start) in unit.data.iter().zip(data_starts) {
+    for (unit, &(first_line, _, first_data)) in units.iter().zip(&placed) {
+        for (fragment, &start) in unit.data.iter().zip(&data.starts[first_data..]) {
             for fixup in &fragment.fixups {
                 let SymbolWord { size, sym } = &fixup.item;
-                let value = *symbols.get(sym).ok_or_else(|| {
+                let value = symbols.get(sym).ok_or_else(|| {
                     AsmError::new(first_line + fixup.line, format!("undefined symbol {sym:?}"))
                 })?;
                 let off = (start + fixup.offset - DATA_BASE) as usize;
                 let size = usize::from(*size);
-                data[off..off + size].copy_from_slice(&value.to_le_bytes()[..size]);
+                data_image[off..off + size].copy_from_slice(&value.to_le_bytes()[..size]);
             }
         }
     }
 
     let entry = ["start", "_start", "main"]
         .iter()
-        .find_map(|name| symbols.get(*name).copied())
+        .find_map(|name| symbols.get(name))
         .unwrap_or(TEXT_BASE);
-    // Callers keep programs (a set-up may build hundreds), so drop the
-    // capacity the images grew into.
-    text.shrink_to_fit();
-    data.shrink_to_fit();
-    line_map.shrink_to_fit();
     Ok(Program {
         entry,
         text: Segment {
             base: TEXT_BASE,
-            data: text,
+            data: text_image,
         },
         data: Segment {
             base: DATA_BASE,
-            data,
+            data: data_image,
         },
         symbols,
         line_map,
     })
 }
 
-/// Appends `fragments` to the image of a section that starts at `base`,
-/// padding each `.align` against the absolute address (NOPs in text,
-/// zeros in data); returns the address of each fragment.
-fn place<T>(
-    fragments: &[Fragment<T>],
-    section: Section,
+/// Every unit's symbols at their placed addresses: a merge of the units'
+/// name-ordered indexes.
+///
+/// # Errors
+///
+/// The first symbol, in link order, that an earlier definition already
+/// named.
+fn link_symbols(
+    units: &[&Unit],
+    placed: &[(usize, usize, usize)],
+    text: &Layout,
+    data: &Layout,
+) -> Result<SymbolTable, AsmError> {
+    let address = |unit: usize, def: &SymbolDef| match def.value {
+        SymbolValue::Label {
+            section,
+            fragment,
+            offset,
+        } => {
+            let (layout, first) = match section {
+                Section::Text => (text, placed[unit].1),
+                Section::Data => (data, placed[unit].2),
+            };
+            layout.starts[first + fragment] + offset
+        }
+        SymbolValue::Absolute(value) => value,
+    };
+    let mut entries: Vec<(Arc<str>, u64)> =
+        Vec::with_capacity(units.iter().map(|unit| unit.symbols.len()).sum());
+    let mut heads = vec![0; units.len()];
+    loop {
+        let mut least: Option<(usize, &SymbolDef)> = None;
+        for (u, unit) in units.iter().enumerate() {
+            if let Some(&i) = unit.by_name.get(heads[u]) {
+                let def = &unit.symbols[i as usize];
+                if least.is_none_or(|(_, least)| def.name < least.name) {
+                    least = Some((u, def));
+                }
+            }
+        }
+        let Some((u, def)) = least else {
+            break;
+        };
+        heads[u] += 1;
+        if entries.last().is_some_and(|(name, _)| *name == def.name) {
+            return Err(first_duplicate(units));
+        }
+        entries.push((Arc::clone(&def.name), address(u, def)));
+    }
+    Ok(SymbolTable { entries })
+}
+
+/// The error for the first definition, in link order, of a name that an
+/// earlier definition took.
+fn first_duplicate(units: &[&Unit]) -> AsmError {
+    let mut seen = HashSet::new();
+    let mut first_line = 0;
+    for unit in units {
+        for def in &unit.symbols {
+            if !seen.insert(&def.name) {
+                return AsmError::new(
+                    first_line + def.line,
+                    format!("duplicate symbol {:?}", def.name),
+                );
+            }
+        }
+        first_line += unit.lines;
+    }
+    unreachable!("the merge found a name defined twice")
+}
+
+/// Where the fragments of one section land, before any byte is copied.
+struct Layout {
     base: u64,
-    first_line: usize,
-    image: &mut Vec<u8>,
-    line_map: &mut Vec<u32>,
-) -> Result<Vec<u64>, AsmError> {
-    let mut starts = Vec::with_capacity(fragments.len());
-    for fragment in fragments {
-        let here = base + image.len() as u64;
-        if let Some((n, line)) = fragment.align {
-            let alignment = 1u64 << n;
-            let pad = (alignment - (here % alignment)) % alignment;
-            if section == Section::Text {
-                if !pad.is_multiple_of(4) {
+    /// The address one past the last placed byte.
+    end: u64,
+    /// The address of every placed fragment, in link order.
+    starts: Vec<u64>,
+}
+
+impl Layout {
+    fn new(base: u64) -> Layout {
+        Layout {
+            base,
+            end: base,
+            starts: Vec::new(),
+        }
+    }
+
+    /// The section's size in bytes so far.
+    fn len(&self) -> usize {
+        (self.end - self.base) as usize
+    }
+
+    /// Places `fragments` after what is placed, padding each `.align`
+    /// against the absolute address.
+    fn place<T>(
+        &mut self,
+        fragments: &[Fragment<T>],
+        section: Section,
+        first_line: usize,
+    ) -> Result<(), AsmError> {
+        for fragment in fragments {
+            if let Some((n, line)) = fragment.align {
+                let alignment = 1u64 << n;
+                let pad = (alignment - (self.end % alignment)) % alignment;
+                if section == Section::Text && !pad.is_multiple_of(4) {
                     return Err(AsmError::new(
                         first_line + line,
                         ".align in .text must be word-aligned".into(),
                     ));
                 }
-                // Pad with NOPs so the gap stays executable.
-                let nop = Instr::NOP.encode().expect("nop encodes");
-                for _ in 0..pad / 4 {
-                    image.extend_from_slice(&nop.to_le_bytes());
-                    line_map.push((first_line + line) as u32);
-                }
-            } else {
-                image.resize(image.len() + pad as usize, 0);
+                self.end += pad;
             }
+            self.starts.push(self.end);
+            self.end += fragment.bytes.len() as u64;
         }
-        starts.push(base + image.len() as u64);
-        image.extend_from_slice(&fragment.bytes);
-        line_map.extend(fragment.lines.iter().map(|&line| line + first_line as u32));
+        Ok(())
     }
-    Ok(starts)
 }
 
-/// Expands `instr`, placed at `addr`, and encodes it to machine words.
+/// Expands `instr`, placed at `addr`, and writes its machine words at the
+/// start of `image`; writes nothing if it fails.
 fn encode(
     instr: &PendingInstr,
     addr: u64,
-    symbols: &BTreeMap<String, u64>,
-) -> Result<Vec<u32>, String> {
+    symbols: &dyn Symbols,
+    image: &mut [u8],
+) -> Result<(), String> {
     let instrs = expand(instr, addr, symbols)?;
     debug_assert_eq!(instrs.len() as u64 * 4, instr.size, "{}", instr.mnemonic);
-    instrs
-        .iter()
-        .map(|i| i.encode().map_err(|e| e.to_string()))
-        .collect()
+    let mut words = [0; 8];
+    for (word, i) in words.iter_mut().zip(instrs.iter()) {
+        *word = i.encode().map_err(|e| e.to_string())?;
+    }
+    for (slot, word) in image.chunks_exact_mut(4).zip(&words[..instrs.len()]) {
+        slot.copy_from_slice(&word.to_le_bytes());
+    }
+    Ok(())
 }
 
 struct Parser<'a> {
@@ -511,37 +812,16 @@ struct Parser<'a> {
 }
 
 impl<'a> Parser<'a> {
-    /// The current position, as a label would record it.
-    fn here(&self) -> SymbolValue {
-        fn end<T>(fragments: &[Fragment<T>]) -> (usize, u64) {
-            let last = fragments.len() - 1;
-            (last, fragments[last].bytes.len() as u64)
-        }
-        let (fragment, offset) = match self.section {
-            Section::Text => end(&self.unit.text),
-            Section::Data => end(&self.unit.data),
-        };
-        SymbolValue::Label {
-            section: self.section,
-            fragment,
-            offset,
-        }
-    }
-
     fn define(&mut self, name: &'a str, line: usize, value: SymbolValue) -> Result<(), AsmError> {
         if !self.defined.insert(name) {
             return Err(AsmError::new(line, format!("duplicate symbol {name:?}")));
         }
-        self.unit.symbols.push(SymbolDef {
-            name: name.to_string(),
-            line,
-            value,
-        });
+        self.unit.define(name, line, value);
         Ok(())
     }
 
     fn data(&mut self) -> &mut Fragment<SymbolWord> {
-        self.unit.data.last_mut().expect("every section has a fragment")
+        self.unit.data_fragment()
     }
 
     fn line(&mut self, raw_line: &'a str, line: usize) -> Result<(), AsmError> {
@@ -553,7 +833,7 @@ impl<'a> Parser<'a> {
             if !is_symbol(name) {
                 return Err(err(format!("invalid label name {name:?}")));
             }
-            self.define(name, line, self.here())?;
+            self.define(name, line, self.unit.here(self.section))?;
             rest = rest[colon + 1..].trim();
         }
         if rest.is_empty() {
@@ -569,36 +849,14 @@ impl<'a> Parser<'a> {
         }
         let operands = parse_operands(operand_str).map_err(&err)?;
         let size = instr_size(&mnemonic, &operands).map_err(&err)?;
-        let instr = PendingInstr {
-            mnemonic,
-            operands,
-            size,
-        };
-        // Without symbol operands the words do not depend on placement. One
-        // that fails to encode is left to `link`, which reports it in order.
-        let words = if instr.operands.iter().any(|o| matches!(o, Operand::Sym(_))) {
-            None
-        } else {
-            encode(&instr, 0, &BTreeMap::new()).ok()
-        };
-        let fragment = self.unit.text.last_mut().expect("every section has a fragment");
-        match words {
-            Some(words) => {
-                for word in words {
-                    fragment.bytes.extend_from_slice(&word.to_le_bytes());
-                }
-            }
-            None => {
-                let offset = fragment.bytes.len() as u64;
-                fragment.bytes.resize((offset + size) as usize, 0);
-                fragment.fixups.push(Fixup {
-                    offset,
-                    line,
-                    item: instr,
-                });
-            }
-        }
-        fragment.lines.resize(fragment.lines.len() + (size / 4) as usize, line as u32);
+        self.unit.push_instr(
+            PendingInstr {
+                mnemonic: Cow::Owned(mnemonic),
+                operands,
+                size,
+            },
+            line,
+        );
         Ok(())
     }
 
@@ -616,11 +874,7 @@ impl<'a> Parser<'a> {
                 if n > 12 {
                     return Err(err(format!(".align {n} too large")));
                 }
-                let align = Some((n, line));
-                match self.section {
-                    Section::Text => self.unit.text.push(Fragment::new(align)),
-                    Section::Data => self.unit.data.push(Fragment::new(align)),
-                }
+                self.unit.align(self.section, n, line);
             }
             "byte" | "half" | "word" | "dword" | "quad" => {
                 let size: u8 = match name {
@@ -752,7 +1006,7 @@ fn split_mnemonic(s: &str) -> (&str, &str) {
     }
 }
 
-fn is_symbol(s: &str) -> bool {
+pub(crate) fn is_symbol(s: &str) -> bool {
     !s.is_empty()
         && s.chars().next().is_some_and(|c| c.is_ascii_alphabetic() || c == '_' || c == '.')
         && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '.' || c == '$')
@@ -880,10 +1134,45 @@ fn parse_operand(s: &str) -> Result<Operand, String> {
     Err(format!("cannot parse operand {s:?}"))
 }
 
+/// The machine instructions one source instruction expands to: at most
+/// eight (the longest `li`), held without a heap allocation.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Expansion {
+    instrs: [Instr; 8],
+    len: usize,
+}
+
+impl Expansion {
+    fn push(&mut self, instr: Instr) {
+        self.instrs[self.len] = instr;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for Expansion {
+    type Target = [Instr];
+
+    fn deref(&self) -> &[Instr] {
+        &self.instrs[..self.len]
+    }
+}
+
+/// An [`Expansion`] of the listed instructions, as `vec!` lists them.
+macro_rules! seq {
+    ($($instr:expr),* $(,)?) => {{
+        let mut expansion = Expansion {
+            instrs: [Instr::NOP; 8],
+            len: 0,
+        };
+        $(expansion.push($instr);)*
+        expansion
+    }};
+}
+
 /// Materialization sequence for a 64-bit immediate (the `li` expansion).
-pub(crate) fn li_sequence(rd: Reg, imm: i64) -> Vec<Instr> {
+pub(crate) fn li_sequence(rd: Reg, imm: i64) -> Expansion {
     if (-2048..=2047).contains(&imm) {
-        vec![Instr::OpImm {
+        seq![Instr::OpImm {
             op: OpImmOp::Addi,
             rd,
             rs1: Reg::ZERO,
@@ -893,7 +1182,7 @@ pub(crate) fn li_sequence(rd: Reg, imm: i64) -> Vec<Instr> {
         let hi_pattern = ((imm.wrapping_add(0x800) >> 12) & 0xFFFFF) as u32;
         let imm20 = ((hi_pattern << 12) as i32) >> 12;
         let lo = ((imm << 52) >> 52) as i32;
-        let mut seq = vec![Instr::Lui { rd, imm20 }];
+        let mut seq = seq![Instr::Lui { rd, imm20 }];
         if lo != 0 {
             seq.push(Instr::OpImm32 {
                 op: OpImm32Op::Addiw,
@@ -950,7 +1239,7 @@ fn li_args(operands: &[Operand]) -> Result<(Reg, i64), String> {
 struct Ctx<'a> {
     instr: &'a PendingInstr,
     addr: u64,
-    symbols: &'a BTreeMap<String, u64>,
+    symbols: &'a dyn Symbols,
 }
 
 impl Ctx<'_> {
@@ -971,8 +1260,8 @@ impl Ctx<'_> {
             Operand::Imm(v) => Ok(*v),
             Operand::Sym(s) => self
                 .symbols
-                .get(s)
-                .map(|&v| v as i64)
+                .value(s)
+                .map(|v| v as i64)
                 .ok_or_else(|| format!("undefined symbol {s:?}")),
             other => Err(format!(
                 "operand {} of {} must be an immediate, got {}",
@@ -1017,14 +1306,10 @@ impl Ctx<'_> {
     /// (pc-relative byte offset); returns the pc-relative offset.
     fn target(&self, i: usize) -> Result<i32, String> {
         let offset = match self.operand(i)? {
-            Operand::Sym(s) => {
-                let addr = self
-                    .symbols
-                    .get(s)
-                    .copied()
-                    .ok_or_else(|| format!("undefined symbol {s:?}"))?;
-                addr.wrapping_sub(self.addr) as i64
-            }
+            Operand::Sym(s) => self
+                .symbols
+                .offset(s, self.addr)
+                .ok_or_else(|| format!("undefined symbol {s:?}"))?,
             Operand::Imm(v) => *v,
             other => {
                 return Err(format!(
@@ -1079,21 +1364,17 @@ fn csr_number(ctx: &Ctx, i: usize) -> Result<u16, String> {
     }
 }
 
-fn expand(
-    instr: &PendingInstr,
-    addr: u64,
-    symbols: &BTreeMap<String, u64>,
-) -> Result<Vec<Instr>, String> {
+fn expand(instr: &PendingInstr, addr: u64, symbols: &dyn Symbols) -> Result<Expansion, String> {
     let ctx = Ctx {
         instr,
         addr,
         symbols,
     };
-    let m = instr.mnemonic.as_str();
+    let m = &*instr.mnemonic;
 
     if let Some(&(op, ..)) = OpOp::TABLE.iter().find(|row| row.1 == m) {
         ctx.expect_len(3)?;
-        return Ok(vec![Instr::Op {
+        return Ok(seq![Instr::Op {
             op,
             rd: ctx.reg(0)?,
             rs1: ctx.reg(1)?,
@@ -1102,7 +1383,7 @@ fn expand(
     }
     if let Some(&(op, ..)) = Op32Op::TABLE.iter().find(|row| row.1 == m) {
         ctx.expect_len(3)?;
-        return Ok(vec![Instr::Op32 {
+        return Ok(seq![Instr::Op32 {
             op,
             rd: ctx.reg(0)?,
             rs1: ctx.reg(1)?,
@@ -1111,7 +1392,7 @@ fn expand(
     }
     if let Some(&(op, ..)) = OpImmOp::TABLE.iter().find(|row| row.1 == m) {
         ctx.expect_len(3)?;
-        return Ok(vec![Instr::OpImm {
+        return Ok(seq![Instr::OpImm {
             op,
             rd: ctx.reg(0)?,
             rs1: ctx.reg(1)?,
@@ -1120,7 +1401,7 @@ fn expand(
     }
     if let Some(&(op, ..)) = OpImm32Op::TABLE.iter().find(|row| row.1 == m) {
         ctx.expect_len(3)?;
-        return Ok(vec![Instr::OpImm32 {
+        return Ok(seq![Instr::OpImm32 {
             op,
             rd: ctx.reg(0)?,
             rs1: ctx.reg(1)?,
@@ -1130,7 +1411,7 @@ fn expand(
     if let Some(&(op, ..)) = LoadOp::TABLE.iter().find(|row| row.1 == m) {
         ctx.expect_len(2)?;
         let (offset, base) = ctx.mem_offset(1, "load")?;
-        return Ok(vec![Instr::Load {
+        return Ok(seq![Instr::Load {
             op,
             rd: ctx.reg(0)?,
             rs1: base,
@@ -1140,7 +1421,7 @@ fn expand(
     if let Some(&(op, ..)) = StoreOp::TABLE.iter().find(|row| row.1 == m) {
         ctx.expect_len(2)?;
         let (offset, base) = ctx.mem_offset(1, "store")?;
-        return Ok(vec![Instr::Store {
+        return Ok(seq![Instr::Store {
             op,
             rs2: ctx.reg(0)?,
             rs1: base,
@@ -1149,7 +1430,7 @@ fn expand(
     }
     if let Some(&(op, ..)) = BranchOp::TABLE.iter().find(|row| row.1 == m) {
         ctx.expect_len(3)?;
-        return Ok(vec![Instr::Branch {
+        return Ok(seq![Instr::Branch {
             op,
             rs1: ctx.reg(0)?,
             rs2: ctx.reg(1)?,
@@ -1162,7 +1443,7 @@ fn expand(
     });
     if let Some((op, imm_form)) = csr_op {
         ctx.expect_len(3)?;
-        return Ok(vec![if imm_form {
+        return Ok(seq![if imm_form {
             let imm = ctx.imm(2)?;
             Instr::CsrImm {
                 op,
@@ -1182,7 +1463,7 @@ fn expand(
     if let Some(&(opcode, ..)) = CustomOpcode::TABLE.iter().find(|row| row.1 == m) {
         ctx.expect_len(7)?;
         let funct7 = ctx.imm(0)?;
-        return Ok(vec![Instr::Custom(RoccInstruction {
+        return Ok(seq![Instr::Custom(RoccInstruction {
             opcode,
             funct7: u8::try_from(funct7).map_err(|_| format!("funct7 {funct7} out of range"))?,
             rd: ctx.reg(1)?,
@@ -1197,24 +1478,24 @@ fn expand(
     Ok(match m {
         "lui" => {
             ctx.expect_len(2)?;
-            vec![Instr::Lui {
+            seq![Instr::Lui {
                 rd: ctx.reg(0)?,
                 imm20: ctx.imm32(1)?,
             }]
         }
         "auipc" => {
             ctx.expect_len(2)?;
-            vec![Instr::Auipc {
+            seq![Instr::Auipc {
                 rd: ctx.reg(0)?,
                 imm20: ctx.imm32(1)?,
             }]
         }
         "jal" => match instr.operands.len() {
-            1 => vec![Instr::Jal {
+            1 => seq![Instr::Jal {
                 rd: Reg::RA,
                 offset: ctx.target(0)?,
             }],
-            2 => vec![Instr::Jal {
+            2 => seq![Instr::Jal {
                 rd: ctx.reg(0)?,
                 offset: ctx.target(1)?,
             }],
@@ -1223,13 +1504,13 @@ fn expand(
         "jalr" => match instr.operands.len() {
             n @ (1 | 2) => {
                 let (offset, base) = ctx.mem_offset(n - 1, "jalr")?;
-                vec![Instr::Jalr {
+                seq![Instr::Jalr {
                     rd: if n == 1 { Reg::RA } else { ctx.reg(0)? },
                     rs1: base,
                     offset,
                 }]
             }
-            3 => vec![Instr::Jalr {
+            3 => seq![Instr::Jalr {
                 rd: ctx.reg(0)?,
                 rs1: ctx.reg(1)?,
                 offset: ctx.imm32(2)?,
@@ -1238,14 +1519,14 @@ fn expand(
         },
         "j" => {
             ctx.expect_len(1)?;
-            vec![Instr::Jal {
+            seq![Instr::Jal {
                 rd: Reg::ZERO,
                 offset: ctx.target(0)?,
             }]
         }
         "jr" => {
             ctx.expect_len(1)?;
-            vec![Instr::Jalr {
+            seq![Instr::Jalr {
                 rd: Reg::ZERO,
                 rs1: ctx.reg(0)?,
                 offset: 0,
@@ -1253,7 +1534,7 @@ fn expand(
         }
         "ret" => {
             ctx.expect_len(0)?;
-            vec![Instr::Jalr {
+            seq![Instr::Jalr {
                 rd: Reg::ZERO,
                 rs1: Reg::RA,
                 offset: 0,
@@ -1262,7 +1543,7 @@ fn expand(
         "call" => {
             ctx.expect_len(1)?;
             let (hi, lo) = ctx.pcrel(0)?;
-            vec![
+            seq![
                 Instr::Auipc {
                     rd: Reg::RA,
                     imm20: hi,
@@ -1277,7 +1558,7 @@ fn expand(
         "tail" => {
             ctx.expect_len(1)?;
             let (hi, lo) = ctx.pcrel(0)?;
-            vec![
+            seq![
                 Instr::Auipc {
                     rd: Reg::T1,
                     imm20: hi,
@@ -1293,7 +1574,7 @@ fn expand(
             ctx.expect_len(2)?;
             let rd = ctx.reg(0)?;
             let (hi, lo) = ctx.pcrel(1)?;
-            vec![
+            seq![
                 Instr::Auipc { rd, imm20: hi },
                 Instr::OpImm {
                     op: OpImmOp::Addi,
@@ -1307,10 +1588,10 @@ fn expand(
             let (rd, imm) = li_args(&instr.operands)?;
             li_sequence(rd, imm)
         }
-        "nop" => vec![Instr::NOP],
+        "nop" => seq![Instr::NOP],
         "mv" => {
             ctx.expect_len(2)?;
-            vec![Instr::OpImm {
+            seq![Instr::OpImm {
                 op: OpImmOp::Addi,
                 rd: ctx.reg(0)?,
                 rs1: ctx.reg(1)?,
@@ -1319,7 +1600,7 @@ fn expand(
         }
         "not" => {
             ctx.expect_len(2)?;
-            vec![Instr::OpImm {
+            seq![Instr::OpImm {
                 op: OpImmOp::Xori,
                 rd: ctx.reg(0)?,
                 rs1: ctx.reg(1)?,
@@ -1328,7 +1609,7 @@ fn expand(
         }
         "neg" => {
             ctx.expect_len(2)?;
-            vec![Instr::Op {
+            seq![Instr::Op {
                 op: OpOp::Sub,
                 rd: ctx.reg(0)?,
                 rs1: Reg::ZERO,
@@ -1337,7 +1618,7 @@ fn expand(
         }
         "negw" => {
             ctx.expect_len(2)?;
-            vec![Instr::Op32 {
+            seq![Instr::Op32 {
                 op: Op32Op::Subw,
                 rd: ctx.reg(0)?,
                 rs1: Reg::ZERO,
@@ -1346,7 +1627,7 @@ fn expand(
         }
         "sext.w" => {
             ctx.expect_len(2)?;
-            vec![Instr::OpImm32 {
+            seq![Instr::OpImm32 {
                 op: OpImm32Op::Addiw,
                 rd: ctx.reg(0)?,
                 rs1: ctx.reg(1)?,
@@ -1355,7 +1636,7 @@ fn expand(
         }
         "seqz" => {
             ctx.expect_len(2)?;
-            vec![Instr::OpImm {
+            seq![Instr::OpImm {
                 op: OpImmOp::Sltiu,
                 rd: ctx.reg(0)?,
                 rs1: ctx.reg(1)?,
@@ -1364,7 +1645,7 @@ fn expand(
         }
         "snez" => {
             ctx.expect_len(2)?;
-            vec![Instr::Op {
+            seq![Instr::Op {
                 op: OpOp::Sltu,
                 rd: ctx.reg(0)?,
                 rs1: Reg::ZERO,
@@ -1373,7 +1654,7 @@ fn expand(
         }
         "sltz" => {
             ctx.expect_len(2)?;
-            vec![Instr::Op {
+            seq![Instr::Op {
                 op: OpOp::Slt,
                 rd: ctx.reg(0)?,
                 rs1: ctx.reg(1)?,
@@ -1382,7 +1663,7 @@ fn expand(
         }
         "sgtz" => {
             ctx.expect_len(2)?;
-            vec![Instr::Op {
+            seq![Instr::Op {
                 op: OpOp::Slt,
                 rd: ctx.reg(0)?,
                 rs1: Reg::ZERO,
@@ -1401,7 +1682,7 @@ fn expand(
                 "bltz" => (BranchOp::Blt, rs, Reg::ZERO),
                 _ => (BranchOp::Blt, Reg::ZERO, rs),
             };
-            vec![Instr::Branch { op, rs1, rs2, offset }]
+            seq![Instr::Branch { op, rs1, rs2, offset }]
         }
         "bgt" | "ble" | "bgtu" | "bleu" => {
             ctx.expect_len(3)?;
@@ -1414,11 +1695,11 @@ fn expand(
                 "bgtu" => (BranchOp::Bltu, b, a),
                 _ => (BranchOp::Bgeu, b, a),
             };
-            vec![Instr::Branch { op, rs1, rs2, offset }]
+            seq![Instr::Branch { op, rs1, rs2, offset }]
         }
         "rdcycle" => {
             ctx.expect_len(1)?;
-            vec![Instr::Csr {
+            seq![Instr::Csr {
                 op: CsrOp::Csrrs,
                 rd: ctx.reg(0)?,
                 csr: csr::CYCLE,
@@ -1427,7 +1708,7 @@ fn expand(
         }
         "rdinstret" => {
             ctx.expect_len(1)?;
-            vec![Instr::Csr {
+            seq![Instr::Csr {
                 op: CsrOp::Csrrs,
                 rd: ctx.reg(0)?,
                 csr: csr::INSTRET,
@@ -1436,17 +1717,17 @@ fn expand(
         }
         "ecall" => {
             ctx.expect_len(0)?;
-            vec![Instr::Ecall]
+            seq![Instr::Ecall]
         }
         "ebreak" => {
             ctx.expect_len(0)?;
-            vec![Instr::Ebreak]
+            seq![Instr::Ebreak]
         }
         "mret" => {
             ctx.expect_len(0)?;
-            vec![Instr::Mret]
+            seq![Instr::Mret]
         }
-        "fence" => vec![Instr::Fence],
+        "fence" => seq![Instr::Fence],
         other => return Err(format!("unknown mnemonic {other:?}")),
     })
 }

@@ -13,6 +13,13 @@
 //! to symbols. A unit can be parsed once and linked into many programs —
 //! the co-design framework parses each kernel once per process and links it
 //! with every driver and operand table. [`assemble`] is a one-unit link.
+//! Parsing also encodes what placement cannot change (branches and calls
+//! within one `.align`-free run of a unit's text), so `link` copies those
+//! words and patches only the references that placement moves.
+//!
+//! [`UnitBuilder`] makes the same [`Unit`] without text: one call per
+//! source line, for generators (the co-design framework's driver loop and
+//! operand tables) that would otherwise format text only to parse it.
 //!
 //! Supported surface:
 //!
@@ -61,8 +68,10 @@
 #![warn(missing_docs)]
 
 mod asm;
+mod builder;
 
-pub use asm::{assemble, link, parse, AsmError, Program, Segment, Unit};
+pub use asm::{assemble, link, parse, AsmError, Program, Segment, SymbolTable, Unit};
+pub use builder::UnitBuilder;
 
 /// Base address of the `.text` section.
 pub const TEXT_BASE: u64 = 0x8000_0000;

@@ -109,3 +109,36 @@ fn an_instruction_that_does_not_encode_fails_at_its_line() {
     assert_eq!(err.line, 4);
     assert!(err.message.contains("immediate"), "{err}");
 }
+
+#[test]
+fn references_within_a_unit_encode_as_their_numeric_offsets() {
+    // Parsing encodes these itself (placement cannot move either end), so
+    // check them against the same instructions written with offsets.
+    for (symbolic, numeric) in [
+        ("beq a0, a1, after", "beq a0, a1, 12"),
+        ("bnez t0, before", "bnez t0, -4"),
+        ("j after", "j 12"),
+        ("jal ra, before", "jal ra, -4"),
+        ("call after", "auipc ra, 0\n    jalr ra, 16(ra)"),
+        ("la a0, before", "auipc a0, 0\n    addi a0, a0, -4"),
+    ] {
+        let program = |instr: &str| {
+            let text = format!("before:\n    nop\n{instr}\n    nop\n    nop\nafter:\n    ret\n");
+            assemble(&text).unwrap_or_else(|e| panic!("{instr}: {e}")).text
+        };
+        assert_eq!(program(symbolic), program(numeric), "{symbolic}");
+    }
+}
+
+#[test]
+fn a_text_align_between_a_reference_and_its_label_moves_with_placement() {
+    // The padding before `target` depends on where the unit lands, so the
+    // jump over it cannot be encoded until link.
+    let unit = "    .text\nentry:\n    j target\n    beqz a0, target\n.align 4\ntarget:\n    ret\n";
+    for nops in 0..4 {
+        let prefix = format!("start:\n{}", "    nop\n".repeat(nops));
+        let program = assert_link_matches(&[&prefix, unit]);
+        let target = program.symbol("target").expect("target defined");
+        assert_eq!(target % 16, 0, "{nops} nops");
+    }
+}

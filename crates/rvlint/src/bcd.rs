@@ -219,8 +219,7 @@ fn build_regions(program: &Program) -> Vec<Region> {
     let mut starts: Vec<(&str, u64)> = program
         .symbols
         .iter()
-        .filter(|&(_, &addr)| addr >= data_base && addr < data_end)
-        .map(|(name, &addr)| (name.as_str(), addr))
+        .filter(|&(_, addr)| addr >= data_base && addr < data_end)
         .collect();
     starts.sort_by_key(|&(_, addr)| addr);
     let mut regions = Vec::with_capacity(starts.len());

@@ -17,9 +17,12 @@
 //! * [`verification_database`] — vectors paired with golden results and
 //!   status flags from the `decnum` oracle (the role of the arithmetic
 //!   verification database \[18\] in the paper);
-//! * [`driver_source`] — the guest-side test program skeleton that loops
-//!   over the operand table calling a kernel, with `mark` syscalls
-//!   delimiting the measurement region.
+//! * [`driver_unit`] and [`operand_unit`] — the guest-side test program
+//!   skeleton that loops over the operand table calling a kernel, with
+//!   `mark` syscalls delimiting the measurement region, and the operand
+//!   table itself, built as assembler units from instructions and words.
+//!   [`driver_source`] and [`operand_data_section`] write the same pieces
+//!   as assembly text, the oracle the units are tested against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,8 +31,8 @@ mod driver;
 mod gen;
 
 pub use driver::{
-    driver_source, operand_data_section, DriverLayout, MARK_LOOP_END, MARK_LOOP_START,
-    MARK_SAMPLE_BASE,
+    driver_source, driver_unit, operand_data_section, operand_unit, DriverLayout, MARK_LOOP_END,
+    MARK_LOOP_START, MARK_SAMPLE_BASE,
 };
 pub use gen::{
     generate, paper_mix, verification_database, CaseClass, GoldenResult, Operation, Precision,
